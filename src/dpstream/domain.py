@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 DataPoint = tuple[int, ...]
+
+# Domains with at least this many points get no int64 point keys.
+KEY_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -36,21 +40,35 @@ class DomainSchema:
     def num_attributes(self) -> int:
         return len(self.attributes)
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.attributes)
 
-    @property
+    @cached_property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.attributes)
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Number of points in the full domain (can be astronomically large)."""
         out = 1
         for _, c in self.attributes:
             out *= c
         return out
+
+    @cached_property
+    def key_strides(self) -> tuple[int, ...] | None:
+        """Mixed-radix strides, last attribute fastest; None when ``size >= KEY_LIMIT``.
+
+        ``points @ key_strides`` maps each in-range row to a distinct int64 key,
+        and key order is lexicographic row order.
+        """
+        if self.size >= KEY_LIMIT:
+            return None
+        strides = [1]
+        for c in reversed(self.cardinalities[1:]):
+            strides.append(strides[-1] * c)
+        return tuple(reversed(strides))
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
@@ -65,13 +83,60 @@ class DomainSchema:
         return pt
 
 
+def point_keys(schema: DomainSchema, *arrays: np.ndarray) -> list[np.ndarray]:
+    """One int64 key per row of each in-range ``(n, p)`` array, comparable across arrays.
+
+    Key order is lexicographic row order and equal rows get equal keys. Below
+    ``KEY_LIMIT`` the keys are the mixed-radix point keys; above it they are
+    the rows' ranks in one joint row sort, valid only for this call.
+    """
+    if schema.key_strides is None:
+        _, ranks = np.unique(np.concatenate(arrays), axis=0, return_inverse=True)
+        bounds = np.cumsum([len(a) for a in arrays])[:-1]
+        return np.split(ranks.reshape(-1).astype(np.int64), bounds)
+    strides = np.asarray(schema.key_strides, dtype=np.int64)
+    return [a @ strides for a in arrays]
+
+
+def unique_rows(schema: DomainSchema, points: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Distinct rows of an in-range ``(n, p)`` array in lexicographic order.
+
+    Returns ``(rows, inverse)`` with ``rows[inverse]`` equal to ``points``. When
+    the rows are already strictly increasing, ``rows`` is ``points`` itself and
+    ``inverse`` is None.
+    """
+    (keys,) = point_keys(schema, points)
+    if (keys[1:] > keys[:-1]).all():
+        return points, None
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return points[first], inverse
+
+
+def merge_rows(
+    schema: DomainSchema, points: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order, with the weights of equal rows summed.
+
+    Sums run in input order, so equal inputs always merge to identical bits.
+    May return the input arrays themselves when they need no merging.
+    """
+    rows, inverse = unique_rows(schema, points)
+    if inverse is None:
+        return rows, weights
+    return rows, np.bincount(inverse, weights=weights, minlength=len(rows))
+
+
 def _canonicalize(
     schema: DomainSchema, points: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge duplicate rows, drop zero weights, and sort rows lexicographically."""
+    """Copy, merge duplicate rows, drop zero weights, and sort rows lexicographically."""
     p = schema.num_attributes
-    points = np.asarray(points, dtype=np.int64).reshape(-1, p)
-    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    points = np.array(points, dtype=np.int64)
+    weights = np.array(weights, dtype=np.float64).reshape(-1)
+    if points.ndim != 2 or points.shape[1] != p:
+        raise ValueError(
+            f"points must be an (n, {p}) array for a {p}-attribute schema, got shape {points.shape}"
+        )
     if len(points) != len(weights):
         raise ValueError("points and weights length mismatch")
     if len(points) == 0:
@@ -79,12 +144,13 @@ def _canonicalize(
     cards = np.asarray(schema.cardinalities, dtype=np.int64)
     if (points < 0).any() or (points >= cards).any():
         raise ValueError("point coordinate out of range for schema")
-    uniq, inverse = np.unique(points, axis=0, return_inverse=True)
-    merged = np.bincount(inverse.reshape(-1), weights=weights, minlength=len(uniq))
+    points, merged = merge_rows(schema, points, weights)
     if (merged < 0).any():
         raise ValueError("negative weight after merge; datasets are insert-only")
     keep = merged > 0
-    return uniq[keep], merged[keep]
+    if keep.all():
+        return points, merged
+    return points[keep], merged[keep]
 
 
 class WeightedDataset:
@@ -241,9 +307,6 @@ def stream_difference_norm(a: DatasetStream, b: DatasetStream) -> float:
             continue
         points = np.concatenate([da.points, db.points])
         signed = np.concatenate([da.weights, -db.weights])
-        if len(points) == 0:
-            continue
-        uniq, inverse = np.unique(points, axis=0, return_inverse=True)
-        merged = np.bincount(inverse.reshape(-1), weights=signed, minlength=len(uniq))
+        _, merged = merge_rows(a.schema, points, signed)
         total += float(np.abs(merged).sum())
     return total

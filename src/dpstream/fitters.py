@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .domain import DomainSchema, WeightedDataset
+from .domain import DomainSchema, WeightedDataset, point_keys, unique_rows
 from .queries import MarginalQuery, Workload, eval_query
 
 logger = logging.getLogger(__name__)
@@ -88,7 +88,7 @@ class WorkingSupport:
         else:
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), 3))))
             draws = np.column_stack([rng.integers(0, c, size=seed_size) for c in cards])
-            points = np.unique(draws.astype(np.int64), axis=0)
+            points, _ = unique_rows(schema, draws.astype(np.int64))
         self._points = points
 
     @property
@@ -104,7 +104,7 @@ class WorkingSupport:
             raise ValueError("schema mismatch in observe")
         if len(delta) == 0:
             return
-        merged = np.unique(np.concatenate([self._points, delta.points]), axis=0)
+        merged, _ = unique_rows(self.schema, np.concatenate([self._points, delta.points]))
         if len(merged) != len(self._points):
             self._points = merged
 
@@ -131,13 +131,12 @@ class WorkingSupport:
         """
         if dataset.schema != self.schema:
             raise ValueError("schema mismatch in extend")
-        existing = dataset.as_mapping()
-        n = len(self._points)
-        weights = np.full(n, float(fill))
-        for i, p in enumerate(self._points):
-            w = existing.get(tuple(int(v) for v in p))
-            if w is not None:
-                weights[i] = w
+        weights = np.full(len(self._points), float(fill))
+        if len(dataset):
+            support_keys, dataset_keys = point_keys(self.schema, self._points, dataset.points)
+            at = np.searchsorted(dataset_keys, support_keys).clip(max=len(dataset_keys) - 1)
+            found = dataset_keys[at] == support_keys
+            weights[found] = dataset.weights[at[found]]
         return WeightedDataset(self.schema, self._points, weights)
 
 

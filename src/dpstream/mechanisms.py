@@ -141,11 +141,29 @@ class BudgetLedger:
 
     total_epsilon: Fraction
     entries: list[BudgetEntry] = field(default_factory=list)
+    # Running totals over entries[:_counted], brought up to date by every reader;
+    # dict order is first-spend order.
+    _group_totals: dict[str | None, Fraction] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _category_totals: dict[tuple[str | None, str], Fraction] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _counted: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.total_epsilon = Fraction(self.total_epsilon)
         if self.total_epsilon <= 0:
             raise ValueError("total epsilon must be positive")
+
+    def _sync(self) -> None:
+        """Fold entries not yet counted (seeded or appended directly) into the totals."""
+        for e in self.entries[self._counted :]:
+            eps = e.epsilon
+            self._group_totals[e.group] = self._group_totals.get(e.group, Fraction(0)) + eps
+            key = (e.group, e.category)
+            self._category_totals[key] = self._category_totals.get(key, Fraction(0)) + eps
+        self._counted = len(self.entries)
 
     def spend(
         self,
@@ -170,24 +188,20 @@ class BudgetLedger:
         return entry
 
     def group_total(self, group: str | None) -> Fraction:
-        return sum((e.epsilon for e in self.entries if e.group == group), Fraction(0))
+        self._sync()
+        return self._group_totals.get(group, Fraction(0))
 
     def category_total(self, group: str | None, category: str) -> Fraction:
-        return sum(
-            (e.epsilon for e in self.entries if e.group == group and e.category == category),
-            Fraction(0),
-        )
+        self._sync()
+        return self._category_totals.get((group, category), Fraction(0))
 
     def groups(self) -> list[str | None]:
-        seen: list[str | None] = []
-        for e in self.entries:
-            if e.group not in seen:
-                seen.append(e.group)
-        return seen
+        self._sync()
+        return list(self._group_totals)
 
     def max_group_total(self) -> Fraction:
-        totals = [self.group_total(g) for g in self.groups()]
-        return max(totals) if totals else Fraction(0)
+        self._sync()
+        return max(self._group_totals.values(), default=Fraction(0))
 
 
 def ledger_spend(ledger: BudgetLedger, label: str, epsilon: Fraction | float | str) -> BudgetLedger:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -74,12 +75,12 @@ class Workload:
     def arity(self) -> int:
         return len(self.columns)
 
-    @property
+    @cached_property
     def cell_shape(self) -> tuple[int, ...]:
         cards = self.schema.cardinalities
         return tuple(cards[c] for c in self.columns)
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Number of marginal queries (cells) in the workload."""
         out = 1

@@ -12,8 +12,24 @@ from dpstream import (
     stream_norm,
     total_mass,
 )
+from dpstream.domain import point_keys
 
 SCHEMA_2X2 = DomainSchema((("a", 2), ("b", 2)))
+SCHEMA_234 = DomainSchema((("a", 2), ("b", 3), ("c", 4)))
+# 8**22 = 2**66 points: too many for int64 point keys, so rows take the generic path
+SCHEMA_HUGE = DomainSchema(tuple((f"x{i}", 8) for i in range(22)))
+
+
+def reference_merge(points, weights):
+    """Oracle: row-wise np.unique plus bincount, zero weights dropped."""
+    uniq, inverse = np.unique(points, axis=0, return_inverse=True)
+    merged = np.bincount(inverse.reshape(-1), weights=weights, minlength=len(uniq))
+    keep = merged > 0
+    return uniq[keep], merged[keep]
+
+
+def random_rows(schema, n, rng):
+    return np.column_stack([rng.integers(0, c, size=n) for c in schema.cardinalities]).astype(np.int64)
 
 
 def small_datasets(schema=SCHEMA_2X2, max_weight=5):
@@ -42,6 +58,21 @@ class TestSchema:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             DomainSchema(())
+
+    def test_key_strides_last_attribute_fastest(self):
+        assert SCHEMA_234.key_strides == (12, 4, 1)
+        assert DomainSchema((("a", 5),)).key_strides == (1,)
+        assert SCHEMA_HUGE.size == 2**66
+        assert SCHEMA_HUGE.key_strides is None
+
+    def test_cached_values_keep_equality_and_hash(self):
+        a = DomainSchema((("a", 2), ("b", 3), ("c", 4)))
+        b = DomainSchema((("a", 2), ("b", 3), ("c", 4)))
+        assert (a.names, a.cardinalities, a.size) == (("a", "b", "c"), (2, 3, 4), 24)
+        a.key_strides
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a != DomainSchema((("a", 2), ("b", 3), ("c", 5)))
 
     def test_validate_point(self):
         schema = DomainSchema((("a", 2), ("b", 3)))
@@ -88,6 +119,68 @@ class TestWeightedDataset:
         d = WeightedDataset.from_mapping(SCHEMA_2X2, {(0, 0): 1.0})
         with pytest.raises(ValueError):
             d.weights[0] = 5.0
+
+
+    def test_rows_of_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            WeightedDataset(SCHEMA_234, np.zeros((6, 2), dtype=np.int64), np.ones(4))
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            WeightedDataset(SCHEMA_234, np.zeros(3, dtype=np.int64), np.ones(1))
+
+    def test_from_rows_of_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            WeightedDataset.from_rows(SCHEMA_234, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("schema", [SCHEMA_234, SCHEMA_HUGE], ids=["keys", "rows"])
+class TestCanonicalOrder:
+    """Datasets match the row-wise oracle bit for bit, on the key path and the generic path."""
+
+    def check(self, schema, points, weights):
+        got = WeightedDataset(schema, points, weights)
+        want_points, want_weights = reference_merge(points, weights)
+        assert np.array_equal(got.points, want_points)
+        assert got.weights.tobytes() == want_weights.tobytes()
+
+    def test_duplicates_and_zero_weights(self, schema):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 40, 400):
+            points = random_rows(schema, n, rng)
+            points = np.concatenate([points, points[: n // 2]])  # guaranteed duplicates
+            weights = rng.random(len(points)) * rng.integers(0, 3, size=len(points))
+            self.check(schema, points, weights)
+
+    def test_sorted_and_reversed_input(self, schema):
+        rng = np.random.default_rng(12)
+        points, _ = reference_merge(random_rows(schema, 300, rng), np.ones(300))
+        weights = rng.random(len(points))
+        weights[::7] = 0.0
+        self.check(schema, points, weights)
+        self.check(schema, points[::-1], weights[::-1])
+
+    def test_key_order_is_row_order(self, schema):
+        rng = np.random.default_rng(13)
+        a, b = random_rows(schema, 200, rng), random_rows(schema, 50, rng)
+        keys_a, keys_b = point_keys(schema, a, b)
+        rows = np.concatenate([a, b])
+        keys = np.concatenate([keys_a, keys_b])
+        assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(rows.T[::-1]))
+        same = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+        assert np.array_equal(keys[:, None] == keys[None, :], same)
+
+    def test_caller_arrays_neither_aliased_nor_frozen(self, schema):
+        rng = np.random.default_rng(14)
+        presorted, _ = reference_merge(random_rows(schema, 30, rng), np.ones(30))
+        for points in (presorted, random_rows(schema, 30, rng)):
+            weights = np.ones(len(points))
+            d = WeightedDataset(schema, points, weights)
+            assert points.flags.writeable and weights.flags.writeable
+            assert not np.shares_memory(d.points, points)
+            assert not np.shares_memory(d.weights, weights)
+            before = (d.points.copy(), d.weights.copy())
+            points[:] = 0
+            weights[:] = 9.0
+            assert np.array_equal(d.points, before[0]) and np.array_equal(d.weights, before[1])
 
 
 class TestAccumulate:

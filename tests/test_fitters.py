@@ -20,6 +20,9 @@ from dpstream import (
 
 SCHEMA = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_1D = DomainSchema((("x", 2),))
+SCHEMA_WIDE = DomainSchema(tuple((f"x{i}", 4) for i in range(10)))
+# 8**22 = 2**66 points: too many for int64 point keys, so rows take the generic path
+SCHEMA_HUGE = DomainSchema(tuple((f"x{i}", 8) for i in range(22)))
 
 
 def relative_entropy(true_data, h):
@@ -203,6 +206,41 @@ class TestWorkingSupport:
         partial = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 5.0})
         full = support.extend(partial)
         assert full.as_mapping() == {(0, 0): 5.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1.0}
+
+    @pytest.mark.parametrize("schema", [SCHEMA_WIDE, SCHEMA_HUGE], ids=["keys", "rows"])
+    def test_extend_matches_lookup_and_drops_points_off_support(self, schema):
+        support = WorkingSupport(schema, seed_size=200, seed=1)
+        rng = np.random.default_rng(2)
+        inside = support.points[rng.choice(len(support), size=20, replace=False)]
+        outside = np.column_stack([rng.integers(0, c, size=20) for c in schema.cardinalities])
+        on_support = {tuple(p) for p in support.points.tolist()}
+        outside = outside[[tuple(p) not in on_support for p in outside.tolist()]]
+        assert len(outside) > 0
+        points = np.concatenate([inside, outside])
+        dataset = WeightedDataset(schema, points, rng.random(len(points)) + 0.5)
+        full = support.extend(dataset, fill=0.25)
+        existing = dataset.as_mapping()
+        expected = [existing.get(tuple(p), 0.25) for p in support.points.tolist()]
+        assert np.array_equal(full.points, support.points)
+        assert full.weights.tolist() == expected
+
+    def test_extend_of_empty_dataset_is_all_fill(self):
+        support = WorkingSupport(SCHEMA_WIDE, seed_size=50, seed=0)
+        full = support.extend(WeightedDataset.empty(SCHEMA_WIDE), fill=2.0)
+        assert np.array_equal(full.points, support.points)
+        assert (full.weights == 2.0).all()
+
+    @pytest.mark.parametrize("schema", [SCHEMA_WIDE, SCHEMA_HUGE], ids=["keys", "rows"])
+    def test_support_stays_sorted_and_unique(self, schema):
+        support = WorkingSupport(schema, seed_size=300, seed=3)
+        rng = np.random.default_rng(4)
+        for n in (40, 1, 40, 1):
+            assert np.array_equal(support.points, np.unique(support.points, axis=0))
+            rows = np.column_stack([rng.integers(0, c, size=n) for c in schema.cardinalities])
+            rows = np.concatenate([rows, support.points[:10]])  # some already on the support
+            expected = np.unique(np.concatenate([support.points, rows]), axis=0)
+            support.observe(WeightedDataset(schema, rows, np.ones(len(rows))))
+            assert np.array_equal(support.points, expected)
 
     def test_unit_and_uniform_datasets(self):
         support = WorkingSupport(SCHEMA, seed_size=100, seed=0)

@@ -177,6 +177,47 @@ class TestBudgetLedger:
         with pytest.raises(BudgetOverspendError):
             ledger.spend("c", Fraction(1), 2, group="t=2")
 
+    def test_running_totals_match_entry_scan(self):
+        def scan(entries, group, category=None):
+            return sum(
+                (e.epsilon for e in entries if e.group == group and category in (None, e.category)),
+                Fraction(0),
+            )
+
+        rng = np.random.default_rng(5)
+        ledger = BudgetLedger(Fraction(1))
+        groups = [None, "t=1", "t=2", "t=3"]
+        rejected = 0
+        for i in range(300):
+            group = groups[int(rng.integers(len(groups)))]
+            category = ("selection", "measurement")[int(rng.integers(2))]
+            size = len(ledger.entries)
+            try:
+                ledger.spend(f"s{i}", Fraction(1), int(rng.integers(2, 40)), group=group, category=category)
+            except BudgetOverspendError:
+                rejected += 1
+                assert len(ledger.entries) == size  # nothing recorded
+            seen = list(dict.fromkeys(e.group for e in ledger.entries))
+            assert ledger.groups() == seen
+            for g in groups:
+                assert ledger.group_total(g) == scan(ledger.entries, g)
+                for c in ("selection", "measurement", "other"):
+                    assert ledger.category_total(g, c) == scan(ledger.entries, g, c)
+            assert ledger.max_group_total() == max((scan(ledger.entries, g) for g in seen), default=0)
+        assert rejected > 0
+
+    def test_totals_seeded_from_constructor_entries(self):
+        first = BudgetLedger(Fraction(1))
+        first.spend("a", Fraction(1), 2, group="t=1", category="selection")
+        first.spend("b", Fraction(1), 4, group="t=2", category="measurement")
+        copy = BudgetLedger(Fraction(1), list(first.entries))
+        assert copy.groups() == ["t=1", "t=2"]
+        assert copy.group_total("t=1") == Fraction(1, 2)
+        assert copy.category_total("t=2", "measurement") == Fraction(1, 4)
+        with pytest.raises(BudgetOverspendError):
+            copy.spend("c", Fraction(3), 4, group="t=1")
+        assert len(copy.entries) == 2
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             BudgetLedger(Fraction(0))
