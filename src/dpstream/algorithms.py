@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .counters import MultiDimCounter
-from .domain import WeightedDataset, accumulate, dataset_mean
+from .domain import WeightedDataset, nonzero_mass
 from .fitters import (
     DEFAULT_SEED_SUPPORT,
     Measurement,
@@ -26,7 +26,7 @@ from .fitters import (
     make_fitter,
 )
 from .mechanisms import BudgetLedger, NoiseSource, exponential_mechanism
-from .queries import WorkloadSet, eval_workload
+from .queries import WorkloadSet, cell_values, eval_workload
 
 # child-source roles under the run seed
 _SELECT = 0
@@ -74,7 +74,13 @@ class RunConfig:
 
 
 class _StreamSynthesizer:
-    """Shared state: working support, fitter, noise sources, budget ledger."""
+    """Shared state: working support, fitter, noise sources, budget ledger.
+
+    Within a step every synthetic dataset is a float64 weight vector aligned
+    with ``support.points``, standing for the dataset that stores its nonzero
+    entries; ``_weights`` is the latest release in that form. The release
+    ``g`` is the only ``WeightedDataset`` a step builds.
+    """
 
     algorithm = "base"
 
@@ -95,15 +101,51 @@ class _StreamSynthesizer:
         )
         self.ledger = BudgetLedger(config.epsilon)
         self.g = self.support.unit_dataset()
+        self._weights = np.ones(len(self.support))
         self._eps_step = float(config.epsilon) / (2 * config.k)
         self._sensitivity = config.resolved_sensitivity()
 
-    def _check_delta(self, delta: WeightedDataset) -> None:
+    def _observe(self, delta: WeightedDataset) -> np.ndarray:
+        """Grow the support by ``delta``, realign ``_weights``; return ``delta``'s support positions."""
         if delta.schema != self.schema:
             raise ValueError("differential schema does not match the run schema")
+        moved, at = self.support.observe(delta)
+        if moved is not None:
+            weights = np.zeros(len(self.support))
+            weights[moved] = self._weights
+            self._weights = weights
+        return at
+
+    def _select(self, utilities: list[float], l: int, group: str) -> int:
+        """Exponential-mechanism pick among the candidates, recorded in the ledger."""
+        pick = exponential_mechanism(
+            np.array(utilities), self._eps_step, self._sensitivity, self._select_source
+        )
+        cfg = self.config
+        self.ledger.spend(
+            f"{group}/select/l={l}", cfg.epsilon, 2 * cfg.k, group=group, category="selection"
+        )
+        return pick
+
+    def _fit(self, measured: list[Measurement], h: np.ndarray, target: float) -> np.ndarray:
+        cells = [self.support.cells(m.workload) for m in measured]
+        return self.fitter.fit_weights(measured, cells, h, target)
+
+    def _release(self, weights: np.ndarray) -> WeightedDataset:
+        self._weights = weights
+        self.g = WeightedDataset(self.schema, self.support.points, weights)
+        return self.g
 
     def step(self, delta: WeightedDataset) -> WeightedDataset:
         raise NotImplementedError
+
+
+def _mean(fits: list[np.ndarray]) -> np.ndarray:
+    """``dataset_mean`` of the fits: summed in list order, then scaled by 1/k."""
+    total = fits[0]
+    for f in fits[1:]:
+        total = total + f
+    return total * (1.0 / len(fits))
 
 
 class StreamingMwem(_StreamSynthesizer):
@@ -118,35 +160,29 @@ class StreamingMwem(_StreamSynthesizer):
     algorithm = "baseline"
 
     def step(self, delta: WeightedDataset) -> WeightedDataset:
-        self._check_delta(delta)
+        at = self._observe(delta)
         self.t += 1
-        self.support.observe(delta)
         target = delta.total_mass()
         if target == 0:
             return self.g  # nothing arrived: no spend, synthetic stream holds
         cfg = self.config
         group = f"t={self.t}"
-        h = self.support.uniform_dataset(target)
-        delta_values = {i: eval_workload(w, delta) for i, w in enumerate(self.workloads)}
-        fits: list[WeightedDataset] = []
+        h = np.full(len(self.support), target / len(self.support))
+        # eval_workload(w, delta), read off the cached cells of delta's points
+        delta_values = [
+            cell_values(self.support.cells(w)[at], delta.weights, w.size) for w in self.workloads
+        ]
+        fits: list[np.ndarray] = []
         measured: list[Measurement] = []
         selected: list[int] = []
         for l in range(1, cfg.k + 1):
             candidates = [i for i in range(len(self.workloads)) if i not in selected]
-            utilities = np.array(
-                [
-                    np.abs(delta_values[i] - eval_workload(self.workloads[i], h)).sum()
-                    / self.workloads[i].size
-                    for i in candidates
-                ]
-            )
-            pick = exponential_mechanism(
-                utilities, self._eps_step, self._sensitivity, self._select_source
-            )
-            j = candidates[pick]
-            self.ledger.spend(
-                f"{group}/select/l={l}", cfg.epsilon, 2 * cfg.k, group=group, category="selection"
-            )
+            utilities = [
+                np.abs(delta_values[i] - self.support.evaluate(self.workloads[i], h)).sum()
+                / self.workloads[i].size
+                for i in candidates
+            ]
+            j = candidates[self._select(utilities, l, group)]
             selected.append(j)
             workload = self.workloads[j]
             scale = 1.0 / self._eps_step  # sensitivity-1 histogram at eps/2k
@@ -155,10 +191,9 @@ class StreamingMwem(_StreamSynthesizer):
                 f"{group}/measure/W={j}", cfg.epsilon, 2 * cfg.k, group=group, category="measurement"
             )
             measured.append(Measurement(j, workload, noisy))
-            h = self.fitter.fit(measured, h, target)
+            h = self._fit(measured, h, target)
             fits.append(h)
-        self.g = accumulate(self.g, dataset_mean(fits))
-        return self.g
+        return self._release(self._weights + _mean(fits))
 
 
 class CounterSynthesizer(_StreamSynthesizer):
@@ -200,40 +235,33 @@ class CounterSynthesizer(_StreamSynthesizer):
         # latest synthetic dataset (zero before any dataset exists).
         if self.t == 1:
             return np.zeros(self.workloads[j].size)
-        return eval_workload(self.workloads[j], self.g)
+        return self.support.evaluate(self.workloads[j], self._weights)
 
     def step(self, delta: WeightedDataset) -> WeightedDataset:
-        self._check_delta(delta)
+        at = self._observe(delta)
         self.t += 1
-        self.support.observe(delta)
-        surrogate = accumulate(delta, self.g)
-        target = surrogate.total_mass()
+        surrogate = self._weights.copy()
+        surrogate[at] += delta.weights
+        target = nonzero_mass(surrogate)
         if target == 0:
             return self.g  # no data and no synthetic mass: skip, no spend
         cfg = self.config
         group = f"t={self.t}"
-        surrogate_values = {i: eval_workload(w, surrogate) for i, w in enumerate(self.workloads)}
-        h = self.support.extend(self.g)
-        fits: list[WeightedDataset] = []
+        surrogate_values = [self.support.evaluate(w, surrogate) for w in self.workloads]
+        h = self._weights.copy()
+        h[h == 0] = 1.0  # new and underflowed points re-enter at unit weight
+        fits: list[np.ndarray] = []
         measured: list[Measurement] = []
         selected: list[int] = []
         for l in range(1, cfg.k + 1):
             candidates = [i for i in range(len(self.workloads)) if i not in selected]
-            utilities = np.array(
-                [
-                    np.abs(surrogate_values[i] - eval_workload(self.workloads[i], h)).sum()
-                    / self.workloads[i].size
-                    - self.workloads[i].size
-                    for i in candidates
-                ]
-            )
-            pick = exponential_mechanism(
-                utilities, self._eps_step, self._sensitivity, self._select_source
-            )
-            j = candidates[pick]
-            self.ledger.spend(
-                f"{group}/select/l={l}", cfg.epsilon, 2 * cfg.k, group=group, category="selection"
-            )
+            utilities = [
+                np.abs(surrogate_values[i] - self.support.evaluate(self.workloads[i], h)).sum()
+                / self.workloads[i].size
+                - self.workloads[i].size
+                for i in candidates
+            ]
+            j = candidates[self._select(utilities, l, group)]
             selected.append(j)
             workload = self.workloads[j]
             if j not in self.remainders:
@@ -246,15 +274,15 @@ class CounterSynthesizer(_StreamSynthesizer):
             # remainder carries over unchanged on a selected step
             self.last_measurements[j] = counter_values + self.remainders[j]
             measured.append(Measurement(j, workload, self.last_measurements[j]))
-            h = self.fitter.fit(measured, h, target)
+            h = self._fit(measured, h, target)
             fits.append(h)
-        g_t = dataset_mean(fits)
+        g_t = _mean(fits)
         for i in self.counters:
             if i not in selected:
-                self.remainders[i] = eval_workload(self.workloads[i], g_t) - self.counters[i].peek()
+                values = self.support.evaluate(self.workloads[i], g_t)
+                self.remainders[i] = values - self.counters[i].peek()
         self.last_selected = selected
-        self.g = g_t
-        return g_t
+        return self._release(g_t)
 
 
 def make_synthesizer(algorithm: str, config: RunConfig) -> _StreamSynthesizer:

@@ -228,6 +228,16 @@ def total_mass(dataset: WeightedDataset) -> float:
     return dataset.total_mass()
 
 
+def nonzero_mass(weights: np.ndarray) -> float:
+    """``total_mass`` of the dataset that stores the nonzero entries of ``weights``.
+
+    Zeros are left out of the sum, not added: numpy's pairwise sum groups its
+    terms by position, so extra zeros could change the rounding.
+    """
+    nonzero = weights != 0
+    return float((weights if nonzero.all() else weights[nonzero]).sum())
+
+
 def accumulate(prefix: WeightedDataset, delta: WeightedDataset) -> WeightedDataset:
     """Pointwise sum of two datasets; entries that cancel to zero are dropped."""
     if prefix.schema != delta.schema:

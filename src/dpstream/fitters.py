@@ -17,8 +17,8 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .domain import DomainSchema, WeightedDataset, point_keys, unique_rows
-from .queries import MarginalQuery, Workload, eval_query
+from .domain import DomainSchema, WeightedDataset, nonzero_mass, point_keys, unique_rows
+from .queries import MarginalQuery, Workload, cell_values, eval_query
 
 logger = logging.getLogger(__name__)
 
@@ -69,12 +69,25 @@ class Fitter(Protocol):
     ) -> WeightedDataset:
         ...
 
+    def fit_weights(
+        self,
+        measurements: Sequence[Measurement],
+        cells: Sequence[np.ndarray],
+        weights: np.ndarray,
+        target_mass: float,
+    ) -> np.ndarray:
+        """``fit`` on a weight vector over a working support, as the synthesizers call it."""
+        ...
+
 
 class WorkingSupport:
     """The set of domain points on which synthetic datasets carry weight.
 
     Starts as a deterministic uniform sample of the domain (the full domain if
-    it fits) and grows by union with every observed differential.
+    it fits) and grows by union with every observed differential. Points stay
+    sorted and unique, so a weight vector aligned with ``points`` describes the
+    dataset storing its nonzero entries. The cell index of every point is
+    cached per workload on first use and kept up to date as the support grows.
     """
 
     def __init__(self, schema: DomainSchema, seed_size: int = DEFAULT_SEED_SUPPORT, seed: int = 0):
@@ -90,6 +103,7 @@ class WorkingSupport:
             draws = np.column_stack([rng.integers(0, c, size=seed_size) for c in cards])
             points, _ = unique_rows(schema, draws.astype(np.int64))
         self._points = points
+        self._cells: dict[Workload, np.ndarray] = {}
 
     @property
     def points(self) -> np.ndarray:
@@ -98,15 +112,49 @@ class WorkingSupport:
     def __len__(self) -> int:
         return len(self._points)
 
-    def observe(self, delta: WeightedDataset) -> None:
-        """Union the support with the points of an observed differential."""
+    def cells(self, workload: Workload) -> np.ndarray:
+        """Read-only cell index of every support point, in the smallest dtype that holds ``workload.size``."""
+        cells = self._cells.get(workload)
+        if cells is None:
+            if workload.schema != self.schema:
+                raise ValueError("workload schema does not match the support schema")
+            cells = _compact_cells(workload, self._points)
+            self._cells[workload] = cells
+        return cells
+
+    def evaluate(self, workload: Workload, weights: np.ndarray) -> np.ndarray:
+        """``eval_workload`` of the dataset whose weights over the support are ``weights``."""
+        return cell_values(self.cells(workload), weights, workload.size)
+
+    def observe(self, delta: WeightedDataset) -> tuple[np.ndarray | None, np.ndarray]:
+        """Union the support with the points of an observed differential.
+
+        Returns ``(moved, at)``: the new position of every previous support
+        point (None when the support did not grow) and the support position of
+        every point of ``delta``.
+        """
         if delta.schema != self.schema:
             raise ValueError("schema mismatch in observe")
         if len(delta) == 0:
-            return
-        merged, _ = unique_rows(self.schema, np.concatenate([self._points, delta.points]))
-        if len(merged) != len(self._points):
-            self._points = merged
+            return None, np.empty(0, dtype=np.intp)
+        n = len(self._points)
+        merged, inverse = unique_rows(self.schema, np.concatenate([self._points, delta.points]))
+        positions = np.arange(len(merged)) if inverse is None else inverse
+        moved, at = positions[:n], positions[n:]
+        if len(merged) == n:
+            return None, at
+        kept = np.zeros(len(merged), dtype=bool)
+        kept[moved] = True
+        added = np.flatnonzero(~kept)
+        fresh = merged[added]
+        for workload, old in self._cells.items():
+            cells = np.empty(len(merged), dtype=old.dtype)
+            cells[kept] = old  # old points keep their order, so a mask places them
+            cells[added] = workload.point_cells(fresh)
+            cells.flags.writeable = False
+            self._cells[workload] = cells
+        self._points = merged
+        return moved, at
 
     def unit_dataset(self) -> WeightedDataset:
         """Weight 1 on every support point (the all-ones initialization)."""
@@ -140,11 +188,20 @@ class WorkingSupport:
         return WeightedDataset(self.schema, self._points, weights)
 
 
-def _rescale(dataset: WeightedDataset, target_mass: float) -> WeightedDataset:
-    mass = dataset.total_mass()
+def _compact_cells(workload: Workload, points: np.ndarray) -> np.ndarray:
+    dtype = np.min_scalar_type(workload.size)
+    if dtype.itemsize == 8:  # np.bincount cannot take uint64
+        dtype = np.dtype(np.int64)
+    cells = workload.point_cells(points).astype(dtype)
+    cells.flags.writeable = False
+    return cells
+
+
+def _rescaled(weights: np.ndarray, target_mass: float) -> np.ndarray:
+    mass = nonzero_mass(weights)
     if mass <= 0:
         raise ValueError("cannot fit from a zero-mass dataset")
-    return dataset.scale(target_mass / mass)
+    return weights * (target_mass / mass)
 
 
 def _clamped_exp(exponent: float, stats: FitStats | None) -> float:
@@ -189,34 +246,65 @@ def mw_update(
 
 
 def _apply_measurement(
-    points: np.ndarray,
     weights: np.ndarray,
-    measurement: Measurement,
+    cells: np.ndarray,
+    values: np.ndarray,
     target_mass: float,
     stats: FitStats | None,
 ) -> None:
     """Apply one workload measurement cell by cell, in lexicographic cell order."""
-    workload = measurement.workload
-    coords = points[:, list(workload.columns)]
-    cells = np.ravel_multi_index(tuple(coords.T), workload.cell_shape)
     order = np.argsort(cells, kind="stable")
     sorted_cells = cells[order]
-    uniq, starts = np.unique(sorted_cells, return_index=True)
-    bounds = np.append(starts, len(sorted_cells))
-    index_of = {int(c): order[bounds[i] : bounds[i + 1]] for i, c in enumerate(uniq)}
-    for cell in range(workload.size):
-        idx = index_of.get(cell)
-        if idx is None:
-            continue  # no support in this cell: nothing to reweight
+    bounds = (np.flatnonzero(sorted_cells[1:] != sorted_cells[:-1]) + 1).tolist()
+    # cells with no support are skipped: there is nothing to reweight
+    for start, end in zip([0, *bounds], [*bounds, len(order)]):
+        idx = order[start:end]
         current = weights[idx].sum()
         factor = _clamped_exp(
-            (float(measurement.values[cell]) - current) / (2.0 * target_mass), stats
+            (float(values[sorted_cells[start]]) - current) / (2.0 * target_mass), stats
         )
         weights[idx] *= factor
         total = weights.sum()
         if total <= 0:
             raise ValueError("multiplicative weights drove the total mass to zero")
         weights *= target_mass / total
+
+
+def mw_weights(
+    weights: np.ndarray,
+    cells: Sequence[np.ndarray],
+    values: Sequence[np.ndarray],
+    target_mass: float,
+    passes: int = 1,
+    stats: FitStats | None = None,
+) -> np.ndarray:
+    """Multiplicative weights on a weight vector; every fit runs through here.
+
+    Rescales ``weights`` to the target mass, then sweeps the measurements
+    ``passes`` times: ``cells[i]`` gives the cell of every entry of ``weights``
+    in the i-th measured workload and ``values[i]`` its noisy cell values.
+    Entries that are zero after the rescale take no part, exactly as if the
+    vector were a dataset storing only its nonzero entries. Returns a new
+    vector aligned with ``weights``; weights that underflow come back as 0.
+    """
+    if passes < 1:
+        raise ValueError("passes must be >= 1")
+    if target_mass <= 0:
+        raise ValueError("target mass must be positive")
+    out = _rescaled(weights, target_mass)
+    if not cells:
+        return out
+    active = out != 0
+    if active.all():
+        live, live_cells = out, cells
+    else:
+        live, live_cells = out[active], [c[active] for c in cells]
+    for _ in range(passes):
+        for c, v in zip(live_cells, values):
+            _apply_measurement(live, c, v, target_mass, stats)
+    if live is not out:
+        out[active] = live
+    return out
 
 
 def mw_fit(
@@ -227,19 +315,11 @@ def mw_fit(
     stats: FitStats | None = None,
 ) -> WeightedDataset:
     """Rescale ``init`` to the target mass, then sweep the measurement list ``passes`` times."""
-    if passes < 1:
-        raise ValueError("passes must be >= 1")
-    if target_mass <= 0:
-        raise ValueError("target mass must be positive")
-    h = _rescale(init, target_mass)
-    if not measurements:
-        return h
-    points = h.points.copy()
-    weights = h.weights.copy()
-    for _ in range(passes):
-        for measurement in measurements:
-            _apply_measurement(points, weights, measurement, target_mass, stats)
-    return WeightedDataset(h.schema, points, weights)
+    cells = [m.workload.cell_indices(init) for m in measurements]
+    weights = mw_weights(
+        init.weights, cells, [m.values for m in measurements], target_mass, passes, stats
+    )
+    return WeightedDataset(init.schema, init.points, weights)
 
 
 class MultiplicativeWeightsFitter:
@@ -259,18 +339,31 @@ class MultiplicativeWeightsFitter:
         self.passes = passes
         self.stats = FitStats()
 
+    def fit_weights(
+        self,
+        measurements: Sequence[Measurement],
+        cells: Sequence[np.ndarray],
+        weights: np.ndarray,
+        target_mass: float,
+    ) -> np.ndarray:
+        """``fit`` on a weight vector; ``cells[i]`` holds the i-th measured workload's cells."""
+        if not measurements:
+            return _rescaled(weights, target_mass)
+        values = [m.values for m in measurements]
+        out = mw_weights(weights, cells[-1:], values[-1:], target_mass, 1, self.stats)
+        if self.passes > 1:
+            out = mw_weights(out, cells, values, target_mass, self.passes - 1, self.stats)
+        return out
+
     def fit(
         self,
         measurements: Sequence[Measurement],
         init: WeightedDataset,
         target_mass: float,
     ) -> WeightedDataset:
-        if not measurements:
-            return _rescale(init, target_mass)
-        h = mw_fit([measurements[-1]], init, target_mass, passes=1, stats=self.stats)
-        if self.passes > 1:
-            h = mw_fit(measurements, h, target_mass, passes=self.passes - 1, stats=self.stats)
-        return h
+        cells = [m.workload.cell_indices(init) for m in measurements]
+        weights = self.fit_weights(measurements, cells, init.weights, target_mass)
+        return WeightedDataset(init.schema, init.points, weights)
 
 
 def make_fitter(name: str, support: WorkingSupport, passes: int = 1) -> MultiplicativeWeightsFitter:

@@ -241,11 +241,8 @@ def _eps_label(epsilon: Fraction) -> str:
     return repr(float(epsilon))
 
 
-def run_triple(
-    config: ExperimentConfig, algorithm: str, epsilon: Fraction, seed: int
-) -> dict[str, Any]:
-    """Run one (algorithm, epsilon, seed) cell of the grid and write its files."""
-    started = time.monotonic()
+def load_stream(config: ExperimentConfig) -> DatasetStream:
+    """Read the schema, ingest the dataset CSV and slice it into the configured stream."""
     schema, value_lists = load_schema(config.schema)
     spec = config.stream
     rows = ingest_csv(
@@ -254,7 +251,24 @@ def run_triple(
         value_lists,
         timestamp_column=spec.timestamp_column if spec.variant == "timestamp_bucketed" else None,
     )
-    stream = build_stream(rows, spec, schema)
+    return build_stream(rows, spec, schema)
+
+
+def run_triple(
+    config: ExperimentConfig,
+    algorithm: str,
+    epsilon: Fraction,
+    seed: int,
+    stream: DatasetStream | None = None,
+) -> dict[str, Any]:
+    """Run one (algorithm, epsilon, seed) cell of the grid and write its files.
+
+    ``stream`` is ``load_stream(config)``, loaded here when not given.
+    """
+    started = time.monotonic()
+    if stream is None:
+        stream = load_stream(config)
+    schema = stream.schema
     workloads = enumerate_workloads(schema, config.k_way)
     block_size = config.block_size
     if config.counter in ("block", "bounded_block") and block_size is None:
@@ -362,32 +376,44 @@ def run_triple(
             "dir": str(run_dir)}
 
 
+def _failure(algorithm: str, epsilon: Fraction, seed: int, exc: Exception) -> dict[str, Any]:
+    return {
+        "ok": False,
+        "algorithm": algorithm,
+        "epsilon": _eps_label(epsilon),
+        "seed": seed,
+        "error": f"{type(exc).__name__}: {exc}",
+    }
+
+
 def _run_triple_guarded(
-    config: ExperimentConfig, algorithm: str, epsilon: Fraction, seed: int
+    config: ExperimentConfig, stream: DatasetStream, algorithm: str, epsilon: Fraction, seed: int
 ) -> dict[str, Any]:
     try:
-        return run_triple(config, algorithm, epsilon, seed)
+        return run_triple(config, algorithm, epsilon, seed, stream)
     except Exception as exc:  # an aborted triple must not sink the others
-        return {
-            "ok": False,
-            "algorithm": algorithm,
-            "epsilon": _eps_label(epsilon),
-            "seed": seed,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        return _failure(algorithm, epsilon, seed, exc)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict[str, Any]]:
-    """Run the whole grid; each triple writes its own files and reports status."""
+    """Run the whole grid; each triple writes its own files and reports status.
+
+    The stream is loaded once for the grid. If loading fails, every triple
+    reports that failure.
+    """
     triples = config.triples()
+    try:
+        stream = load_stream(config)
+    except Exception as exc:  # reported per triple, as each triple would have failed on it
+        return [_failure(alg, eps, seed, exc) for alg, eps, seed in triples]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_run_triple_guarded, config, alg, eps, seed)
+                pool.submit(_run_triple_guarded, config, stream, alg, eps, seed)
                 for alg, eps, seed in triples
             ]
             return [f.result() for f in futures]
-    return [_run_triple_guarded(config, alg, eps, seed) for alg, eps, seed in triples]
+    return [_run_triple_guarded(config, stream, alg, eps, seed) for alg, eps, seed in triples]
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:

@@ -9,7 +9,11 @@ from typing import Sequence
 
 import numpy as np
 
-_BUFFER = 4096
+# Uniforms drawn per refill. Every counter cell owns a source and draws about
+# one value per feed, so a large buffer is mostly idle memory. The refill size
+# does not change the draws: each double takes one 64-bit PCG64 output, in order.
+_BUFFER = 256
+_ZERO = Fraction(0)
 
 
 class NoiseSource:
@@ -108,12 +112,13 @@ class BudgetOverspendError(RuntimeError):
     """Raised when a spend would push a composition group past the total budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BudgetEntry:
     """One budget spend, stored as an exact fraction numerator/divisor pair.
 
     ``numerator`` is the run's total epsilon and ``divisor`` the share split
     (e.g. 2k), so sums over entries are exact rationals with no float drift.
+    ``epsilon`` is their quotient, divided once at construction.
     """
 
     label: str
@@ -121,10 +126,10 @@ class BudgetEntry:
     divisor: int
     group: str | None = None
     category: str = ""
+    epsilon: Fraction = field(init=False)
 
-    @property
-    def epsilon(self) -> Fraction:
-        return self.numerator / self.divisor
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "epsilon", self.numerator / self.divisor)
 
 
 @dataclass
@@ -156,14 +161,17 @@ class BudgetLedger:
         if self.total_epsilon <= 0:
             raise ValueError("total epsilon must be positive")
 
+    def _count(self, entry: BudgetEntry, group_total: Fraction) -> None:
+        """Fold the next uncounted entry into the totals; ``group_total`` includes it."""
+        self._group_totals[entry.group] = group_total
+        key = (entry.group, entry.category)
+        self._category_totals[key] = self._category_totals.get(key, _ZERO) + entry.epsilon
+        self._counted += 1
+
     def _sync(self) -> None:
         """Fold entries not yet counted (seeded or appended directly) into the totals."""
         for e in self.entries[self._counted :]:
-            eps = e.epsilon
-            self._group_totals[e.group] = self._group_totals.get(e.group, Fraction(0)) + eps
-            key = (e.group, e.category)
-            self._category_totals[key] = self._category_totals.get(key, Fraction(0)) + eps
-        self._counted = len(self.entries)
+            self._count(e, self._group_totals.get(e.group, _ZERO) + e.epsilon)
 
     def spend(
         self,
@@ -179,21 +187,23 @@ class BudgetLedger:
         if num <= 0 or divisor < 1:
             raise ValueError("spend must be positive")
         entry = BudgetEntry(label, num, divisor, group, category)
-        if self.group_total(group) + entry.epsilon > self.total_epsilon:
+        total = self.group_total(group) + entry.epsilon
+        if total > self.total_epsilon:
             raise BudgetOverspendError(
                 f"spend {label!r} of {entry.epsilon} exceeds budget "
                 f"{self.total_epsilon} in group {group!r}"
             )
         self.entries.append(entry)
+        self._count(entry, total)
         return entry
 
     def group_total(self, group: str | None) -> Fraction:
         self._sync()
-        return self._group_totals.get(group, Fraction(0))
+        return self._group_totals.get(group, _ZERO)
 
     def category_total(self, group: str | None, category: str) -> Fraction:
         self._sync()
-        return self._category_totals.get((group, category), Fraction(0))
+        return self._category_totals.get((group, category), _ZERO)
 
     def groups(self) -> list[str | None]:
         self._sync()
@@ -201,7 +211,7 @@ class BudgetLedger:
 
     def max_group_total(self) -> Fraction:
         self._sync()
-        return max(self._group_totals.values(), default=Fraction(0))
+        return max(self._group_totals.values(), default=_ZERO)
 
 
 def ledger_spend(ledger: BudgetLedger, label: str, epsilon: Fraction | float | str) -> BudgetLedger:

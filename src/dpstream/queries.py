@@ -100,18 +100,23 @@ class Workload:
         """Lexicographic cell index of every stored point (one pass, O(nnz))."""
         if dataset.schema != self.schema:
             raise ValueError("dataset schema does not match the workload schema")
-        if len(dataset) == 0:
+        return self.point_cells(dataset.points)
+
+    def point_cells(self, points: np.ndarray) -> np.ndarray:
+        """Lexicographic cell index of every row of an in-range ``(n, p)`` point array."""
+        if len(points) == 0:
             return np.empty(0, dtype=np.int64)
-        coords = dataset.points[:, list(self.columns)]
-        return np.ravel_multi_index(tuple(coords.T), self.cell_shape)
+        return np.ravel_multi_index(tuple(points[:, c] for c in self.columns), self.cell_shape)
+
+
+def cell_values(cells: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Per-cell sums of ``weights`` over ``size`` cells, added in input order."""
+    return np.bincount(cells, weights=weights, minlength=size).astype(np.float64, copy=False)
 
 
 def eval_workload(workload: Workload, dataset: WeightedDataset) -> np.ndarray:
     """Vector of all cell values in lexicographic order; sums to the dataset mass."""
-    cells = workload.cell_indices(dataset)
-    if len(cells) == 0:
-        return np.zeros(workload.size)
-    return np.bincount(cells, weights=dataset.weights, minlength=workload.size).astype(np.float64)
+    return cell_values(workload.cell_indices(dataset), dataset.weights, workload.size)
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,21 @@ from dpstream import (
     CounterSynthesizer,
     DatasetStream,
     DomainSchema,
+    Measurement,
+    MultiDimCounter,
+    NoiseSource,
     RunConfig,
     StreamingMwem,
     WeightedDataset,
+    WorkingSupport,
     accumulate,
+    dataset_mean,
     enumerate_workloads,
     eval_workload,
     evaluate_step,
+    exponential_mechanism,
     make_synthesizer,
+    mw_fit,
 )
 
 SCHEMA_2X2 = DomainSchema((("a", 2), ("b", 2)))
@@ -295,3 +302,120 @@ class TestFactory:
             g = synth.step(d)
         assert g.total_mass() > 0
         assert synth.ledger.max_group_total() == Fraction(1)
+
+
+def reference_releases(algorithm, config, deltas):
+    """Both synthesizers' steps written with WeightedDataset operations only.
+
+    This is the step loop before the synthetic state became a weight vector
+    over the support; every release of the synthesizers must match it bit for bit.
+    """
+    Q = config.workloads
+    root = NoiseSource(config.seed, mode=config.noise_mode)
+    select, measure, counter_root = root.child(0), root.child(1), root.child(2)
+    support = WorkingSupport(Q[0].schema, seed_size=config.seed_support_size, seed=config.seed)
+    eps_step = float(config.epsilon) / (2 * config.k)
+    g = support.unit_dataset()
+    counters, remainders = {}, {}
+    releases = []
+    for t, delta in enumerate(deltas, start=1):
+        support.observe(delta)
+        if algorithm == "baseline":
+            target = delta.total_mass()
+            h = support.uniform_dataset(target) if target else None
+            reference = [eval_workload(w, delta) for w in Q]
+        else:
+            surrogate = accumulate(delta, g)
+            target = surrogate.total_mass()
+            h = support.extend(g)
+            reference = [eval_workload(w, surrogate) for w in Q]
+        if target == 0:
+            releases.append(g)
+            continue
+        fits, selected = [], []
+        for _ in range(config.k):
+            candidates = [i for i in range(len(Q)) if i not in selected]
+            bias = 0 if algorithm == "baseline" else 1
+            utilities = np.array(
+                [
+                    np.abs(reference[i] - eval_workload(Q[i], h)).sum() / Q[i].size
+                    - bias * Q[i].size
+                    for i in candidates
+                ]
+            )
+            j = candidates[
+                exponential_mechanism(utilities, eps_step, config.resolved_sensitivity(), select)
+            ]
+            selected.append(j)
+            if algorithm == "baseline":
+                values = reference[j] + measure.laplace_vector(1.0 / eps_step, Q[j].size)
+            else:
+                if j not in remainders:
+                    remainders[j] = np.zeros(Q[j].size) if t == 1 else eval_workload(Q[j], g)
+                if j not in counters:
+                    counters[j] = MultiDimCounter(
+                        config.counter_kind, Q[j].size, eps_step, counter_root.child(j),
+                        block_size=config.block_size,
+                    )
+                values = counters[j].feed(eval_workload(Q[j], delta)) + remainders[j]
+            h = mw_fit([Measurement(j, Q[j], values)], h, target)
+            fits.append(h)
+        mean = dataset_mean(fits)
+        if algorithm == "baseline":
+            g = accumulate(g, mean)
+        else:
+            for i in counters:
+                if i not in selected:
+                    remainders[i] = eval_workload(Q[i], mean) - counters[i].peek()
+            g = mean
+        releases.append(g)
+    return releases
+
+
+class TestWeightVectorState:
+    SCHEMA = DomainSchema((("a", 3), ("b", 4), ("c", 5), ("d", 3), ("e", 2)))
+
+    @pytest.mark.parametrize("algorithm", ["baseline", "main"])
+    def test_releases_match_dataset_reference_bit_for_bit(self, algorithm):
+        # seeded Laplace noise and a 40-point seed support that every step grows
+        Q = enumerate_workloads(self.SCHEMA, 2)
+        deltas = random_deltas(self.SCHEMA, 8, seed=17, max_rows=25)
+        deltas.insert(3, WeightedDataset.empty(self.SCHEMA))
+        config = RunConfig(
+            epsilon=Fraction(1), k=3, workloads=Q, counter_kind="binary_tree",
+            seed_support_size=40, seed=5,
+        )
+        synth = make_synthesizer(algorithm, config)
+        sizes = []
+        for delta, want in zip(deltas, reference_releases(algorithm, config, deltas)):
+            got = synth.step(delta)
+            sizes.append(len(synth.support))
+            assert np.array_equal(got.points, want.points)
+            assert got.weights.tobytes() == want.weights.tobytes()
+        assert len(set(sizes)) > len(deltas) // 2  # the support grew at most steps
+
+    def test_underflowed_point_leaves_release_and_reenters_at_unit_weight(self):
+        Q = enumerate_workloads(SCHEMA_234, 2)
+        synth = CounterSynthesizer(zero_config(Q, k=2))
+        victim = 5
+        fit = synth.fitter.fit_weights
+        inits = []
+
+        def underflowing(measurements, cells, weights, target):
+            inits.append(weights.copy())
+            out = fit(measurements, cells, weights, target)
+            if synth.t == 1:
+                out[victim] = 0.0  # as if the weight had underflowed
+            return out
+
+        synth.fitter.fit_weights = underflowing
+        deltas = random_deltas(SCHEMA_234, 2, seed=8)
+        g1 = synth.step(deltas[0])
+        point = tuple(synth.support.points[victim])
+        assert point not in g1.as_mapping()
+        assert len(g1) == len(synth.support) - 1
+        inits.clear()
+        g2 = synth.step(deltas[1])
+        assert inits[0][victim] == 1.0
+        assert inits[0].tobytes() == synth.support.extend(g1).weights.tobytes()
+        assert g2.as_mapping()[point] > 0

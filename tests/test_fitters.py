@@ -17,6 +17,7 @@ from dpstream import (
     mw_fit,
     mw_update,
 )
+from dpstream.fitters import mw_weights
 
 SCHEMA = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_1D = DomainSchema((("x", 2),))
@@ -147,6 +148,30 @@ class TestMwFit:
             mw_fit([], init, target_mass=1.0, passes=0)
 
 
+class TestMwWeights:
+    @pytest.mark.parametrize("passes", [1, 3])
+    def test_zero_entries_take_no_part(self, passes):
+        # a vector with zeros fits exactly like the dataset of its nonzero entries,
+        # down to the rescale and the per-cell sums that leave the zeros out
+        schema = DomainSchema((("a", 6), ("b", 7), ("c", 5)))
+        support = WorkingSupport(schema, seed_size=1000, seed=0)
+        workloads = enumerate_workloads(schema, 2)
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            weights = rng.random(len(support)) * 3
+            weights[rng.random(len(support)) < 0.3] = 0.0
+            dataset = WeightedDataset(schema, support.points, weights)
+            target = float(rng.uniform(50, 100))
+            picked = [workloads[i] for i in rng.choice(len(workloads), size=2, replace=False)]
+            meas = [Measurement(i, w, rng.uniform(0, target / 4, size=w.size)) for i, w in enumerate(picked)]
+            got = mw_weights(
+                weights, [support.cells(w) for w in picked], [m.values for m in meas], target, passes
+            )
+            want = mw_fit(meas, dataset, target, passes=passes)
+            assert got.shape == weights.shape and (got[weights == 0] == 0).all()
+            assert got[got != 0].tobytes() == want.weights.tobytes()
+
+
 class TestRelativeEntropyDecrease:
     def test_single_update_lower_bound(self):
         # oracle inequality: with |exponent| <= 1, the relative-entropy drop of
@@ -241,6 +266,36 @@ class TestWorkingSupport:
             expected = np.unique(np.concatenate([support.points, rows]), axis=0)
             support.observe(WeightedDataset(schema, rows, np.ones(len(rows))))
             assert np.array_equal(support.points, expected)
+
+    @pytest.mark.parametrize("schema", [SCHEMA_WIDE, SCHEMA_HUGE], ids=["keys", "rows"])
+    def test_cached_cells_follow_every_observe(self, schema):
+        support = WorkingSupport(schema, seed_size=300, seed=5)
+        workloads = list(enumerate_workloads(schema, 2))[:12] + [Workload(schema, (0, 1, 2))]
+        rng = np.random.default_rng(6)
+        inserted_inside = False
+        for step, n in enumerate((30, 0, 1, 30, 5)):
+            if step != 1:  # from the second observe on, cells were cached before the growth
+                for w in workloads[: 2 + 4 * step]:
+                    support.cells(w)
+            before = support.points
+            rows = np.column_stack([rng.integers(0, c, size=n) for c in schema.cardinalities])
+            rows = np.concatenate([rows, before[:: max(1, len(before) // 4)]])  # and some known ones
+            delta = WeightedDataset(schema, rows, np.ones(len(rows)))
+            moved, at = support.observe(delta)
+            assert np.array_equal(support.points[at], delta.points)
+            if moved is None:
+                assert support.points is before
+            else:
+                assert np.array_equal(support.points[moved], before)
+                grown = np.setdiff1d(np.arange(len(support)), moved)
+                inserted_inside |= bool((grown < moved[-1]).any())
+            on_support = WeightedDataset(schema, support.points, np.ones(len(support)))
+            for w in workloads:
+                cells = support.cells(w)
+                assert cells.dtype == np.min_scalar_type(w.size)
+                assert not cells.flags.writeable
+                assert np.array_equal(cells, w.cell_indices(on_support))
+        assert inserted_inside
 
     def test_unit_and_uniform_datasets(self):
         support = WorkingSupport(SCHEMA, seed_size=100, seed=0)

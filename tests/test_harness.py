@@ -7,6 +7,7 @@ import pytest
 
 from dpstream import ExperimentConfig, StreamSpec, build_stream, ingest_csv, load_schema
 from dpstream.cli import main as cli_main
+from dpstream import harness
 from dpstream.harness import IngestError, run_experiment, run_triple, validate_config
 
 SCHEMA_SPEC = [
@@ -263,6 +264,31 @@ class TestRunExperiment:
         results = run_experiment(config)
         assert all(not r["ok"] for r in results)
         assert all("error" in r for r in results)
+
+    def test_grid_ingests_once(self, tmp_path, data_file, schema_file, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ingest_csv(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ingest_csv", counted)
+        config = experiment_config(tmp_path, data_file, schema_file, seeds=(0, 1, 2))
+        results = run_experiment(config, jobs=1)
+        assert len(results) == 6 and all(r["ok"] for r in results)
+        assert len(calls) == 1
+        run_triple(config, "main", Fraction(1), 0)  # on its own, a triple loads its stream
+        assert len(calls) == 2
+
+    def test_ingest_failure_reported_per_triple(self, tmp_path, schema_file):
+        bad = write_csv(tmp_path / "bad.csv", [["red", "small"], ["purple", "large"]])
+        config = experiment_config(tmp_path, bad, schema_file, seeds=(0, 1))
+        results = run_experiment(config)
+        assert [(r["algorithm"], r["seed"]) for r in results] == [
+            ("baseline", 0), ("baseline", 1), ("main", 0), ("main", 1)
+        ]
+        assert all(not r["ok"] and "IngestError" in r["error"] and "purple" in r["error"] for r in results)
+        assert not Path(config.output_dir).exists()
 
     def test_parallel_jobs_match_sequential(self, tmp_path, data_file, schema_file):
         config = experiment_config(tmp_path, data_file, schema_file, seeds=(0, 1))

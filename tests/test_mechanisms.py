@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from dpstream import (
     laplace,
     ledger_spend,
 )
+from dpstream.mechanisms import BudgetEntry
 
 
 class TestNoiseSource:
@@ -166,6 +168,12 @@ class TestBudgetLedger:
         assert entry.numerator == Fraction(1, 2)
         assert entry.divisor == 6
         assert entry.epsilon == Fraction(1, 12)
+
+    def test_entry_epsilon_is_a_field_divided_once(self):
+        entry = BudgetEntry("sel", Fraction(3, 4), 6, group="t=1")
+        assert "epsilon" in {f.name for f in fields(BudgetEntry)}
+        assert entry.epsilon == Fraction(1, 8)
+        assert entry.epsilon is entry.epsilon  # stored, not a fresh quotient per read
 
     def test_groups_compose_in_parallel(self):
         # each step group independently gets the whole budget

@@ -1,0 +1,101 @@
+"""Print one sha256 per output file of fixed zero-noise and seeded-Laplace grids.
+
+A speed-up must leave these digests unchanged. Run the same script against the
+parent checkout and the changed one and compare the output:
+
+    python3 tools/identity.py            # this checkout's src/
+    python3 tools/identity.py OTHER_DIR  # the checkout at OTHER_DIR
+
+Each grid runs through `run_experiment(jobs=1)` in a temporary directory.
+`runtime_sec` is dropped from every `meta.json` before hashing, because it is
+wall time. Both grids use the `binary_tree` counter, `baseline` and `main`,
+eps 0.5 and 2, seeds 0 and 1, and k = 3 over the 2-way workloads:
+
+- census13: the 13-attribute surrogate, 4,000 rows, 12 steps of 200 rows;
+- low5: its 5 lowest-cardinality attributes, 4,000 rows, 60 steps of 5 rows.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+GRIDS = {
+    "census13": {"columns": None, "batch_size": 200, "max_steps": 12},
+    "low5": {"columns": 5, "batch_size": 5, "max_steps": 60},
+}
+NOISES = ("zero", "laplace")
+ROWS = 4_000
+FILES = ("metrics.csv", "summary.json", "meta.json")
+
+
+def write_inputs(surrogate, work: Path, name: str, columns: int | None) -> tuple[Path, Path]:
+    names = [n for n, _ in surrogate.SCHEMA]
+    picked = names if columns is None else surrogate.lowest_cardinality_columns(columns)
+    keep = [names.index(c) for c in picked]
+    dataset, schema = work / f"{name}.csv", work / f"{name}_schema.json"
+    with open(dataset, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(picked)
+        writer.writerows([row[i] for i in keep] for row in surrogate.generate_rows(ROWS, seed=7))
+    schema.write_text(json.dumps(surrogate.schema_spec(picked), indent=2) + "\n", encoding="utf-8")
+    return dataset, schema
+
+
+def file_digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "meta.json":
+        meta = json.loads(data)
+        meta.pop("runtime_sec", None)
+        data = json.dumps(meta, indent=2, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "checkout", nargs="?", type=Path, default=Path(__file__).resolve().parent.parent,
+        help="repository whose src/ is run (default: this one)",
+    )
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.checkout.resolve() / "src"))
+    from dpstream import harness, surrogate
+
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="dpstream-identity-") as tmp:
+        work = Path(tmp)
+        for name, grid in GRIDS.items():
+            dataset, schema = write_inputs(surrogate, work, name, grid["columns"])
+            for noise in NOISES:
+                out = work / "out" / f"{name}-{noise}"
+                config = harness.ExperimentConfig(
+                    dataset=str(dataset),
+                    schema=str(schema),
+                    stream=harness.StreamSpec(
+                        variant="randomized_batch",
+                        batch_size=grid["batch_size"],
+                        max_steps=grid["max_steps"],
+                    ),
+                    output_dir=str(out),
+                    epsilons=("0.5", "2"),
+                    counter="binary_tree",
+                    seeds=(0, 1),
+                    noise=noise,
+                )
+                for result in harness.run_experiment(config, jobs=1):
+                    if not result["ok"]:
+                        failed += 1
+                        print(f"FAIL {name}-{noise}: {result}", file=sys.stderr)
+                for path in sorted(out.rglob("*")):
+                    if path.name in FILES:
+                        print(f"{file_digest(path)}  {name}-{noise}/{path.relative_to(out).as_posix()}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
