@@ -8,11 +8,7 @@ from .counters import (
     MultiDimCounter,
     SimpleCounter,
     UnboundedBlockCounter,
-    counter_feed,
-    counter_peek,
     make_counter,
-    multidim_feed,
-    unbounded_block_feed,
 )
 from .domain import (
     DatasetStream,
@@ -22,7 +18,6 @@ from .domain import (
     dataset_mean,
     stream_difference_norm,
     stream_norm,
-    total_mass,
 )
 from .evaluation import (
     MetricRow,
@@ -53,8 +48,6 @@ from .mechanisms import (
     BudgetOverspendError,
     NoiseSource,
     exponential_mechanism,
-    laplace,
-    ledger_spend,
 )
 from .queries import (
     MarginalQuery,

@@ -32,7 +32,6 @@ from .queries import WorkloadSet, cell_values, eval_workload
 _SELECT = 0
 _MEASURE = 1
 _COUNTER = 2
-_SUPPORT = 3
 
 ALGORITHMS = ("baseline", "main")
 
@@ -63,14 +62,24 @@ class RunConfig:
             raise ValueError(
                 f"cannot select k={self.k} distinct workloads out of {len(self.workloads)}"
             )
+        floor = self._sensitivity_floor()
+        if self.selection_sensitivity is not None and self.selection_sensitivity < floor:
+            raise ValueError(
+                f"selection_sensitivity {self.selection_sensitivity} is below {floor}, "
+                "the sensitivity of the smallest workload's utility"
+            )
+
+    def _sensitivity_floor(self) -> float:
+        """Largest sensitivity of a selection utility ``|s - h|_1 / |W|``: 1 / min |W|."""
+        return 1.0 / min(w.size for w in self.workloads)
 
     def resolved_sensitivity(self) -> float:
-        """Selection sensitivity: 1/4 when every workload is 2-way, else 1."""
+        """Selection sensitivity: the explicit value, else 1/4 when every
+        workload is 2-way and 1 otherwise, raised to ``_sensitivity_floor``."""
         if self.selection_sensitivity is not None:
             return float(self.selection_sensitivity)
-        if all(w.arity == 2 for w in self.workloads):
-            return 0.25
-        return 1.0
+        default = 0.25 if all(w.arity == 2 for w in self.workloads) else 1.0
+        return max(default, self._sensitivity_floor())
 
 
 class _StreamSynthesizer:

@@ -5,6 +5,14 @@ one value per fed item. Between feeds, `peek` repeats the last release without
 touching the noise stream. For a fixed failure probability the error grows
 roughly like sqrt(t) for the simple counter, like a low power of t for the
 block counters, and polylogarithmically for the binary tree counter.
+
+A counter's state values are Python floats. Over the n cells of a workload
+(`MultiDimCounter`) the same counter holds float64 arrays of shape (n,) in
+their place, and each draw is one value per cell from that cell's own noise
+stream, so every cell runs the scalar counter's arithmetic, operation for
+operation. State values are rebound, never updated in place, because one
+array can be held by several of them (the tree's epoch base is the last
+release).
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ class Counter:
 
     def feed(self, value: float) -> float:
         self.t += 1
-        self._last = self._release(float(value))
+        self._last = self._release(value if isinstance(value, np.ndarray) else float(value))
         return self._last
 
     def peek(self) -> float:
@@ -57,7 +65,7 @@ class SimpleCounter(Counter):
         self._total = 0.0
 
     def _release(self, value: float) -> float:
-        self._total += value + self.source.laplace(1.0 / self.epsilon)
+        self._total = self._total + (value + self.source.laplace(1.0 / self.epsilon))
         return self._total
 
 
@@ -68,6 +76,10 @@ class BlockCounter(Counter):
     its true sum is re-measured with one fresh draw and folded into the running
     block total, discarding the in-block noise. Every item meets at most two
     Laplace(2/eps) draws: its own increment and its block's closing fold.
+
+    Blocks are counted from the start of the current partition; here the one
+    partition never ends. Instrumentation flags record whether the last fed
+    step closed a block and whether it ended the partition.
     """
 
     kind = "bounded_block"
@@ -77,37 +89,6 @@ class BlockCounter(Counter):
         if block_size < 1:
             raise ValueError("block size must be >= 1")
         self.block_size = int(block_size)
-        self._last_block = 0.0
-        self._true_in_block = 0.0
-        self._synth_in_block = 0.0
-
-    def _release(self, value: float) -> float:
-        scale = 2.0 / self.epsilon
-        self._true_in_block += value
-        if self.t % self.block_size == 0:
-            self._last_block += self._true_in_block + self.source.laplace(scale)
-            self._true_in_block = 0.0
-            self._synth_in_block = 0.0
-            return self._last_block
-        self._synth_in_block += value + self.source.laplace(scale)
-        return self._last_block + self._synth_in_block
-
-
-class UnboundedBlockCounter(Counter):
-    """Block counter without a horizon: time is cut into partitions of sizes
-    4, 9, 16, ..., and partition number b uses block size b + 1 (the optimal
-    block size sqrt(T) for a horizon-T block counter).
-
-    Instrumentation flags record whether the last fed step closed a block and
-    whether it rolled the partition over, so tests can check the schedule.
-    """
-
-    kind = "unbounded_block"
-
-    def __init__(self, epsilon: float, source: NoiseSource):
-        super().__init__(epsilon, source)
-        self.partition_size = 4
-        self.block_size = 2
         self.t_at_partition = 0
         self._last_block = 0.0
         self._true_in_block = 0.0
@@ -115,26 +96,41 @@ class UnboundedBlockCounter(Counter):
         self.last_was_boundary = False
         self.last_was_rollover = False
 
+    def _end_partition(self) -> bool:
+        """Called as a block closes: start the next partition if this one is full."""
+        return False
+
     def _release(self, value: float) -> float:
-        scale = 2.0 / self.epsilon
-        delta = self.t - self.t_at_partition
-        self._true_in_block += value
-        self.last_was_boundary = False
-        self.last_was_rollover = False
-        if delta % self.block_size == 0:
-            self.last_was_boundary = True
-            self._last_block += self._true_in_block + self.source.laplace(scale)
-            self._true_in_block = 0.0
-            self._synth_in_block = 0.0
-            out = self._last_block
-            if delta == self.partition_size:
-                self.last_was_rollover = True
-                self.t_at_partition = self.t
-                self.block_size += 1
-                self.partition_size = self.block_size ** 2
-            return out
-        self._synth_in_block += value + self.source.laplace(scale)
-        return self._last_block + self._synth_in_block
+        noise = self.source.laplace(2.0 / self.epsilon)
+        self._true_in_block = self._true_in_block + value
+        self.last_was_boundary = (self.t - self.t_at_partition) % self.block_size == 0
+        if not self.last_was_boundary:
+            self.last_was_rollover = False
+            self._synth_in_block = self._synth_in_block + (value + noise)
+            return self._last_block + self._synth_in_block
+        self._last_block = self._last_block + (self._true_in_block + noise)
+        self._true_in_block = self._synth_in_block = 0.0
+        self.last_was_rollover = self._end_partition()
+        return self._last_block
+
+
+class UnboundedBlockCounter(BlockCounter):
+    """Block counter without a horizon: time is cut into partitions of sizes
+    4, 9, 16, ..., and partition number b uses block size b + 1 (the optimal
+    block size sqrt(T) for a horizon-T block counter).
+    """
+
+    kind = "unbounded_block"
+
+    def __init__(self, epsilon: float, source: NoiseSource):
+        super().__init__(epsilon, source, block_size=2)
+
+    def _end_partition(self) -> bool:
+        if self.t - self.t_at_partition < self.block_size**2:
+            return False
+        self.t_at_partition = self.t
+        self.block_size += 1
+        return True
 
 
 class BinaryTreeCounter(Counter):
@@ -175,7 +171,7 @@ class BinaryTreeCounter(Counter):
         low = (i & -i).bit_length() - 1  # level of the node completed at this step
         merged = value
         for level in range(low):
-            merged += self._alpha[level]
+            merged = merged + self._alpha[level]
             self._alpha[level] = 0.0
             self._alpha_hat[level] = 0.0
         self._alpha[low] = merged
@@ -185,7 +181,7 @@ class BinaryTreeCounter(Counter):
         level = 0
         while bits:
             if bits & 1:
-                out += self._alpha_hat[level]
+                out = out + self._alpha_hat[level]
             bits >>= 1
             level += 1
         return out
@@ -210,12 +206,25 @@ def make_counter(
     raise ValueError(f"unknown counter kind {kind!r}; expected one of {KINDS}")
 
 
+class _CellNoise:
+    """Noise for a counter over cells: one draw per cell, from ``source.child(c)`` for cell c."""
+
+    __slots__ = ("sources",)
+
+    def __init__(self, source: NoiseSource, num_cells: int):
+        self.sources = [source.child(c) for c in range(num_cells)]
+
+    def laplace(self, scale: float) -> np.ndarray:
+        return np.array([s.laplace(scale) for s in self.sources])
+
+
 class MultiDimCounter:
-    """A vector of identical-kind counters, one per workload cell.
+    """One counter of the given kind over all cells of a workload.
 
     The cells of a workload are disjoint, so a single record feeds exactly one
     cell; all cells share the same epsilon by parallel composition and draw
-    from independently seeded noise streams.
+    from independently seeded noise streams. Cell c releases exactly what a
+    scalar counter built from ``source.child(c)`` would.
     """
 
     def __init__(
@@ -230,40 +239,23 @@ class MultiDimCounter:
             raise ValueError("multi-dimensional counter needs at least one cell")
         self.kind = kind
         self.epsilon = float(epsilon)
-        self.cells = [
-            make_counter(kind, epsilon, source.child(c), block_size) for c in range(num_cells)
-        ]
+        self.num_cells = int(num_cells)
+        self._counter = make_counter(kind, epsilon, _CellNoise(source, self.num_cells), block_size)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.num_cells
+
+    @property
+    def laplace_draws(self) -> int:
+        """Laplace draws made so far, summed over the cells' noise streams."""
+        return sum(s.laplace_draws for s in self._counter.source.sources)
 
     def feed(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (len(self.cells),):
-            raise ValueError(f"expected {len(self.cells)} cell values, got shape {values.shape}")
-        return np.array([c.feed(v) for c, v in zip(self.cells, values)])
+        values = np.array(values, dtype=np.float64)
+        if values.shape != (self.num_cells,):
+            raise ValueError(f"expected {self.num_cells} cell values, got shape {values.shape}")
+        return np.full(self.num_cells, self._counter.feed(values))
 
     def peek(self) -> np.ndarray:
-        return np.array([c.peek() for c in self.cells])
-
-
-def counter_feed(counter: Counter, value: float) -> float:
-    """Feed one stream value and return the current noisy prefix-sum estimate."""
-    return counter.feed(value)
-
-
-def counter_peek(counter: Counter) -> float:
-    """Repeat the last released value without consuming noise."""
-    return counter.peek()
-
-
-def unbounded_block_feed(counter: Counter, value: float) -> float:
-    """Feed restricted to the unbounded block counter; rejects other kinds."""
-    if counter.kind != "unbounded_block":
-        raise ValueError(f"expected an unbounded_block counter, got kind {counter.kind!r}")
-    return counter.feed(value)
-
-
-def multidim_feed(counter: MultiDimCounter, cell_values: np.ndarray) -> np.ndarray:
-    """Feed one value per cell; returns the vector of released estimates."""
-    return counter.feed(cell_values)
+        """Copy of the last release (zeros before the first feed); draws no noise."""
+        return np.full(self.num_cells, self._counter.peek())

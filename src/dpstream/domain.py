@@ -223,13 +223,8 @@ class WeightedDataset:
         return f"WeightedDataset(p={self.schema.num_attributes}, nnz={len(self)}, mass={self.total_mass():g})"
 
 
-def total_mass(dataset: WeightedDataset) -> float:
-    """Sum of all stored weights."""
-    return dataset.total_mass()
-
-
 def nonzero_mass(weights: np.ndarray) -> float:
-    """``total_mass`` of the dataset that stores the nonzero entries of ``weights``.
+    """``WeightedDataset.total_mass`` of the dataset that stores the nonzero entries of ``weights``.
 
     Zeros are left out of the sum, not added: numpy's pairwise sum groups its
     terms by position, so extra zeros could change the rounding.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,35 +49,6 @@ class FitStats:
     """Counters of numerical events during fitting, reported in run metadata."""
 
     clamped_exponents: int = 0
-
-
-class Fitter(Protocol):
-    """Anything that turns noisy workload measurements into a dataset.
-
-    Implementations must return a dataset with the same schema as ``init``
-    whose total mass equals ``target_mass`` (to within float round-off) and
-    need not be differentially private themselves.
-    """
-
-    name: str
-
-    def fit(
-        self,
-        measurements: Sequence[Measurement],
-        init: WeightedDataset,
-        target_mass: float,
-    ) -> WeightedDataset:
-        ...
-
-    def fit_weights(
-        self,
-        measurements: Sequence[Measurement],
-        cells: Sequence[np.ndarray],
-        weights: np.ndarray,
-        target_mass: float,
-    ) -> np.ndarray:
-        """``fit`` on a weight vector over a working support, as the synthesizers call it."""
-        ...
 
 
 class WorkingSupport:
@@ -369,8 +340,4 @@ class MultiplicativeWeightsFitter:
 def make_fitter(name: str, support: WorkingSupport, passes: int = 1) -> MultiplicativeWeightsFitter:
     if name == "mw":
         return MultiplicativeWeightsFitter(support, passes=passes)
-    if name == "pgm":
-        raise NotImplementedError(
-            "graphical-model fitting is an interface slot only; use the 'mw' fitter"
-        )
     raise ValueError(f"unknown fitter {name!r}")

@@ -71,11 +71,6 @@ class NoiseSource:
         return np.array([self.laplace(scale) for _ in range(n)])
 
 
-def laplace(scale: float, source: NoiseSource) -> float:
-    """One draw from Laplace(0, scale); exactly 0 in zero mode."""
-    return source.laplace(scale)
-
-
 def exponential_mechanism(
     utilities: Sequence[float] | np.ndarray,
     epsilon: float,
@@ -212,9 +207,3 @@ class BudgetLedger:
     def max_group_total(self) -> Fraction:
         self._sync()
         return max(self._group_totals.values(), default=_ZERO)
-
-
-def ledger_spend(ledger: BudgetLedger, label: str, epsilon: Fraction | float | str) -> BudgetLedger:
-    """Append one sequential spend to the ledger's default group."""
-    ledger.spend(label, epsilon)
-    return ledger

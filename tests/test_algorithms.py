@@ -64,6 +64,20 @@ class TestRunConfig:
         )
         assert explicit.resolved_sensitivity() == 0.5
 
+    def test_sensitivity_covers_smallest_workload(self):
+        # a 2-way workload over a cardinality-1 attribute has |W| = 2, so its
+        # utility |s - h|_1 / |W| moves by 1/2 when one record is added
+        schema = DomainSchema((("a", 1), ("b", 2), ("c", 3)))
+        two_way = enumerate_workloads(schema, 2)
+        assert min(w.size for w in two_way) == 2
+        assert RunConfig(epsilon=Fraction(1), k=1, workloads=two_way).resolved_sensitivity() == 0.5
+        explicit = RunConfig(
+            epsilon=Fraction(1), k=1, workloads=two_way, selection_sensitivity=0.5
+        )
+        assert explicit.resolved_sensitivity() == 0.5
+        with pytest.raises(ValueError, match="selection_sensitivity"):
+            RunConfig(epsilon=Fraction(1), k=1, workloads=two_way, selection_sensitivity=0.25)
+
     def test_epsilon_parsed_exactly(self):
         Q = enumerate_workloads(SCHEMA_2X2, 1)
         cfg = RunConfig(epsilon=0.1, k=1, workloads=Q)

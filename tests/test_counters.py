@@ -11,12 +11,8 @@ from dpstream import (
     UnboundedBlockCounter,
     WeightedDataset,
     Workload,
-    counter_feed,
-    counter_peek,
     eval_workload,
     make_counter,
-    multidim_feed,
-    unbounded_block_feed,
 )
 from dpstream.counters import KINDS
 from dpstream.domain import DomainSchema
@@ -52,31 +48,31 @@ class TestZeroNoisePrefixSums:
         running = 0.0
         for v in values:
             running += v
-            assert counter_feed(c, v) == pytest.approx(running, abs=1e-9)
+            assert c.feed(v) == pytest.approx(running, abs=1e-9)
 
     def test_feed_one_two_three(self):
         for kind in KINDS:
             c = make_counter(kind, 1.0, NoiseSource(0, mode="zero"), block_size=4)
-            assert [counter_feed(c, v) for v in (1.0, 2.0, 3.0)] == [1.0, 3.0, 6.0]
+            assert [c.feed(v) for v in (1.0, 2.0, 3.0)] == [1.0, 3.0, 6.0]
 
 
 class TestPeek:
     def test_fresh_counter_peeks_zero(self):
         for kind in KINDS:
             c = make_counter(kind, 1.0, NoiseSource(0), block_size=4)
-            assert counter_peek(c) == 0.0
+            assert c.peek() == 0.0
 
     def test_peek_repeats_last_release(self):
         c = SimpleCounter(1.0, NoiseSource(3))
-        out = counter_feed(c, 5.0)
-        assert counter_peek(c) == out
+        out = c.feed(5.0)
+        assert c.peek() == out
 
     def test_hundred_peeks_identical_and_free(self):
         src = NoiseSource(3)
         c = SimpleCounter(1.0, src)
-        counter_feed(c, 1.0)
+        c.feed(1.0)
         draws_before = src.laplace_draws
-        values = {counter_peek(c) for _ in range(100)}
+        values = {c.peek() for _ in range(100)}
         assert len(values) == 1
         assert src.laplace_draws == draws_before
 
@@ -136,7 +132,7 @@ class TestUnboundedBlockCounter:
         c = UnboundedBlockCounter(1.0, NoiseSource(0, mode="zero"))
         boundaries, rollovers = [], []
         for t in range(1, 31):
-            unbounded_block_feed(c, 0.0)
+            c.feed(0.0)
             if c.last_was_boundary:
                 boundaries.append(t)
             if c.last_was_rollover:
@@ -147,13 +143,12 @@ class TestUnboundedBlockCounter:
 
     def test_zero_noise_seventeen_ones(self):
         c = UnboundedBlockCounter(1.0, NoiseSource(0, mode="zero"))
-        out = [unbounded_block_feed(c, 1.0) for _ in range(17)]
+        out = [c.feed(1.0) for _ in range(17)]
         assert out[-1] == 17.0
 
     def test_wrong_kind_rejected(self):
-        c = SimpleCounter(1.0, NoiseSource(0))
         with pytest.raises(ValueError, match="unbounded_block"):
-            unbounded_block_feed(c, 1.0)
+            make_counter("unbounded", 1.0, NoiseSource(0))
 
     def test_each_item_meets_at_most_two_draws(self):
         # draw attribution from the schedule oracle: a boundary item is folded
@@ -167,7 +162,7 @@ class TestUnboundedBlockCounter:
         draws_per_step = []
         for t in range(1, horizon + 1):
             before = src.laplace_draws
-            unbounded_block_feed(c, 1.0)
+            c.feed(1.0)
             draws_per_step.append(src.laplace_draws - before)
         # exactly one draw happens at every step (increment or fold)
         assert draws_per_step == [1] * horizon
@@ -195,30 +190,53 @@ class TestBinaryTreeCounter:
 class TestMultiDimCounter:
     def test_zero_noise_vector_feeds(self):
         m = MultiDimCounter("simple", 2, 1.0, NoiseSource(0, mode="zero"))
-        assert multidim_feed(m, np.array([1.0, 0.0])).tolist() == [1.0, 0.0]
-        assert multidim_feed(m, np.array([0.0, 2.0])).tolist() == [1.0, 2.0]
+        assert m.feed(np.array([1.0, 0.0])).tolist() == [1.0, 0.0]
+        assert m.feed(np.array([0.0, 2.0])).tolist() == [1.0, 2.0]
 
     def test_length_mismatch_rejected(self):
         m = MultiDimCounter("simple", 2, 1.0, NoiseSource(0))
         with pytest.raises(ValueError, match="cell values"):
-            multidim_feed(m, np.array([1.0, 2.0, 3.0]))
+            m.feed(np.array([1.0, 2.0, 3.0]))
 
     def test_cells_match_standalone_counters(self):
         # a cell behaves exactly like a standalone counter built from the same child seed
         root = NoiseSource(31)
         m = MultiDimCounter("simple", 3, 0.5, root)
         standalone = SimpleCounter(0.5, root.child(1))
-        outs = [multidim_feed(m, np.array([1.0, 2.0, 3.0]))[1] for _ in range(10)]
+        outs = [m.feed(np.array([1.0, 2.0, 3.0]))[1] for _ in range(10)]
         ref = [standalone.feed(2.0) for _ in range(10)]
         assert outs == pytest.approx(ref)
 
     def test_peek_returns_vector_without_draws(self):
         root = NoiseSource(31)
         m = MultiDimCounter("simple", 2, 1.0, root)
-        multidim_feed(m, np.array([1.0, 1.0]))
-        child_draws = sum(c.source.laplace_draws for c in m.cells)
+        m.feed(np.array([1.0, 1.0]))
+        child_draws = m.laplace_draws
+        assert child_draws == 2
         assert m.peek().shape == (2,)
-        assert sum(c.source.laplace_draws for c in m.cells) == child_draws
+        assert m.laplace_draws == child_draws
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cells_equal_scalar_counters_bit_for_bit(self, kind):
+        # cell c releases exactly what a scalar counter on root.child(c) does;
+        # 32 feeds close blocks of 4, roll unbounded partitions over at 4, 13
+        # and 29, and open tree epochs up to the one starting at t=32
+        root = NoiseSource(31)
+        rng = np.random.default_rng(6)
+        m = MultiDimCounter(kind, 3, 0.5, root, block_size=4)
+        scalars = [make_counter(kind, 0.5, root.child(c), block_size=4) for c in range(3)]
+        assert m.peek().tolist() == [0.0, 0.0, 0.0]
+        for _ in range(32):
+            values = rng.uniform(0, 4, size=3)
+            out = m.feed(values)
+            assert out.tolist() == [c.feed(v) for c, v in zip(scalars, values)]
+            # peeks draw nothing (the next feeds would drift from the scalars),
+            # and the caller may overwrite what it passed in or got back
+            peeked = m.peek()
+            assert peeked.tolist() == out.tolist()
+            for array in (values, out, peeked):
+                array[:] = -1.0
+            assert m.peek().tolist() == [c.peek() for c in scalars]
 
     def test_one_record_perturbs_exactly_one_cell(self):
         # neighboring differentials (one extra unit record) change the fed

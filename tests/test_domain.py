@@ -10,7 +10,6 @@ from dpstream import (
     accumulate,
     stream_difference_norm,
     stream_norm,
-    total_mass,
 )
 from dpstream.domain import point_keys
 
@@ -85,18 +84,18 @@ class TestSchema:
 
 class TestWeightedDataset:
     def test_empty_total_mass_is_zero(self):
-        assert total_mass(WeightedDataset.empty(SCHEMA_2X2)) == 0.0
+        assert WeightedDataset.empty(SCHEMA_2X2).total_mass() == 0.0
 
     def test_direct_sum(self):
         d = WeightedDataset.from_mapping(SCHEMA_2X2, {(0, 0): 2.0, (1, 1): 3.0})
-        assert total_mass(d) == 5.0
+        assert d.total_mass() == 5.0
 
     def test_unit_rows_mass_counts_rows(self):
         # oracle: the mass of a unit-weight dataset is the row count
         rng = np.random.default_rng(3)
         rows = [(int(rng.integers(2)), int(rng.integers(2))) for _ in range(100)]
         d = WeightedDataset.from_rows(SCHEMA_2X2, rows)
-        assert total_mass(d) == 100.0
+        assert d.total_mass() == 100.0
 
     def test_duplicate_rows_merge(self):
         d = WeightedDataset.from_rows(SCHEMA_2X2, [(0, 0), (0, 0), (1, 1)])

@@ -330,11 +330,6 @@ class TestFitterFactory:
         expected = mw_fit([older, newest], expected, 4.0, passes=2)
         assert out.as_mapping() == pytest.approx(expected.as_mapping())
 
-    def test_pgm_is_an_unimplemented_slot(self):
-        support = WorkingSupport(SCHEMA, seed_size=100, seed=0)
-        with pytest.raises(NotImplementedError):
-            make_fitter("pgm", support)
-
     def test_unknown_fitter_rejected(self):
         support = WorkingSupport(SCHEMA, seed_size=100, seed=0)
         with pytest.raises(ValueError):

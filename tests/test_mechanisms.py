@@ -11,8 +11,6 @@ from dpstream import (
     BudgetOverspendError,
     NoiseSource,
     exponential_mechanism,
-    laplace,
-    ledger_spend,
 )
 from dpstream.mechanisms import BudgetEntry
 
@@ -20,7 +18,7 @@ from dpstream.mechanisms import BudgetEntry
 class TestNoiseSource:
     def test_zero_mode_returns_exact_zero(self):
         src = NoiseSource(0, mode="zero")
-        assert all(laplace(s, src) == 0.0 for s in (0.1, 1.0, 100.0))
+        assert all(src.laplace(s) == 0.0 for s in (0.1, 1.0, 100.0))
 
     def test_same_seed_same_sequence(self):
         a = NoiseSource(42)
@@ -42,12 +40,12 @@ class TestNoiseSource:
     def test_scale_must_be_positive(self):
         src = NoiseSource(0)
         with pytest.raises(ValueError):
-            laplace(0.0, src)
+            src.laplace(0.0)
         with pytest.raises(ValueError):
-            laplace(-1.0, src)
+            src.laplace(-1.0)
         src_zero = NoiseSource(0, mode="zero")
         with pytest.raises(ValueError):
-            laplace(0.0, src_zero)
+            src_zero.laplace(0.0)
 
     def test_empirical_variance(self):
         # oracle: Var[Laplace(0, b)] = 2 b^2, Monte Carlo at 1e5 draws
@@ -143,24 +141,24 @@ class TestExponentialMechanism:
 class TestBudgetLedger:
     def test_spends_within_budget(self):
         ledger = BudgetLedger(Fraction(1))
-        ledger_spend(ledger, "first", 0.5)
-        ledger_spend(ledger, "second", 0.5)
+        ledger.spend("first", 0.5)
+        ledger.spend("second", 0.5)
         assert ledger.group_total(None) == Fraction(1)
 
     def test_overspend_rejected(self):
         ledger = BudgetLedger(Fraction(1))
-        ledger_spend(ledger, "first", 0.5)
+        ledger.spend("first", 0.5)
         with pytest.raises(BudgetOverspendError):
-            ledger_spend(ledger, "second", 0.6)
+            ledger.spend("second", 0.6)
 
     def test_exact_rational_accounting(self):
         # ten spends of 1/10 hit the budget exactly; floats would drift
         ledger = BudgetLedger(Fraction(1))
         for i in range(10):
-            ledger_spend(ledger, f"s{i}", 0.1)
+            ledger.spend(f"s{i}", 0.1)
         assert ledger.group_total(None) == Fraction(1)
         with pytest.raises(BudgetOverspendError):
-            ledger_spend(ledger, "extra", 0.1)
+            ledger.spend("extra", 0.1)
 
     def test_numerator_divisor_entries(self):
         ledger = BudgetLedger(Fraction(1, 2))

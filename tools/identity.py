@@ -8,8 +8,9 @@ parent checkout and the changed one and compare the output:
 
 Each grid runs through `run_experiment(jobs=1)` in a temporary directory.
 `runtime_sec` is dropped from every `meta.json` before hashing, because it is
-wall time. Both grids use the `binary_tree` counter, `baseline` and `main`,
-eps 0.5 and 2, seeds 0 and 1, and k = 3 over the 2-way workloads:
+wall time. Both grids run every counter kind (`simple`, `bounded_block`,
+`unbounded_block`, `binary_tree`), `baseline` and `main`, eps 0.5 and 2,
+seeds 0 and 1, and k = 3 over the 2-way workloads:
 
 - census13: the 13-attribute surrogate, 4,000 rows, 12 steps of 200 rows;
 - low5: its 5 lowest-cardinality attributes, 4,000 rows, 60 steps of 5 rows.
@@ -30,6 +31,7 @@ GRIDS = {
     "low5": {"columns": 5, "batch_size": 5, "max_steps": 60},
 }
 NOISES = ("zero", "laplace")
+COUNTERS = ("simple", "bounded_block", "unbounded_block", "binary_tree")
 ROWS = 4_000
 FILES = ("metrics.csv", "summary.json", "meta.json")
 
@@ -72,28 +74,30 @@ def main(argv: list[str] | None = None) -> int:
         for name, grid in GRIDS.items():
             dataset, schema = write_inputs(surrogate, work, name, grid["columns"])
             for noise in NOISES:
-                out = work / "out" / f"{name}-{noise}"
-                config = harness.ExperimentConfig(
-                    dataset=str(dataset),
-                    schema=str(schema),
-                    stream=harness.StreamSpec(
-                        variant="randomized_batch",
-                        batch_size=grid["batch_size"],
-                        max_steps=grid["max_steps"],
-                    ),
-                    output_dir=str(out),
-                    epsilons=("0.5", "2"),
-                    counter="binary_tree",
-                    seeds=(0, 1),
-                    noise=noise,
-                )
-                for result in harness.run_experiment(config, jobs=1):
-                    if not result["ok"]:
-                        failed += 1
-                        print(f"FAIL {name}-{noise}: {result}", file=sys.stderr)
-                for path in sorted(out.rglob("*")):
-                    if path.name in FILES:
-                        print(f"{file_digest(path)}  {name}-{noise}/{path.relative_to(out).as_posix()}")
+                for counter in COUNTERS:
+                    label = f"{name}-{noise}-{counter}"
+                    out = work / "out" / label
+                    config = harness.ExperimentConfig(
+                        dataset=str(dataset),
+                        schema=str(schema),
+                        stream=harness.StreamSpec(
+                            variant="randomized_batch",
+                            batch_size=grid["batch_size"],
+                            max_steps=grid["max_steps"],
+                        ),
+                        output_dir=str(out),
+                        epsilons=("0.5", "2"),
+                        counter=counter,
+                        seeds=(0, 1),
+                        noise=noise,
+                    )
+                    for result in harness.run_experiment(config, jobs=1):
+                        if not result["ok"]:
+                            failed += 1
+                            print(f"FAIL {label}: {result}", file=sys.stderr)
+                    for path in sorted(out.rglob("*")):
+                        if path.name in FILES:
+                            print(f"{file_digest(path)}  {label}/{path.relative_to(out).as_posix()}")
     return 1 if failed else 0
 
 
