@@ -31,7 +31,6 @@ from .fitters import (
     Measurement,
     MultiplicativeWeightsFitter,
     WorkingSupport,
-    make_fitter,
     mw_fit,
     mw_update,
 )

@@ -16,14 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counters import MultiDimCounter
+from .counters import MultiDimCounter, check_kind
 from .domain import WeightedDataset, nonzero_mass
 from .fitters import (
     DEFAULT_SEED_SUPPORT,
     Measurement,
     MultiplicativeWeightsFitter,
     WorkingSupport,
-    make_fitter,
 )
 from .mechanisms import BudgetLedger, NoiseSource, exponential_mechanism
 from .queries import WorkloadSet, cell_values, eval_workload
@@ -46,7 +45,6 @@ class RunConfig:
     counter_kind: str = "simple"
     block_size: int | None = None
     selection_sensitivity: float | None = None
-    fitter_name: str = "mw"
     seed_support_size: int = DEFAULT_SEED_SUPPORT
     passes: int = 1
     seed: int = 0
@@ -62,6 +60,7 @@ class RunConfig:
             raise ValueError(
                 f"cannot select k={self.k} distinct workloads out of {len(self.workloads)}"
             )
+        check_kind(self.counter_kind, self.block_size)
         floor = self._sensitivity_floor()
         if self.selection_sensitivity is not None and self.selection_sensitivity < floor:
             raise ValueError(
@@ -83,7 +82,7 @@ class RunConfig:
 
 
 class _StreamSynthesizer:
-    """Shared state: working support, fitter, noise sources, budget ledger.
+    """Shared state and the select → measure → fit round of both synthesizers.
 
     Within a step every synthetic dataset is a float64 weight vector aligned
     with ``support.points``, standing for the dataset that stores its nonzero
@@ -92,6 +91,8 @@ class _StreamSynthesizer:
     """
 
     algorithm = "base"
+    # subtracted per cell from a workload's selection utility
+    _cell_bias = 0
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -105,14 +106,11 @@ class _StreamSynthesizer:
         self.support = WorkingSupport(
             self.schema, seed_size=config.seed_support_size, seed=config.seed
         )
-        self.fitter: MultiplicativeWeightsFitter = make_fitter(
-            config.fitter_name, self.support, passes=config.passes
-        )
+        self.fitter = MultiplicativeWeightsFitter(passes=config.passes)
         self.ledger = BudgetLedger(config.epsilon)
-        self.g = self.support.unit_dataset()
-        self._weights = np.ones(len(self.support))
         self._eps_step = float(config.epsilon) / (2 * config.k)
         self._sensitivity = config.resolved_sensitivity()
+        self._release(np.ones(len(self.support)))
 
     def _observe(self, delta: WeightedDataset) -> np.ndarray:
         """Grow the support by ``delta``, realign ``_weights``; return ``delta``'s support positions."""
@@ -125,20 +123,50 @@ class _StreamSynthesizer:
             self._weights = weights
         return at
 
-    def _select(self, utilities: list[float], l: int, group: str) -> int:
-        """Exponential-mechanism pick among the candidates, recorded in the ledger."""
-        pick = exponential_mechanism(
-            np.array(utilities), self._eps_step, self._sensitivity, self._select_source
-        )
+    def _spend(self, label: str, category: str) -> None:
+        """Record one eps/2k share of step ``t`` in the ledger."""
         cfg = self.config
-        self.ledger.spend(
-            f"{group}/select/l={l}", cfg.epsilon, 2 * cfg.k, group=group, category="selection"
-        )
-        return pick
+        group = f"t={self.t}"
+        self.ledger.spend(f"{group}/{label}", cfg.epsilon, 2 * cfg.k, group=group, category=category)
 
-    def _fit(self, measured: list[Measurement], h: np.ndarray, target: float) -> np.ndarray:
-        cells = [self.support.cells(m.workload) for m in measured]
-        return self.fitter.fit_weights(measured, cells, h, target)
+    def _round(
+        self, delta: WeightedDataset, reference: list[np.ndarray], h: np.ndarray, target: float
+    ) -> tuple[np.ndarray, list[int]]:
+        """k select → measure → fit iterations starting from the fit ``h``.
+
+        Each iteration scores every unselected workload by the L1 distance
+        between its ``reference`` histogram and the current fit over its cell
+        count, less ``_cell_bias`` per cell; picks one with the exponential
+        mechanism, measures it and refits to ``target`` mass. Returns the mean
+        of the k fits and the selected workload indices.
+        """
+        fits: list[np.ndarray] = []
+        measured: list[Measurement] = []
+        selected: list[int] = []
+        for l in range(1, self.config.k + 1):
+            candidates = [i for i in range(len(self.workloads)) if i not in selected]
+            utilities = [
+                np.abs(reference[i] - self.support.evaluate(self.workloads[i], h)).sum()
+                / self.workloads[i].size
+                - self._cell_bias * self.workloads[i].size
+                for i in candidates
+            ]
+            pick = exponential_mechanism(
+                np.array(utilities), self._eps_step, self._sensitivity, self._select_source
+            )
+            self._spend(f"select/l={l}", "selection")
+            j = candidates[pick]
+            selected.append(j)
+            measured.append(Measurement(j, self.workloads[j], self._measure(j, delta, reference)))
+            cells = [self.support.cells(m.workload) for m in measured]
+            h = self.fitter.fit_weights(measured, cells, h, target)
+            fits.append(h)
+        # dataset_mean of the fits: summed in list order, then scaled by 1/k
+        return sum(fits[1:], fits[0]) * (1.0 / len(fits)), selected
+
+    def _measure(self, j: int, delta: WeightedDataset, reference: list[np.ndarray]) -> np.ndarray:
+        """Noisy cell values of workload ``j`` at this step, spending its measurement share."""
+        raise NotImplementedError
 
     def _release(self, weights: np.ndarray) -> WeightedDataset:
         self._weights = weights
@@ -147,14 +175,6 @@ class _StreamSynthesizer:
 
     def step(self, delta: WeightedDataset) -> WeightedDataset:
         raise NotImplementedError
-
-
-def _mean(fits: list[np.ndarray]) -> np.ndarray:
-    """``dataset_mean`` of the fits: summed in list order, then scaled by 1/k."""
-    total = fits[0]
-    for f in fits[1:]:
-        total = total + f
-    return total * (1.0 / len(fits))
 
 
 class StreamingMwem(_StreamSynthesizer):
@@ -174,35 +194,19 @@ class StreamingMwem(_StreamSynthesizer):
         target = delta.total_mass()
         if target == 0:
             return self.g  # nothing arrived: no spend, synthetic stream holds
-        cfg = self.config
-        group = f"t={self.t}"
         h = np.full(len(self.support), target / len(self.support))
         # eval_workload(w, delta), read off the cached cells of delta's points
         delta_values = [
             cell_values(self.support.cells(w)[at], delta.weights, w.size) for w in self.workloads
         ]
-        fits: list[np.ndarray] = []
-        measured: list[Measurement] = []
-        selected: list[int] = []
-        for l in range(1, cfg.k + 1):
-            candidates = [i for i in range(len(self.workloads)) if i not in selected]
-            utilities = [
-                np.abs(delta_values[i] - self.support.evaluate(self.workloads[i], h)).sum()
-                / self.workloads[i].size
-                for i in candidates
-            ]
-            j = candidates[self._select(utilities, l, group)]
-            selected.append(j)
-            workload = self.workloads[j]
-            scale = 1.0 / self._eps_step  # sensitivity-1 histogram at eps/2k
-            noisy = delta_values[j] + self._measure_source.laplace_vector(scale, workload.size)
-            self.ledger.spend(
-                f"{group}/measure/W={j}", cfg.epsilon, 2 * cfg.k, group=group, category="measurement"
-            )
-            measured.append(Measurement(j, workload, noisy))
-            h = self._fit(measured, h, target)
-            fits.append(h)
-        return self._release(self._weights + _mean(fits))
+        mean, _ = self._round(delta, delta_values, h, target)
+        return self._release(self._weights + mean)
+
+    def _measure(self, j: int, delta: WeightedDataset, reference: list[np.ndarray]) -> np.ndarray:
+        scale = 1.0 / self._eps_step  # sensitivity-1 histogram at eps/2k
+        noisy = reference[j] + self._measure_source.laplace_vector(scale, self.workloads[j].size)
+        self._spend(f"measure/W={j}", "measurement")
+        return noisy
 
 
 class CounterSynthesizer(_StreamSynthesizer):
@@ -217,6 +221,7 @@ class CounterSynthesizer(_StreamSynthesizer):
     """
 
     algorithm = "main"
+    _cell_bias = 1
 
     def __init__(self, config: RunConfig):
         super().__init__(config)
@@ -224,27 +229,6 @@ class CounterSynthesizer(_StreamSynthesizer):
         self.remainders: dict[int, np.ndarray] = {}
         self.last_measurements: dict[int, np.ndarray] = {}
         self.last_selected: list[int] = []
-
-    def _ensure_counter(self, j: int) -> MultiDimCounter:
-        counter = self.counters.get(j)
-        if counter is None:
-            counter = MultiDimCounter(
-                self.config.counter_kind,
-                self.workloads[j].size,
-                self._eps_step,
-                self._counter_root.child(j),
-                block_size=self.config.block_size,
-            )
-            self.counters[j] = counter
-        return counter
-
-    def _remainder_on_first_selection(self, j: int) -> np.ndarray:
-        # Never-selected workloads have an all-zero counter, so the remainder
-        # they would have been carrying is just the workload's value on the
-        # latest synthetic dataset (zero before any dataset exists).
-        if self.t == 1:
-            return np.zeros(self.workloads[j].size)
-        return self.support.evaluate(self.workloads[j], self._weights)
 
     def step(self, delta: WeightedDataset) -> WeightedDataset:
         at = self._observe(delta)
@@ -254,44 +238,39 @@ class CounterSynthesizer(_StreamSynthesizer):
         target = nonzero_mass(surrogate)
         if target == 0:
             return self.g  # no data and no synthetic mass: skip, no spend
-        cfg = self.config
-        group = f"t={self.t}"
         surrogate_values = [self.support.evaluate(w, surrogate) for w in self.workloads]
         h = self._weights.copy()
         h[h == 0] = 1.0  # new and underflowed points re-enter at unit weight
-        fits: list[np.ndarray] = []
-        measured: list[Measurement] = []
-        selected: list[int] = []
-        for l in range(1, cfg.k + 1):
-            candidates = [i for i in range(len(self.workloads)) if i not in selected]
-            utilities = [
-                np.abs(surrogate_values[i] - self.support.evaluate(self.workloads[i], h)).sum()
-                / self.workloads[i].size
-                - self.workloads[i].size
-                for i in candidates
-            ]
-            j = candidates[self._select(utilities, l, group)]
-            selected.append(j)
-            workload = self.workloads[j]
-            if j not in self.remainders:
-                self.remainders[j] = self._remainder_on_first_selection(j)
-            counter = self._ensure_counter(j)
-            counter_values = counter.feed(eval_workload(workload, delta))
-            self.ledger.spend(
-                f"{group}/counter/W={j}", cfg.epsilon, 2 * cfg.k, group=group, category="counter"
-            )
-            # remainder carries over unchanged on a selected step
-            self.last_measurements[j] = counter_values + self.remainders[j]
-            measured.append(Measurement(j, workload, self.last_measurements[j]))
-            h = self._fit(measured, h, target)
-            fits.append(h)
-        g_t = _mean(fits)
+        g_t, selected = self._round(delta, surrogate_values, h, target)
         for i in self.counters:
             if i not in selected:
                 values = self.support.evaluate(self.workloads[i], g_t)
                 self.remainders[i] = values - self.counters[i].peek()
         self.last_selected = selected
         return self._release(g_t)
+
+    def _measure(self, j: int, delta: WeightedDataset, reference: list[np.ndarray]) -> np.ndarray:
+        workload = self.workloads[j]
+        if j not in self.counters:
+            # A never-selected workload has an all-zero counter, so the remainder
+            # it would have been carrying is just its value on the latest
+            # synthetic dataset (zero before any dataset exists).
+            if self.t == 1:
+                self.remainders[j] = np.zeros(workload.size)
+            else:
+                self.remainders[j] = self.support.evaluate(workload, self._weights)
+            self.counters[j] = MultiDimCounter(
+                self.config.counter_kind,
+                workload.size,
+                self._eps_step,
+                self._counter_root.child(j),
+                block_size=self.config.block_size,
+            )
+        counter_values = self.counters[j].feed(eval_workload(workload, delta))
+        self._spend(f"counter/W={j}", "counter")
+        # remainder carries over unchanged on a selected step
+        self.last_measurements[j] = counter_values + self.remainders[j]
+        return self.last_measurements[j]
 
 
 def make_synthesizer(algorithm: str, config: RunConfig) -> _StreamSynthesizer:

@@ -22,6 +22,17 @@ import numpy as np
 from .mechanisms import NoiseSource
 
 KINDS = ("simple", "bounded_block", "binary_tree", "unbounded_block")
+# the spellings of the bounded block counter, the one kind that needs a block_size
+BLOCK_KINDS = ("bounded_block", "block")
+
+
+def check_kind(kind: str, block_size: int | None) -> None:
+    """Raise ValueError unless ``make_counter`` accepts ``kind`` with ``block_size``."""
+    if kind in BLOCK_KINDS:
+        if block_size is None or block_size < 1:
+            raise ValueError("bounded block counter needs a block_size >= 1")
+    elif kind not in KINDS:
+        raise ValueError(f"unknown counter kind {kind!r}; expected one of {KINDS}")
 
 
 class Counter:
@@ -193,17 +204,14 @@ def make_counter(
     source: NoiseSource,
     block_size: int | None = None,
 ) -> Counter:
+    check_kind(kind, block_size)
     if kind == "simple":
         return SimpleCounter(epsilon, source)
-    if kind in ("bounded_block", "block"):
-        if block_size is None:
-            raise ValueError("bounded block counter needs a block_size")
+    if kind in BLOCK_KINDS:
         return BlockCounter(epsilon, source, block_size)
     if kind == "binary_tree":
         return BinaryTreeCounter(epsilon, source)
-    if kind == "unbounded_block":
-        return UnboundedBlockCounter(epsilon, source)
-    raise ValueError(f"unknown counter kind {kind!r}; expected one of {KINDS}")
+    return UnboundedBlockCounter(epsilon, source)
 
 
 class _CellNoise:

@@ -282,10 +282,15 @@ class DatasetStream:
         """The accumulated dataset after the first t differentials."""
         if not 0 <= t <= self.num_steps:
             raise ValueError(f"prefix time {t} out of range [0, {self.num_steps}]")
-        out = WeightedDataset.empty(self.schema)
-        for d in self.differentials[:t]:
-            out = accumulate(out, d)
-        return out
+        steps = self.differentials[:t]
+        if not steps:
+            return WeightedDataset.empty(self.schema)
+        # one merge; bincount adds each point's weights in step order, as a fold of accumulate does
+        return WeightedDataset(
+            self.schema,
+            np.concatenate([d.points for d in steps]),
+            np.concatenate([d.weights for d in steps]),
+        )
 
 
 def stream_norm(stream: DatasetStream) -> float:

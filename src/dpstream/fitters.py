@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .domain import DomainSchema, WeightedDataset, nonzero_mass, point_keys, unique_rows
-from .queries import MarginalQuery, Workload, cell_values, eval_query
+from .queries import MarginalQuery, Workload, cell_values, query_mask
 
 logger = logging.getLogger(__name__)
 
@@ -127,10 +127,6 @@ class WorkingSupport:
         self._points = merged
         return moved, at
 
-    def unit_dataset(self) -> WeightedDataset:
-        """Weight 1 on every support point (the all-ones initialization)."""
-        return WeightedDataset(self.schema, self._points, np.ones(len(self._points)))
-
     def uniform_dataset(self, mass: float) -> WeightedDataset:
         """Uniform weights over the support with the given total mass."""
         if mass < 0:
@@ -186,6 +182,27 @@ def _clamped_exp(exponent: float, stats: FitStats | None) -> float:
     return math.exp(exponent)
 
 
+def _mw_step(
+    weights: np.ndarray,
+    matching: np.ndarray,
+    measured: float,
+    target_mass: float,
+    stats: FitStats | None,
+) -> None:
+    """One multiplicative-weights update of ``weights`` in place.
+
+    The entries selected by ``matching`` (a mask or an index array) are
+    multiplied by exp((measured - their sum) / (2 * target_mass)); then the
+    whole vector is renormalized to ``target_mass``.
+    """
+    current = weights[matching].sum()
+    weights[matching] *= _clamped_exp((measured - current) / (2.0 * target_mass), stats)
+    total = weights.sum()
+    if total <= 0:
+        raise ValueError("multiplicative weights drove the total mass to zero")
+    weights *= target_mass / total
+
+
 def mw_update(
     h: WeightedDataset,
     query: MarginalQuery,
@@ -203,16 +220,8 @@ def mw_update(
         raise ValueError("target mass must be positive")
     if h.total_mass() <= 0:
         raise ValueError("multiplicative weights needs a positive-mass dataset")
-    current = eval_query(query, h)
-    factor = _clamped_exp((measured - current) / (2.0 * target_mass), stats)
-    sub = h.points[:, list(query.columns)]
-    mask = (sub == np.asarray(query.values, dtype=np.int64)).all(axis=1)
     weights = h.weights.copy()
-    weights[mask] *= factor
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("multiplicative weights drove the total mass to zero")
-    weights *= target_mass / total
+    _mw_step(weights, query_mask(query, h), measured, target_mass, stats)
     return WeightedDataset(h.schema, h.points, weights)
 
 
@@ -229,16 +238,8 @@ def _apply_measurement(
     bounds = (np.flatnonzero(sorted_cells[1:] != sorted_cells[:-1]) + 1).tolist()
     # cells with no support are skipped: there is nothing to reweight
     for start, end in zip([0, *bounds], [*bounds, len(order)]):
-        idx = order[start:end]
-        current = weights[idx].sum()
-        factor = _clamped_exp(
-            (float(values[sorted_cells[start]]) - current) / (2.0 * target_mass), stats
-        )
-        weights[idx] *= factor
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("multiplicative weights drove the total mass to zero")
-        weights *= target_mass / total
+        measured = float(values[sorted_cells[start]])
+        _mw_step(weights, order[start:end], measured, target_mass, stats)
 
 
 def mw_weights(
@@ -301,12 +302,9 @@ class MultiplicativeWeightsFitter:
     ``passes - 1`` more times.
     """
 
-    name = "mw"
-
-    def __init__(self, support: WorkingSupport, passes: int = 1):
+    def __init__(self, passes: int = 1):
         if passes < 1:
             raise ValueError("passes must be >= 1")
-        self.support = support
         self.passes = passes
         self.stats = FitStats()
 
@@ -336,8 +334,3 @@ class MultiplicativeWeightsFitter:
         weights = self.fit_weights(measurements, cells, init.weights, target_mass)
         return WeightedDataset(init.schema, init.points, weights)
 
-
-def make_fitter(name: str, support: WorkingSupport, passes: int = 1) -> MultiplicativeWeightsFitter:
-    if name == "mw":
-        return MultiplicativeWeightsFitter(support, passes=passes)
-    raise ValueError(f"unknown fitter {name!r}")

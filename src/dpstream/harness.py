@@ -21,6 +21,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .algorithms import ALGORITHMS, RunConfig, make_synthesizer
+from .counters import BLOCK_KINDS, KINDS
 from .domain import DatasetStream, DomainSchema, WeightedDataset, accumulate
 from .evaluation import MetricRow, evaluate_step, summarize_tail
 from .queries import enumerate_workloads
@@ -271,9 +272,10 @@ def run_triple(
     schema = stream.schema
     workloads = enumerate_workloads(schema, config.k_way)
     block_size = config.block_size
-    if config.counter in ("block", "bounded_block") and block_size is None:
+    if config.counter in BLOCK_KINDS and block_size is None:
         block_size = max(1, math.isqrt(max(stream.num_steps - 1, 0)) + 1)  # ceil sqrt(T)
     fitter_params = dict(config.fitter)
+    fitter_name = fitter_params.pop("name", "mw")
     run_config = RunConfig(
         epsilon=epsilon,
         k=config.k,
@@ -281,7 +283,6 @@ def run_triple(
         counter_kind=config.counter,
         block_size=block_size,
         selection_sensitivity=config.selection_sensitivity,
-        fitter_name=fitter_params.pop("name", "mw"),
         seed_support_size=fitter_params.pop("seed_support_size", 10_000),
         passes=fitter_params.pop("passes", 1),
         seed=seed,
@@ -289,6 +290,8 @@ def run_triple(
     )
     if fitter_params:
         raise ValueError(f"unknown fitter parameters: {sorted(fitter_params)}")
+    if fitter_name != "mw":
+        raise ValueError(f"unknown fitter {fitter_name!r}")
     synthesizer = make_synthesizer(algorithm, run_config)
 
     run_dir = config.run_dir(Path(config.output_dir), algorithm, epsilon, seed)
@@ -437,6 +440,8 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     spec = config.stream
     if spec.variant == "timestamp_bucketed" and spec.timestamp_column not in header:
         problems.append(f"dataset is missing timestamp column {spec.timestamp_column!r}")
+    if config.counter not in KINDS and config.counter not in BLOCK_KINDS:
+        problems.append(f"unknown counter {config.counter!r}; expected one of {KINDS}")
     max_k = schema.num_attributes
     if not 1 <= config.k_way <= max_k:
         problems.append(f"k_way {config.k_way} out of range [1, {max_k}]")

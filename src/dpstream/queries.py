@@ -36,19 +36,21 @@ def _check_columns(schema: DomainSchema, columns: tuple[int, ...]) -> None:
             raise ValueError(f"column index {c} out of range for {schema.num_attributes} attributes")
 
 
-def eval_query(query: MarginalQuery, dataset: WeightedDataset) -> float:
-    """Total weight of points matching every (column, value) pair of the query."""
+def query_mask(query: MarginalQuery, dataset: WeightedDataset) -> np.ndarray:
+    """Boolean mask of the dataset's points matching every (column, value) pair of the query."""
     schema = dataset.schema
     _check_columns(schema, query.columns)
     cards = schema.cardinalities
     for c, v in zip(query.columns, query.values):
         if not 0 <= v < cards[c]:
             raise ValueError(f"value {v} out of range for column {c}")
-    if len(dataset) == 0:
-        return 0.0
     sub = dataset.points[:, list(query.columns)]
-    mask = (sub == np.asarray(query.values, dtype=np.int64)).all(axis=1)
-    return float(dataset.weights[mask].sum())
+    return (sub == np.asarray(query.values, dtype=np.int64)).all(axis=1)
+
+
+def eval_query(query: MarginalQuery, dataset: WeightedDataset) -> float:
+    """Total weight of points matching every (column, value) pair of the query."""
+    return float(dataset.weights[query_mask(query, dataset)].sum())
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from dpstream import (
     make_synthesizer,
     mw_fit,
 )
+from dpstream.counters import KINDS
 
 SCHEMA_2X2 = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_234 = DomainSchema((("a", 2), ("b", 3), ("c", 4)))
@@ -82,6 +83,23 @@ class TestRunConfig:
         Q = enumerate_workloads(SCHEMA_2X2, 1)
         cfg = RunConfig(epsilon=0.1, k=1, workloads=Q)
         assert cfg.epsilon == Fraction(1, 10)
+
+    @pytest.mark.parametrize(
+        "kind, block_size",
+        [("simpel", None), ("simpel", 4), ("bounded_block", None), ("block", None), ("block", 0)],
+    )
+    def test_bad_counter_rejected_before_any_step(self, kind, block_size):
+        Q = enumerate_workloads(SCHEMA_2X2, 1)
+        with pytest.raises(ValueError, match="counter"):
+            RunConfig(epsilon=Fraction(1), k=1, workloads=Q, counter_kind=kind, block_size=block_size)
+
+    def test_block_spelling_accepted(self):
+        Q = enumerate_workloads(SCHEMA_2X2, 1)
+        synth = CounterSynthesizer(
+            RunConfig(epsilon=Fraction(1), k=1, workloads=Q, counter_kind="block", block_size=2)
+        )
+        synth.step(WeightedDataset.from_mapping(SCHEMA_2X2, {(0, 1): 2.0}))
+        assert synth.counters[synth.last_selected[0]].kind == "block"
 
 
 class TestBaseline:
@@ -329,7 +347,7 @@ def reference_releases(algorithm, config, deltas):
     select, measure, counter_root = root.child(0), root.child(1), root.child(2)
     support = WorkingSupport(Q[0].schema, seed_size=config.seed_support_size, seed=config.seed)
     eps_step = float(config.epsilon) / (2 * config.k)
-    g = support.unit_dataset()
+    g = support.uniform_dataset(len(support))
     counters, remainders = {}, {}
     releases = []
     for t, delta in enumerate(deltas, start=1):
@@ -389,15 +407,14 @@ def reference_releases(algorithm, config, deltas):
 class TestWeightVectorState:
     SCHEMA = DomainSchema((("a", 3), ("b", 4), ("c", 5), ("d", 3), ("e", 2)))
 
-    @pytest.mark.parametrize("algorithm", ["baseline", "main"])
-    def test_releases_match_dataset_reference_bit_for_bit(self, algorithm):
+    def _assert_matches_reference(self, algorithm, **counter):
         # seeded Laplace noise and a 40-point seed support that every step grows
         Q = enumerate_workloads(self.SCHEMA, 2)
         deltas = random_deltas(self.SCHEMA, 8, seed=17, max_rows=25)
         deltas.insert(3, WeightedDataset.empty(self.SCHEMA))
         config = RunConfig(
-            epsilon=Fraction(1), k=3, workloads=Q, counter_kind="binary_tree",
-            seed_support_size=40, seed=5,
+            epsilon=Fraction(1), k=3, workloads=Q, seed_support_size=40, seed=5,
+            **counter,
         )
         synth = make_synthesizer(algorithm, config)
         sizes = []
@@ -407,6 +424,15 @@ class TestWeightVectorState:
             assert np.array_equal(got.points, want.points)
             assert got.weights.tobytes() == want.weights.tobytes()
         assert len(set(sizes)) > len(deltas) // 2  # the support grew at most steps
+
+    @pytest.mark.parametrize("algorithm", ["baseline", "main"])
+    def test_releases_match_dataset_reference_bit_for_bit(self, algorithm):
+        self._assert_matches_reference(algorithm, counter_kind="binary_tree")
+
+    @pytest.mark.parametrize("algorithm", ["baseline", "main"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_counter_kind_matches_dataset_reference(self, kind, algorithm):
+        self._assert_matches_reference(algorithm, counter_kind=kind, block_size=4)
 
     def test_underflowed_point_leaves_release_and_reenters_at_unit_weight(self):
         Q = enumerate_workloads(SCHEMA_234, 2)

@@ -258,6 +258,24 @@ class TestStream:
         assert stream.num_steps == 1
         assert stream.prefix(1).total_mass() == 0.0
 
+    @pytest.mark.parametrize("schema", [SCHEMA_234, SCHEMA_HUGE], ids=["keys", "generic"])
+    def test_prefix_equals_fold_of_accumulate_bit_for_bit(self, schema):
+        # fractional weights on overlapping points, so the order of the sums shows in the bits
+        rng = np.random.default_rng(4)
+        deltas = []
+        for t in range(12):
+            n = 0 if t % 5 == 2 else int(rng.integers(1, 20))
+            rows = random_rows(schema, n, rng)
+            deltas.append(WeightedDataset(schema, rows, rng.random(n) * 10.0 ** rng.integers(-3, 4)))
+        stream = DatasetStream(schema, tuple(deltas))
+        folded = WeightedDataset.empty(schema)
+        for t in range(len(deltas) + 1):
+            got = stream.prefix(t)
+            assert np.array_equal(got.points, folded.points)
+            assert got.weights.tobytes() == folded.weights.tobytes()
+            if t < len(deltas):
+                folded = accumulate(folded, deltas[t])
+
     def test_neighboring_streams_difference_norm(self):
         # neighbors: one unit of weight moved at a single (point, time)
         base = [

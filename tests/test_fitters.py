@@ -7,13 +7,13 @@ from dpstream import (
     DomainSchema,
     MarginalQuery,
     Measurement,
+    MultiplicativeWeightsFitter,
     WeightedDataset,
     Workload,
     WorkingSupport,
     enumerate_workloads,
     eval_query,
     eval_workload,
-    make_fitter,
     mw_fit,
     mw_update,
 )
@@ -299,7 +299,9 @@ class TestWorkingSupport:
 
     def test_unit_and_uniform_datasets(self):
         support = WorkingSupport(SCHEMA, seed_size=100, seed=0)
-        assert support.unit_dataset().total_mass() == 4.0
+        assert support.uniform_dataset(len(support)).as_mapping() == {
+            (a, b): 1.0 for a in range(2) for b in range(2)
+        }
         u = support.uniform_dataset(10.0)
         assert u.total_mass() == pytest.approx(10.0)
         assert np.allclose(u.weights, 2.5)
@@ -308,7 +310,7 @@ class TestWorkingSupport:
 class TestFitterFactory:
     def test_mw_fitter_applies_newest_measurement(self):
         support = WorkingSupport(SCHEMA, seed_size=100, seed=0)
-        fitter = make_fitter("mw", support)
+        fitter = MultiplicativeWeightsFitter()
         init = support.uniform_dataset(4.0)
         w0, w1 = enumerate_workloads(SCHEMA, 1)
         older = Measurement(0, w0, np.array([4.0, 0.0]))
@@ -320,7 +322,7 @@ class TestFitterFactory:
 
     def test_mw_fitter_replays_with_extra_passes(self):
         support = WorkingSupport(SCHEMA, seed_size=100, seed=0)
-        fitter = make_fitter("mw", support, passes=3)
+        fitter = MultiplicativeWeightsFitter(passes=3)
         init = support.uniform_dataset(4.0)
         w0, w1 = enumerate_workloads(SCHEMA, 1)
         older = Measurement(0, w0, np.array([4.0, 0.0]))
@@ -329,8 +331,3 @@ class TestFitterFactory:
         expected = mw_fit([newest], init, 4.0)
         expected = mw_fit([older, newest], expected, 4.0, passes=2)
         assert out.as_mapping() == pytest.approx(expected.as_mapping())
-
-    def test_unknown_fitter_rejected(self):
-        support = WorkingSupport(SCHEMA, seed_size=100, seed=0)
-        with pytest.raises(ValueError):
-            make_fitter("nn", support)

@@ -265,6 +265,21 @@ class TestRunExperiment:
         assert all(not r["ok"] for r in results)
         assert all("error" in r for r in results)
 
+    def test_unknown_fitter_rejected(self, tmp_path, data_file, schema_file):
+        mw = experiment_config(
+            tmp_path, data_file, schema_file, fitter={"name": "mw", "seed_support_size": 4, "passes": 2}
+        )
+        assert all(r["ok"] for r in run_experiment(mw))
+        other = experiment_config(tmp_path, data_file, schema_file, fitter={"name": "nn"})
+        assert [r["error"] for r in run_experiment(other)] == ["ValueError: unknown fitter 'nn'"] * 2
+
+    def test_unknown_counter_fails_every_triple_up_front(self, tmp_path, data_file, schema_file):
+        config = experiment_config(tmp_path, data_file, schema_file, counter="simpel")
+        results = run_experiment(config)
+        assert [r["algorithm"] for r in results] == ["baseline", "main"]
+        assert all(r["error"].startswith("ValueError: unknown counter kind 'simpel'") for r in results)
+        assert not list(Path(config.output_dir).rglob("metrics.csv"))
+
     def test_grid_ingests_once(self, tmp_path, data_file, schema_file, monkeypatch):
         calls = []
 
@@ -345,6 +360,13 @@ class TestConfigFile:
         )
         problems = validate_config(config)
         assert any("not found" in p for p in problems)
+
+    def test_validate_reports_unknown_counter(self, tmp_path, data_file, schema_file):
+        config = experiment_config(tmp_path, data_file, schema_file, counter="simpel")
+        assert [p.split(";")[0] for p in validate_config(config)] == ["unknown counter 'simpel'"]
+        for name in ("simple", "bounded_block", "block", "binary_tree", "unbounded_block"):
+            config = experiment_config(tmp_path, data_file, schema_file, counter=name)
+            assert validate_config(config) == []
 
 
 class TestCli:
