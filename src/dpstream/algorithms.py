@@ -170,7 +170,7 @@ class _StreamSynthesizer:
 
     def _release(self, weights: np.ndarray) -> WeightedDataset:
         self._weights = weights
-        self.g = WeightedDataset(self.schema, self.support.points, weights)
+        self.g = WeightedDataset.from_sorted(self.schema, self.support.points, weights)
         return self.g
 
     def step(self, delta: WeightedDataset) -> WeightedDataset:

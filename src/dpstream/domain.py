@@ -70,6 +70,18 @@ class DomainSchema:
             strides.append(strides[-1] * c)
         return tuple(reversed(strides))
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.attributes,))
+
+    def __hash__(self) -> int:
+        # workloads and supports key dicts by schema; hash the attribute tuple once
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields: a cached string hash is only valid in the process that made it
+        return type(self), (self.attributes,)
+
     def index_of(self, name: str) -> int:
         return self.names.index(name)
 
@@ -129,9 +141,12 @@ def merge_rows(
 def _canonicalize(
     schema: DomainSchema, points: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Copy, merge duplicate rows, drop zero weights, and sort rows lexicographically."""
+    """Copy, merge duplicate rows, drop zero weights, and sort rows lexicographically.
+
+    The points come back column-major (F-contiguous).
+    """
     p = schema.num_attributes
-    points = np.array(points, dtype=np.int64)
+    points = np.array(points, dtype=np.int64, order="F")
     weights = np.array(weights, dtype=np.float64).reshape(-1)
     if points.ndim != 2 or points.shape[1] != p:
         raise ValueError(
@@ -148,17 +163,19 @@ def _canonicalize(
     if (merged < 0).any():
         raise ValueError("negative weight after merge; datasets are insert-only")
     keep = merged > 0
-    if keep.all():
-        return points, merged
-    return points[keep], merged[keep]
+    if not keep.all():
+        points, merged = points[keep], merged[keep]
+    return np.asfortranarray(points), merged
 
 
 class WeightedDataset:
     """Sparse nonnegative-weighted multiset of points from a product domain.
 
     Zero-weight entries are absent; rows are kept in lexicographic order so
-    equal contents always produce identical array layouts. Instances are
-    immutable after construction and safe to share across threads.
+    equal contents always produce identical arrays. Points are stored
+    column-major (F-contiguous), so reading a few columns of every point is a
+    contiguous scan. Instances are immutable after construction and safe to
+    share across threads.
     """
 
     __slots__ = ("schema", "_points", "_weights")
@@ -170,6 +187,33 @@ class WeightedDataset:
         self.schema = schema
         self._points = pts
         self._weights = w
+
+    @classmethod
+    def from_sorted(
+        cls, schema: DomainSchema, points: np.ndarray, weights: np.ndarray
+    ) -> "WeightedDataset":
+        """``WeightedDataset(schema, points, weights)`` for points already in canonical form.
+
+        ``points`` must be a read-only, F-contiguous int64 ``(n, p)`` array of
+        in-range, strictly increasing, distinct rows, such as
+        ``WorkingSupport.points``; none of that is checked. The dataset shares
+        ``points`` when no weight is zero, and copies the weights.
+        """
+        weights = np.array(weights, dtype=np.float64).reshape(-1)
+        if len(points) != len(weights):
+            raise ValueError("points and weights length mismatch")
+        if (weights < 0).any():
+            raise ValueError("negative weight; datasets are insert-only")
+        keep = weights > 0
+        if not keep.all():
+            points, weights = np.asfortranarray(points[keep]), weights[keep]
+            points.flags.writeable = False
+        weights.flags.writeable = False
+        out = cls.__new__(cls)
+        out.schema = schema
+        out._points = points
+        out._weights = weights
+        return out
 
     @classmethod
     def empty(cls, schema: DomainSchema) -> "WeightedDataset":

@@ -57,8 +57,10 @@ class WorkingSupport:
     Starts as a deterministic uniform sample of the domain (the full domain if
     it fits) and grows by union with every observed differential. Points stay
     sorted and unique, so a weight vector aligned with ``points`` describes the
-    dataset storing its nonzero entries. The cell index of every point is
-    cached per workload on first use and kept up to date as the support grows.
+    dataset storing its nonzero entries. They are held column-major and
+    read-only, together with their sorted int64 point keys (none when the
+    schema has no key strides). The cell index of every point is cached per
+    workload on first use and kept up to date as the support grows.
     """
 
     def __init__(self, schema: DomainSchema, seed_size: int = DEFAULT_SEED_SUPPORT, seed: int = 0):
@@ -73,7 +75,10 @@ class WorkingSupport:
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), 3))))
             draws = np.column_stack([rng.integers(0, c, size=seed_size) for c in cards])
             points, _ = unique_rows(schema, draws.astype(np.int64))
+        points = np.asfortranarray(points)
+        points.flags.writeable = False
         self._points = points
+        self._keys = None if schema.key_strides is None else point_keys(schema, points)[0]
         self._cells: dict[Workload, np.ndarray] = {}
 
     @property
@@ -97,6 +102,14 @@ class WorkingSupport:
         """``eval_workload`` of the dataset whose weights over the support are ``weights``."""
         return cell_values(self.cells(workload), weights, workload.size)
 
+    def _keys_with(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The support's sorted keys and the keys of ``points``, comparable with each other."""
+        if self._keys is None:
+            support_keys, keys = point_keys(self.schema, self._points, points)
+        else:
+            support_keys, (keys,) = self._keys, point_keys(self.schema, points)
+        return support_keys, keys
+
     def observe(self, delta: WeightedDataset) -> tuple[np.ndarray | None, np.ndarray]:
         """Union the support with the points of an observed differential.
 
@@ -109,23 +122,37 @@ class WorkingSupport:
         if len(delta) == 0:
             return None, np.empty(0, dtype=np.intp)
         n = len(self._points)
-        merged, inverse = unique_rows(self.schema, np.concatenate([self._points, delta.points]))
-        positions = np.arange(len(merged)) if inverse is None else inverse
-        moved, at = positions[:n], positions[n:]
-        if len(merged) == n:
-            return None, at
-        kept = np.zeros(len(merged), dtype=bool)
-        kept[moved] = True
-        added = np.flatnonzero(~kept)
-        fresh = merged[added]
+        keys, delta_keys = self._keys_with(delta.points)
+        pos = np.searchsorted(keys, delta_keys)
+        fresh = keys[pos.clip(max=n - 1)] != delta_keys
+        if not fresh.any():
+            return None, pos
+        # delta is sorted, so the fresh points before a delta point are exactly
+        # the new support points that land before it
+        at = pos + (np.cumsum(fresh) - fresh)
+        added = at[fresh]
+        kept = np.ones(n + len(added), dtype=bool)
+        kept[added] = False
+        fresh_points = delta.points[fresh]
+        points = np.empty((len(kept), self.schema.num_attributes), dtype=np.int64, order="F")
+        for j in range(points.shape[1]):  # column by column: contiguous on both sides
+            column = points[:, j]
+            column[kept] = self._points[:, j]
+            column[added] = fresh_points[:, j]
         for workload, old in self._cells.items():
-            cells = np.empty(len(merged), dtype=old.dtype)
+            cells = np.empty(len(kept), dtype=old.dtype)
             cells[kept] = old  # old points keep their order, so a mask places them
-            cells[added] = workload.point_cells(fresh)
+            cells[added] = workload.point_cells(fresh_points)
             cells.flags.writeable = False
             self._cells[workload] = cells
-        self._points = merged
-        return moved, at
+        if self._keys is not None:
+            merged_keys = np.empty(len(kept), dtype=np.int64)
+            merged_keys[kept] = keys
+            merged_keys[added] = delta_keys[fresh]
+            self._keys = merged_keys
+        points.flags.writeable = False
+        self._points = points
+        return np.flatnonzero(kept), at
 
     def uniform_dataset(self, mass: float) -> WeightedDataset:
         """Uniform weights over the support with the given total mass."""
@@ -148,7 +175,7 @@ class WorkingSupport:
             raise ValueError("schema mismatch in extend")
         weights = np.full(len(self._points), float(fill))
         if len(dataset):
-            support_keys, dataset_keys = point_keys(self.schema, self._points, dataset.points)
+            support_keys, dataset_keys = self._keys_with(dataset.points)
             at = np.searchsorted(dataset_keys, support_keys).clip(max=len(dataset_keys) - 1)
             found = dataset_keys[at] == support_keys
             weights[found] = dataset.weights[at[found]]

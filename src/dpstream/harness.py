@@ -8,6 +8,7 @@ JSON. Algorithms only ever see differentials, never the accumulated dataset.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -24,6 +25,7 @@ from .algorithms import ALGORITHMS, RunConfig, make_synthesizer
 from .counters import BLOCK_KINDS, KINDS
 from .domain import DatasetStream, DomainSchema, WeightedDataset, accumulate
 from .evaluation import MetricRow, evaluate_step, summarize_tail
+from .fitters import DEFAULT_SEED_SUPPORT
 from .queries import enumerate_workloads
 
 METRIC_COLUMNS = ("t", "AvgWE", "MaxWE", "AvgRelWE", "MaxRelWE")
@@ -164,9 +166,10 @@ def build_stream(
             ordered = [ordered[i] for i in order]
         batch = int(spec.batch_size)  # type: ignore[arg-type]
         slices = (ordered[i : i + batch] for i in range(0, len(ordered), batch))
-    differentials = [WeightedDataset.from_rows(schema, chunk) for chunk in slices]
-    if spec.max_steps is not None:
-        differentials = differentials[: spec.max_steps]
+    # build only the kept steps; the shuffle above covers every row, so they are unchanged
+    differentials = [
+        WeightedDataset.from_rows(schema, chunk) for chunk in itertools.islice(slices, spec.max_steps)
+    ]
     return DatasetStream(schema, tuple(differentials))
 
 
@@ -255,6 +258,26 @@ def load_stream(config: ExperimentConfig) -> DatasetStream:
     return build_stream(rows, spec, schema)
 
 
+def parse_fitter(fitter: dict[str, Any]) -> tuple[int, int]:
+    """``(seed_support_size, passes)`` of a config's ``fitter`` object.
+
+    Raises ValueError for a fitter other than ``mw``, an unknown key, or a
+    value below 1.
+    """
+    params = dict(fitter)
+    name = params.pop("name", "mw")
+    if name != "mw":
+        raise ValueError(f"unknown fitter {name!r}")
+    seed_support_size = params.pop("seed_support_size", DEFAULT_SEED_SUPPORT)
+    passes = params.pop("passes", 1)
+    if params:
+        raise ValueError(f"unknown fitter parameters: {sorted(params)}")
+    for key, value in (("seed_support_size", seed_support_size), ("passes", passes)):
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"fitter {key} must be an integer >= 1, got {value!r}")
+    return seed_support_size, passes
+
+
 def run_triple(
     config: ExperimentConfig,
     algorithm: str,
@@ -274,8 +297,7 @@ def run_triple(
     block_size = config.block_size
     if config.counter in BLOCK_KINDS and block_size is None:
         block_size = max(1, math.isqrt(max(stream.num_steps - 1, 0)) + 1)  # ceil sqrt(T)
-    fitter_params = dict(config.fitter)
-    fitter_name = fitter_params.pop("name", "mw")
+    seed_support_size, passes = parse_fitter(config.fitter)
     run_config = RunConfig(
         epsilon=epsilon,
         k=config.k,
@@ -283,15 +305,11 @@ def run_triple(
         counter_kind=config.counter,
         block_size=block_size,
         selection_sensitivity=config.selection_sensitivity,
-        seed_support_size=fitter_params.pop("seed_support_size", 10_000),
-        passes=fitter_params.pop("passes", 1),
+        seed_support_size=seed_support_size,
+        passes=passes,
         seed=seed,
         noise_mode=config.noise,
     )
-    if fitter_params:
-        raise ValueError(f"unknown fitter parameters: {sorted(fitter_params)}")
-    if fitter_name != "mw":
-        raise ValueError(f"unknown fitter {fitter_name!r}")
     synthesizer = make_synthesizer(algorithm, run_config)
 
     run_dir = config.run_dir(Path(config.output_dir), algorithm, epsilon, seed)
@@ -442,6 +460,10 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         problems.append(f"dataset is missing timestamp column {spec.timestamp_column!r}")
     if config.counter not in KINDS and config.counter not in BLOCK_KINDS:
         problems.append(f"unknown counter {config.counter!r}; expected one of {KINDS}")
+    try:
+        parse_fitter(config.fitter)
+    except ValueError as exc:
+        problems.append(f"fitter: {exc}")
     max_k = schema.num_attributes
     if not 1 <= config.k_way <= max_k:
         problems.append(f"k_way {config.k_way} out of range [1, {max_k}]")

@@ -9,7 +9,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .domain import DomainSchema, WeightedDataset
+from .domain import KEY_LIMIT, DomainSchema, WeightedDataset
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,18 @@ class Workload:
             raise ValueError(f"workload columns must be strictly increasing, got {self.columns}")
         _check_columns(self.schema, self.columns)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.schema, self.columns))
+
+    def __hash__(self) -> int:
+        # WorkingSupport caches cells per workload; hash the schema and columns once
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields: a cached string hash is only valid in the process that made it
+        return type(self), (self.schema, self.columns)
+
     @property
     def arity(self) -> int:
         return len(self.columns)
@@ -105,10 +117,23 @@ class Workload:
         return self.point_cells(dataset.points)
 
     def point_cells(self, points: np.ndarray) -> np.ndarray:
-        """Lexicographic cell index of every row of an in-range ``(n, p)`` point array."""
-        if len(points) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.ravel_multi_index(tuple(points[:, c] for c in self.columns), self.cell_shape)
+        """Lexicographic cell index of every row of an in-range int64 ``(n, p)`` point array.
+
+        The index is the mixed-radix value of the workload's columns, first
+        column slowest: ``np.ravel_multi_index`` in C order, without its range
+        checks. On column-major points each column read is a contiguous scan.
+        """
+        if self.size >= KEY_LIMIT:
+            raise ValueError(f"workload {self.columns} has {self.size} cells, too many for int64 indices")
+        columns, shape = self.columns, self.cell_shape
+        if len(columns) == 1:
+            return points[:, columns[0]].astype(np.int64)
+        cells = points[:, columns[0]] * shape[1]  # a new array, so points are never written
+        cells += points[:, columns[1]]
+        for c, card in zip(columns[2:], shape[2:]):
+            cells *= card
+            cells += points[:, c]
+        return cells
 
 
 def cell_values(cells: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:

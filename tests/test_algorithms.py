@@ -434,6 +434,18 @@ class TestWeightVectorState:
     def test_each_counter_kind_matches_dataset_reference(self, kind, algorithm):
         self._assert_matches_reference(algorithm, counter_kind=kind, block_size=4)
 
+    @pytest.mark.parametrize("algorithm", ["baseline", "main"])
+    def test_release_and_support_points_are_column_major(self, algorithm):
+        Q = enumerate_workloads(self.SCHEMA, 2)
+        synth = make_synthesizer(algorithm, zero_config(Q, k=2, seed_support_size=40))
+        for delta in random_deltas(self.SCHEMA, 4, seed=3, max_rows=25):
+            g = synth.step(delta)
+            points = synth.support.points
+            assert points.flags.f_contiguous and not points.flags.writeable
+            assert g.points.flags.f_contiguous and not g.points.flags.writeable
+            if len(g) == len(synth.support):  # no zero weight: the release shares the support's points
+                assert g.points is points
+
     def test_underflowed_point_leaves_release_and_reenters_at_unit_weight(self):
         Q = enumerate_workloads(SCHEMA_234, 2)
         synth = CounterSynthesizer(zero_config(Q, k=2))

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from dpstream import (
     DatasetStream,
     DomainSchema,
     WeightedDataset,
+    Workload,
     accumulate,
     stream_difference_norm,
     stream_norm,
@@ -72,6 +75,28 @@ class TestSchema:
         assert a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1
         assert a != DomainSchema((("a", 2), ("b", 3), ("c", 5)))
+        # the hash is the one the dataclass would generate, computed once
+        assert hash(a) == hash((a.attributes,)) == hash(a)
+
+        wa, wb = Workload(a, (0, 2)), Workload(b, (0, 2))
+        wa.cell_shape, wa.size
+        assert wa == wb and hash(wa) == hash(wb) == hash((a, (0, 2)))
+        assert {wa: 1}[wb] == 1
+        assert wa != Workload(a, (0, 1))
+        assert wa != Workload(DomainSchema((("a", 2), ("b", 3), ("c", 5))), (0, 2))
+
+    def test_pickled_schema_and_workload_drop_cached_values(self):
+        # a str hash is salted per process, so a cached one must not travel to workers
+        schema = DomainSchema((("a", 2), ("b", 3)))
+        workload = Workload(schema, (0, 1))
+        hash(workload), workload.size, schema.key_strides
+        for value in (schema, workload, (schema, workload)):
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value
+        copy = pickle.loads(pickle.dumps(workload))
+        assert vars(copy) == {"schema": schema, "columns": (0, 1)}
+        assert vars(copy.schema) == {"attributes": schema.attributes}
+        assert hash(copy) == hash(workload)
 
     def test_validate_point(self):
         schema = DomainSchema((("a", 2), ("b", 3)))
@@ -180,6 +205,76 @@ class TestCanonicalOrder:
             points[:] = 0
             weights[:] = 9.0
             assert np.array_equal(d.points, before[0]) and np.array_equal(d.weights, before[1])
+
+
+@pytest.mark.parametrize("schema", [SCHEMA_234, SCHEMA_HUGE], ids=["keys", "rows"])
+class TestFromSorted:
+    """The constructor for points already in canonical form, against ``__init__``."""
+
+    def check(self, schema, points, weights):
+        got = WeightedDataset.from_sorted(schema, points, weights)
+        want = WeightedDataset(schema, points, weights)
+        assert got.schema == want.schema
+        assert got.points.shape == want.points.shape
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        for a in (got.points, got.weights, want.points, want.weights):
+            assert not a.flags.writeable
+        assert got.points.flags.f_contiguous and want.points.flags.f_contiguous
+        assert not np.shares_memory(got.weights, weights)
+        return got
+
+    def sorted_points(self, schema, n, seed):
+        rng = np.random.default_rng(seed)
+        return WeightedDataset(schema, random_rows(schema, n, rng), np.ones(n)).points
+
+    def test_positive_weights_share_the_points(self, schema):
+        points = self.sorted_points(schema, 60, 21)
+        weights = np.random.default_rng(22).random(len(points)) + 0.1
+        got = self.check(schema, points, weights)
+        assert got.points is points
+        assert weights.flags.writeable
+
+    def test_zero_weights_dropped(self, schema):
+        points = self.sorted_points(schema, 60, 23)
+        rng = np.random.default_rng(24)
+        weights = rng.random(len(points)) * rng.integers(0, 2, size=len(points))
+        assert (weights == 0).any() and (weights > 0).any()
+        got = self.check(schema, points, weights)
+        assert not np.shares_memory(got.points, points)
+        assert len(self.check(schema, points, np.zeros(len(points)))) == 0
+
+    def test_negative_weight_rejected(self, schema):
+        points = self.sorted_points(schema, 5, 25)
+        weights = np.ones(len(points))
+        weights[2] = -1.0
+        with pytest.raises(ValueError, match="negative"):
+            WeightedDataset.from_sorted(schema, points, weights)
+        with pytest.raises(ValueError, match="length"):
+            WeightedDataset.from_sorted(schema, points, np.ones(len(points) + 1))
+
+
+def test_points_are_column_major_on_every_constructor_path():
+    rng = np.random.default_rng(31)
+    rows = random_rows(SCHEMA_234, 40, rng)
+    a = WeightedDataset(SCHEMA_234, rows, np.ones(len(rows)))
+    b = WeightedDataset(SCHEMA_234, rows[::-1][:5], np.arange(5.0))
+    stream = DatasetStream(SCHEMA_234, (a, b, WeightedDataset.empty(SCHEMA_234)))
+    built = {
+        "__init__": a,
+        "__init__ presorted": WeightedDataset(SCHEMA_234, a.points.copy(order="C"), a.weights),
+        "__init__ generic": WeightedDataset(SCHEMA_HUGE, random_rows(SCHEMA_HUGE, 9, rng), np.ones(9)),
+        "from_rows": WeightedDataset.from_rows(SCHEMA_234, rows.tolist()),
+        "from_mapping": WeightedDataset.from_mapping(SCHEMA_234, {(1, 2, 3): 1.0, (0, 0, 1): 2.0}),
+        "empty": WeightedDataset.empty(SCHEMA_234),
+        "accumulate": accumulate(a, b),
+        "prefix": stream.prefix(2),
+        "scale": a.scale(0.5),
+        "from_sorted": WeightedDataset.from_sorted(SCHEMA_234, a.points, np.arange(len(a), dtype=float)),
+    }
+    for name, dataset in built.items():
+        assert dataset.points.flags.f_contiguous, name
+        assert dataset.points.dtype == np.int64 and not dataset.points.flags.writeable, name
 
 
 class TestAccumulate:

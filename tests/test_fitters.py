@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpstream import (
     DomainSchema,
@@ -17,6 +19,7 @@ from dpstream import (
     mw_fit,
     mw_update,
 )
+from dpstream.domain import unique_rows
 from dpstream.fitters import mw_weights
 
 SCHEMA = DomainSchema((("a", 2), ("b", 2)))
@@ -24,6 +27,23 @@ SCHEMA_1D = DomainSchema((("x", 2),))
 SCHEMA_WIDE = DomainSchema(tuple((f"x{i}", 4) for i in range(10)))
 # 8**22 = 2**66 points: too many for int64 point keys, so rows take the generic path
 SCHEMA_HUGE = DomainSchema(tuple((f"x{i}", 8) for i in range(22)))
+SCHEMA_UNIT = DomainSchema((("a", 3), ("b", 1), ("c", 5), ("d", 4)))
+
+
+def random_rows(schema, n, rng):
+    return np.column_stack([rng.integers(0, c, size=n) for c in schema.cardinalities]).astype(np.int64)
+
+
+def reference_observe(schema, points, delta_points):
+    """The support merge before the sorted keys were cached: sort the concatenated rows.
+
+    Returns the merged points, the new positions of ``points`` (None when
+    nothing was added) and the positions of ``delta_points``.
+    """
+    n = len(points)
+    merged, inverse = unique_rows(schema, np.concatenate([points, delta_points]))
+    positions = np.arange(len(merged)) if inverse is None else inverse
+    return merged, (None if len(merged) == n else positions[:n]), positions[n:]
 
 
 def relative_entropy(true_data, h):
@@ -296,6 +316,43 @@ class TestWorkingSupport:
                 assert not cells.flags.writeable
                 assert np.array_equal(cells, w.cell_indices(on_support))
         assert inserted_inside
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([SCHEMA_WIDE, SCHEMA_HUGE, SCHEMA_UNIT, SCHEMA]),
+        st.integers(1, 80),
+        st.lists(st.sampled_from(["empty", "known", "grow"]), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_observe_matches_concatenate_and_sort(self, schema, seed_size, kinds, seed):
+        support = WorkingSupport(schema, seed_size=seed_size, seed=seed % 7)
+        workloads = list(enumerate_workloads(schema, min(2, schema.num_attributes)))[:5]
+        rng = np.random.default_rng(seed)
+        for step, kind in enumerate(kinds):
+            for w in workloads[: step + 1]:  # cells cached before the growth
+                support.cells(w)
+            before = support.points
+            if kind == "empty":
+                delta = WeightedDataset.empty(schema)
+            else:
+                rows = before[rng.integers(0, len(before), size=int(rng.integers(1, 6)))]
+                if kind == "grow":
+                    rows = np.concatenate([rows, random_rows(schema, int(rng.integers(1, 12)), rng)])
+                delta = WeightedDataset(schema, rows, np.ones(len(rows)))
+            want_points, want_moved, want_at = reference_observe(schema, before, delta.points)
+            moved, at = support.observe(delta)
+            assert np.array_equal(support.points, want_points)
+            assert support.points.flags.f_contiguous and not support.points.flags.writeable
+            assert at.dtype == np.intp and np.array_equal(at, want_at)
+            if want_moved is None:
+                assert moved is None and support.points is before
+            else:
+                assert moved.dtype == np.intp and np.array_equal(moved, want_moved)
+            for w in workloads:
+                want = np.ravel_multi_index(
+                    tuple(want_points[:, c] for c in w.columns), w.cell_shape
+                ).astype(np.min_scalar_type(w.size))
+                assert support.cells(w).tobytes() == want.tobytes()
 
     def test_unit_and_uniform_datasets(self):
         support = WorkingSupport(SCHEMA, seed_size=100, seed=0)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dpstream import ExperimentConfig, StreamSpec, build_stream, ingest_csv, load_schema
+from dpstream import ExperimentConfig, StreamSpec, WeightedDataset, build_stream, ingest_csv, load_schema
 from dpstream.cli import main as cli_main
 from dpstream import harness
 from dpstream.harness import IngestError, run_experiment, run_triple, validate_config
@@ -183,6 +183,37 @@ class TestBuildStream:
         rows = ingest_csv(data_file, schema, value_lists)
         spec = StreamSpec(variant="ordered_batch", batch_size=2, max_steps=3)
         assert build_stream(rows, spec, schema).num_steps == 3
+
+    @pytest.mark.parametrize("variant", ["randomized_batch", "ordered_batch", "timestamp_bucketed"])
+    def test_max_steps_builds_only_the_kept_steps(self, tmp_path, schema_file, monkeypatch, variant):
+        schema, value_lists = load_schema(schema_file)
+        colors, sizes = ("red", "green", "blue"), ("small", "large")
+        path = write_csv(
+            tmp_path / "d.csv",
+            [[colors[i % 3], sizes[i % 2], f"2020-01-{1 + i % 28:02d}"] for i in range(60)],
+            header=("color", "size", "when"),
+        )
+        rows = ingest_csv(path, schema, value_lists, timestamp_column="when")
+        fields = dict(variant=variant, seed=3)
+        if variant == "timestamp_bucketed":
+            fields.update(timestamp_column="when", bucket_days=2)
+        else:
+            fields.update(batch_size=4)
+        full = build_stream(rows, StreamSpec(**fields), schema)
+        calls = []
+
+        def counted(cls, *args):
+            calls.append(args)
+            return from_rows(*args)
+
+        from_rows = WeightedDataset.from_rows
+        monkeypatch.setattr(WeightedDataset, "from_rows", classmethod(counted))
+        capped = build_stream(rows, StreamSpec(max_steps=5, **fields), schema)
+        assert full.num_steps > 5 and len(calls) == 5
+        assert capped.num_steps == 5
+        for got, want in zip(capped.differentials, full.differentials[:5]):
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -366,6 +397,28 @@ class TestConfigFile:
         assert [p.split(";")[0] for p in validate_config(config)] == ["unknown counter 'simpel'"]
         for name in ("simple", "bounded_block", "block", "binary_tree", "unbounded_block"):
             config = experiment_config(tmp_path, data_file, schema_file, counter=name)
+            assert validate_config(config) == []
+
+
+    @pytest.mark.parametrize(
+        "fitter, problem",
+        [
+            ({"name": "nn"}, "fitter: unknown fitter 'nn'"),
+            ({"name": "mw", "pases": 2}, "fitter: unknown fitter parameters: ['pases']"),
+            ({"passes": 0}, "fitter: fitter passes must be an integer >= 1, got 0"),
+            ({"seed_support_size": 0}, "fitter: fitter seed_support_size must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_validate_reports_bad_fitter(self, tmp_path, data_file, schema_file, fitter, problem):
+        config = experiment_config(tmp_path, data_file, schema_file, fitter=fitter)
+        assert validate_config(config) == [problem]
+        error = problem.removeprefix("fitter: ")
+        assert [r["error"] for r in run_experiment(config)] == [f"ValueError: {error}"] * 2
+        assert not list(Path(config.output_dir).rglob("metrics.csv"))
+
+    def test_validate_accepts_mw_fitter(self, tmp_path, data_file, schema_file):
+        for fitter in ({"name": "mw"}, {"name": "mw", "seed_support_size": 4, "passes": 2}, {}):
+            config = experiment_config(tmp_path, data_file, schema_file, fitter=fitter)
             assert validate_config(config) == []
 
 

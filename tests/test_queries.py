@@ -138,6 +138,43 @@ class TestWorkload:
             assert eval_query(w.query_at(cell), d) == 1.0
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 9), min_size=1, max_size=6),
+        st.data(),
+        st.sampled_from(["C", "F"]),
+    )
+    def test_point_cells_equal_ravel_multi_index(self, cards, data, order):
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        arity = data.draw(st.integers(1, min(3, len(cards))))
+        columns = tuple(sorted(data.draw(st.permutations(range(len(cards))))[:arity]))
+        workload = Workload(schema, columns)
+        n = data.draw(st.integers(0, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        points = np.column_stack([rng.integers(0, c, size=n) for c in cards]).astype(np.int64)
+        points = np.asarray(points, order=order)
+        before = points.copy()
+        got = workload.point_cells(points)
+        # reference: the row-major ravel this replaced
+        want = np.ravel_multi_index(tuple(points[:, c] for c in columns), workload.cell_shape)
+        assert got.dtype == np.int64 and got.shape == (n,)
+        assert np.array_equal(got, want)
+        assert np.array_equal(points, before)
+        assert not np.shares_memory(got, points)
+
+    def test_point_cells_reject_workloads_past_int64(self):
+        # 2**21 * 2**21 * 2**21 = 2**63 cells: one more than the largest int64
+        schema = DomainSchema(tuple((f"x{i}", 2**21) for i in range(3)))
+        workload = Workload(schema, (0, 1, 2))
+        assert workload.size == 2**63
+        points = np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match="too many for int64"):
+            workload.point_cells(points)
+        just_fits = Workload(DomainSchema((("a", 2**31), ("b", 2**31 - 1))), (0, 1))
+        top = np.array([[2**31 - 1, 2**31 - 2]], dtype=np.int64)
+        assert just_fits.point_cells(top).tolist() == [just_fits.size - 1]
+
+
 class TestEnumerateWorkloads:
     def test_three_choose_two(self):
         schema = DomainSchema((("a", 2), ("b", 2), ("c", 2)))

@@ -5,6 +5,11 @@ parent checkout and the changed one and compare the output:
 
     python3 tools/identity.py            # this checkout's src/
     python3 tools/identity.py OTHER_DIR  # the checkout at OTHER_DIR
+    python3 tools/identity.py A B        # both, compared
+
+With two checkouts, each runs in its own process. The script then prints
+both digest lines of every file whose digests differ, marked A or B for the
+checkout they came from, and exits 1 if any differ or a run fails.
 
 Each grid runs through `run_experiment(jobs=1)` in a temporary directory.
 `runtime_sec` is dropped from every `meta.json` before hashing, because it is
@@ -23,6 +28,7 @@ import argparse
 import csv
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -59,14 +65,49 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def compare(a: Path, b: Path) -> int:
+    """Run the grids on two checkouts in separate processes and print the lines that differ."""
+    outputs = []
+    for checkout in (a, b):
+        done = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), str(checkout)],
+            capture_output=True, text=True,
+        )
+        sys.stderr.write(done.stderr)
+        if done.returncode != 0:
+            print(f"FAIL {checkout}: exit code {done.returncode}", file=sys.stderr)
+            return 1
+        outputs.append(done.stdout.splitlines())
+    # each line is "<digest>  <file>"; pair the two checkouts' lines by file
+    by_file = [{line.split("  ", 1)[1]: line for line in lines} for lines in outputs]
+    files = list(dict.fromkeys([*by_file[0], *by_file[1]]))
+    differing = 0
+    for name in files:
+        pair = [lines.get(name) for lines in by_file]
+        if pair[0] != pair[1]:
+            differing += 1
+            for mark, line in zip("AB", pair):
+                print(f"{mark} {line if line is not None else '(missing)  ' + name}")
+    print(
+        f"{len(files) - differing} of {len(files)} digests identical (A = {a}, B = {b})",
+        file=sys.stderr,
+    )
+    return 1 if differing else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "checkout", nargs="?", type=Path, default=Path(__file__).resolve().parent.parent,
-        help="repository whose src/ is run (default: this one)",
+        "checkout", nargs="*", type=Path,
+        help="repository whose src/ is run (default: this one); give two to compare them",
     )
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.checkout.resolve() / "src"))
+    if len(args.checkout) > 2:
+        parser.error("give at most two checkouts")
+    if len(args.checkout) == 2:
+        return compare(*args.checkout)
+    checkout = args.checkout[0] if args.checkout else Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(checkout.resolve() / "src"))
     from dpstream import harness, surrogate
 
     failed = 0
