@@ -23,7 +23,6 @@ from .evaluation import (
     MetricRow,
     aggregate,
     evaluate_step,
-    relative_workload_error,
     summarize_tail,
     workload_error,
 )

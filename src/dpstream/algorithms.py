@@ -24,7 +24,7 @@ from .fitters import (
     MultiplicativeWeightsFitter,
     WorkingSupport,
 )
-from .mechanisms import BudgetLedger, NoiseSource, exponential_mechanism
+from .mechanisms import NOISE_MODES, BudgetLedger, NoiseSource, exponential_mechanism
 from .queries import WorkloadSet, cell_values, eval_workload
 
 # child-source roles under the run seed
@@ -61,12 +61,15 @@ class RunConfig:
                 f"cannot select k={self.k} distinct workloads out of {len(self.workloads)}"
             )
         check_kind(self.counter_kind, self.block_size)
-        floor = self._sensitivity_floor()
-        if self.selection_sensitivity is not None and self.selection_sensitivity < floor:
-            raise ValueError(
-                f"selection_sensitivity {self.selection_sensitivity} is below {floor}, "
-                "the sensitivity of the smallest workload's utility"
-            )
+        if self.noise_mode not in NOISE_MODES:
+            raise ValueError(f"unknown noise mode {self.noise_mode!r}; expected one of {NOISE_MODES}")
+        if self.selection_sensitivity is not None:
+            floor = self._sensitivity_floor()
+            if self.selection_sensitivity < floor:
+                raise ValueError(
+                    f"selection_sensitivity {self.selection_sensitivity} is below {floor}, "
+                    "the sensitivity of the smallest workload's utility"
+                )
 
     def _sensitivity_floor(self) -> float:
         """Largest sensitivity of a selection utility ``|s - h|_1 / |W|``: 1 / min |W|."""

@@ -3,23 +3,33 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .harness import ExperimentConfig, load_schema, run_experiment, validate_config
+from .mechanisms import NOISE_MODES
 from .queries import enumerate_workloads
 from .surrogate import write_surrogate
 
 
+def _checked_config(path: Path, noise: str | None = None) -> ExperimentConfig | None:
+    """The config file at ``path`` (with ``noise`` overriding its noise mode) if
+    it loads and passes ``validate_config``, else None after printing why not."""
+    try:
+        config = ExperimentConfig.from_json(path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        problems = [str(exc)]
+    else:
+        config.noise = noise or config.noise
+        problems = validate_config(config)
+    for p in problems:
+        print(f"config error: {p}", file=sys.stderr)
+    return None if problems else config
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = ExperimentConfig.from_json(args.config)
-    if args.noise:
-        config.noise = args.noise
-    problems = validate_config(config)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+    config = _checked_config(args.config, args.noise)
+    if config is None:
         return 1
     results = run_experiment(config, jobs=args.jobs)
     failed = 0
@@ -37,15 +47,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        config = ExperimentConfig.from_json(args.config)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    problems = validate_config(config)
-    if problems:
-        for p in problems:
-            print(f"problem: {p}", file=sys.stderr)
+    config = _checked_config(args.config)
+    if config is None:
         return 1
     print(f"config ok: {len(config.triples())} runs over {len(config.algorithms)} algorithms")
     return 0
@@ -79,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment grid from a JSON config")
     run.add_argument("--config", required=True, type=Path)
     run.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
-    run.add_argument("--noise", choices=["zero", "laplace"], help="override config noise mode")
+    run.add_argument("--noise", choices=NOISE_MODES, help="override config noise mode")
     run.set_defaults(func=_cmd_run)
 
     validate = sub.add_parser("validate", help="check a config and its files without running")

@@ -82,9 +82,6 @@ class DomainSchema:
         # rebuilt from its fields: a cached string hash is only valid in the process that made it
         return type(self), (self.attributes,)
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
     def validate_point(self, point: Iterable[int]) -> DataPoint:
         pt = tuple(int(v) for v in point)
         if len(pt) != self.num_attributes:

@@ -72,15 +72,6 @@ def _relative_error_cells(
     return float(rel.mean()), excluded
 
 
-def relative_workload_error(
-    workload: Workload, true_data: WeightedDataset, synthetic: WeightedDataset
-) -> float:
-    """Average relative cell error; cells with a zero true value are excluded
-    from both the numerator and the divisor count."""
-    value, _ = _relative_error_cells(workload, true_data, synthetic)
-    return value
-
-
 def aggregate(we_values: Sequence[float], relwe_values: Sequence[float]) -> MetricAggregate:
     """Mean and max over per-workload errors."""
     if len(we_values) == 0 or len(relwe_values) == 0:

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 from fractions import Fraction
 from pathlib import Path
@@ -22,11 +22,11 @@ from typing import Any, Iterable
 import numpy as np
 
 from .algorithms import ALGORITHMS, RunConfig, make_synthesizer
-from .counters import BLOCK_KINDS, KINDS
+from .counters import BLOCK_KINDS
 from .domain import DatasetStream, DomainSchema, WeightedDataset, accumulate
 from .evaluation import MetricRow, evaluate_step, summarize_tail
 from .fitters import DEFAULT_SEED_SUPPORT
-from .queries import enumerate_workloads
+from .queries import WorkloadSet, enumerate_workloads
 
 METRIC_COLUMNS = ("t", "AvgWE", "MaxWE", "AvgRelWE", "MaxRelWE")
 
@@ -88,8 +88,7 @@ class StreamSpec:
 
     @classmethod
     def from_dict(cls, spec: dict[str, Any]) -> "StreamSpec":
-        known = {"variant", "timestamp_column", "bucket_days", "batch_size", "seed", "max_steps"}
-        unknown = set(spec) - known
+        unknown = set(spec) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown stream spec fields: {sorted(unknown)}")
         return cls(**spec)
@@ -109,17 +108,22 @@ def ingest_csv(
     indexes = [{v: i for i, v in enumerate(values)} for values in value_lists]
     rows: list[tuple[tuple[int, ...], date | None]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [n for n in schema.names if n not in header]
+        reader = csv.reader(fh)
+        position = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name reads its last
+        missing = [n for n in schema.names if n not in position]
         if missing:
             raise IngestError(f"{path}: columns missing from CSV header: {missing}")
-        if timestamp_column and timestamp_column not in header:
+        if timestamp_column and timestamp_column not in position:
             raise IngestError(f"{path}: timestamp column {timestamp_column!r} not in header")
-        for line_no, row in enumerate(reader, start=2):
+        columns = [(name, position[name], index) for name, index in zip(schema.names, indexes)]
+        stamp_at = position[timestamp_column] if timestamp_column else -1
+        width = 1 + max(stamp_at, *(i for _, i, _ in columns))  # fields a row must have
+        for line_no, record in enumerate(filter(None, reader), start=2):  # blank lines skipped
+            if len(record) < width:
+                raise IngestError(f"{path} row {line_no}: only {len(record)} of {width} fields")
             point = []
-            for name, index in zip(schema.names, indexes):
-                raw = row[name]
+            for name, i, index in columns:
+                raw = record[i]
                 if raw not in index:
                     raise IngestError(
                         f"{path} row {line_no}: value {raw!r} in column {name!r} "
@@ -128,7 +132,7 @@ def ingest_csv(
                 point.append(index[raw])
             stamp: date | None = None
             if timestamp_column:
-                raw = row[timestamp_column]
+                raw = record[stamp_at]
                 try:
                     stamp = date.fromisoformat(raw)
                 except ValueError as exc:
@@ -206,26 +210,17 @@ class ExperimentConfig:
         for e in self.epsilons:
             if e <= 0:
                 raise ValueError("epsilon values must be positive")
+        if self.summary_window < 1:
+            raise ValueError(f"summary_window must be >= 1, got {self.summary_window}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        known = {
-            "dataset", "schema", "stream", "output_dir", "k_way", "algorithms",
-            "epsilons", "k", "counter", "block_size", "selection_sensitivity",
-            "fitter", "seeds", "noise", "normalize", "summary_window",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         raw["stream"] = StreamSpec.from_dict(raw["stream"])
-        if "epsilons" in raw:
-            raw["epsilons"] = tuple(Fraction(str(e)) for e in raw["epsilons"])
-        if "algorithms" in raw:
-            raw["algorithms"] = tuple(raw["algorithms"])
-        if "seeds" in raw:
-            raw["seeds"] = tuple(raw["seeds"])
         return cls(**raw)
 
     def triples(self) -> list[tuple[str, Fraction, int]]:
@@ -258,24 +253,34 @@ def load_stream(config: ExperimentConfig) -> DatasetStream:
     return build_stream(rows, spec, schema)
 
 
-def parse_fitter(fitter: dict[str, Any]) -> tuple[int, int]:
-    """``(seed_support_size, passes)`` of a config's ``fitter`` object.
+def run_config(
+    config: ExperimentConfig, workloads: WorkloadSet, epsilon: Fraction, seed: int, steps: int
+) -> RunConfig:
+    """The ``RunConfig`` of one triple over a ``steps``-step stream.
 
-    Raises ValueError for a fitter other than ``mw``, an unknown key, or a
-    value below 1.
+    A block counter without a ``block_size`` gets ceil(sqrt(steps)). The
+    ``fitter`` object names ``mw`` and may set ``seed_support_size`` and
+    ``passes``, integers >= 1. Raises ValueError for any setting the run rejects.
     """
-    params = dict(fitter)
-    name = params.pop("name", "mw")
+    block_size = config.block_size
+    if config.counter in BLOCK_KINDS and block_size is None:
+        block_size = max(1, math.isqrt(max(steps - 1, 0)) + 1)  # ceil sqrt(T)
+    fitter = dict(config.fitter)
+    name = fitter.pop("name", "mw")
     if name != "mw":
         raise ValueError(f"unknown fitter {name!r}")
-    seed_support_size = params.pop("seed_support_size", DEFAULT_SEED_SUPPORT)
-    passes = params.pop("passes", 1)
-    if params:
-        raise ValueError(f"unknown fitter parameters: {sorted(params)}")
+    seed_support_size = fitter.pop("seed_support_size", DEFAULT_SEED_SUPPORT)
+    passes = fitter.pop("passes", 1)
+    if fitter:
+        raise ValueError(f"unknown fitter parameters: {sorted(fitter)}")
     for key, value in (("seed_support_size", seed_support_size), ("passes", passes)):
         if not isinstance(value, int) or value < 1:
             raise ValueError(f"fitter {key} must be an integer >= 1, got {value!r}")
-    return seed_support_size, passes
+    return RunConfig(
+        epsilon=epsilon, k=config.k, workloads=workloads, counter_kind=config.counter,
+        block_size=block_size, selection_sensitivity=config.selection_sensitivity,
+        seed_support_size=seed_support_size, passes=passes, seed=seed, noise_mode=config.noise,
+    )
 
 
 def run_triple(
@@ -294,23 +299,8 @@ def run_triple(
         stream = load_stream(config)
     schema = stream.schema
     workloads = enumerate_workloads(schema, config.k_way)
-    block_size = config.block_size
-    if config.counter in BLOCK_KINDS and block_size is None:
-        block_size = max(1, math.isqrt(max(stream.num_steps - 1, 0)) + 1)  # ceil sqrt(T)
-    seed_support_size, passes = parse_fitter(config.fitter)
-    run_config = RunConfig(
-        epsilon=epsilon,
-        k=config.k,
-        workloads=workloads,
-        counter_kind=config.counter,
-        block_size=block_size,
-        selection_sensitivity=config.selection_sensitivity,
-        seed_support_size=seed_support_size,
-        passes=passes,
-        seed=seed,
-        noise_mode=config.noise,
-    )
-    synthesizer = make_synthesizer(algorithm, run_config)
+    settings = run_config(config, workloads, epsilon, seed, stream.num_steps)
+    synthesizer = make_synthesizer(algorithm, settings)
 
     run_dir = config.run_dir(Path(config.output_dir), algorithm, epsilon, seed)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -371,11 +361,11 @@ def run_triple(
         "seed": seed,
         "noise": config.noise,
         "counter": config.counter,
-        "block_size": block_size,
+        "block_size": settings.block_size,
         "k": config.k,
         "k_way": config.k_way,
         "workloads": len(workloads),
-        "selection_sensitivity": run_config.resolved_sensitivity(),
+        "selection_sensitivity": settings.resolved_sensitivity(),
         "steps": stream.num_steps,
         "normalize": config.normalize,
         "ledger": {
@@ -438,37 +428,31 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict[str, An
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
-    """Dry-run checks; returns a list of problems (empty means good to go)."""
-    problems: list[str] = []
+    """Dry-run checks; returns a list of problems (empty means good to go).
+
+    Reports file problems, then at most one setting problem: the error every
+    triple would fail with, from the same ``run_config`` that ``run_triple`` calls.
+    """
     try:
-        schema, value_lists = load_schema(config.schema)
+        schema, _ = load_schema(config.schema)
     except (OSError, ValueError) as exc:
         return [f"schema: {exc}"]
     if not Path(config.dataset).exists():
-        problems.append(f"dataset file not found: {config.dataset}")
-        return problems
+        return [f"dataset file not found: {config.dataset}"]
     try:
         with open(config.dataset, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), [])
     except OSError as exc:
         return [f"dataset: {exc}"]
-    for name in schema.names:
-        if name not in header:
-            problems.append(f"dataset is missing schema column {name!r}")
+    problems = [f"dataset is missing schema column {n!r}" for n in schema.names if n not in header]
     spec = config.stream
     if spec.variant == "timestamp_bucketed" and spec.timestamp_column not in header:
         problems.append(f"dataset is missing timestamp column {spec.timestamp_column!r}")
-    if config.counter not in KINDS and config.counter not in BLOCK_KINDS:
-        problems.append(f"unknown counter {config.counter!r}; expected one of {KINDS}")
-    try:
-        parse_fitter(config.fitter)
-    except ValueError as exc:
-        problems.append(f"fitter: {exc}")
-    max_k = schema.num_attributes
-    if not 1 <= config.k_way <= max_k:
-        problems.append(f"k_way {config.k_way} out of range [1, {max_k}]")
-    else:
-        n_workloads = len(enumerate_workloads(schema, config.k_way))
-        if config.k > n_workloads:
-            problems.append(f"k={config.k} exceeds the {n_workloads} available workloads")
+    # triples differ only in epsilon and seed, which the config already checked;
+    # the ceil-sqrt block size is >= 1 for any stream length, so one step stands for all
+    for _, epsilon, seed in config.triples()[:1]:
+        try:
+            run_config(config, enumerate_workloads(schema, config.k_way), epsilon, seed, steps=1)
+        except (TypeError, ValueError) as exc:
+            problems.append(str(exc))
     return problems

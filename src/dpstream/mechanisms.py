@@ -15,6 +15,8 @@ import numpy as np
 _BUFFER = 256
 _ZERO = Fraction(0)
 
+NOISE_MODES = ("laplace", "zero")
+
 
 class NoiseSource:
     """Seeded stream of noise draws with a zero mode for deterministic oracle runs.
@@ -28,8 +30,8 @@ class NoiseSource:
     __slots__ = ("mode", "seed_key", "_rng", "_buf", "_pos", "laplace_draws", "uniform_draws")
 
     def __init__(self, seed: int | Sequence[int], mode: str = "laplace"):
-        if mode not in ("laplace", "zero"):
-            raise ValueError(f"unknown noise mode {mode!r}")
+        if mode not in NOISE_MODES:
+            raise ValueError(f"unknown noise mode {mode!r}; expected one of {NOISE_MODES}")
         self.mode = mode
         key = (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
         self.seed_key = key

@@ -6,10 +6,10 @@ from dpstream import (
     MetricRow,
     WeightedDataset,
     Workload,
+    WorkloadSet,
     aggregate,
     enumerate_workloads,
     evaluate_step,
-    relative_workload_error,
     summarize_tail,
     workload_error,
 )
@@ -56,17 +56,23 @@ class TestWorkloadError:
             workload_error(W_BOTH, WeightedDataset.empty(SCHEMA), g)
 
 
+def avg_relwe(workload, true_data, synthetic):
+    """AvgRelWE of ``evaluate_step`` over the one workload: its relative error."""
+    agg, _ = evaluate_step(WorkloadSet((workload,)), true_data, synthetic, normalize=False)
+    return agg.avg_relwe
+
+
 class TestRelativeWorkloadError:
     def test_zero_when_equal(self):
         d = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 4.0, (1, 1): 1.0})
-        assert relative_workload_error(W_BOTH, d, d) == 0.0
+        assert avg_relwe(W_BOTH, d, d) == 0.0
 
     def test_single_cell_ratio(self):
         schema = DomainSchema((("x", 1),))
         w = Workload(schema, (0,))
         f = WeightedDataset.from_mapping(schema, {(0,): 4.0})
         g = WeightedDataset.from_mapping(schema, {(0,): 3.0})
-        assert relative_workload_error(w, f, g) == pytest.approx(0.25)
+        assert avg_relwe(w, f, g) == pytest.approx(0.25)
 
     def test_zero_denominator_cells_excluded(self):
         # cells with true value 0 drop out of both numerator and divisor:
@@ -75,12 +81,12 @@ class TestRelativeWorkloadError:
         w = Workload(schema, (0,))
         f = WeightedDataset.from_mapping(schema, {(0,): 4.0, (2,): 2.0})
         g = WeightedDataset.from_mapping(schema, {(0,): 2.0, (1,): 5.0, (2,): 2.0})
-        assert relative_workload_error(w, f, g) == pytest.approx(0.25)
+        assert avg_relwe(w, f, g) == pytest.approx(0.25)
 
     def test_all_zero_true_cells_rejected(self):
         g = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 1.0})
         with pytest.raises(ValueError, match="all true cells"):
-            relative_workload_error(W_BOTH, WeightedDataset.empty(SCHEMA), g)
+            avg_relwe(W_BOTH, WeightedDataset.empty(SCHEMA), g)
 
 
 class TestAggregate:

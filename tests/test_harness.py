@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -79,6 +80,12 @@ class TestIngest:
         schema, value_lists = load_schema(schema_file)
         path = write_csv(tmp_path / "d.csv", [["red", "small"], ["purple", "small"]])
         with pytest.raises(IngestError, match=r"row 3.*'purple'.*'color'"):
+            ingest_csv(path, schema, value_lists)
+
+    def test_short_row_names_its_line(self, tmp_path, schema_file):
+        schema, value_lists = load_schema(schema_file)
+        path = write_csv(tmp_path / "d.csv", [["red", "small"], ["red"]])
+        with pytest.raises(IngestError, match=r"row 3: only 1 of 2 fields"):
             ingest_csv(path, schema, value_lists)
 
     def test_missing_schema_column_rejected(self, tmp_path, schema_file):
@@ -394,7 +401,7 @@ class TestConfigFile:
 
     def test_validate_reports_unknown_counter(self, tmp_path, data_file, schema_file):
         config = experiment_config(tmp_path, data_file, schema_file, counter="simpel")
-        assert [p.split(";")[0] for p in validate_config(config)] == ["unknown counter 'simpel'"]
+        assert [p.split(";")[0] for p in validate_config(config)] == ["unknown counter kind 'simpel'"]
         for name in ("simple", "bounded_block", "block", "binary_tree", "unbounded_block"):
             config = experiment_config(tmp_path, data_file, schema_file, counter=name)
             assert validate_config(config) == []
@@ -403,10 +410,10 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "fitter, problem",
         [
-            ({"name": "nn"}, "fitter: unknown fitter 'nn'"),
-            ({"name": "mw", "pases": 2}, "fitter: unknown fitter parameters: ['pases']"),
-            ({"passes": 0}, "fitter: fitter passes must be an integer >= 1, got 0"),
-            ({"seed_support_size": 0}, "fitter: fitter seed_support_size must be an integer >= 1, got 0"),
+            ({"name": "nn"}, "unknown fitter 'nn'"),
+            ({"name": "mw", "pases": 2}, "unknown fitter parameters: ['pases']"),
+            ({"passes": 0}, "fitter passes must be an integer >= 1, got 0"),
+            ({"seed_support_size": 0}, "fitter seed_support_size must be an integer >= 1, got 0"),
         ],
     )
     def test_validate_reports_bad_fitter(self, tmp_path, data_file, schema_file, fitter, problem):
@@ -420,6 +427,87 @@ class TestConfigFile:
         for fitter in ({"name": "mw"}, {"name": "mw", "seed_support_size": 4, "passes": 2}, {}):
             config = experiment_config(tmp_path, data_file, schema_file, fitter=fitter)
             assert validate_config(config) == []
+
+    # the schema has one 2-way workload of 6 cells, so k = 1 is the only valid k
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"counter": "bounded_block", "block_size": 0},
+            {"selection_sensitivity": 0.1},
+            {"k": 0},
+            {"noise": "laplcae"},
+            {"k_way": 3},
+            {"k": 2},
+            {"counter": "simpel"},
+            {"fitter": {"name": "nn"}},
+            {"fitter": {"name": "mw", "pases": 2}},
+            {"fitter": {"passes": 0}},
+            {"fitter": {"seed_support_size": 0}},
+        ],
+        ids=lambda o: json.dumps(o),
+    )
+    def test_validate_reports_the_triple_error(self, tmp_path, data_file, schema_file, overrides):
+        config = experiment_config(tmp_path, data_file, schema_file, **overrides)
+        errors = {r["error"] for r in run_experiment(config)}
+        assert len(errors) == 1
+        error = errors.pop()
+        assert error.startswith("ValueError: ")
+        assert validate_config(config) == [error.removeprefix("ValueError: ")]
+        assert not list(Path(config.output_dir).rglob("metrics.csv"))
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_summary_window_below_one_rejected(self, tmp_path, data_file, schema_file, window):
+        with pytest.raises(ValueError, match=f"summary_window must be >= 1, got {window}"):
+            experiment_config(tmp_path, data_file, schema_file, summary_window=window)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "dataset": str(data_file),
+            "schema": str(schema_file),
+            "stream": {"variant": "ordered_batch", "batch_size": 2},
+            "output_dir": str(tmp_path / "out"),
+            "summary_window": window,
+        }))
+        with pytest.raises(ValueError, match=f"summary_window must be >= 1, got {window}"):
+            ExperimentConfig.from_json(path)
+
+    def test_from_json_reads_every_field(self, tmp_path, data_file, schema_file):
+        payload = {
+            "dataset": str(data_file),
+            "schema": str(schema_file),
+            "stream": {
+                "variant": "randomized_batch", "batch_size": 3, "seed": 4, "max_steps": 2,
+                "timestamp_column": None, "bucket_days": None,
+            },
+            "output_dir": str(tmp_path / "out"),
+            "k_way": 1,
+            "algorithms": ["main"],
+            "epsilons": [0.5, "2"],
+            "k": 2,
+            "counter": "bounded_block",
+            "block_size": 2,
+            "selection_sensitivity": 0.5,
+            "fitter": {"name": "mw", "passes": 2},
+            "seeds": [3, 1],
+            "noise": "zero",
+            "normalize": False,
+            "summary_window": 2,
+        }
+        assert set(payload) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(payload["stream"]) == {f.name for f in dataclasses.fields(StreamSpec)}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        config = ExperimentConfig.from_json(path)
+        assert config == ExperimentConfig(
+            **{
+                **payload,
+                "stream": StreamSpec(**payload["stream"]),
+                "algorithms": ("main",),
+                "epsilons": (Fraction(1, 2), Fraction(2)),
+                "seeds": (3, 1),
+            }
+        )
+        assert validate_config(config) == []
+        assert all(r["ok"] for r in run_experiment(config))
 
 
 class TestCli:
@@ -441,6 +529,62 @@ class TestCli:
         assert cli_main(["run", "--config", str(config_path)]) == 0
         out = capsys.readouterr().out
         assert "2/2 runs completed" in out
+
+    @pytest.mark.parametrize(
+        "extra, reported",
+        [
+            ({"typo_field": 1}, "config error: unknown config fields: ['typo_field']\n"),
+            ({"epsilons": 0.5}, "config error: "),  # a TypeError from the constructor
+        ],
+    )
+    def test_unreadable_config_fails_validate_and_run(
+        self, tmp_path, data_file, schema_file, capsys, extra, reported
+    ):
+        payload = {
+            "dataset": str(data_file),
+            "schema": str(schema_file),
+            "stream": {"variant": "ordered_batch", "batch_size": 2},
+            "output_dir": str(tmp_path / "out"),
+            **extra,
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        for command in ("validate", "run"):
+            assert cli_main([command, "--config", str(config_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(reported) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"counter": "bounded_block", "block_size": 0},
+            {"selection_sensitivity": 0.1},
+            {"k": 0},
+            {"noise": "laplcae"},
+            {"summary_window": -1},
+        ],
+        ids=lambda o: json.dumps(o),
+    )
+    def test_run_rejects_bad_settings_before_any_output(
+        self, tmp_path, data_file, schema_file, capsys, overrides
+    ):
+        payload = {
+            "dataset": str(data_file),
+            "schema": str(schema_file),
+            "stream": {"variant": "ordered_batch", "batch_size": 2},
+            "output_dir": str(tmp_path / "out"),
+            "k": 1,
+            **overrides,
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        assert cli_main(["validate", "--config", str(config_path)]) == 1
+        reported = capsys.readouterr().err
+        assert reported.startswith("config error: ") and reported.count("\n") == 1
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == reported
+        assert not (tmp_path / "out").exists()
 
     def test_enumerate_workloads(self, schema_file, capsys):
         assert cli_main(["enumerate-workloads", "--schema", str(schema_file), "--k", "2"]) == 0

@@ -10,6 +10,8 @@ parent checkout and the changed one and compare the output:
 With two checkouts, each runs in its own process. The script then prints
 both digest lines of every file whose digests differ, marked A or B for the
 checkout they came from, and exits 1 if any differ or a run fails.
+Every grid config is also passed to `validate_config` before it runs; since
+each of them runs, any problem it reports is a false rejection and exits 1.
 
 Each grid runs through `run_experiment(jobs=1)` in a temporary directory.
 `runtime_sec` is dropped from every `meta.json` before hashing, because it is
@@ -135,6 +137,9 @@ def main(argv: list[str] | None = None) -> int:
                         seeds=(0, 1),
                         noise=noise,
                     )
+                    for problem in harness.validate_config(config):
+                        failed += 1
+                        print(f"FAIL {label}: validate_config: {problem}", file=sys.stderr)
                     for result in harness.run_experiment(config, jobs=1):
                         if not result["ok"]:
                             failed += 1
