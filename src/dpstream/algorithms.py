@@ -245,29 +245,27 @@ class CounterSynthesizer(_StreamSynthesizer):
         h = self._weights.copy()
         h[h == 0] = 1.0  # new and underflowed points re-enter at unit weight
         g_t, selected = self._round(delta, surrogate_values, h, target)
-        for i in self.counters:
-            if i not in selected:
-                values = self.support.evaluate(self.workloads[i], g_t)
-                self.remainders[i] = values - self.counters[i].peek()
         self.last_selected = selected
         return self._release(g_t)
 
     def _measure(self, j: int, delta: WeightedDataset, reference: list[np.ndarray]) -> np.ndarray:
         workload = self.workloads[j]
         if j not in self.counters:
-            # A never-selected workload has an all-zero counter, so the remainder
-            # it would have been carrying is just its value on the latest
-            # synthetic dataset (zero before any dataset exists).
-            if self.t == 1:
-                self.remainders[j] = np.zeros(workload.size)
-            else:
-                self.remainders[j] = self.support.evaluate(workload, self._weights)
             self.counters[j] = MultiDimCounter(
                 self.config.counter_kind,
                 workload.size,
                 self._eps_step,
                 self._counter_root.child(j),
                 block_size=self.config.block_size,
+            )
+            self.remainders[j] = np.zeros(workload.size)  # no synthetic dataset before t = 1
+        if self.t > 1 and j not in self.last_selected:
+            # Unselected at the previous round, the remainder is the workload's value
+            # on that round's release less the counter. Neither has changed since
+            # (the counter was not fed, ``_weights`` only gained zeros), so it is
+            # computed here, when the counter is fed, rather than after every step.
+            self.remainders[j] = (
+                self.support.evaluate(workload, self._weights) - self.counters[j].peek()
             )
         counter_values = self.counters[j].feed(eval_workload(workload, delta))
         self._spend(f"counter/W={j}", "counter")

@@ -209,27 +209,6 @@ def _clamped_exp(exponent: float, stats: FitStats | None) -> float:
     return math.exp(exponent)
 
 
-def _mw_step(
-    weights: np.ndarray,
-    matching: np.ndarray,
-    measured: float,
-    target_mass: float,
-    stats: FitStats | None,
-) -> None:
-    """One multiplicative-weights update of ``weights`` in place.
-
-    The entries selected by ``matching`` (a mask or an index array) are
-    multiplied by exp((measured - their sum) / (2 * target_mass)); then the
-    whole vector is renormalized to ``target_mass``.
-    """
-    current = weights[matching].sum()
-    weights[matching] *= _clamped_exp((measured - current) / (2.0 * target_mass), stats)
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("multiplicative weights drove the total mass to zero")
-    weights *= target_mass / total
-
-
 def mw_update(
     h: WeightedDataset,
     query: MarginalQuery,
@@ -248,7 +227,13 @@ def mw_update(
     if h.total_mass() <= 0:
         raise ValueError("multiplicative weights needs a positive-mass dataset")
     weights = h.weights.copy()
-    _mw_step(weights, query_mask(query, h), measured, target_mass, stats)
+    matching = query_mask(query, h)
+    current = weights[matching].sum()
+    weights[matching] *= _clamped_exp((measured - current) / (2.0 * target_mass), stats)
+    total = weights.sum()
+    if total <= 0:
+        raise ValueError("multiplicative weights drove the total mass to zero")
+    weights *= target_mass / total
     return WeightedDataset(h.schema, h.points, weights)
 
 
@@ -259,14 +244,30 @@ def _apply_measurement(
     target_mass: float,
     stats: FitStats | None,
 ) -> None:
-    """Apply one workload measurement cell by cell, in lexicographic cell order."""
-    order = np.argsort(cells, kind="stable")
-    sorted_cells = cells[order]
-    bounds = (np.flatnonzero(sorted_cells[1:] != sorted_cells[:-1]) + 1).tolist()
-    # cells with no support are skipped: there is nothing to reweight
-    for start, end in zip([0, *bounds], [*bounds, len(order)]):
-        measured = float(values[sorted_cells[start]])
-        _mw_step(weights, order[start:end], measured, target_mass, stats)
+    """Apply one workload measurement in place: one ``mw_update`` per cell, in
+    lexicographic cell order, computed in one pass over ``weights``.
+
+    The cells partition the support and each renormalization scales every
+    weight alike, so only the cell sums S move: when cell c's turn comes, its
+    mass is M * S_c / (updated + pending), where ``updated`` sums S * f over the
+    cells already done and ``pending`` sums S from c on. Both are sums of
+    nonnegative terms, so the ratio cannot cancel to zero. Cells with no
+    live support are skipped: there is nothing to reweight.
+    """
+    sums = np.bincount(cells, weights=weights, minlength=len(values))
+    pending = np.cumsum(sums[::-1])[::-1].tolist()
+    factors = [1.0] * len(values)
+    updated = 0.0
+    for c, (cell_sum, measured) in enumerate(zip(sums.tolist(), values.tolist())):
+        if cell_sum == 0:
+            continue
+        current = target_mass * cell_sum / (updated + pending[c])
+        factors[c] = _clamped_exp((measured - current) / (2.0 * target_mass), stats)
+        updated += cell_sum * factors[c]
+    if updated <= 0:
+        raise ValueError("multiplicative weights drove the total mass to zero")
+    weights *= np.array(factors)[cells]
+    weights *= target_mass / updated
 
 
 def mw_weights(
@@ -282,27 +283,18 @@ def mw_weights(
     Rescales ``weights`` to the target mass, then sweeps the measurements
     ``passes`` times: ``cells[i]`` gives the cell of every entry of ``weights``
     in the i-th measured workload and ``values[i]`` its noisy cell values.
-    Entries that are zero after the rescale take no part, exactly as if the
-    vector were a dataset storing only its nonzero entries. Returns a new
-    vector aligned with ``weights``; weights that underflow come back as 0.
+    A zero entry adds +0.0 to its cell's sum and stays 0, so the result is
+    bit for bit that of the dataset storing only the nonzero entries. Returns
+    a new vector aligned with ``weights``; weights that underflow come back as 0.
     """
     if passes < 1:
         raise ValueError("passes must be >= 1")
     if target_mass <= 0:
         raise ValueError("target mass must be positive")
     out = _rescaled(weights, target_mass)
-    if not cells:
-        return out
-    active = out != 0
-    if active.all():
-        live, live_cells = out, cells
-    else:
-        live, live_cells = out[active], [c[active] for c in cells]
     for _ in range(passes):
-        for c, v in zip(live_cells, values):
-            _apply_measurement(live, c, v, target_mass, stats)
-    if live is not out:
-        out[active] = live
+        for c, v in zip(cells, values):
+            _apply_measurement(out, c, v, target_mass, stats)
     return out
 
 

@@ -118,15 +118,18 @@ def ingest_csv(
         columns = [(name, position[name], index) for name, index in zip(schema.names, indexes)]
         stamp_at = position[timestamp_column] if timestamp_column else -1
         width = 1 + max(stamp_at, *(i for _, i, _ in columns))  # fields a row must have
-        for line_no, record in enumerate(filter(None, reader), start=2):  # blank lines skipped
+        # blank lines are skipped; reader.line_num is the file line a record ends on
+        for record in filter(None, reader):
             if len(record) < width:
-                raise IngestError(f"{path} row {line_no}: only {len(record)} of {width} fields")
+                raise IngestError(
+                    f"{path} row {reader.line_num}: only {len(record)} of {width} fields"
+                )
             point = []
             for name, i, index in columns:
                 raw = record[i]
                 if raw not in index:
                     raise IngestError(
-                        f"{path} row {line_no}: value {raw!r} in column {name!r} "
+                        f"{path} row {reader.line_num}: value {raw!r} in column {name!r} "
                         "is not in the schema"
                     )
                 point.append(index[raw])
@@ -137,7 +140,7 @@ def ingest_csv(
                     stamp = date.fromisoformat(raw)
                 except ValueError as exc:
                     raise IngestError(
-                        f"{path} row {line_no}: cannot parse date {raw!r} "
+                        f"{path} row {reader.line_num}: cannot parse date {raw!r} "
                         f"in column {timestamp_column!r}"
                     ) from exc
             rows.append((tuple(point), stamp))
@@ -204,6 +207,9 @@ class ExperimentConfig:
         self.epsilons = tuple(
             e if isinstance(e, Fraction) else Fraction(str(e)) for e in self.epsilons
         )
+        for name in ("algorithms", "epsilons", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty: the grid would have no runs")
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}; expected subset of {ALGORITHMS}")

@@ -24,6 +24,7 @@ from dpstream import (
     make_synthesizer,
     mw_fit,
 )
+from dpstream import algorithms
 from dpstream.counters import KINDS
 
 SCHEMA_2X2 = DomainSchema((("a", 2), ("b", 2)))
@@ -306,6 +307,34 @@ class TestRemainderBookkeeping:
         assert 2 in synth.last_selected
         expected = eval_workload(Q[2], deltas[1]) + q2_g1
         np.testing.assert_allclose(synth.last_measurements[2], expected, atol=1e-9)
+
+
+    def test_counter_fed_on_consecutive_steps_keeps_its_remainder(self, monkeypatch):
+        # scripted picks with k=1: workload 0 at t=1, workload 1 at t=2 and t=3,
+        # workload 0 again at t=4
+        picks = iter([0, 1, 1, 0])
+        monkeypatch.setattr(algorithms, "exponential_mechanism", lambda *args: next(picks))
+        Q = enumerate_workloads(SCHEMA_234, 1)
+        synth = CounterSynthesizer(zero_config(Q, k=1))
+        deltas = [
+            WeightedDataset.from_mapping(SCHEMA_234, d)
+            for d in (self.D1, self.D2, self.D3, self.D2)
+        ]
+        g1 = synth.step(deltas[0])
+        g2 = synth.step(deltas[1])
+        # first fed at t=2, workload 1 starts from its value on g_1
+        q1 = [eval_workload(Q[1], data) for data in (*deltas[:3], g1, g2)]
+        np.testing.assert_allclose(synth.last_measurements[1], q1[1] + q1[3], atol=1e-9)
+        g3 = synth.step(deltas[2])
+        # fed again at t=3: the remainder carries over instead of being re-read off g_2
+        carried = q1[1] + q1[2] + q1[3]
+        np.testing.assert_allclose(synth.last_measurements[1], carried, atol=1e-9)
+        assert not np.allclose(q1[2] + q1[4], carried, atol=1e-6)
+        synth.step(deltas[3])
+        # unselected at t=2 and t=3, workload 0's remainder is re-read off g_3:
+        # C0(4) + q0(g_3) - C0(3) with C0 fed D1 and D4
+        expected = eval_workload(Q[0], deltas[3]) + eval_workload(Q[0], g3)
+        np.testing.assert_allclose(synth.last_measurements[0], expected, atol=1e-9)
 
 
 class TestFactory:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpstream import (
@@ -20,7 +20,7 @@ from dpstream import (
     mw_update,
 )
 from dpstream.domain import unique_rows
-from dpstream.fitters import mw_weights
+from dpstream.fitters import FitStats, mw_weights
 
 SCHEMA = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_1D = DomainSchema((("x", 2),))
@@ -44,6 +44,52 @@ def reference_observe(schema, points, delta_points):
     merged, inverse = unique_rows(schema, np.concatenate([points, delta_points]))
     positions = np.arange(len(merged)) if inverse is None else inverse
     return merged, (None if len(merged) == n else positions[:n]), positions[n:]
+
+
+def reference_mw_weights(weights, cells, values, target_mass, passes):
+    """Oracle: multiplicative weights as one update of the whole vector per cell.
+
+    The loop before the one-pass scan: the zero entries are set aside, then
+    each cell with live support, in lexicographic order, has its weights
+    multiplied by exp((measured - current) / (2 M)), clamped at +-50, and the
+    vector is renormalized to M. Returns the fit and its number of clamps.
+    """
+    out = weights * (target_mass / weights[weights != 0].sum())
+    active = out != 0
+    live = out[active]
+    clamps = 0
+    for _ in range(passes):
+        for c, v in zip(cells, values):
+            c = c[active]
+            for cell in np.unique(c):
+                matching = c == cell
+                exponent = (v[cell] - live[matching].sum()) / (2.0 * target_mass)
+                if abs(exponent) > 50.0:
+                    clamps += 1
+                    exponent = math.copysign(50.0, exponent)
+                live[matching] *= math.exp(exponent)
+                live *= target_mass / live.sum()
+    out[active] = live
+    return out, clamps
+
+
+@st.composite
+def mw_problems(draw):
+    """Weight vectors with zeros, workloads with unsupported cells, and values
+    that either stay well inside the exponent clamp or force it at +-50."""
+    n = draw(st.integers(1, 30))
+    weights = np.array(
+        draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=n, max_size=n))
+    )
+    assume(weights.any())
+    target = draw(st.floats(0.5, 1000.0))
+    cells, values = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 8))
+        cells.append(np.array(draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))))
+        scaled = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([-1000.0, 1000.0]))
+        values.append(target * np.array(draw(st.lists(scaled, min_size=size, max_size=size))))
+    return weights, cells, values, target, draw(st.integers(1, 3))
 
 
 def relative_entropy(true_data, h):
@@ -190,6 +236,31 @@ class TestMwWeights:
             want = mw_fit(meas, dataset, target, passes=passes)
             assert got.shape == weights.shape and (got[weights == 0] == 0).all()
             assert got[got != 0].tobytes() == want.weights.tobytes()
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(mw_problems())
+    def test_one_pass_scan_matches_per_cell_updates(self, problem):
+        weights, cells, values, target, passes = problem
+        stats = FitStats()
+        got = mw_weights(weights, cells, values, target, passes, stats)
+        want, clamps = reference_mw_weights(weights, cells, values, target, passes)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert (got[weights == 0] == 0).all()
+        assert stats.clamped_exponents == clamps
+
+    def test_cell_holding_all_the_mass_clamps_without_losing_it(self):
+        # cell 0 holds all but 1e-300 of the mass and its exponent clamps at -50:
+        # M + current * (exp(-50) - 1) rounds to exactly 0, but the cell sums
+        # still leave a positive normalizer
+        weights, cells = np.array([1.0, 1.0, 1.0, 1e-300]), [np.array([0, 0, 0, 1])]
+        values = [np.array([-1000.0, 0.0])]
+        stats = FitStats()
+        got = mw_weights(weights, cells, values, 3.0, stats=stats)
+        want, clamps = reference_mw_weights(weights, cells, values, 3.0, 1)
+        assert stats.clamped_exponents == clamps == 1
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert got.sum() == pytest.approx(3.0)
 
 
 class TestRelativeEntropyDecrease:

@@ -88,6 +88,16 @@ class TestIngest:
         with pytest.raises(IngestError, match=r"row 3: only 1 of 2 fields"):
             ingest_csv(path, schema, value_lists)
 
+    def test_errors_name_the_file_line_after_a_blank_line(self, tmp_path, schema_file):
+        schema, value_lists = load_schema(schema_file)
+        path = tmp_path / "d.csv"
+        path.write_text("color,size\nred,small\n\npurple,small\n")
+        with pytest.raises(IngestError, match=r"row 4.*'purple'"):
+            ingest_csv(path, schema, value_lists)
+        path.write_text("color,size\n\nred,small\n\n\nred\n")
+        with pytest.raises(IngestError, match=r"row 6: only 1 of 2 fields"):
+            ingest_csv(path, schema, value_lists)
+
     def test_missing_schema_column_rejected(self, tmp_path, schema_file):
         schema, value_lists = load_schema(schema_file)
         path = write_csv(tmp_path / "d.csv", [["red"]], header=("color",))
@@ -470,6 +480,22 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=f"summary_window must be >= 1, got {window}"):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("field", ["algorithms", "epsilons", "seeds"])
+    def test_empty_grid_rejected(self, tmp_path, data_file, schema_file, field):
+        message = f"{field} must not be empty"
+        with pytest.raises(ValueError, match=message):
+            experiment_config(tmp_path, data_file, schema_file, **{field: ()})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "dataset": str(data_file),
+            "schema": str(schema_file),
+            "stream": {"variant": "ordered_batch", "batch_size": 2},
+            "output_dir": str(tmp_path / "out"),
+            field: [],
+        }))
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(path)
+
     def test_from_json_reads_every_field(self, tmp_path, data_file, schema_file):
         payload = {
             "dataset": str(data_file),
@@ -584,6 +610,24 @@ class TestCli:
         assert reported.startswith("config error: ") and reported.count("\n") == 1
         assert cli_main(["run", "--config", str(config_path)]) == 1
         assert capsys.readouterr().err == reported
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["algorithms", "epsilons", "seeds"])
+    def test_empty_grid_fails_validate_and_run(self, tmp_path, data_file, schema_file, capsys, field):
+        payload = {
+            "dataset": str(data_file),
+            "schema": str(schema_file),
+            "stream": {"variant": "ordered_batch", "batch_size": 2},
+            "output_dir": str(tmp_path / "out"),
+            field: [],
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        for command in ("validate", "run"):
+            assert cli_main([command, "--config", str(config_path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"config error: {field} must not be empty")
+            assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_enumerate_workloads(self, schema_file, capsys):

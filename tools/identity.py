@@ -7,13 +7,18 @@ parent checkout and the changed one and compare the output:
     python3 tools/identity.py OTHER_DIR  # the checkout at OTHER_DIR
     python3 tools/identity.py A B        # both, compared
 
-With two checkouts, each runs in its own process. The script then prints
+With two checkouts, each runs in its own process and writes its grids into
+its own directory under one temporary directory. The script then prints
 both digest lines of every file whose digests differ, marked A or B for the
-checkout they came from, and exits 1 if any differ or a run fails.
+checkout they came from, and exits 1 if any differ or a run fails. Under a
+differing `metrics.csv` it also prints the largest relative difference
+between the two files' values and the first step `t` where a value differs
+by more than 1e-9 relative.
 Every grid config is also passed to `validate_config` before it runs; since
 each of them runs, any problem it reports is a false rejection and exits 1.
 
-Each grid runs through `run_experiment(jobs=1)` in a temporary directory.
+Each grid runs through `run_experiment(jobs=1)` in a temporary directory
+(or in `--work DIR`, which is kept).
 `runtime_sec` is dropped from every `meta.json` before hashing, because it is
 wall time. Both grids run eps 0.5 and 2, seeds 0 and 1, and k = 3 over the
 2-way workloads: `baseline` once (with the `simple` counter setting, which it
@@ -30,6 +35,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -43,6 +49,7 @@ NOISES = ("zero", "laplace")
 COUNTERS = ("simple", "bounded_block", "unbounded_block", "binary_tree")
 ROWS = 4_000
 FILES = ("metrics.csv", "summary.json", "meta.json")
+TOLERANCE = 1e-9  # relative difference reported as the first step that differs
 
 
 def write_inputs(surrogate, work: Path, name: str, columns: int | None) -> tuple[Path, Path]:
@@ -67,29 +74,57 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def relative_difference(x: float, y: float) -> float:
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def metrics_difference(a: Path, b: Path) -> str:
+    """The largest relative difference between two metrics.csv files and the first step above TOLERANCE."""
+    tables = []
+    for path in (a, b):
+        with open(path, newline="", encoding="utf-8") as fh:
+            tables.append(list(csv.reader(fh))[1:])  # below the header, one row per step
+    if len(tables[0]) != len(tables[1]):
+        return f"{len(tables[0])} steps against {len(tables[1])}"
+    largest, first = 0.0, None
+    for row_a, row_b in zip(*tables):
+        differences = [relative_difference(float(x), float(y)) for x, y in zip(row_a, row_b)]
+        largest = max(largest, *differences)
+        if first is None and max(differences) > TOLERANCE:
+            first = row_a[0]
+    above = f"first step above {TOLERANCE:g}: t={first}" if first else f"no value above {TOLERANCE:g}"
+    return f"largest relative difference {largest:.3g}; {above}"
+
+
 def compare(a: Path, b: Path) -> int:
     """Run the grids on two checkouts in separate processes and print the lines that differ."""
-    outputs = []
-    for checkout in (a, b):
-        done = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), str(checkout)],
-            capture_output=True, text=True,
-        )
-        sys.stderr.write(done.stderr)
-        if done.returncode != 0:
-            print(f"FAIL {checkout}: exit code {done.returncode}", file=sys.stderr)
-            return 1
-        outputs.append(done.stdout.splitlines())
-    # each line is "<digest>  <file>"; pair the two checkouts' lines by file
-    by_file = [{line.split("  ", 1)[1]: line for line in lines} for lines in outputs]
-    files = list(dict.fromkeys([*by_file[0], *by_file[1]]))
-    differing = 0
-    for name in files:
-        pair = [lines.get(name) for lines in by_file]
-        if pair[0] != pair[1]:
-            differing += 1
-            for mark, line in zip("AB", pair):
-                print(f"{mark} {line if line is not None else '(missing)  ' + name}")
+    with tempfile.TemporaryDirectory(prefix="dpstream-identity-") as tmp:
+        works = [Path(tmp) / mark for mark in "AB"]
+        outputs = []
+        for checkout, work in zip((a, b), works):
+            done = subprocess.run(
+                [sys.executable, str(Path(__file__).resolve()), "--work", str(work), str(checkout)],
+                capture_output=True, text=True,
+            )
+            sys.stderr.write(done.stderr)
+            if done.returncode != 0:
+                print(f"FAIL {checkout}: exit code {done.returncode}", file=sys.stderr)
+                return 1
+            outputs.append(done.stdout.splitlines())
+        # each line is "<digest>  <file>"; pair the two checkouts' lines by file
+        by_file = [{line.split("  ", 1)[1]: line for line in lines} for lines in outputs]
+        files = list(dict.fromkeys([*by_file[0], *by_file[1]]))
+        differing = 0
+        for name in files:
+            pair = [lines.get(name) for lines in by_file]
+            if pair[0] != pair[1]:
+                differing += 1
+                for mark, line in zip("AB", pair):
+                    print(f"{mark} {line if line is not None else '(missing)  ' + name}")
+                if name.endswith("metrics.csv") and None not in pair:
+                    print(f"  {metrics_difference(*(work / 'out' / name for work in works))}")
     print(
         f"{len(files) - differing} of {len(files)} digests identical (A = {a}, B = {b})",
         file=sys.stderr,
@@ -103,50 +138,63 @@ def main(argv: list[str] | None = None) -> int:
         "checkout", nargs="*", type=Path,
         help="repository whose src/ is run (default: this one); give two to compare them",
     )
+    parser.add_argument(
+        "--work", type=Path,
+        help="write the inputs and grid outputs under this directory and keep them",
+    )
     args = parser.parse_args(argv)
     if len(args.checkout) > 2:
         parser.error("give at most two checkouts")
     if len(args.checkout) == 2:
+        if args.work:
+            parser.error("--work takes one checkout")
         return compare(*args.checkout)
     checkout = args.checkout[0] if args.checkout else Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(checkout.resolve() / "src"))
     from dpstream import harness, surrogate
 
-    failed = 0
+    if args.work:
+        args.work.mkdir(parents=True, exist_ok=True)
+        return run_grids(harness, surrogate, args.work)
     with tempfile.TemporaryDirectory(prefix="dpstream-identity-") as tmp:
-        work = Path(tmp)
-        for name, grid in GRIDS.items():
-            dataset, schema = write_inputs(surrogate, work, name, grid["columns"])
-            for noise in NOISES:
-                runs = [("baseline", "simple")] + [("main", c) for c in COUNTERS]
-                for algorithm, counter in runs:
-                    label = f"{name}-{noise}-{algorithm}-{counter}"
-                    out = work / "out" / label
-                    config = harness.ExperimentConfig(
-                        dataset=str(dataset),
-                        schema=str(schema),
-                        stream=harness.StreamSpec(
-                            variant="randomized_batch",
-                            batch_size=grid["batch_size"],
-                            max_steps=grid["max_steps"],
-                        ),
-                        output_dir=str(out),
-                        algorithms=(algorithm,),
-                        epsilons=("0.5", "2"),
-                        counter=counter,
-                        seeds=(0, 1),
-                        noise=noise,
-                    )
-                    for problem in harness.validate_config(config):
+        return run_grids(harness, surrogate, Path(tmp))
+
+
+def run_grids(harness, surrogate, work: Path) -> int:
+    """Run every grid under ``work`` and print one digest line per output file."""
+    failed = 0
+    for name, grid in GRIDS.items():
+        dataset, schema = write_inputs(surrogate, work, name, grid["columns"])
+        for noise in NOISES:
+            runs = [("baseline", "simple")] + [("main", c) for c in COUNTERS]
+            for algorithm, counter in runs:
+                label = f"{name}-{noise}-{algorithm}-{counter}"
+                out = work / "out" / label
+                config = harness.ExperimentConfig(
+                    dataset=str(dataset),
+                    schema=str(schema),
+                    stream=harness.StreamSpec(
+                        variant="randomized_batch",
+                        batch_size=grid["batch_size"],
+                        max_steps=grid["max_steps"],
+                    ),
+                    output_dir=str(out),
+                    algorithms=(algorithm,),
+                    epsilons=("0.5", "2"),
+                    counter=counter,
+                    seeds=(0, 1),
+                    noise=noise,
+                )
+                for problem in harness.validate_config(config):
+                    failed += 1
+                    print(f"FAIL {label}: validate_config: {problem}", file=sys.stderr)
+                for result in harness.run_experiment(config, jobs=1):
+                    if not result["ok"]:
                         failed += 1
-                        print(f"FAIL {label}: validate_config: {problem}", file=sys.stderr)
-                    for result in harness.run_experiment(config, jobs=1):
-                        if not result["ok"]:
-                            failed += 1
-                            print(f"FAIL {label}: {result}", file=sys.stderr)
-                    for path in sorted(out.rglob("*")):
-                        if path.name in FILES:
-                            print(f"{file_digest(path)}  {label}/{path.relative_to(out).as_posix()}")
+                        print(f"FAIL {label}: {result}", file=sys.stderr)
+                for path in sorted(out.rglob("*")):
+                    if path.name in FILES:
+                        print(f"{file_digest(path)}  {label}/{path.relative_to(out).as_posix()}")
     return 1 if failed else 0
 
 
