@@ -81,6 +81,25 @@ class TestExponentialMechanism:
         assert exponential_mechanism([1.0, 3.0, 3.0], 1.0, 1.0, src) == 1
         assert exponential_mechanism([5.0, 5.0], 1.0, 1.0, src) == 0
 
+    def test_zero_mode_ties_utilities_within_rounding(self):
+        src = NoiseSource(0, mode="zero")
+        # one ulp apart is a tie, and the lowest index wins it
+        assert exponential_mechanism([1.0, 1.0 + 2**-52, 0.5], 1.0, 1.0, src) == 0
+        assert exponential_mechanism([-3e9, -3e9 + 1.0], 1.0, 1.0, src) == 0
+        # a real gap still picks the larger utility
+        assert exponential_mechanism([1.0, 1.0 + 1e-6], 1.0, 1.0, src) == 1
+        assert exponential_mechanism([0.0, 1e-8], 1.0, 1.0, src) == 1
+
+    def test_laplace_mode_draws_ignore_the_tie_rule(self):
+        # same uniforms, same picks as the plain softmax inverse-CDF draw
+        u = np.array([1.0, 1.0 + 2**-52, 0.5])
+        probs = np.exp(0.5 * (u - u.max()))
+        probs /= probs.sum()
+        for seed in range(50):
+            r = NoiseSource(seed).uniform()
+            expected = min(int(np.searchsorted(np.cumsum(probs), r, side="right")), 2)
+            assert exponential_mechanism(u, 1.0, 1.0, NoiseSource(seed)) == expected
+
     def test_uniform_utilities_give_uniform_selection(self):
         src = NoiseSource(11)
         counts = np.zeros(8)
