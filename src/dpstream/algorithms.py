@@ -25,7 +25,7 @@ from .fitters import (
     WorkingSupport,
 )
 from .mechanisms import NOISE_MODES, BudgetLedger, NoiseSource, exponential_mechanism
-from .queries import WorkloadSet, cell_values, eval_workload
+from .queries import WorkloadSet, cell_values, cover_workloads, eval_workload
 
 # child-source roles under the run seed
 _SELECT = 0
@@ -113,6 +113,8 @@ class _StreamSynthesizer:
         self.ledger = BudgetLedger(config.epsilon)
         self._eps_step = float(config.epsilon) / (2 * config.k)
         self._sensitivity = config.resolved_sensitivity()
+        # selection scores workloads off joints of at most 1/8 of the seed support's size
+        self._plan = cover_workloads(self.workloads, len(self.support) // 8)
         self._release(np.ones(len(self.support)))
 
     def _observe(self, delta: WeightedDataset) -> np.ndarray:
@@ -148,9 +150,9 @@ class _StreamSynthesizer:
         selected: list[int] = []
         for l in range(1, self.config.k + 1):
             candidates = [i for i in range(len(self.workloads)) if i not in selected]
+            values = self.support.evaluate_many(self._plan, h)
             utilities = [
-                np.abs(reference[i] - self.support.evaluate(self.workloads[i], h)).sum()
-                / self.workloads[i].size
+                np.abs(reference[i] - values[i]).sum() / self.workloads[i].size
                 - self._cell_bias * self.workloads[i].size
                 for i in candidates
             ]
@@ -241,7 +243,7 @@ class CounterSynthesizer(_StreamSynthesizer):
         target = nonzero_mass(surrogate)
         if target == 0:
             return self.g  # no data and no synthetic mass: skip, no spend
-        surrogate_values = [self.support.evaluate(w, surrogate) for w in self.workloads]
+        surrogate_values = self.support.evaluate_many(self._plan, surrogate)
         h = self._weights.copy()
         h[h == 0] = 1.0  # new and underflowed points re-enter at unit weight
         g_t, selected = self._round(delta, surrogate_values, h, target)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import DomainSchema, WeightedDataset, nonzero_mass, point_keys, unique_rows
-from .queries import MarginalQuery, Workload, cell_values, query_mask
+from .queries import MarginalQuery, Workload, WorkloadGroup, cell_values, compact_cells, query_mask
 
 logger = logging.getLogger(__name__)
 
@@ -94,13 +94,23 @@ class WorkingSupport:
         if cells is None:
             if workload.schema != self.schema:
                 raise ValueError("workload schema does not match the support schema")
-            cells = _compact_cells(workload, self._points)
+            cells = compact_cells(workload, self._points)
             self._cells[workload] = cells
         return cells
 
     def evaluate(self, workload: Workload, weights: np.ndarray) -> np.ndarray:
         """``eval_workload`` of the dataset whose weights over the support are ``weights``."""
         return cell_values(self.cells(workload), weights, workload.size)
+
+    def evaluate_many(self, plan: Sequence[WorkloadGroup], weights: np.ndarray) -> list[np.ndarray]:
+        """``evaluate`` of every workload of a ``cover_workloads`` plan, by workload index: one
+        support pass per group, then each member read off the joint (the joint itself when equal)."""
+        values: list[np.ndarray] = [None] * sum(len(g.members) for g in plan)
+        for group in plan:
+            joint = np.bincount(self.cells(group.joint), weights, group.joint.size)
+            for i, projection, size in group.members:
+                values[i] = joint if projection is None else np.bincount(projection, joint, size)
+        return values
 
     def _keys_with(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The support's sorted keys and the keys of ``points``, comparable with each other."""
@@ -180,15 +190,6 @@ class WorkingSupport:
             found = dataset_keys[at] == support_keys
             weights[found] = dataset.weights[at[found]]
         return WeightedDataset(self.schema, self._points, weights)
-
-
-def _compact_cells(workload: Workload, points: np.ndarray) -> np.ndarray:
-    dtype = np.min_scalar_type(workload.size)
-    if dtype.itemsize == 8:  # np.bincount cannot take uint64
-        dtype = np.dtype(np.int64)
-    cells = workload.point_cells(points).astype(dtype)
-    cells.flags.writeable = False
-    return cells
 
 
 def _rescaled(weights: np.ndarray, target_mass: float) -> np.ndarray:

@@ -16,8 +16,6 @@ _BUFFER = 256
 _ZERO = Fraction(0)
 
 NOISE_MODES = ("laplace", "zero")
-# relative gap below which zero-mode selection treats two utilities as tied
-TIE_TOLERANCE = 1e-9
 
 
 class NoiseSource:
@@ -83,11 +81,10 @@ def exponential_mechanism(
 ) -> int:
     """Sample an index with probability proportional to exp(eps * u / (2 * sensitivity)).
 
-    High utilities are favored. In zero mode this degenerates to argmax: the
-    lowest index whose utility is within ``TIE_TOLERANCE * max(1, |max u|)`` of
-    the max, so utilities that tie up to float rounding pick the same index
-    whatever order their sums ran in. Computed through a max-shifted softmax
-    so large utilities cannot overflow.
+    High utilities are favored. In zero mode this degenerates to argmax, with
+    utilities within 1e-9 * max(1, |max u|) of each other (ties up to float
+    rounding) broken toward the lowest index. Computed through a max-shifted
+    softmax so large utilities cannot overflow.
     """
     u = np.asarray(utilities, dtype=np.float64)
     if u.size == 0:
@@ -99,8 +96,7 @@ def exponential_mechanism(
     if sensitivity <= 0:
         raise ValueError("sensitivity must be positive")
     if source.mode == "zero":
-        top = u.max()
-        return int(np.argmax(u >= top - TIE_TOLERANCE * max(1.0, abs(top))))
+        return int(np.argmax(u >= u.max() - 1e-9 * max(1.0, abs(u.max()))))
     logits = (epsilon / (2.0 * sensitivity)) * u
     logits -= logits.max()
     probs = np.exp(logits)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -144,6 +144,62 @@ def cell_values(cells: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray
 def eval_workload(workload: Workload, dataset: WeightedDataset) -> np.ndarray:
     """Vector of all cell values in lexicographic order; sums to the dataset mass."""
     return cell_values(workload.cell_indices(dataset), dataset.weights, workload.size)
+
+
+def compact_cells(workload: Workload, points: np.ndarray) -> np.ndarray:
+    """Read-only ``point_cells`` in the smallest dtype ``np.bincount`` takes that holds ``workload.size``."""
+    dtype = np.min_scalar_type(workload.size)
+    if dtype.itemsize == 8:  # np.bincount cannot take uint64
+        dtype = np.dtype(np.int64)
+    cells = workload.point_cells(points).astype(dtype)
+    cells.flags.writeable = False
+    return cells
+
+
+@dataclass(frozen=True, eq=False)
+class WorkloadGroup:
+    """Workloads read off one joint histogram on the union of their columns. Each member is
+    ``(workload index, projection, size)``; the projection maps every joint cell to the
+    member's cell, or is None when the member is the joint."""
+
+    joint: Workload
+    members: tuple[tuple[int, np.ndarray | None, int], ...]
+
+
+def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> tuple[WorkloadGroup, ...]:
+    """Greedy cover of ``workloads`` by groups whose joints have at most ``max_cells`` cells.
+
+    Largest first, each workload joins the group whose column union stays within
+    the cap with the smallest joint, else opens a group (alone when over the cap).
+    """
+    workloads, schema = list(workloads), workloads[0].schema
+    cards = {1 << c: card for c, card in enumerate(schema.cardinalities)}
+    groups: list[list] = []  # [column mask, joint size, member indices]
+    for i in sorted(range(len(workloads)), key=lambda i: -workloads[i].size):
+        mask, best, best_size = sum(1 << c for c in workloads[i].columns), None, max_cells + 1
+        for group in groups:
+            size, extra = group[1], mask & ~group[0]
+            while extra and size < best_size:  # bitmask columns: one factor per column it lacks
+                bit = extra & -extra
+                size, extra = size * cards[bit], extra ^ bit
+            if size < best_size:
+                best, best_size = group, size
+        if best is None:
+            groups.append([mask, workloads[i].size, [i]])
+        else:
+            best[:] = best[0] | mask, best_size, best[2] + [i]
+    plan = []
+    for mask, _, members in groups:
+        joint = Workload(schema, tuple(c for c in range(schema.num_attributes) if mask >> c & 1))
+        # the joint's cells as points, first column slowest; a lone member is its joint
+        shape = [card if mask & bit else 1 for bit, card in cards.items()]
+        grid = np.indices(shape).reshape(len(shape), -1).T if len(members) > 1 else None
+        plan.append(WorkloadGroup(joint, tuple(
+            (i, None if workloads[i].columns == joint.columns else compact_cells(workloads[i], grid),
+             workloads[i].size)
+            for i in members
+        )))
+    return tuple(plan)
 
 
 @dataclass(frozen=True)

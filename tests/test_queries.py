@@ -15,6 +15,8 @@ from dpstream import (
     eval_query,
     eval_workload,
 )
+from dpstream.fitters import WorkingSupport
+from dpstream.queries import cover_workloads
 
 SCHEMA = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_243 = DomainSchema((("a", 2), ("b", 4), ("c", 3)))
@@ -173,6 +175,60 @@ class TestWorkload:
         just_fits = Workload(DomainSchema((("a", 2**31), ("b", 2**31 - 1))), (0, 1))
         top = np.array([[2**31 - 1, 2**31 - 2]], dtype=np.int64)
         assert just_fits.point_cells(top).tolist() == [just_fits.size - 1]
+
+
+class TestCoverWorkloads:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from([1, 1, 2, 3, 5]), min_size=1, max_size=6), st.data())
+    def test_groups_partition_workloads_and_marginals_match(self, cards, data):
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        tuples = [
+            cols for k in (1, 2, 3) for cols in itertools.combinations(range(len(cards)), k)
+        ]
+        picked = data.draw(st.lists(st.sampled_from(tuples), min_size=1, unique=True))
+        workloads = [Workload(schema, cols) for cols in picked]
+        cap = data.draw(st.sampled_from([0, 1, 6, 40, 10**9]))
+        plan = cover_workloads(workloads, cap)
+
+        members = sorted(i for group in plan for i, _, _ in group.members)
+        assert members == list(range(len(workloads)))
+        for group in plan:
+            first = workloads[group.members[0][0]]
+            assert group.joint.size <= cap or (len(group.members) == 1 and first.size > cap)
+            union = {c for i, _, _ in group.members for c in workloads[i].columns}
+            assert group.joint.columns == tuple(sorted(union))
+
+        support = WorkingSupport(schema, seed_size=60, seed=data.draw(st.integers(0, 99)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        weights = rng.random(len(support)) * (rng.random(len(support)) < 0.8)
+        values = support.evaluate_many(plan, weights)
+        dataset = WeightedDataset(schema, support.points, weights)
+        for workload, got in zip(workloads, values):
+            np.testing.assert_allclose(got, eval_workload(workload, dataset), rtol=1e-12, atol=0)
+        for group in plan:
+            for i, projection, _ in group.members:
+                if workloads[i].columns == group.joint.columns:
+                    assert projection is None
+                    assert values[i].tobytes() == support.evaluate(workloads[i], weights).tobytes()
+
+    def test_census_pairs_share_support_passes(self):
+        # 78 two-way workloads over 13 attributes: pairs that share columns fill
+        # joints of up to 1,250 cells, an eighth of the seed support's 10,000 points
+        from dpstream import surrogate
+
+        cards = [len(values) for _, values in surrogate.SCHEMA]
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        workloads = list(enumerate_workloads(schema, 2))
+        plan = cover_workloads(workloads, 10_000 // 8)
+        assert len(plan) < len(workloads) // 3
+        for group in plan:
+            for i, projection, size in group.members:
+                assert size == workloads[i].size
+                if projection is None:  # a workload too large to share a joint
+                    assert group.members == ((i, None, size),) and 2 * size > 1_250
+                    continue
+                assert projection.dtype == np.min_scalar_type(size) and not projection.flags.writeable
+                assert projection.shape == (group.joint.size,) and int(projection.max()) == size - 1
 
 
 class TestEnumerateWorkloads:

@@ -10,7 +10,8 @@ parent checkout and the changed one and compare the output:
 With two checkouts, each runs in its own process and writes its grids into
 its own directory under one temporary directory. The script then prints
 both digest lines of every file whose digests differ, marked A or B for the
-checkout they came from, and exits 1 if any differ or a run fails. Under a
+checkout they came from, then one `<noise>: N of M identical` tally per noise
+mode and the total; it exits 1 if any differ or a run fails. Under a
 differing `metrics.csv` it also prints the largest relative difference
 between the two files' values and the first step `t` where a value differs
 by more than 1e-9 relative.
@@ -125,6 +126,10 @@ def compare(a: Path, b: Path) -> int:
                     print(f"{mark} {line if line is not None else '(missing)  ' + name}")
                 if name.endswith("metrics.csv") and None not in pair:
                     print(f"  {metrics_difference(*(work / 'out' / name for work in works))}")
+    for noise in NOISES:  # file names start "<grid>-<noise>-"
+        names = [name for name in files if name.split("-")[1] == noise]
+        same = sum(by_file[0].get(name) == by_file[1].get(name) for name in names)
+        print(f"{noise}: {same} of {len(names)} identical", file=sys.stderr)
     print(
         f"{len(files) - differing} of {len(files)} digests identical (A = {a}, B = {b})",
         file=sys.stderr,
