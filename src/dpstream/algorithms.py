@@ -113,7 +113,7 @@ class _StreamSynthesizer:
         self.ledger = BudgetLedger(config.epsilon)
         self._eps_step = float(config.epsilon) / (2 * config.k)
         self._sensitivity = config.resolved_sensitivity()
-        # selection scores workloads off joints of at most 1/8 of the seed support's size
+        # selection reads workloads off joints of at most 1/8 of the seed support (fastest in a sweep)
         self._plan = cover_workloads(self.workloads, len(self.support) // 8)
         self._release(np.ones(len(self.support)))
 
@@ -135,7 +135,7 @@ class _StreamSynthesizer:
         self.ledger.spend(f"{group}/{label}", cfg.epsilon, 2 * cfg.k, group=group, category=category)
 
     def _round(
-        self, delta: WeightedDataset, reference: list[np.ndarray], h: np.ndarray, target: float
+        self, delta: WeightedDataset, reference: dict[int, np.ndarray], h: np.ndarray, target: float
     ) -> tuple[np.ndarray, list[int]]:
         """k select → measure → fit iterations starting from the fit ``h``.
 
@@ -169,7 +169,7 @@ class _StreamSynthesizer:
         # dataset_mean of the fits: summed in list order, then scaled by 1/k
         return sum(fits[1:], fits[0]) * (1.0 / len(fits)), selected
 
-    def _measure(self, j: int, delta: WeightedDataset, reference: list[np.ndarray]) -> np.ndarray:
+    def _measure(self, j: int, delta: WeightedDataset, reference: dict[int, np.ndarray]) -> np.ndarray:
         """Noisy cell values of workload ``j`` at this step, spending its measurement share."""
         raise NotImplementedError
 
@@ -201,13 +201,13 @@ class StreamingMwem(_StreamSynthesizer):
             return self.g  # nothing arrived: no spend, synthetic stream holds
         h = np.full(len(self.support), target / len(self.support))
         # eval_workload(w, delta), read off the cached cells of delta's points
-        delta_values = [
+        delta_values = dict(enumerate(
             cell_values(self.support.cells(w)[at], delta.weights, w.size) for w in self.workloads
-        ]
+        ))
         mean, _ = self._round(delta, delta_values, h, target)
         return self._release(self._weights + mean)
 
-    def _measure(self, j: int, delta: WeightedDataset, reference: list[np.ndarray]) -> np.ndarray:
+    def _measure(self, j: int, delta: WeightedDataset, reference: dict[int, np.ndarray]) -> np.ndarray:
         scale = 1.0 / self._eps_step  # sensitivity-1 histogram at eps/2k
         noisy = reference[j] + self._measure_source.laplace_vector(scale, self.workloads[j].size)
         self._spend(f"measure/W={j}", "measurement")
@@ -250,7 +250,7 @@ class CounterSynthesizer(_StreamSynthesizer):
         self.last_selected = selected
         return self._release(g_t)
 
-    def _measure(self, j: int, delta: WeightedDataset, reference: list[np.ndarray]) -> np.ndarray:
+    def _measure(self, j: int, delta: WeightedDataset, reference: dict[int, np.ndarray]) -> np.ndarray:
         workload = self.workloads[j]
         if j not in self.counters:
             self.counters[j] = MultiDimCounter(

@@ -102,10 +102,10 @@ class WorkingSupport:
         """``eval_workload`` of the dataset whose weights over the support are ``weights``."""
         return cell_values(self.cells(workload), weights, workload.size)
 
-    def evaluate_many(self, plan: Sequence[WorkloadGroup], weights: np.ndarray) -> list[np.ndarray]:
-        """``evaluate`` of every workload of a ``cover_workloads`` plan, by workload index: one
-        support pass per group, then each member read off the joint (the joint itself when equal)."""
-        values: list[np.ndarray] = [None] * sum(len(g.members) for g in plan)
+    def evaluate_many(self, plan: Sequence[WorkloadGroup], weights: np.ndarray) -> dict[int, np.ndarray]:
+        """``evaluate`` of each workload of a ``cover_workloads`` plan, by index: one support pass per
+        group, each member then summed off the joint (equal up to the last bits) or the joint itself."""
+        values: dict[int, np.ndarray] = {}
         for group in plan:
             joint = np.bincount(self.cells(group.joint), weights, group.joint.size)
             for i, projection, size in group.members:

@@ -158,9 +158,8 @@ def compact_cells(workload: Workload, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WorkloadGroup:
-    """Workloads read off one joint histogram on the union of their columns. Each member is
-    ``(workload index, projection, size)``; the projection maps every joint cell to the
-    member's cell, or is None when the member is the joint."""
+    """Workloads read off one joint histogram on their columns' union. Members are ``(workload
+    index, projection, size)``; a projection maps joint cells to member cells, None for the joint."""
 
     joint: Workload
     members: tuple[tuple[int, np.ndarray | None, int], ...]
@@ -190,15 +189,16 @@ def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> tuple[Work
             best[:] = best[0] | mask, best_size, best[2] + [i]
     plan = []
     for mask, _, members in groups:
-        joint = Workload(schema, tuple(c for c in range(schema.num_attributes) if mask >> c & 1))
+        columns = tuple(c for c in range(schema.num_attributes) if mask >> c & 1)
+        # a member equal to the joint lends its own object, so cache lookups hit by identity
+        same = [i for i in members if workloads[i].columns == columns]
+        joint = workloads[same[0]] if same else Workload(schema, columns)
         # the joint's cells as points, first column slowest; a lone member is its joint
         shape = [card if mask & bit else 1 for bit, card in cards.items()]
         grid = np.indices(shape).reshape(len(shape), -1).T if len(members) > 1 else None
-        plan.append(WorkloadGroup(joint, tuple(
-            (i, None if workloads[i].columns == joint.columns else compact_cells(workloads[i], grid),
-             workloads[i].size)
-            for i in members
-        )))
+        projections = [None if i in same else compact_cells(workloads[i], grid) for i in members]
+        sizes = [workloads[i].size for i in members]
+        plan.append(WorkloadGroup(joint, tuple(zip(members, projections, sizes))))
     return tuple(plan)
 
 

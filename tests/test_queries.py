@@ -203,12 +203,13 @@ class TestCoverWorkloads:
         weights = rng.random(len(support)) * (rng.random(len(support)) < 0.8)
         values = support.evaluate_many(plan, weights)
         dataset = WeightedDataset(schema, support.points, weights)
-        for workload, got in zip(workloads, values):
-            np.testing.assert_allclose(got, eval_workload(workload, dataset), rtol=1e-12, atol=0)
+        assert sorted(values) == list(range(len(workloads)))
+        for i, workload in enumerate(workloads):
+            np.testing.assert_allclose(values[i], eval_workload(workload, dataset), rtol=1e-12, atol=0)
         for group in plan:
             for i, projection, _ in group.members:
                 if workloads[i].columns == group.joint.columns:
-                    assert projection is None
+                    assert projection is None and group.joint is workloads[i]
                     assert values[i].tobytes() == support.evaluate(workloads[i], weights).tobytes()
 
     def test_census_pairs_share_support_passes(self):
