@@ -114,7 +114,7 @@ class _StreamSynthesizer:
         self._eps_step = float(config.epsilon) / (2 * config.k)
         self._sensitivity = config.resolved_sensitivity()
         # selection reads workloads off joints of at most 1/8 of the seed support (fastest in a sweep)
-        self._plan = cover_workloads(self.workloads, len(self.support) // 8)
+        self._cover = cover_workloads(self.workloads, len(self.support) // 8)
         self._release(np.ones(len(self.support)))
 
     def _observe(self, delta: WeightedDataset) -> np.ndarray:
@@ -134,10 +134,16 @@ class _StreamSynthesizer:
         group = f"t={self.t}"
         self.ledger.spend(f"{group}/{label}", cfg.epsilon, 2 * cfg.k, group=group, category=category)
 
+    def _cells(self, j: int) -> np.ndarray:
+        """Workload ``j``'s cell of every support point, read off its cover joint's cached cells."""
+        joint, projection = self._cover.home[j]
+        cells = self.support.cells(joint)
+        return cells if projection is None else projection[cells]
+
     def _round(
-        self, delta: WeightedDataset, reference: dict[int, np.ndarray], h: np.ndarray, target: float
+        self, delta: WeightedDataset, reference: np.ndarray, h: np.ndarray, values: np.ndarray, target: float
     ) -> tuple[np.ndarray, list[int]]:
-        """k select → measure → fit iterations starting from the fit ``h``.
+        """k select → measure → fit iterations starting from the fit ``h`` and its scoring ``values``.
 
         Each iteration scores every unselected workload by the L1 distance
         between its ``reference`` histogram and the current fit over its cell
@@ -145,31 +151,30 @@ class _StreamSynthesizer:
         mechanism, measures it and refits to ``target`` mass. Returns the mean
         of the k fits and the selected workload indices.
         """
+        cover, k = self._cover, self.config.k
         fits: list[np.ndarray] = []
         measured: list[Measurement] = []
+        cells: list[np.ndarray] = []
         selected: list[int] = []
-        for l in range(1, self.config.k + 1):
-            candidates = [i for i in range(len(self.workloads)) if i not in selected]
-            values = self.support.evaluate_many(self._plan, h)
-            utilities = [
-                np.abs(reference[i] - values[i]).sum() / self.workloads[i].size
-                - self._cell_bias * self.workloads[i].size
-                for i in candidates
-            ]
-            pick = exponential_mechanism(
-                np.array(utilities), self._eps_step, self._sensitivity, self._select_source
-            )
+        for l in range(1, k + 1):
+            candidates = np.delete(np.arange(len(cover.sizes)), selected)
+            # every workload's L1 distance in one segment sum over the flat layout
+            distances = np.bincount(cover.segment, np.abs(reference - values), len(cover.sizes))
+            utilities = (distances / cover.sizes - self._cell_bias * cover.sizes)[candidates]
+            pick = exponential_mechanism(utilities, self._eps_step, self._sensitivity, self._select_source)
             self._spend(f"select/l={l}", "selection")
-            j = candidates[pick]
+            j = int(candidates[pick])
             selected.append(j)
             measured.append(Measurement(j, self.workloads[j], self._measure(j, delta, reference)))
-            cells = [self.support.cells(m.workload) for m in measured]
+            cells.append(self._cells(j))
             h = self.fitter.fit_weights(measured, cells, h, target)
             fits.append(h)
+            if l < k:
+                values = self.support.evaluate_many(cover, h)
         # dataset_mean of the fits: summed in list order, then scaled by 1/k
         return sum(fits[1:], fits[0]) * (1.0 / len(fits)), selected
 
-    def _measure(self, j: int, delta: WeightedDataset, reference: dict[int, np.ndarray]) -> np.ndarray:
+    def _measure(self, j: int, delta: WeightedDataset, reference: np.ndarray) -> np.ndarray:
         """Noisy cell values of workload ``j`` at this step, spending its measurement share."""
         raise NotImplementedError
 
@@ -200,16 +205,16 @@ class StreamingMwem(_StreamSynthesizer):
         if target == 0:
             return self.g  # nothing arrived: no spend, synthetic stream holds
         h = np.full(len(self.support), target / len(self.support))
-        # eval_workload(w, delta), read off the cached cells of delta's points
-        delta_values = dict(enumerate(
-            cell_values(self.support.cells(w)[at], delta.weights, w.size) for w in self.workloads
-        ))
-        mean, _ = self._round(delta, delta_values, h, target)
+        # eval_workload(w, delta) for every w: delta's weights are counts, so every order of
+        # summation over its support positions gives the same bits
+        delta_values = self.support.evaluate_many(self._cover, delta.weights, at)
+        mean, _ = self._round(delta, delta_values, h, self.support.evaluate_many(self._cover, h), target)
         return self._release(self._weights + mean)
 
-    def _measure(self, j: int, delta: WeightedDataset, reference: dict[int, np.ndarray]) -> np.ndarray:
+    def _measure(self, j: int, delta: WeightedDataset, reference: np.ndarray) -> np.ndarray:
         scale = 1.0 / self._eps_step  # sensitivity-1 histogram at eps/2k
-        noisy = reference[j] + self._measure_source.laplace_vector(scale, self.workloads[j].size)
+        noise = self._measure_source.laplace_vector(scale, self.workloads[j].size)
+        noisy = self._cover.part(reference, j) + noise
         self._spend(f"measure/W={j}", "measurement")
         return noisy
 
@@ -243,14 +248,19 @@ class CounterSynthesizer(_StreamSynthesizer):
         target = nonzero_mass(surrogate)
         if target == 0:
             return self.g  # no data and no synthetic mass: skip, no spend
-        surrogate_values = self.support.evaluate_many(self._plan, surrogate)
+        surrogate_values = self.support.evaluate_many(self._cover, surrogate)
         h = self._weights.copy()
-        h[h == 0] = 1.0  # new and underflowed points re-enter at unit weight
-        g_t, selected = self._round(delta, surrogate_values, h, target)
+        zeros = np.flatnonzero(h == 0)
+        h[zeros] = 1.0  # new and underflowed points re-enter at unit weight
+        # h - surrogate is -delta at delta's points and +1 at the zeros: score only those positions
+        change = self.support.evaluate_many(
+            self._cover, np.concatenate([-delta.weights, np.ones(len(zeros))]), np.concatenate([at, zeros])
+        )
+        g_t, selected = self._round(delta, surrogate_values, h, surrogate_values + change, target)
         self.last_selected = selected
         return self._release(g_t)
 
-    def _measure(self, j: int, delta: WeightedDataset, reference: dict[int, np.ndarray]) -> np.ndarray:
+    def _measure(self, j: int, delta: WeightedDataset, reference: np.ndarray) -> np.ndarray:
         workload = self.workloads[j]
         if j not in self.counters:
             self.counters[j] = MultiDimCounter(
@@ -267,7 +277,7 @@ class CounterSynthesizer(_StreamSynthesizer):
             # (the counter was not fed, ``_weights`` only gained zeros), so it is
             # computed here, when the counter is fed, rather than after every step.
             self.remainders[j] = (
-                self.support.evaluate(workload, self._weights) - self.counters[j].peek()
+                cell_values(self._cells(j), self._weights, workload.size) - self.counters[j].peek()
             )
         counter_values = self.counters[j].feed(eval_workload(workload, delta))
         self._spend(f"counter/W={j}", "counter")

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import DomainSchema, WeightedDataset, nonzero_mass, point_keys, unique_rows
-from .queries import MarginalQuery, Workload, WorkloadGroup, cell_values, compact_cells, query_mask
+from .queries import MarginalQuery, Workload, WorkloadCover, compact_cells, query_mask
 
 logger = logging.getLogger(__name__)
 
@@ -98,19 +98,20 @@ class WorkingSupport:
             self._cells[workload] = cells
         return cells
 
-    def evaluate(self, workload: Workload, weights: np.ndarray) -> np.ndarray:
-        """``eval_workload`` of the dataset whose weights over the support are ``weights``."""
-        return cell_values(self.cells(workload), weights, workload.size)
-
-    def evaluate_many(self, plan: Sequence[WorkloadGroup], weights: np.ndarray) -> dict[int, np.ndarray]:
-        """``evaluate`` of each workload of a ``cover_workloads`` plan, by index: one support pass per
-        group, each member then summed off the joint (equal up to the last bits) or the joint itself."""
-        values: dict[int, np.ndarray] = {}
-        for group in plan:
-            joint = np.bincount(self.cells(group.joint), weights, group.joint.size)
+    def evaluate_many(
+        self, cover: WorkloadCover, weights: np.ndarray, at: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Every workload's values on ``weights`` as one flat vector in ``cover``'s layout: one
+        ``bincount`` over the support per group, each member then summed off the joint (equal up
+        to the last bits) or the joint itself. With ``at``, ``weights[i]`` is the weight at support
+        position ``at[i]`` (repeats add) and every other position weighs 0."""
+        parts: list = [None] * len(cover.sizes)
+        for group in cover.groups:
+            cells = self.cells(group.joint)
+            joint = np.bincount(cells if at is None else cells[at], weights, group.joint.size)
             for i, projection, size in group.members:
-                values[i] = joint if projection is None else np.bincount(projection, joint, size)
-        return values
+                parts[i] = joint if projection is None else np.bincount(projection, joint, size)
+        return np.concatenate(parts, dtype=np.float64)  # an empty ``at`` gives int64 zeros
 
     def _keys_with(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The support's sorted keys and the keys of ``points``, comparable with each other."""

@@ -165,7 +165,24 @@ class WorkloadGroup:
     members: tuple[tuple[int, np.ndarray | None, int], ...]
 
 
-def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> tuple[WorkloadGroup, ...]:
+@dataclass(frozen=True, eq=False)
+class WorkloadCover:
+    """A ``cover_workloads`` cover and the flat layout of a scoring: workload ``i``'s values are
+    ``flat[offsets[i]:offsets[i] + sizes[i]]``, and ``segment`` holds the workload of each flat cell.
+    ``home[i]`` is workload ``i``'s group joint and projection."""
+
+    groups: tuple[WorkloadGroup, ...]
+    offsets: np.ndarray
+    sizes: np.ndarray
+    segment: np.ndarray
+    home: tuple[tuple[Workload, np.ndarray | None], ...]
+
+    def part(self, flat: np.ndarray, i: int) -> np.ndarray:
+        """Workload ``i``'s values in a flat vector of this layout (a view)."""
+        return flat[self.offsets[i] : self.offsets[i] + self.sizes[i]]
+
+
+def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> WorkloadCover:
     """Greedy cover of ``workloads`` by groups whose joints have at most ``max_cells`` cells.
 
     Largest first, each workload joins the group whose column union stays within
@@ -187,7 +204,7 @@ def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> tuple[Work
             groups.append([mask, workloads[i].size, [i]])
         else:
             best[:] = best[0] | mask, best_size, best[2] + [i]
-    plan = []
+    plan, home = [], [None] * len(workloads)
     for mask, _, members in groups:
         columns = tuple(c for c in range(schema.num_attributes) if mask >> c & 1)
         # a member equal to the joint lends its own object, so cache lookups hit by identity
@@ -199,7 +216,14 @@ def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> tuple[Work
         projections = [None if i in same else compact_cells(workloads[i], grid) for i in members]
         sizes = [workloads[i].size for i in members]
         plan.append(WorkloadGroup(joint, tuple(zip(members, projections, sizes))))
-    return tuple(plan)
+        for i, projection in zip(members, projections):
+            home[i] = joint, projection
+    sizes = np.array([w.size for w in workloads], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    segment = np.repeat(np.arange(len(workloads)), sizes)
+    for array in (sizes, offsets, segment):
+        array.flags.writeable = False
+    return WorkloadCover(tuple(plan), offsets, sizes, segment, tuple(home))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from dpstream import (
 )
 from dpstream import algorithms
 from dpstream.counters import KINDS
+from dpstream.queries import compact_cells
 
 SCHEMA_2X2 = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_234 = DomainSchema((("a", 2), ("b", 3), ("c", 4)))
@@ -500,3 +501,55 @@ class TestWeightVectorState:
         assert inits[0][victim] == 1.0
         assert inits[0].tobytes() == synth.support.extend(g1).weights.tobytes()
         assert g2.as_mapping()[point] > 0
+
+
+class TestCoverScoring:
+    # the surrogate census schema's cardinalities: 78 two-way workloads in fewer groups
+    SCHEMA = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate((9, 8, 16, 7, 14, 6, 5, 2, 3, 3, 6, 20, 2))))
+
+    def _synth(self, algorithm, seed=0):
+        Q = enumerate_workloads(self.SCHEMA, 2)
+        config = RunConfig(epsilon=Fraction(1), k=3, workloads=Q, seed_support_size=2_000, seed=seed)
+        return make_synthesizer(algorithm, config)
+
+    def _first_round_values(self, synth, delta):
+        """Step ``synth`` on ``delta``; return the fit and values ``_round`` started from."""
+        seen = []
+        run = synth._round
+
+        def recording(delta, reference, h, values, target):
+            seen.append((h.copy(), values.copy()))
+            return run(delta, reference, h, values, target)
+
+        synth._round = recording
+        synth.step(delta)
+        del synth._round
+        return seen[0]
+
+    def test_round_one_from_surrogate_matches_direct_scoring(self):
+        synth = self._synth("main")
+        deltas = random_deltas(self.SCHEMA, 6, seed=21, max_rows=60)
+        for t, delta in enumerate(deltas, start=1):
+            before = len(synth.support)
+            if t == 4:
+                synth._weights[::7] = 0.0  # as if these weights had underflowed
+                assert (synth._weights == 0).sum() > len(synth.support) // 8
+            h, values = self._first_round_values(synth, delta)
+            if t == 2:  # every point of this differential is new to the support
+                assert len(synth.support) == before + len(delta)
+            direct = synth.support.evaluate_many(synth._cover, h)
+            np.testing.assert_allclose(values, direct, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("algorithm", ["baseline", "main"])
+    def test_support_caches_only_the_cover_joints(self, algorithm):
+        synth = self._synth(algorithm, seed=3)
+        for delta in random_deltas(self.SCHEMA, 10, seed=4, max_rows=60):
+            synth.step(delta)
+        joints = [group.joint for group in synth._cover.groups]
+        assert len(joints) < len(synth.workloads)
+        assert sorted(map(id, synth.support._cells)) == sorted(map(id, joints))
+        points = synth.support.points
+        for j, workload in enumerate(synth.workloads):
+            want = compact_cells(workload, points)
+            got = synth._cells(j)
+            assert got.dtype == want.dtype and np.array_equal(got, want)

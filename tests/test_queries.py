@@ -16,7 +16,7 @@ from dpstream import (
     eval_workload,
 )
 from dpstream.fitters import WorkingSupport
-from dpstream.queries import cover_workloads
+from dpstream.queries import cell_values, cover_workloads
 
 SCHEMA = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_243 = DomainSchema((("a", 2), ("b", 4), ("c", 3)))
@@ -188,29 +188,38 @@ class TestCoverWorkloads:
         picked = data.draw(st.lists(st.sampled_from(tuples), min_size=1, unique=True))
         workloads = [Workload(schema, cols) for cols in picked]
         cap = data.draw(st.sampled_from([0, 1, 6, 40, 10**9]))
-        plan = cover_workloads(workloads, cap)
+        cover = cover_workloads(workloads, cap)
 
-        members = sorted(i for group in plan for i, _, _ in group.members)
+        members = sorted(i for group in cover.groups for i, _, _ in group.members)
         assert members == list(range(len(workloads)))
-        for group in plan:
+        for group in cover.groups:
             first = workloads[group.members[0][0]]
             assert group.joint.size <= cap or (len(group.members) == 1 and first.size > cap)
             union = {c for i, _, _ in group.members for c in workloads[i].columns}
             assert group.joint.columns == tuple(sorted(union))
+            for i, projection, _ in group.members:
+                assert cover.home[i][0] is group.joint and cover.home[i][1] is projection
 
         support = WorkingSupport(schema, seed_size=60, seed=data.draw(st.integers(0, 99)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         weights = rng.random(len(support)) * (rng.random(len(support)) < 0.8)
-        values = support.evaluate_many(plan, weights)
+        values = support.evaluate_many(cover, weights)
         dataset = WeightedDataset(schema, support.points, weights)
-        assert sorted(values) == list(range(len(workloads)))
+        # the flat layout lays every workload's cells end to end in index order
+        sizes = [w.size for w in workloads]
+        assert cover.sizes.tolist() == sizes
+        assert cover.offsets.tolist() == np.concatenate([[0], np.cumsum(sizes)[:-1]]).tolist()
+        assert cover.segment.tolist() == [i for i, size in enumerate(sizes) for _ in range(size)]
+        assert values.dtype == np.float64 and values.shape == (sum(sizes),)
         for i, workload in enumerate(workloads):
-            np.testing.assert_allclose(values[i], eval_workload(workload, dataset), rtol=1e-12, atol=0)
-        for group in plan:
+            part = cover.part(values, i)
+            np.testing.assert_allclose(part, eval_workload(workload, dataset), rtol=1e-12, atol=0)
+        for group in cover.groups:
             for i, projection, _ in group.members:
                 if workloads[i].columns == group.joint.columns:
                     assert projection is None and group.joint is workloads[i]
-                    assert values[i].tobytes() == support.evaluate(workloads[i], weights).tobytes()
+                    direct = cell_values(support.cells(workloads[i]), weights, workloads[i].size)
+                    assert cover.part(values, i).tobytes() == direct.tobytes()
 
     def test_census_pairs_share_support_passes(self):
         # 78 two-way workloads over 13 attributes: pairs that share columns fill
@@ -220,14 +229,38 @@ class TestCoverWorkloads:
         cards = [len(values) for _, values in surrogate.SCHEMA]
         schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
         workloads = list(enumerate_workloads(schema, 2))
-        plan = cover_workloads(workloads, 10_000 // 8)
-        assert len(plan) < len(workloads) // 3
-        for group in plan:
+        cover = cover_workloads(workloads, 10_000 // 8)
+        assert len(cover.groups) < len(workloads) // 3
+        for group in cover.groups:
             assert len(group.members) > 1
             for i, projection, size in group.members:
                 assert size == workloads[i].size
                 assert projection.dtype == np.min_scalar_type(size) and not projection.flags.writeable
                 assert projection.shape == (group.joint.size,) and int(projection.max()) == size - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=2, max_size=5), st.data())
+    def test_scoring_at_positions_equals_dense_scoring(self, cards, data):
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        workloads = list(enumerate_workloads(schema, 2)) + list(enumerate_workloads(schema, 1))
+        cover = cover_workloads(workloads, data.draw(st.sampled_from([1, 6, 40, 10**9])))
+        support = WorkingSupport(schema, seed_size=50, seed=data.draw(st.integers(0, 99)))
+        # positions with repeats, as a differential's points and the zero entries can share one
+        at = np.array(data.draw(st.lists(st.integers(0, len(support) - 1), max_size=30)), dtype=np.intp)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        weights = rng.normal(size=len(at))
+        dense = np.zeros(len(support))
+        np.add.at(dense, at, weights)
+        np.testing.assert_allclose(
+            support.evaluate_many(cover, weights, at), support.evaluate_many(cover, dense),
+            rtol=1e-12, atol=1e-12,
+        )
+        # integer weights sum exactly in any order: the same bits as eval_workload on the points
+        counts = rng.integers(1, 20, size=len(at)).astype(np.float64)
+        values = support.evaluate_many(cover, counts, at)
+        dataset = WeightedDataset(schema, support.points[at], counts)
+        for i, workload in enumerate(workloads):
+            assert cover.part(values, i).tobytes() == eval_workload(workload, dataset).tobytes()
 
 
 class TestEnumerateWorkloads:

@@ -1,0 +1,155 @@
+"""Time the synthesizer steps of two checkouts side by side on the same streams.
+
+    python3 tools/steptime.py A B --workload census13-main [--algorithm main|baseline] [--reps N] [--seed S]
+
+Each checkout's `src/dpstream` is imported under its own package name
+(`dpstream_a`, `dpstream_b`) into this one process. The scenario (schema
+width, batch size, steps, counter, epsilon, seed support, rows and the number
+of passes) is read from `bench/workloads.py` next to this script, and its
+inputs are drawn as the benchmark draws them from the workload seed `--seed`.
+Both checkouts then step their own synthesizer over the same differentials,
+one step of each in turn, alternating which of the two goes first. A rep runs
+every pass; `--reps` reps run with fresh synthesizers, and each step's time is
+its fastest over the reps (`time.perf_counter`, single-threaded).
+
+Printed: the median over all steps of each step's fastest time for A and for
+B, B's change against A, and the first pass and step whose releases differ in
+their points or weight bits, if any (exit status 1 then).
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_module(name: str, path: Path, package: bool = False):
+    """Import ``path`` (a package's directory, or one file) as module ``name``."""
+    location = path / "__init__.py" if package else path
+    search = [str(path)] if package else None
+    spec = importlib.util.spec_from_file_location(name, location, submodule_search_locations=search)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_inputs(bench, package, work: Path, workload, seeds):
+    """The benchmark's ``write_inputs``, its ``dpstream.surrogate`` import served by ``package``."""
+    names = ("dpstream", "dpstream.surrogate")
+    saved = {name: sys.modules.get(name) for name in names}
+    sys.modules["dpstream"] = package
+    sys.modules["dpstream.surrogate"] = importlib.import_module(f"{package.__name__}.surrogate")
+    try:
+        return bench.write_inputs(work, workload, seeds)
+    finally:
+        for name, module in saved.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module
+
+
+class Side:
+    """One checkout's package with the scenario's rows and workloads loaded."""
+
+    def __init__(self, package, bench, workload, inputs):
+        self.dp, self.bench, self.workload = package, bench, workload
+        self.schema, values = package.load_schema(inputs.schema)
+        self.rows = package.ingest_csv(inputs.dataset, self.schema, values)
+        self.queries = package.enumerate_workloads(self.schema, bench.K_WAY)
+
+    def deltas(self, stream_seed: int) -> list:
+        w = self.workload
+        spec = self.dp.StreamSpec(
+            variant="randomized_batch", batch_size=w.batch, seed=stream_seed, max_steps=w.steps
+        )
+        return list(self.dp.build_stream(self.rows, spec, self.schema).differentials)
+
+    def synthesizer(self, algorithm: str, run_seed: int):
+        config = self.dp.RunConfig(
+            epsilon=self.workload.epsilon,
+            k=self.bench.K,
+            workloads=self.queries,
+            counter_kind=self.workload.counter,
+            seed=run_seed,
+            seed_support_size=self.workload.seed_support,
+        )
+        return self.dp.make_synthesizer(algorithm, config)
+
+
+def same_release(a, b) -> bool:
+    return (
+        a.points.tobytes() == b.points.tobytes() and a.weights.tobytes() == b.weights.tobytes()
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkouts", nargs=2, type=Path, metavar="CHECKOUT", help="repositories A and B")
+    parser.add_argument("--workload", required=True, help="a workload name from bench/workloads.py")
+    parser.add_argument("--algorithm", choices=("main", "baseline"), default="main")
+    parser.add_argument("--reps", type=int, default=5, help="fresh runs of every pass (default 5)")
+    parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be >= 1")
+    bench = load_module("bench_workloads", ROOT / "bench" / "workloads.py")
+    if args.workload not in bench.WORKLOADS:
+        parser.error(f"unknown workload {args.workload!r}; expected one of {sorted(bench.WORKLOADS)}")
+    workload = bench.WORKLOADS[args.workload]
+    seeds = bench.derive_seeds(args.seed, workload.passes)
+    packages = [
+        load_module(f"dpstream_{mark}", checkout.resolve() / "src" / "dpstream", package=True)
+        for mark, checkout in zip("ab", args.checkouts)
+    ]
+    with tempfile.TemporaryDirectory(prefix="dpstream-steptime-") as tmp:
+        inputs = write_inputs(bench, packages[0], Path(tmp), workload, seeds)
+        sides = [Side(package, bench, workload, inputs) for package in packages]
+
+    fastest: list[list[float]] = [[], []]  # per side, one entry per (pass, step)
+    first_difference = None
+    for rep in range(args.reps):
+        slot = 0
+        for i, (stream_seed, run_seed) in enumerate(zip(seeds.streams, seeds.runs)):
+            deltas = [side.deltas(stream_seed) for side in sides]
+            synths = [side.synthesizer(args.algorithm, run_seed) for side in sides]
+            for t in range(len(deltas[0])):
+                released = [None, None]
+                for s in (0, 1) if (rep + t) % 2 == 0 else (1, 0):
+                    start = time.perf_counter()
+                    released[s] = synths[s].step(deltas[s][t])
+                    elapsed = time.perf_counter() - start
+                    if rep == 0:
+                        fastest[s].append(elapsed)
+                    else:
+                        fastest[s][slot] = min(fastest[s][slot], elapsed)
+                if first_difference is None and not same_release(*released):
+                    first_difference = (i, t + 1)
+                slot += 1
+
+    medians = [statistics.median(times) * 1e3 for times in fastest]
+    print(
+        f"{args.workload} {args.algorithm}, seed {args.seed}: {workload.passes} passes x "
+        f"{workload.steps} steps, fastest of {args.reps} reps per step"
+    )
+    for mark, checkout, median in zip("AB", args.checkouts, medians):
+        print(f"{mark} {checkout}: median step {median:.3f} ms")
+    print(f"B against A: {100 * (medians[1] / medians[0] - 1):+.1f}%")
+    if first_difference is None:
+        print("releases: identical at every step")
+        return 0
+    print(f"releases: first differ at pass {first_difference[0]} step {first_difference[1]}")
+    return 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
