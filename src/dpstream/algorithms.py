@@ -156,15 +156,16 @@ class _StreamSynthesizer:
         measured: list[Measurement] = []
         cells: list[np.ndarray] = []
         selected: list[int] = []
+        unselected = np.ones(len(cover.sizes), dtype=bool)
         for l in range(1, k + 1):
-            candidates = np.delete(np.arange(len(cover.sizes)), selected)
             # every workload's L1 distance in one segment sum over the flat layout
             distances = np.bincount(cover.segment, np.abs(reference - values), len(cover.sizes))
-            utilities = (distances / cover.sizes - self._cell_bias * cover.sizes)[candidates]
+            utilities = (distances / cover.sizes - self._cell_bias * cover.sizes)[unselected]
             pick = exponential_mechanism(utilities, self._eps_step, self._sensitivity, self._select_source)
             self._spend(f"select/l={l}", "selection")
-            j = int(candidates[pick])
+            j = int(np.flatnonzero(unselected)[pick])
             selected.append(j)
+            unselected[j] = False
             measured.append(Measurement(j, self.workloads[j], self._measure(j, delta, reference)))
             cells.append(self._cells(j))
             h = self.fitter.fit_weights(measured, cells, h, target)
