@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dpstream import (
@@ -50,9 +50,11 @@ def reference_mw_weights(weights, cells, values, target_mass, passes):
     """Oracle: multiplicative weights as one update of the whole vector per cell.
 
     The loop before the one-pass scan: the zero entries are set aside, then
-    each cell with live support, in lexicographic order, has its weights
+    each cell with live mass, in lexicographic order, has its weights
     multiplied by exp((measured - current) / (2 M)), clamped at +-50, and the
-    vector is renormalized to M. Returns the fit and its number of clamps.
+    vector is renormalized to M. A cell whose weights all underflowed to 0 in
+    an earlier update is skipped, so only clamps that reweight something count.
+    Returns the fit and its number of clamps.
     """
     out = weights * (target_mass / weights[weights != 0].sum())
     active = out != 0
@@ -63,7 +65,10 @@ def reference_mw_weights(weights, cells, values, target_mass, passes):
             c = c[active]
             for cell in np.unique(c):
                 matching = c == cell
-                exponent = (v[cell] - live[matching].sum()) / (2.0 * target_mass)
+                current = live[matching].sum()
+                if current == 0:  # every weight in the cell underflowed: nothing to reweight
+                    continue
+                exponent = (v[cell] - current) / (2.0 * target_mass)
                 if abs(exponent) > 50.0:
                     clamps += 1
                     exponent = math.copysign(50.0, exponent)
@@ -240,6 +245,22 @@ class TestMwWeights:
 
     @settings(max_examples=300, deadline=None)
     @given(mw_problems())
+    # point 7's weight underflows to 0 in pass 3; its cell is then skipped, not clamped
+    @example(problem=(
+        np.array([0.0] * 7 + [1.0] + [0.0] * 10 + [1.0] + [0.0] * 5),
+        [
+            np.array([0] * 7 + [4] + [0] * 16),
+            np.array([0] * 7 + [4] + [0] * 10 + [5] + [0] * 5),
+            np.array([0] * 18 + [6] + [0] * 5),
+        ],
+        [
+            np.array([1000.0, 0.0, 0.0, 0.0, -1000.0]),
+            np.array([0.0, 0.0, 0.0, 0.0, -1000.0, 1000.0]),
+            np.array([-1000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0]),
+        ],
+        1.0,
+        3,
+    ))
     def test_one_pass_scan_matches_per_cell_updates(self, problem):
         weights, cells, values, target, passes = problem
         stats = FitStats()
