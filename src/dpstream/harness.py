@@ -218,6 +218,12 @@ class ExperimentConfig:
                 raise ValueError("epsilon values must be positive")
         if self.summary_window < 1:
             raise ValueError(f"summary_window must be >= 1, got {self.summary_window}")
+        runs: dict[Path, list[str]] = {}
+        for alg, eps, seed in self.triples():
+            runs.setdefault(self.run_dir(Path(), alg, eps, seed), []).append(f"({alg}, {eps}, {seed})")
+        shared = [f"{' and '.join(names)} in {path}" for path, names in runs.items() if len(names) > 1]
+        if shared:
+            raise ValueError(f"runs would overwrite each other's files: {'; '.join(shared)}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

@@ -612,6 +612,32 @@ class TestCli:
         assert capsys.readouterr().err == reported
         assert not (tmp_path / "out").exists()
 
+    def test_grid_sharing_run_directories_fails_validate_and_run(self, tmp_path, data_file, schema_file, capsys):
+        # 1/2 and 0.5 are one epsilon; 1/3 and 0.3333333333333333 differ but name one directory
+        payload = {
+            "dataset": str(data_file),
+            "schema": str(schema_file),
+            "stream": {"variant": "ordered_batch", "batch_size": 2},
+            "output_dir": str(tmp_path / "out"),
+            "epsilons": ["1/2", "0.5", "1/3", "0.3333333333333333"],
+            "seeds": [0, 0],
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="overwrite each other") as raised:
+            ExperimentConfig.from_json(config_path)
+        message = str(raised.value)
+        assert "(main, 1/3, 0) and (main, 1/3, 0) and (main, 3333333333333333/10000000000000000, 0)" in message
+        assert len(message.split("; ")) == 4  # 2 algorithms x 2 shared directories
+        for command in ("validate", "run"):
+            assert cli_main([command, "--config", str(config_path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error: runs would overwrite each other's files")
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+        # distinct seeds and epsilons whose floats differ still pass
+        experiment_config(tmp_path, data_file, schema_file, epsilons=("1/3", "0.333"), seeds=(0, 1))
+
     @pytest.mark.parametrize("field", ["algorithms", "epsilons", "seeds"])
     def test_empty_grid_fails_validate_and_run(self, tmp_path, data_file, schema_file, capsys, field):
         payload = {
