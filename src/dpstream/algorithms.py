@@ -115,6 +115,7 @@ class _StreamSynthesizer:
         self._sensitivity = config.resolved_sensitivity()
         # selection reads workloads off joints of at most 1/8 of the seed support (fastest in a sweep)
         self._cover = cover_workloads(self.workloads, len(self.support) // 8)
+        self._bias = self._cell_bias * self._cover.sizes
         self._release(np.ones(len(self.support)))
 
     def _observe(self, delta: WeightedDataset) -> np.ndarray:
@@ -160,7 +161,7 @@ class _StreamSynthesizer:
         for l in range(1, k + 1):
             # every workload's L1 distance in one segment sum over the flat layout
             distances = np.bincount(cover.segment, np.abs(reference - values), len(cover.sizes))
-            utilities = (distances / cover.sizes - self._cell_bias * cover.sizes)[unselected]
+            utilities = (distances / cover.sizes - self._bias)[unselected]
             pick = exponential_mechanism(utilities, self._eps_step, self._sensitivity, self._select_source)
             self._spend(f"select/l={l}", "selection")
             j = int(np.flatnonzero(unselected)[pick])

@@ -71,6 +71,13 @@ class DomainSchema:
         return tuple(reversed(strides))
 
     @cached_property
+    def stride_array(self) -> np.ndarray:
+        """``key_strides`` (which must not be None) as a read-only int64 array, built once."""
+        strides = np.array(self.key_strides, dtype=np.int64)
+        strides.flags.writeable = False
+        return strides
+
+    @cached_property
     def _hash(self) -> int:
         return hash((self.attributes,))
 
@@ -103,7 +110,7 @@ def point_keys(schema: DomainSchema, *arrays: np.ndarray) -> list[np.ndarray]:
         _, ranks = np.unique(np.concatenate(arrays), axis=0, return_inverse=True)
         bounds = np.cumsum([len(a) for a in arrays])[:-1]
         return np.split(ranks.reshape(-1).astype(np.int64), bounds)
-    strides = np.asarray(schema.key_strides, dtype=np.int64)
+    strides = schema.stride_array
     return [a @ strides for a in arrays]
 
 

@@ -24,6 +24,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SEED_SUPPORT = 10_000
 EXPONENT_CLAMP = 50.0
+# Most entries of a whole-domain support's scoring matrix (512 KiB of float64); above it, and on
+# sampled supports, scoring takes the cover path. Both cost about the same near 190,000 entries.
+DENSE_LIMIT = 2**16
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,7 @@ class WorkingSupport:
         self._points = points
         self._keys = None if schema.key_strides is None else point_keys(schema, points)[0]
         self._cells: dict[Workload, np.ndarray] = {}
+        self._matrices: dict[WorkloadCover, np.ndarray] = {}
 
     @property
     def points(self) -> np.ndarray:
@@ -98,13 +102,36 @@ class WorkingSupport:
             self._cells[workload] = cells
         return cells
 
+    def _matrix(self, cover: WorkloadCover) -> np.ndarray | None:
+        """The 0/1 matrix whose row r marks the support points in ``cover``'s flat cell r, built
+        once per cover; None unless the support is the whole domain (so it never grows and the
+        matrix never goes stale) and the matrix has at most ``DENSE_LIMIT`` entries."""
+        n = len(self._points)
+        if n != self.schema.size or len(cover.segment) * n > DENSE_LIMIT:
+            return None
+        matrix = self._matrices.get(cover)
+        if matrix is None:
+            rows = []
+            for offset, (joint, projection) in zip(cover.offsets.tolist(), cover.home):
+                cells = self.cells(joint)
+                rows.append((cells if projection is None else projection[cells]).astype(np.intp) + offset)
+            matrix = np.zeros((len(cover.segment), n))
+            matrix[np.concatenate(rows), np.tile(np.arange(n), len(rows))] = 1.0
+            matrix.flags.writeable = False
+            self._matrices[cover] = matrix
+        return matrix
+
     def evaluate_many(
         self, cover: WorkloadCover, weights: np.ndarray, at: np.ndarray | None = None
     ) -> np.ndarray:
-        """Every workload's values on ``weights`` as one flat vector in ``cover``'s layout: one
-        ``bincount`` over the support per group, each member then summed off the joint (equal up
-        to the last bits) or the joint itself. With ``at``, ``weights[i]`` is the weight at support
-        position ``at[i]`` (repeats add) and every other position weighs 0."""
+        """Every workload's values on ``weights`` as one flat vector in ``cover``'s layout. With
+        ``at``, ``weights[i]`` is the weight at support position ``at[i]`` (repeats add) and every
+        other position weighs 0. One product with ``_matrix(cover)`` where there is one; otherwise
+        one ``bincount`` over the support per group, each member then summed off the joint (equal
+        up to the last bits) or the joint itself."""
+        matrix = self._matrix(cover)
+        if matrix is not None:
+            return matrix @ weights if at is None else matrix[:, at] @ weights
         parts: list = [None] * len(cover.sizes)
         for group in cover.groups:
             cells = self.cells(group.joint)
@@ -264,7 +291,8 @@ def _apply_measurement(
         if cell_sum == 0:
             continue
         current = target_mass * cell_sum / (updated + pending[c])
-        factors[c] = _clamped_exp((measured - current) / (2.0 * target_mass), stats)
+        x = (measured - current) / (2.0 * target_mass)  # NaN and the clamped go through _clamped_exp
+        factors[c] = math.exp(x) if -EXPONENT_CLAMP <= x <= EXPONENT_CLAMP else _clamped_exp(x, stats)
         updated += cell_sum * factors[c]
     if updated <= 0:
         raise ValueError("multiplicative weights drove the total mass to zero")

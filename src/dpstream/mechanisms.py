@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -13,7 +14,6 @@ import numpy as np
 # one value per feed, so a large buffer is mostly idle memory. The refill size
 # does not change the draws: each double takes one 64-bit PCG64 output, in order.
 _BUFFER = 256
-_ZERO = Fraction(0)
 
 NOISE_MODES = ("laplace", "zero")
 
@@ -102,7 +102,7 @@ def exponential_mechanism(
     probs = np.exp(logits)
     probs /= probs.sum()
     r = source.uniform()
-    idx = int(np.searchsorted(np.cumsum(probs), r, side="right"))
+    idx = int(probs.cumsum().searchsorted(r, side="right"))
     return min(idx, u.size - 1)
 
 
@@ -116,7 +116,7 @@ class BudgetEntry:
 
     ``numerator`` is the run's total epsilon and ``divisor`` the share split
     (e.g. 2k), so sums over entries are exact rationals with no float drift.
-    ``epsilon`` is their quotient, divided once at construction.
+    ``epsilon`` is their quotient, divided once per distinct pair.
     """
 
     label: str
@@ -127,7 +127,12 @@ class BudgetEntry:
     epsilon: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", self.numerator / self.divisor)
+        object.__setattr__(self, "epsilon", _quotient(self.numerator, self.divisor))
+
+
+@functools.lru_cache(maxsize=64)
+def _quotient(numerator: Fraction, divisor: int) -> Fraction:
+    return numerator / divisor
 
 
 @dataclass
@@ -140,36 +145,52 @@ class BudgetLedger:
     gets the whole budget. A spend covering parallel sub-mechanisms (the cells
     of one workload histogram) is recorded as a single entry at the shared
     per-cell epsilon.
+
+    Running totals are integers in units of 1/D, D the lcm of the denominators
+    seen so far, so the overspend check compares integers.
     """
 
     total_epsilon: Fraction
     entries: list[BudgetEntry] = field(default_factory=list)
-    # Running totals over entries[:_counted], brought up to date by every reader;
-    # dict order is first-spend order.
-    _group_totals: dict[str | None, Fraction] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _category_totals: dict[tuple[str | None, str], Fraction] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _counted: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.total_epsilon = Fraction(self.total_epsilon)
         if self.total_epsilon <= 0:
             raise ValueError("total epsilon must be positive")
+        # Running totals over entries[:_counted] in units of 1/_unit, brought up to date by every
+        # reader; dict order is first-spend order. _units holds each epsilon seen in those units.
+        self._group_totals: dict[str | None, int] = {}
+        self._category_totals: dict[tuple[str | None, str], int] = {}
+        self._units: dict[Fraction, int] = {}
+        self._counted = 0
+        self._unit, self._limit = self.total_epsilon.denominator, self.total_epsilon.numerator
 
-    def _count(self, entry: BudgetEntry, group_total: Fraction) -> None:
+    def _units_of(self, epsilon: Fraction) -> int:
+        """``epsilon * _unit``, first refining the unit (and every total) until it is an integer."""
+        units = self._units.get(epsilon)
+        if units is None:
+            scale = epsilon.denominator // math.gcd(self._unit, epsilon.denominator)
+            if scale > 1:
+                self._unit *= scale
+                self._limit *= scale
+                for totals in (self._units, self._group_totals, self._category_totals):
+                    for key in totals:
+                        totals[key] *= scale
+            units = self._units[epsilon] = epsilon.numerator * (self._unit // epsilon.denominator)
+        return units
+
+    def _count(self, entry: BudgetEntry, units: int, group_total: int) -> None:
         """Fold the next uncounted entry into the totals; ``group_total`` includes it."""
         self._group_totals[entry.group] = group_total
         key = (entry.group, entry.category)
-        self._category_totals[key] = self._category_totals.get(key, _ZERO) + entry.epsilon
+        self._category_totals[key] = self._category_totals.get(key, 0) + units
         self._counted += 1
 
     def _sync(self) -> None:
         """Fold entries not yet counted (seeded or appended directly) into the totals."""
         for e in self.entries[self._counted :]:
-            self._count(e, self._group_totals.get(e.group, _ZERO) + e.epsilon)
+            units = self._units_of(e.epsilon)
+            self._count(e, units, self._group_totals.get(e.group, 0) + units)
 
     def spend(
         self,
@@ -185,23 +206,25 @@ class BudgetLedger:
         if num <= 0 or divisor < 1:
             raise ValueError("spend must be positive")
         entry = BudgetEntry(label, num, divisor, group, category)
-        total = self.group_total(group) + entry.epsilon
-        if total > self.total_epsilon:
+        self._sync()
+        units = self._units_of(entry.epsilon)  # after the sync, which may refine the unit
+        total = self._group_totals.get(group, 0) + units
+        if total > self._limit:
             raise BudgetOverspendError(
                 f"spend {label!r} of {entry.epsilon} exceeds budget "
                 f"{self.total_epsilon} in group {group!r}"
             )
         self.entries.append(entry)
-        self._count(entry, total)
+        self._count(entry, units, total)
         return entry
 
     def group_total(self, group: str | None) -> Fraction:
         self._sync()
-        return self._group_totals.get(group, _ZERO)
+        return Fraction(self._group_totals.get(group, 0), self._unit)
 
     def category_total(self, group: str | None, category: str) -> Fraction:
         self._sync()
-        return self._category_totals.get((group, category), _ZERO)
+        return Fraction(self._category_totals.get((group, category), 0), self._unit)
 
     def groups(self) -> list[str | None]:
         self._sync()
@@ -209,4 +232,4 @@ class BudgetLedger:
 
     def max_group_total(self) -> Fraction:
         self._sync()
-        return max(self._group_totals.values(), default=_ZERO)
+        return Fraction(max(self._group_totals.values(), default=0), self._unit)

@@ -231,6 +231,54 @@ class TestBudgetLedger:
             assert ledger.max_group_total() == max((scan(ledger.entries, g) for g in seen), default=0)
         assert rejected > 0
 
+    @pytest.mark.parametrize("total", [Fraction(1), Fraction(7, 3), Fraction(2, 5)])
+    def test_integer_totals_match_fraction_scan(self, total):
+        # mixed divisors, float and string numerators and seeded entries all refine the unit
+        def scan(entries, group, category=None):
+            return sum(
+                (e.epsilon for e in entries if e.group == group and category in (None, e.category)),
+                Fraction(0),
+            )
+
+        rng = np.random.default_rng(11)
+        numerators = [total, Fraction(1, 3), 0.1, "0.25", Fraction(5, 7)]
+        seeded = BudgetLedger(total)
+        seeded.spend("s0", 0.1, 3, group="t=2", category="selection")
+        seeded.spend("s1", Fraction(2, 9), 1, group="t=1", category="counter")
+        ledger = BudgetLedger(total, list(seeded.entries))
+        ledger.entries.append(BudgetEntry("direct", Fraction(1, 11), 2, "t=3", "measurement"))
+        groups = [None, "t=1", "t=2", "t=3"]
+        for i in range(200):
+            group = groups[int(rng.integers(len(groups)))]
+            category = ("selection", "counter", "measurement")[int(rng.integers(3))]
+            numerator = numerators[int(rng.integers(len(numerators)))]
+            size, divisor = len(ledger.entries), int(rng.integers(1, 13))
+            try:
+                entry = ledger.spend(f"x{i}", numerator, divisor, group=group, category=category)
+            except BudgetOverspendError:
+                assert len(ledger.entries) == size
+                assert scan(ledger.entries, group) + Fraction(str(numerator)) / divisor > total
+            else:
+                assert scan(ledger.entries, group) <= total and entry is ledger.entries[-1]
+            for g in groups:
+                assert ledger.group_total(g) == scan(ledger.entries, g)
+                assert type(ledger.group_total(g)) is Fraction
+                for c in ("selection", "counter", "measurement"):
+                    assert ledger.category_total(g, c) == scan(ledger.entries, g, c)
+            assert ledger.max_group_total() == max(scan(ledger.entries, g) for g in ledger.groups())
+            assert type(ledger.max_group_total()) is Fraction
+        assert ledger.group_total("t=1") > 0 and ledger.group_total("t=3") > 0
+
+    def test_spend_up_to_a_non_integer_total_exactly(self):
+        ledger = BudgetLedger(Fraction(7, 3))
+        for _ in range(6):
+            ledger.spend("share", Fraction(7, 3), 6, group="t=1")
+        assert ledger.group_total("t=1") == Fraction(7, 3)
+        with pytest.raises(BudgetOverspendError):
+            ledger.spend("over", Fraction(1, 10**30), group="t=1")
+        ledger.spend("float", 0.1, group="t=2")
+        assert ledger.group_total("t=2") == Fraction(1, 10)
+
     def test_totals_seeded_from_constructor_entries(self):
         first = BudgetLedger(Fraction(1))
         first.spend("a", Fraction(1), 2, group="t=1", category="selection")

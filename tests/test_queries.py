@@ -15,6 +15,7 @@ from dpstream import (
     eval_query,
     eval_workload,
 )
+from dpstream import fitters
 from dpstream.fitters import WorkingSupport
 from dpstream.queries import cell_values, cover_workloads
 
@@ -199,27 +200,38 @@ class TestCoverWorkloads:
             assert group.joint.columns == tuple(sorted(union))
             for i, projection, _ in group.members:
                 assert cover.home[i][0] is group.joint and cover.home[i][1] is projection
+                if workloads[i].columns == group.joint.columns:
+                    assert projection is None and group.joint is workloads[i]
 
-        support = WorkingSupport(schema, seed_size=60, seed=data.draw(st.integers(0, 99)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        weights = rng.random(len(support)) * (rng.random(len(support)) < 0.8)
-        values = support.evaluate_many(cover, weights)
-        dataset = WeightedDataset(schema, support.points, weights)
         # the flat layout lays every workload's cells end to end in index order
         sizes = [w.size for w in workloads]
         assert cover.sizes.tolist() == sizes
         assert cover.offsets.tolist() == np.concatenate([[0], np.cumsum(sizes)[:-1]]).tolist()
         assert cover.segment.tolist() == [i for i, size in enumerate(sizes) for _ in range(size)]
-        assert values.dtype == np.float64 and values.shape == (sum(sizes),)
-        for i, workload in enumerate(workloads):
-            part = cover.part(values, i)
-            np.testing.assert_allclose(part, eval_workload(workload, dataset), rtol=1e-12, atol=0)
-        for group in cover.groups:
-            for i, projection, _ in group.members:
-                if workloads[i].columns == group.joint.columns:
-                    assert projection is None and group.joint is workloads[i]
-                    direct = cell_values(support.cells(workloads[i]), weights, workloads[i].size)
-                    assert cover.part(values, i).tobytes() == direct.tobytes()
+
+        seed = data.draw(st.integers(0, 99))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # seed size 60 enumerates domains of up to 60 points (the dense path); a seed
+        # size below the domain size always samples (the cover path)
+        supports = [WorkingSupport(schema, seed_size=60, seed=seed)]
+        if schema.size > 1:
+            supports.append(WorkingSupport(schema, seed_size=min(60, schema.size - 1), seed=seed))
+        for support in supports:
+            weights = rng.random(len(support)) * (rng.random(len(support)) < 0.8)
+            values = support.evaluate_many(cover, weights)
+            dataset = WeightedDataset(schema, support.points, weights)
+            assert values.dtype == np.float64 and values.shape == (sum(sizes),)
+            for i, workload in enumerate(workloads):
+                part = cover.part(values, i)
+                np.testing.assert_allclose(part, eval_workload(workload, dataset), rtol=1e-12, atol=0)
+            if len(support) == schema.size:
+                continue
+            # on the cover path a member equal to its joint is the joint's own bincount
+            for group in cover.groups:
+                for i, projection, _ in group.members:
+                    if projection is None:
+                        direct = cell_values(support.cells(workloads[i]), weights, workloads[i].size)
+                        assert cover.part(values, i).tobytes() == direct.tobytes()
 
     def test_census_pairs_share_support_passes(self):
         # 78 two-way workloads over 13 attributes: pairs that share columns fill
@@ -261,6 +273,87 @@ class TestCoverWorkloads:
         dataset = WeightedDataset(schema, support.points[at], counts)
         for i, workload in enumerate(workloads):
             assert cover.part(values, i).tobytes() == eval_workload(workload, dataset).tobytes()
+
+
+class TestDenseScoring:
+    """On a whole-domain support with a small matrix, scoring is one matrix product."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=4), st.data())
+    def test_dense_path_matches_eval_workload(self, cards, data):
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        workloads = list(enumerate_workloads(schema, 1))
+        if len(cards) > 1:
+            workloads += list(enumerate_workloads(schema, 2))
+        cover = cover_workloads(workloads, data.draw(st.sampled_from([1, 6, 40, 10**9])))
+        support = WorkingSupport(schema, seed_size=schema.size, seed=0)
+        assert len(support) == schema.size and len(cover.segment) * len(support) <= fitters.DENSE_LIMIT
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        weights = rng.random(len(support)) * (rng.random(len(support)) < 0.8)
+        values = support.evaluate_many(cover, weights)
+        assert cover in support._matrices
+        assert values.dtype == np.float64 and values.shape == (len(cover.segment),)
+        dataset = WeightedDataset(schema, support.points, weights)
+        for i, workload in enumerate(workloads):
+            np.testing.assert_allclose(cover.part(values, i), eval_workload(workload, dataset), rtol=1e-12, atol=0)
+        # integer weights sum exactly in any order, at every position or at some, with repeats
+        at = np.array(data.draw(st.lists(st.integers(0, len(support) - 1), max_size=30)), dtype=np.intp)
+        counts = rng.integers(1, 20, size=len(support)).astype(np.float64)
+        at_counts = rng.integers(1, 20, size=len(at)).astype(np.float64)
+        for dataset, got in (
+            (WeightedDataset(schema, support.points, counts), support.evaluate_many(cover, counts)),
+            (WeightedDataset(schema, support.points[at], at_counts), support.evaluate_many(cover, at_counts, at)),
+        ):
+            for i, workload in enumerate(workloads):
+                assert cover.part(got, i).tobytes() == eval_workload(workload, dataset).tobytes()
+
+    def test_empty_positions_score_zero(self):
+        workloads = list(enumerate_workloads(SCHEMA_243, 2))
+        cover = cover_workloads(workloads, 3)
+        support = WorkingSupport(SCHEMA_243, seed_size=100)
+        values = support.evaluate_many(cover, np.empty(0), np.empty(0, dtype=np.intp))
+        assert cover in support._matrices
+        assert values.dtype == np.float64 and values.tobytes() == np.zeros(len(cover.segment)).tobytes()
+
+    def test_matrix_built_once_per_cover(self):
+        workloads = list(enumerate_workloads(SCHEMA_243, 2))
+        support = WorkingSupport(SCHEMA_243, seed_size=100)
+        cover, other = cover_workloads(workloads, 3), cover_workloads(workloads, 100)
+        weights = np.arange(len(support), dtype=np.float64)
+        first = support.evaluate_many(cover, weights)
+        matrix = support._matrices[cover]
+        assert matrix.shape == (len(cover.segment), len(support)) and not matrix.flags.writeable
+        # every point lies in exactly one cell of each workload
+        assert set(np.unique(matrix)) == {0.0, 1.0}
+        assert (matrix.sum(axis=0) == len(workloads)).all()
+        assert support.evaluate_many(cover, weights).tobytes() == first.tobytes()
+        support.evaluate_many(cover, weights[:2], np.array([0, 1]))
+        assert support._matrices[cover] is matrix and len(support._matrices) == 1
+        support.evaluate_many(other, weights)
+        assert len(support._matrices) == 2 and support._matrices[cover] is matrix
+
+    def test_no_matrix_on_sampled_support_or_above_limit(self, monkeypatch):
+        schema = DomainSchema(tuple((f"x{i}", 4) for i in range(5)))  # 1,024 points
+        workloads = list(enumerate_workloads(schema, 2))  # 160 cells
+        cover = cover_workloads(workloads, 128)
+        entries = len(cover.segment) * schema.size
+        assert entries > fitters.DENSE_LIMIT
+        rng = np.random.default_rng(3)
+        sampled = WorkingSupport(schema, seed_size=schema.size - 1, seed=0)
+        whole = WorkingSupport(schema, seed_size=schema.size, seed=0)
+        for support in (sampled, whole):
+            weights = rng.random(len(support))
+            values = support.evaluate_many(cover, weights)
+            assert support._matrices == {}
+            dataset = WeightedDataset(schema, support.points, weights)
+            for i, workload in enumerate(workloads):
+                np.testing.assert_allclose(cover.part(values, i), eval_workload(workload, dataset), rtol=1e-12)
+        # the limit is inclusive
+        monkeypatch.setattr(fitters, "DENSE_LIMIT", entries)
+        sampled.evaluate_many(cover, np.ones(len(sampled)))
+        assert sampled._matrices == {}
+        whole.evaluate_many(cover, np.ones(len(whole)))
+        assert cover in whole._matrices
 
 
 class TestEnumerateWorkloads:
