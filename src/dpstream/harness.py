@@ -218,11 +218,13 @@ class ExperimentConfig:
                 raise ValueError("epsilon values must be positive")
         if self.summary_window < 1:
             raise ValueError(f"summary_window must be >= 1, got {self.summary_window}")
-        runs: dict[Path, list[str]] = {}
-        for alg, eps, seed in self.triples():
-            runs.setdefault(self.run_dir(Path(), alg, eps, seed), []).append(f"({alg}, {eps}, {seed})")
-        shared = [f"{' and '.join(names)} in {path}" for path, names in runs.items() if len(names) > 1]
-        if shared:
+        # a run directory is named by algorithm, float(epsilon) and seed: runs share one iff an axis repeats
+        axes = (self.algorithms, [float(e) for e in self.epsilons], self.seeds)
+        if any(len(set(axis)) < len(axis) for axis in axes):
+            runs: dict[Path, list[str]] = {}
+            for alg, eps, seed in self.triples():
+                runs.setdefault(self.run_dir(Path(), alg, eps, seed), []).append(f"({alg}, {eps}, {seed})")
+            shared = [f"{' and '.join(names)} in {path}" for path, names in runs.items() if len(names) > 1]
             raise ValueError(f"runs would overwrite each other's files: {'; '.join(shared)}")
 
     @classmethod
