@@ -157,26 +157,26 @@ class BudgetLedger:
         self.total_epsilon = Fraction(self.total_epsilon)
         if self.total_epsilon <= 0:
             raise ValueError("total epsilon must be positive")
-        # Running totals over entries[:_counted] in units of 1/_unit, brought up to date by every
-        # reader; dict order is first-spend order. _units holds each epsilon seen in those units.
+        # Running totals over entries[:_counted] in units of 1/_denominator, brought up to date by
+        # every reader; dict order is first-spend order. _units holds each epsilon seen in those units.
         self._group_totals: dict[str | None, int] = {}
         self._category_totals: dict[tuple[str | None, str], int] = {}
         self._units: dict[Fraction, int] = {}
         self._counted = 0
-        self._unit, self._limit = self.total_epsilon.denominator, self.total_epsilon.numerator
+        self._denominator, self._limit = self.total_epsilon.denominator, self.total_epsilon.numerator
 
     def _units_of(self, epsilon: Fraction) -> int:
-        """``epsilon * _unit``, first refining the unit (and every total) until it is an integer."""
+        """``epsilon * _denominator``, first refining the denominator (and every total) to make it whole."""
         units = self._units.get(epsilon)
         if units is None:
-            scale = epsilon.denominator // math.gcd(self._unit, epsilon.denominator)
+            scale = epsilon.denominator // math.gcd(self._denominator, epsilon.denominator)
             if scale > 1:
-                self._unit *= scale
+                self._denominator *= scale
                 self._limit *= scale
                 for totals in (self._units, self._group_totals, self._category_totals):
                     for key in totals:
                         totals[key] *= scale
-            units = self._units[epsilon] = epsilon.numerator * (self._unit // epsilon.denominator)
+            units = self._units[epsilon] = epsilon.numerator * (self._denominator // epsilon.denominator)
         return units
 
     def _count(self, entry: BudgetEntry, units: int, group_total: int) -> None:
@@ -207,7 +207,7 @@ class BudgetLedger:
             raise ValueError("spend must be positive")
         entry = BudgetEntry(label, num, divisor, group, category)
         self._sync()
-        units = self._units_of(entry.epsilon)  # after the sync, which may refine the unit
+        units = self._units_of(entry.epsilon)  # after the sync, which may refine the denominator
         total = self._group_totals.get(group, 0) + units
         if total > self._limit:
             raise BudgetOverspendError(
@@ -220,11 +220,11 @@ class BudgetLedger:
 
     def group_total(self, group: str | None) -> Fraction:
         self._sync()
-        return Fraction(self._group_totals.get(group, 0), self._unit)
+        return Fraction(self._group_totals.get(group, 0), self._denominator)
 
     def category_total(self, group: str | None, category: str) -> Fraction:
         self._sync()
-        return Fraction(self._category_totals.get((group, category), 0), self._unit)
+        return Fraction(self._category_totals.get((group, category), 0), self._denominator)
 
     def groups(self) -> list[str | None]:
         self._sync()
@@ -232,4 +232,4 @@ class BudgetLedger:
 
     def max_group_total(self) -> Fraction:
         self._sync()
-        return Fraction(max(self._group_totals.values(), default=0), self._unit)
+        return Fraction(max(self._group_totals.values(), default=0), self._denominator)

@@ -100,7 +100,8 @@ def main(argv: list[str] | None = None) -> int:
                     values[side][name].append(got["value"])
         print(f"pair {pair + 1} of {args.pairs} done", file=sys.stderr)
 
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs; A = {args.checkouts[0]}, B = {args.checkouts[1]}")
+    a, b = args.checkouts
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs; A = {a}, B = {b}")
     for name, metric in metrics.items():
         parent, change = values[0][name], values[1][name]
         if not parent or len(parent) != len(change):
