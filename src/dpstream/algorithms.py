@@ -167,8 +167,8 @@ class _StreamSynthesizer:
             j = int(np.flatnonzero(unselected)[pick])
             selected.append(j)
             unselected[j] = False
-            measured.append(Measurement(j, self.workloads[j], self._measure(j, delta, reference)))
             cells.append(self._cells(j))
+            measured.append(Measurement(j, self.workloads[j], self._measure(j, delta, reference, cells[-1])))
             h = self.fitter.fit_weights(measured, cells, h, target)
             fits.append(h)
             if l < k:
@@ -176,8 +176,11 @@ class _StreamSynthesizer:
         # dataset_mean of the fits: summed in list order, then scaled by 1/k
         return sum(fits[1:], fits[0]) * (1.0 / len(fits)), selected
 
-    def _measure(self, j: int, delta: WeightedDataset, reference: np.ndarray) -> np.ndarray:
-        """Noisy cell values of workload ``j`` at this step, spending its measurement share."""
+    def _measure(
+        self, j: int, delta: WeightedDataset, reference: np.ndarray, cells: np.ndarray
+    ) -> np.ndarray:
+        """Noisy cell values of workload ``j`` at this step, spending its measurement share;
+        ``cells`` is ``_cells(j)``."""
         raise NotImplementedError
 
     def _release(self, weights: np.ndarray) -> WeightedDataset:
@@ -213,7 +216,9 @@ class StreamingMwem(_StreamSynthesizer):
         mean, _ = self._round(delta, delta_values, h, self.support.evaluate_many(self._cover, h), target)
         return self._release(self._weights + mean)
 
-    def _measure(self, j: int, delta: WeightedDataset, reference: np.ndarray) -> np.ndarray:
+    def _measure(
+        self, j: int, delta: WeightedDataset, reference: np.ndarray, cells: np.ndarray
+    ) -> np.ndarray:
         scale = 1.0 / self._eps_step  # sensitivity-1 histogram at eps/2k
         noise = self._measure_source.laplace_vector(scale, self.workloads[j].size)
         noisy = self._cover.part(reference, j) + noise
@@ -262,7 +267,9 @@ class CounterSynthesizer(_StreamSynthesizer):
         self.last_selected = selected
         return self._release(g_t)
 
-    def _measure(self, j: int, delta: WeightedDataset, reference: np.ndarray) -> np.ndarray:
+    def _measure(
+        self, j: int, delta: WeightedDataset, reference: np.ndarray, cells: np.ndarray
+    ) -> np.ndarray:
         workload = self.workloads[j]
         if j not in self.counters:
             self.counters[j] = MultiDimCounter(
@@ -279,7 +286,7 @@ class CounterSynthesizer(_StreamSynthesizer):
             # (the counter was not fed, ``_weights`` only gained zeros), so it is
             # computed here, when the counter is fed, rather than after every step.
             self.remainders[j] = (
-                cell_values(self._cells(j), self._weights, workload.size) - self.counters[j].peek()
+                cell_values(cells, self._weights, workload.size) - self.counters[j].peek()
             )
         counter_values = self.counters[j].feed(eval_workload(workload, delta))
         self._spend(f"counter/W={j}", "counter")

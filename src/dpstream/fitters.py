@@ -83,6 +83,7 @@ class WorkingSupport:
         self._points = points
         self._keys = None if schema.key_strides is None else point_keys(schema, points)[0]
         self._cells: dict[Workload, np.ndarray] = {}
+        self._strides = np.zeros((schema.num_attributes, 0), dtype=np.int64)
         self._matrices: dict[WorkloadCover, np.ndarray] = {}
 
     @property
@@ -101,6 +102,22 @@ class WorkingSupport:
             cells = compact_cells(workload, self._points)
             self._cells[workload] = cells
         return cells
+
+    def _cell_strides(self) -> np.ndarray:
+        """The p × G matrix whose column g holds the mixed-radix strides of the g-th cached workload's
+        columns and zeros elsewhere: ``points @`` it is every cached ``point_cells``. It is float64
+        (a BLAS product, 6x faster) when every such cell index is below ``2**53``, so every partial
+        sum is an exact integer; int64 otherwise."""
+        if self._strides.shape[1] != len(self._cells):  # workloads are only ever added, in order
+            exact = all(w.size <= 2**53 for w in self._cells)
+            shape = (self.schema.num_attributes, len(self._cells))
+            self._strides = np.zeros(shape, dtype=np.float64 if exact else np.int64)
+            for g, workload in enumerate(self._cells):
+                stride = 1
+                for c, card in zip(workload.columns[::-1], workload.cell_shape[::-1]):
+                    self._strides[c, g] = stride
+                    stride *= card
+        return self._strides
 
     def _matrix(self, cover: WorkloadCover) -> np.ndarray | None:
         """The 0/1 matrix whose row r marks the support points in ``cover``'s flat cell r, built
@@ -127,18 +144,17 @@ class WorkingSupport:
         """Every workload's values on ``weights`` as one flat vector in ``cover``'s layout. With
         ``at``, ``weights[i]`` is the weight at support position ``at[i]`` (repeats add) and every
         other position weighs 0. One product with ``_matrix(cover)`` where there is one; otherwise
-        one ``bincount`` over the support per group, each member then summed off the joint (equal
-        up to the last bits) or the joint itself."""
+        one ``bincount`` over the support per group, then every flat cell summed off its run of
+        joint cells by one ``reduceat`` (equal up to the last bits; a one-cell run is copied)."""
         matrix = self._matrix(cover)
         if matrix is not None:
             return matrix @ weights if at is None else matrix[:, at] @ weights
-        parts: list = [None] * len(cover.sizes)
+        joints = []
         for group in cover.groups:
             cells = self.cells(group.joint)
-            joint = np.bincount(cells if at is None else cells[at], weights, group.joint.size)
-            for i, projection, size in group.members:
-                parts[i] = joint if projection is None else np.bincount(projection, joint, size)
-        return np.concatenate(parts, dtype=np.float64)  # an empty ``at`` gives int64 zeros
+            joints.append(np.bincount(cells if at is None else cells[at], weights, group.joint.size))
+        joints = np.concatenate(joints, dtype=np.float64)  # an empty ``at`` gives int64 zeros
+        return np.add.reduceat(joints.take(cover.gather), cover.starts)
 
     def _keys_with(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The support's sorted keys and the keys of ``points``, comparable with each other."""
@@ -177,10 +193,11 @@ class WorkingSupport:
             column = points[:, j]
             column[kept] = self._points[:, j]
             column[added] = fresh_points[:, j]
-        for workload, old in self._cells.items():
+        fresh_cells = fresh_points @ self._cell_strides()
+        for g, (workload, old) in enumerate(self._cells.items()):
             cells = np.empty(len(kept), dtype=old.dtype)
             cells[kept] = old  # old points keep their order, so a mask places them
-            cells[added] = workload.point_cells(fresh_points)
+            cells[added] = fresh_cells[:, g]
             cells.flags.writeable = False
             self._cells[workload] = cells
         if self._keys is not None:

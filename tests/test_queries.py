@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpstream import (
@@ -273,6 +273,41 @@ class TestCoverWorkloads:
         dataset = WeightedDataset(schema, support.points[at], counts)
         for i, workload in enumerate(workloads):
             assert cover.part(values, i).tobytes() == eval_workload(workload, dataset).tobytes()
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from([1, 1, 2, 3, 4]), min_size=2, max_size=6), st.data())
+    def test_reduceat_scoring_matches_eval_workload(self, cards, data):
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        assume(schema.size > 1)
+        workloads = [w for k in (1, 2, 3) if k <= len(cards) for w in enumerate_workloads(schema, k)]
+        cover = cover_workloads(workloads, data.draw(st.sampled_from([0, 1, 6, 40, 10**9])))
+        # one nonempty run of joint cells per flat cell: reduceat never reads a neighbour's value
+        starts, gather = cover.starts, cover.gather
+        assert len(starts) == len(cover.segment) and starts[0] == 0
+        assert (np.diff(starts) >= 1).all() and starts[-1] < len(gather)
+        assert len(gather) == sum(group.joint.size * len(group.members) for group in cover.groups)
+        # a seed size below the domain size samples, so scoring takes the cover path
+        support = WorkingSupport(schema, seed_size=min(60, schema.size - 1), seed=data.draw(st.integers(0, 99)))
+        assert len(support) < schema.size
+        at = np.array(data.draw(st.lists(st.integers(0, len(support) - 1), max_size=30)), dtype=np.intp)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        floats = rng.random(len(at)) + 0.1
+        counts = rng.integers(1, 20, size=len(at)).astype(np.float64)
+        got_floats, got_counts = (support.evaluate_many(cover, w, at) for w in (floats, counts))
+        assert support._matrices == {}
+        if len(at) == 0:
+            for got in (got_floats, got_counts):
+                assert got.dtype == np.float64 and got.tobytes() == np.zeros(len(cover.segment)).tobytes()
+            return
+        # repeated positions add, as the dataset merges repeated points
+        as_floats = WeightedDataset(schema, support.points[at], floats)
+        as_counts = WeightedDataset(schema, support.points[at], counts)
+        for i, workload in enumerate(workloads):
+            want = eval_workload(workload, as_floats)
+            np.testing.assert_allclose(cover.part(got_floats, i), want, rtol=1e-12, atol=0)
+            # integer weights sum exactly in any order
+            assert cover.part(got_counts, i).tobytes() == eval_workload(workload, as_counts).tobytes()
 
 
 class TestDenseScoring:
