@@ -8,11 +8,11 @@ block counters, and polylogarithmically for the binary tree counter.
 
 A counter's state values are Python floats. Over the n cells of a workload
 (`MultiDimCounter`) the same counter holds float64 arrays of shape (n,) in
-their place, and each draw is one value per cell from that cell's own noise
-stream, so every cell runs the scalar counter's arithmetic, operation for
-operation. State values are rebound, never updated in place, because one
-array can be held by several of them (the tree's epoch base is the last
-release).
+their place, and each draw is one vector of n values from the counter's one
+noise stream, so every cell runs the scalar counter's arithmetic, operation for
+operation, on its own entry of each draw. State values are rebound, never
+updated in place, because one array can be held by several of them (the
+tree's epoch base is the last release).
 """
 
 from __future__ import annotations
@@ -215,24 +215,25 @@ def make_counter(
 
 
 class _CellNoise:
-    """Noise for a counter over cells: one draw per cell, from ``source.child(c)`` for cell c."""
+    """Noise for a counter over ``num_cells`` cells: each draw is one vector, a value per cell."""
 
-    __slots__ = ("sources",)
+    __slots__ = ("source", "num_cells")
 
     def __init__(self, source: NoiseSource, num_cells: int):
-        self.sources = [source.child(c) for c in range(num_cells)]
+        self.source, self.num_cells = source, num_cells
 
     def laplace(self, scale: float) -> np.ndarray:
-        return np.array([s.laplace(scale) for s in self.sources])
+        return self.source.laplace_vector(scale, self.num_cells)
 
 
 class MultiDimCounter:
     """One counter of the given kind over all cells of a workload.
 
     The cells of a workload are disjoint, so a single record feeds exactly one
-    cell; all cells share the same epsilon by parallel composition and draw
-    from independently seeded noise streams. Cell c releases exactly what a
-    scalar counter built from ``source.child(c)`` would.
+    cell; all cells share the same epsilon by parallel composition and take
+    independent draws: each draw is ``num_cells`` consecutive values of the
+    counter's ``source``, which it owns. Cell c releases exactly what a scalar
+    counter of the same kind releases when its draws are entry c of those vectors.
     """
 
     def __init__(
@@ -248,6 +249,7 @@ class MultiDimCounter:
         self.kind = kind
         self.epsilon = float(epsilon)
         self.num_cells = int(num_cells)
+        self.source = source
         self._counter = make_counter(kind, epsilon, _CellNoise(source, self.num_cells), block_size)
 
     def __len__(self) -> int:
@@ -255,8 +257,8 @@ class MultiDimCounter:
 
     @property
     def laplace_draws(self) -> int:
-        """Laplace draws made so far, summed over the cells' noise streams."""
-        return sum(s.laplace_draws for s in self._counter.source.sources)
+        """Laplace values drawn so far: ``num_cells`` per draw."""
+        return self.source.laplace_draws
 
     def feed(self, values: np.ndarray) -> np.ndarray:
         values = np.array(values, dtype=np.float64)

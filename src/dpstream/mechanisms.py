@@ -10,9 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-# Uniforms drawn per refill. Every counter cell owns a source and draws about
-# one value per feed, so a large buffer is mostly idle memory. The refill size
-# does not change the draws: each double takes one 64-bit PCG64 output, in order.
+# Uniforms drawn per scalar refill. The refill size does not change the draws:
+# each double takes one 64-bit PCG64 output, in order.
 _BUFFER = 256
 
 NOISE_MODES = ("laplace", "zero")
@@ -27,23 +26,30 @@ class NoiseSource:
     draws a mechanism consumes.
     """
 
-    __slots__ = ("mode", "seed_key", "_rng", "_buf", "_pos", "laplace_draws", "uniform_draws")
+    __slots__ = ("mode", "entropy", "spawn_key", "_rng", "_buf", "_pos", "laplace_draws", "uniform_draws")
 
-    def __init__(self, seed: int | Sequence[int], mode: str = "laplace"):
+    def __init__(self, seed: int | Sequence[int], mode: str = "laplace", spawn_key: Sequence[int] = ()):
         if mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {mode!r}; expected one of {NOISE_MODES}")
         self.mode = mode
-        key = (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
-        self.seed_key = key
-        self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+        self.entropy = int(seed) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
+        self.spawn_key = tuple(int(k) for k in spawn_key)
+        seeds = np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key)
+        self._rng = np.random.Generator(np.random.PCG64(seeds))
         self._buf = np.empty(0)
         self._pos = 0
         self.laplace_draws = 0
         self.uniform_draws = 0
 
     def child(self, *key: int) -> "NoiseSource":
-        """Independently seeded source derived from this one; order-insensitive identity."""
-        return NoiseSource(self.seed_key + tuple(int(k) for k in key), mode=self.mode)
+        """Independently seeded source: this one's spawn key extended by ``key``.
+
+        ``SeedSequence`` pads the entropy to its four-word pool before a spawn
+        key, so a child draws neither what its parent or another key draws nor
+        what a ``SeedSequence`` of at most four words (the seed alone, or
+        ``(seed, 3)``) draws.
+        """
+        return NoiseSource(self.entropy, self.mode, self.spawn_key + tuple(int(k) for k in key))
 
     def _next_uniform(self) -> float:
         if self._pos >= len(self._buf):
@@ -70,7 +76,21 @@ class NoiseSource:
         return -scale * math.copysign(1.0, v) * math.log1p(-abs(v))
 
     def laplace_vector(self, scale: float, n: int) -> np.ndarray:
-        return np.array([self.laplace(scale) for _ in range(n)])
+        """``n`` Laplace(0, scale) draws from the uniforms that ``n`` ``laplace`` calls would take
+        (the buffered ones first), by the same formula on arrays: equal up to the last bits, as
+        ``np.log1p`` and ``math.log1p`` may round differently."""
+        if scale <= 0:
+            raise ValueError(f"laplace scale must be positive, got {scale}")
+        self.laplace_draws += n
+        if self.mode == "zero":
+            return np.zeros(n)
+        u = self._buf[self._pos : self._pos + n]
+        self._pos += len(u)
+        if len(u) < n:  # the buffer is spent; the next scalar draw refills after these
+            u = np.concatenate([u, self._rng.random(n - len(u))])
+        v = 2.0 * u - 1.0  # in [-1, 1)
+        v[v <= -1.0] = -1.0 + 2.0 ** -53
+        return -scale * np.copysign(1.0, v) * np.log1p(-np.abs(v))
 
 
 def exponential_mechanism(

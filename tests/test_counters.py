@@ -39,6 +39,36 @@ def simulate_block_schedule(horizon):
     return boundaries, rollovers
 
 
+class RecordingSource:
+    """A noise source that records every Laplace draw vector with its scale."""
+
+    def __init__(self, source):
+        self.source = source
+        self.draws = []
+
+    @property
+    def laplace_draws(self):
+        return self.source.laplace_draws
+
+    def laplace_vector(self, scale, n):
+        out = self.source.laplace_vector(scale, n)
+        self.draws.append((scale, out.copy()))
+        return out
+
+
+class ScriptedSource:
+    """Replays entry ``cell`` of recorded draw vectors, one per scalar ``laplace`` call."""
+
+    def __init__(self, draws, cell):
+        self.draws, self.cell, self.used = draws, cell, 0
+
+    def laplace(self, scale):
+        recorded_scale, values = self.draws[self.used]
+        assert scale == recorded_scale
+        self.used += 1
+        return float(values[self.cell])
+
+
 class TestZeroNoisePrefixSums:
     @pytest.mark.parametrize("kind", KINDS)
     def test_random_stream_exact(self, kind):
@@ -199,13 +229,16 @@ class TestMultiDimCounter:
             m.feed(np.array([1.0, 2.0, 3.0]))
 
     def test_cells_match_standalone_counters(self):
-        # a cell behaves exactly like a standalone counter built from the same child seed
-        root = NoiseSource(31)
-        m = MultiDimCounter("simple", 3, 0.5, root)
-        standalone = SimpleCounter(0.5, root.child(1))
-        outs = [m.feed(np.array([1.0, 2.0, 3.0]))[1] for _ in range(10)]
-        ref = [standalone.feed(2.0) for _ in range(10)]
-        assert outs == pytest.approx(ref)
+        # the 3 cells of feed t take draws 3(t - 1) .. 3t - 1 of the counter's one stream, in the
+        # order 3 scalar laplace calls take them; vector and scalar log1p may differ in the last bit
+        m = MultiDimCounter("simple", 3, 0.5, NoiseSource(31))
+        ref = NoiseSource(31)
+        standalone = [SimpleCounter(0.5, ref) for _ in range(3)]
+        for _ in range(10):
+            outs = m.feed(np.array([1.0, 2.0, 3.0]))
+            want = [c.feed(v) for c, v in zip(standalone, (1.0, 2.0, 3.0))]
+            assert outs.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert m.laplace_draws == ref.laplace_draws == 30
 
     def test_peek_returns_vector_without_draws(self):
         root = NoiseSource(31)
@@ -218,18 +251,20 @@ class TestMultiDimCounter:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_cells_equal_scalar_counters_bit_for_bit(self, kind):
-        # cell c releases exactly what a scalar counter on root.child(c) does;
-        # 32 feeds close blocks of 4, roll unbounded partitions over at 4, 13
-        # and 29, and open tree epochs up to the one starting at t=32
-        root = NoiseSource(31)
+        # cell c releases exactly what a scalar counter does whose draws are entry c of the
+        # counter's draw vectors; 32 feeds close blocks of 4, roll unbounded partitions over at
+        # 4, 13 and 29, and open tree epochs up to the one starting at t=32
+        source = RecordingSource(NoiseSource(31))
         rng = np.random.default_rng(6)
-        m = MultiDimCounter(kind, 3, 0.5, root, block_size=4)
-        scalars = [make_counter(kind, 0.5, root.child(c), block_size=4) for c in range(3)]
+        m = MultiDimCounter(kind, 3, 0.5, source, block_size=4)
+        scalars = [make_counter(kind, 0.5, ScriptedSource(source.draws, c), block_size=4) for c in range(3)]
         assert m.peek().tolist() == [0.0, 0.0, 0.0]
-        for _ in range(32):
+        for t in range(1, 33):
             values = rng.uniform(0, 4, size=3)
             out = m.feed(values)
+            assert len(source.draws) == t and m.laplace_draws == 3 * t  # one vector of 3 per feed
             assert out.tolist() == [c.feed(v) for c, v in zip(scalars, values)]
+            assert all(c.source.used == t for c in scalars)
             # peeks draw nothing (the next feeds would drift from the scalars),
             # and the caller may overwrite what it passed in or got back
             peeked = m.peek()

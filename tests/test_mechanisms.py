@@ -33,6 +33,69 @@ class TestNoiseSource:
         assert seq_a == [b.laplace(1.0) for _ in range(10)]
         assert seq_a != [c.laplace(1.0) for _ in range(10)]
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    def test_children_never_alias(self, seed):
+        def first(source):
+            return source.uniform()
+
+        def seeded(entropy):
+            return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy))).random()
+
+        root = NoiseSource(seed)
+        draws = {
+            "root": first(NoiseSource(seed)),
+            "child(0)": first(root.child(0)),
+            "child(2)": first(root.child(2)),
+            "child(2, 0)": first(root.child(2, 0)),
+            "child(2).child(0)": first(root.child(2).child(0)),
+            "child(3)": first(root.child(3)),
+            # the randomized_batch shuffle and the seed support seed their own generators
+            "shuffle": seeded(seed),
+            "seed support": seeded((seed, 3)),
+        }
+        assert draws["root"] == draws["shuffle"]  # the root is the seed's own stream
+        assert draws["child(2, 0)"] == draws["child(2).child(0)"]  # keys extend
+        pairs = [
+            ("root", "child(0)"), ("child(2)", "child(2, 0)"), ("child(0)", "shuffle"),
+            ("child(2)", "shuffle"), ("child(3)", "seed support"), ("child(0)", "seed support"),
+        ]
+        for a, b in pairs:
+            assert draws[a] != draws[b], (a, b)
+
+    @pytest.mark.parametrize("before, n", [(0, 5), (250, 20), (3, 600), (256, 256), (10, 0)])
+    def test_laplace_vector_takes_the_uniforms_of_scalar_draws(self, before, n):
+        # before scalar draws leave the 256-uniform buffer part spent; the vector takes the rest
+        # first, and the draw after it is the one n scalar calls would be followed by
+        vector, scalar = NoiseSource(17), NoiseSource(17)
+        for source in (vector, scalar):
+            for _ in range(before):
+                source.laplace(1.0)
+        got = vector.laplace_vector(3.0, n)
+        want = np.array([scalar.laplace(3.0) for _ in range(n)])
+        assert got.shape == (n,) and got.dtype == np.float64
+        # the same formula; np.log1p and math.log1p may round apart by about an ulp
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        assert vector.laplace_draws == scalar.laplace_draws == before + n
+        assert vector.laplace(1.0) == scalar.laplace(1.0)
+        assert vector.uniform() == scalar.uniform()
+
+    def test_laplace_vector_at_the_lowest_uniform(self):
+        # u = 0 gives v = -1, moved up by 2**-53 as the scalar draw does: a finite value
+        vector, scalar = NoiseSource(0), NoiseSource(0)
+        for source in (vector, scalar):
+            source._buf, source._pos = np.array([0.0, 0.5]), 0
+        got = vector.laplace_vector(1.0, 2)
+        assert got.tolist() == [math.log1p(-(1.0 - 2.0**-53)), 0.0]
+        assert got.tolist() == [scalar.laplace(1.0), scalar.laplace(1.0)]
+
+    def test_laplace_vector_in_zero_mode(self):
+        source = NoiseSource(3, mode="zero")
+        got = source.laplace_vector(2.0, 7)
+        assert got.tolist() == [0.0] * 7 and got.dtype == np.float64
+        assert source.laplace_draws == 7
+        with pytest.raises(ValueError):
+            source.laplace_vector(0.0, 3)
+
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             NoiseSource(0, mode="gaussian")
