@@ -12,6 +12,17 @@ from .queries import enumerate_workloads
 from .surrogate import write_surrogate
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _checked_config(path: Path, noise: str | None = None) -> ExperimentConfig | None:
     """The config file at ``path`` (with ``noise`` overriding its noise mode) if
     it loads and passes ``validate_config``, else None after printing why not."""
@@ -55,8 +66,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    schema, _ = load_schema(args.schema)
-    workloads = enumerate_workloads(schema, args.k)
+    try:
+        schema, _ = load_schema(args.schema)
+        workloads = enumerate_workloads(schema, args.k)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     names = schema.names
     for i, w in enumerate(workloads):
         cols = ", ".join(names[c] for c in w.columns)
@@ -66,7 +81,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_surrogate(args: argparse.Namespace) -> int:
-    csv_path, schema_path = write_surrogate(args.out, num_rows=args.rows, seed=args.seed)
+    try:
+        csv_path, schema_path = write_surrogate(args.out, num_rows=args.rows, seed=args.seed)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {csv_path}")
     print(f"wrote {schema_path}")
     return 0
@@ -81,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an experiment grid from a JSON config")
     run.add_argument("--config", required=True, type=Path)
-    run.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
+    run.add_argument("--jobs", type=_positive_int, default=1, help="parallel runs (default 1)")
     run.add_argument("--noise", choices=NOISE_MODES, help="override config noise mode")
     run.set_defaults(func=_cmd_run)
 
@@ -96,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     surrogate = sub.add_parser("make-surrogate", help="write the bundled census-style dataset")
     surrogate.add_argument("--out", required=True, type=Path)
-    surrogate.add_argument("--rows", type=int, default=10_000)
+    surrogate.add_argument("--rows", type=_positive_int, default=10_000)
     surrogate.add_argument("--seed", type=int, default=7)
     surrogate.set_defaults(func=_cmd_surrogate)
 

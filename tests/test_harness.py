@@ -662,6 +662,39 @@ class TestCli:
         assert "(color, size)" in out
         assert "cells=6" in out
 
+    @pytest.mark.parametrize("k", ["0", "3", "-1"])
+    def test_enumerate_workloads_reports_a_bad_arity(self, schema_file, capsys, k):
+        assert cli_main(["enumerate-workloads", "--schema", str(schema_file), "--k", k]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: workload arity {k} out of range [1, 2]\n" and captured.out == ""
+
+    def test_enumerate_workloads_reports_a_missing_schema(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli_main(["enumerate-workloads", "--schema", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(missing) in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "c.json", "--jobs", "0"],
+            ["run", "--config", "c.json", "--jobs", "-3"],
+            ["run", "--config", "c.json", "--jobs", "two"],
+            ["make-surrogate", "--out", "s", "--rows", "-5"],
+            ["make-surrogate", "--out", "s", "--rows", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_counts_below_one_are_rejected_when_parsed(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            cli_main(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: expected an integer >= 1, got '{argv[-1]}'" in err
+        assert list(tmp_path.iterdir()) == []  # nothing ran and nothing was written
+
     def test_make_surrogate(self, tmp_path, capsys):
         assert cli_main(["make-surrogate", "--out", str(tmp_path / "s"), "--rows", "50"]) == 0
         assert (tmp_path / "s" / "census_surrogate.csv").exists()
