@@ -59,3 +59,36 @@ class TestGainRule:
             benchpairs.gain_rule(self.PARENT, self.PARENT[:5], "lower")
         with pytest.raises(ValueError):
             benchpairs.gain_rule([], [], "lower")
+
+
+class TestBoundCheck:
+    # median 10.0, quartiles [9.925, 10.075]: an interquartile range of 1.5% of the median
+    PARENT = [9.8, 9.9, 9.9, 10.0, 10.0, 10.0, 10.1, 10.1, 10.2, 10.0]
+
+    def test_within_bound_when_the_median_moves_less_than_the_bound(self):
+        change = [v * 1.2 for v in self.PARENT]  # 20% worse against a 25% bound
+        assert benchpairs.bound_check(self.PARENT, change, "lower", 0.25) == "within bound"
+        assert benchpairs.bound_check(self.PARENT, list(self.PARENT), "lower", 0.25) == "within bound"
+
+    def test_worse_beyond_bound(self):
+        change = [v * 1.3 for v in self.PARENT]
+        assert benchpairs.bound_check(self.PARENT, change, "lower", 0.25) == "worse beyond bound"
+        # the same numbers are a gain where higher is better
+        assert benchpairs.bound_check(self.PARENT, change, "higher", 0.25) == "within bound"
+        assert benchpairs.bound_check(change, self.PARENT, "higher", 0.2) == "worse beyond bound"
+
+    def test_unresolved_when_either_spread_exceeds_the_bound(self):
+        # B's quartiles [8, 12] around 10: a 40% spread against a 25% bound
+        change = [6.0, 8.0, 8.0, 8.0, 10.0, 10.0, 12.0, 12.0, 12.0, 14.0]
+        assert benchpairs.bound_check(self.PARENT, change, "lower", 0.25) == "unresolved"
+        assert benchpairs.bound_check(change, self.PARENT, "lower", 0.25) == "unresolved"
+        # a tight spread on both sides resolves
+        assert benchpairs.bound_check(self.PARENT, self.PARENT, "lower", 0.01) == "unresolved"
+        assert benchpairs.bound_check(self.PARENT, self.PARENT, "lower", 0.03) == "within bound"
+
+    def test_a_wide_spread_resolves_when_every_change_run_is_better(self):
+        parent = [20.0, 30.0, 40.0, 50.0]
+        change = [10.0, 12.0, 15.0, 19.0]
+        assert benchpairs.bound_check(parent, change, "lower", 0.05) == "within bound"
+        # one B run tying an A run is not better than every A run
+        assert benchpairs.bound_check(parent, change[:3] + [20.0], "lower", 0.05) == "unresolved"

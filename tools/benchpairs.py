@@ -14,7 +14,12 @@ For every end-to-end metric the script prints each side's median and
 quartiles, how many pairs B won, and whether the gain rule holds: at least ten
 pairs, B better in at least nine tenths of them (ties count for neither), and
 the medians apart by more than the distance between A's quartiles, in B's
-favour. It exits 1 if any run is not `correct` or gives no result.
+favour. It also prints the no-regression verdict against the metric's relative
+`bound`: `worse beyond bound` when B's median is worse than A's by more than
+the bound times A's median, `unresolved` when either side's interquartile range
+exceeds the bound times its median and not every B run beats every A run, and
+`within bound` otherwise. It exits 1 if any run is not `correct` or gives no
+result.
 """
 
 from __future__ import annotations
@@ -53,6 +58,16 @@ def gain_rule(parent: list[float], change: list[float], better: str) -> dict:
         and sign * (a[1] - b[1]) > spread
     )
     return {"pairs": len(parent), "wins": wins, "parent": a, "change": b, "spread": spread, "holds": holds}
+
+
+def bound_check(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The no-regression verdict on one metric whose relative ``bound`` B may not exceed."""
+    sign = 1.0 if better == "lower" else -1.0
+    a, b = quartiles(parent), quartiles(change)
+    spread_too_wide = any(q3 - q1 > bound * abs(median) for q1, median, q3 in (a, b))
+    if spread_too_wide and not all(sign * (x - y) > 0 for x in parent for y in change):
+        return "unresolved"
+    return "worse beyond bound" if sign * (b[1] - a[1]) > bound * abs(a[1]) else "within bound"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -113,7 +128,8 @@ def main(argv: list[str] | None = None) -> int:
             f"A {r['parent'][1]:.6g} [{r['parent'][0]:.6g}, {r['parent'][2]:.6g}] -> "
             f"B {r['change'][1]:.6g} [{r['change'][0]:.6g}, {r['change'][2]:.6g}]; "
             f"B wins {r['wins']} of {r['pairs']}; A IQR {r['spread']:.6g}; "
-            f"gain rule {'holds' if r['holds'] else 'does not hold'}"
+            f"gain rule {'holds' if r['holds'] else 'does not hold'}; "
+            f"bound {metric['bound']:g}: {bound_check(parent, change, metric['better'], metric['bound'])}"
         )
         print(f"  A {' '.join(f'{v:.6g}' for v in parent)}")
         print(f"  B {' '.join(f'{v:.6g}' for v in change)}")
