@@ -176,11 +176,8 @@ class _StreamSynthesizer:
         # dataset_mean of the fits: summed in list order, then scaled by 1/k
         return sum(fits[1:], fits[0]) * (1.0 / len(fits)), selected
 
-    def _measure(
-        self, j: int, delta: WeightedDataset, reference: np.ndarray, cells: np.ndarray
-    ) -> np.ndarray:
-        """Noisy cell values of workload ``j`` at this step, spending its measurement share;
-        ``cells`` is ``_cells(j)``."""
+    def _measure(self, j: int, delta: WeightedDataset, ref: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Noisy cell values of workload ``j`` (cells ``_cells(j)``) now, spending its measurement share."""
         raise NotImplementedError
 
     def _release(self, weights: np.ndarray) -> WeightedDataset:
@@ -216,12 +213,10 @@ class StreamingMwem(_StreamSynthesizer):
         mean, _ = self._round(delta, delta_values, h, self.support.evaluate_many(self._cover, h), target)
         return self._release(self._weights + mean)
 
-    def _measure(
-        self, j: int, delta: WeightedDataset, reference: np.ndarray, cells: np.ndarray
-    ) -> np.ndarray:
+    def _measure(self, j: int, delta: WeightedDataset, ref: np.ndarray, cells: np.ndarray) -> np.ndarray:
         scale = 1.0 / self._eps_step  # sensitivity-1 histogram at eps/2k
         noise = self._measure_source.laplace_vector(scale, self.workloads[j].size)
-        noisy = self._cover.part(reference, j) + noise
+        noisy = self._cover.part(ref, j) + noise
         self._spend(f"measure/W={j}", "measurement")
         return noisy
 
@@ -267,9 +262,7 @@ class CounterSynthesizer(_StreamSynthesizer):
         self.last_selected = selected
         return self._release(g_t)
 
-    def _measure(
-        self, j: int, delta: WeightedDataset, reference: np.ndarray, cells: np.ndarray
-    ) -> np.ndarray:
+    def _measure(self, j: int, delta: WeightedDataset, ref: np.ndarray, cells: np.ndarray) -> np.ndarray:
         workload = self.workloads[j]
         if j not in self.counters:
             self.counters[j] = MultiDimCounter(

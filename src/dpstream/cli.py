@@ -14,13 +14,9 @@ from .surrogate import write_surrogate
 
 def _positive_int(text: str) -> int:
     """An argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+    return int(text)
 
 
 def _checked_config(path: Path, noise: str | None = None) -> ExperimentConfig | None:
@@ -81,11 +77,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_surrogate(args: argparse.Namespace) -> int:
-    try:
-        csv_path, schema_path = write_surrogate(args.out, num_rows=args.rows, seed=args.seed)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    csv_path, schema_path = write_surrogate(args.out, num_rows=args.rows, seed=args.seed)
     print(f"wrote {csv_path}")
     print(f"wrote {schema_path}")
     return 0

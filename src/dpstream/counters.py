@@ -17,6 +17,8 @@ tree's epoch base is the last release).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .mechanisms import NoiseSource
@@ -214,13 +216,11 @@ def make_counter(
     return UnboundedBlockCounter(epsilon, source)
 
 
-class _CellNoise:
+class _CellNoise(NamedTuple):
     """Noise for a counter over ``num_cells`` cells: each draw is one vector, a value per cell."""
 
-    __slots__ = ("source", "num_cells")
-
-    def __init__(self, source: NoiseSource, num_cells: int):
-        self.source, self.num_cells = source, num_cells
+    source: NoiseSource
+    num_cells: int
 
     def laplace(self, scale: float) -> np.ndarray:
         return self.source.laplace_vector(scale, self.num_cells)
@@ -230,10 +230,9 @@ class MultiDimCounter:
     """One counter of the given kind over all cells of a workload.
 
     The cells of a workload are disjoint, so a single record feeds exactly one
-    cell; all cells share the same epsilon by parallel composition and take
-    independent draws: each draw is ``num_cells`` consecutive values of the
-    counter's ``source``, which it owns. Cell c releases exactly what a scalar
-    counter of the same kind releases when its draws are entry c of those vectors.
+    cell; all cells share the same epsilon by parallel composition. Each draw
+    is ``num_cells`` consecutive values of the counter's own ``source``, and
+    cell c releases what a scalar counter drawing entry c of each would.
     """
 
     def __init__(

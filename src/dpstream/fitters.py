@@ -104,19 +104,12 @@ class WorkingSupport:
         return cells
 
     def _cell_strides(self) -> np.ndarray:
-        """The p × G matrix whose column g holds the mixed-radix strides of the g-th cached workload's
-        columns and zeros elsewhere: ``points @`` it is every cached ``point_cells``. It is float64
-        (a BLAS product, 6x faster) when every such cell index is below ``2**53``, so every partial
-        sum is an exact integer; int64 otherwise."""
+        """The p × G int64 matrix whose column g holds the g-th cached workload's mixed-radix strides
+        on its columns: ``points @`` it is every cached ``point_cells``, exactly."""
         if self._strides.shape[1] != len(self._cells):  # workloads are only ever added, in order
-            exact = all(w.size <= 2**53 for w in self._cells)
-            shape = (self.schema.num_attributes, len(self._cells))
-            self._strides = np.zeros(shape, dtype=np.float64 if exact else np.int64)
-            for g, workload in enumerate(self._cells):
-                stride = 1
-                for c, card in zip(workload.columns[::-1], workload.cell_shape[::-1]):
-                    self._strides[c, g] = stride
-                    stride *= card
+            self._strides = np.zeros((self.schema.num_attributes, len(self._cells)), dtype=np.int64)
+            for g, w in enumerate(self._cells):
+                self._strides[w.columns, g] = np.cumprod((1,) + w.cell_shape[:0:-1])[::-1]
         return self._strides
 
     def _matrix(self, cover: WorkloadCover) -> np.ndarray | None:

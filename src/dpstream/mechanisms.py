@@ -34,21 +34,16 @@ class NoiseSource:
         self.mode = mode
         self.entropy = int(seed) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
         self.spawn_key = tuple(int(k) for k in spawn_key)
-        seeds = np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key)
-        self._rng = np.random.Generator(np.random.PCG64(seeds))
+        self._rng = np.random.default_rng(np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key))
         self._buf = np.empty(0)
         self._pos = 0
         self.laplace_draws = 0
         self.uniform_draws = 0
 
     def child(self, *key: int) -> "NoiseSource":
-        """Independently seeded source: this one's spawn key extended by ``key``.
-
-        ``SeedSequence`` pads the entropy to its four-word pool before a spawn
-        key, so a child draws neither what its parent or another key draws nor
-        what a ``SeedSequence`` of at most four words (the seed alone, or
-        ``(seed, 3)``) draws.
-        """
+        """The source whose spawn key is this one's plus ``key``. ``SeedSequence`` pads the entropy
+        to four words before a spawn key, so no child draws what its parent, another key or a
+        ``SeedSequence`` of at most four words (such as the seed, or ``(seed, 3)``) draws."""
         return NoiseSource(self.entropy, self.mode, self.spawn_key + tuple(int(k) for k in key))
 
     def _next_uniform(self) -> float:
@@ -76,9 +71,8 @@ class NoiseSource:
         return -scale * math.copysign(1.0, v) * math.log1p(-abs(v))
 
     def laplace_vector(self, scale: float, n: int) -> np.ndarray:
-        """``n`` Laplace(0, scale) draws from the uniforms that ``n`` ``laplace`` calls would take
-        (the buffered ones first), by the same formula on arrays: equal up to the last bits, as
-        ``np.log1p`` and ``math.log1p`` may round differently."""
+        """``n`` Laplace(0, scale) draws from the uniforms ``n`` ``laplace`` calls would take, by the same
+        formula on arrays: equal up to the last bit, where ``np.log1p`` rounds apart from ``math.log1p``."""
         if scale <= 0:
             raise ValueError(f"laplace scale must be positive, got {scale}")
         self.laplace_draws += n
@@ -88,8 +82,7 @@ class NoiseSource:
         self._pos += len(u)
         if len(u) < n:  # the buffer is spent; the next scalar draw refills after these
             u = np.concatenate([u, self._rng.random(n - len(u))])
-        v = 2.0 * u - 1.0  # in [-1, 1)
-        v[v <= -1.0] = -1.0 + 2.0 ** -53
+        v = np.maximum(2.0 * u - 1.0, -1.0 + 2.0**-53)  # u = 0 moves up as in ``laplace``
         return -scale * np.copysign(1.0, v) * np.log1p(-np.abs(v))
 
 
