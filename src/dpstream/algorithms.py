@@ -177,7 +177,7 @@ class _StreamSynthesizer:
         return sum(fits[1:], fits[0]) * (1.0 / len(fits)), selected
 
     def _measure(self, j: int, delta: WeightedDataset, ref: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Noisy cell values of workload ``j`` (cells ``_cells(j)``) now, spending its measurement share."""
+        """Noisy cell values of workload ``j`` (cells ``_cells(j)``) at step t, spending its share."""
         raise NotImplementedError
 
     def _release(self, weights: np.ndarray) -> WeightedDataset:

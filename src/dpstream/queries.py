@@ -227,7 +227,7 @@ def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> WorkloadCo
     offsets = np.cumsum(sizes) - sizes
     segment = np.repeat(np.arange(len(workloads)), sizes)
     # each member's joint positions sorted by member cell, in layout order; stable: in joint order.
-    # intp: a narrower index array is cast on every read, which took 3x as long as the gather itself
+    # Kept in argsort's intp: a narrower index array is cast on every read, tripling the gather's cost
     gather = np.concatenate([start + np.argsort(cells, kind="stable") for start, cells in runs])
     counts = np.concatenate([np.bincount(cells, minlength=w.size) for (_, cells), w in zip(runs, workloads)])
     assert counts.min() >= 1, "reduceat would copy the next run's first value into an empty run"
