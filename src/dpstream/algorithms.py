@@ -142,15 +142,23 @@ class _StreamSynthesizer:
         return cells if projection is None else projection[cells]
 
     def _round(
-        self, delta: WeightedDataset, reference: np.ndarray, h: np.ndarray, values: np.ndarray, target: float
+        self,
+        delta: WeightedDataset,
+        reference: np.ndarray,
+        h: np.ndarray,
+        difference: np.ndarray,
+        target: float,
     ) -> tuple[np.ndarray, list[int]]:
-        """k select → measure → fit iterations starting from the fit ``h`` and its scoring ``values``.
+        """k select → measure → fit iterations starting from the fit ``h``, where ``difference``
+        is the scoring of ``reference - h`` and ``reference`` is a weight vector on the support.
 
         Each iteration scores every unselected workload by the L1 distance
         between its ``reference`` histogram and the current fit over its cell
         count, less ``_cell_bias`` per cell; picks one with the exponential
-        mechanism, measures it and refits to ``target`` mass. Returns the mean
-        of the k fits and the selected workload indices.
+        mechanism, measures it and refits to ``target`` mass. Scoring is linear,
+        so each distance is read off one scoring of the difference of the two
+        weight vectors. Returns the mean of the k fits and the selected
+        workload indices.
         """
         cover, k = self._cover, self.config.k
         fits: list[np.ndarray] = []
@@ -160,7 +168,7 @@ class _StreamSynthesizer:
         unselected = np.ones(len(cover.sizes), dtype=bool)
         for l in range(1, k + 1):
             # every workload's L1 distance in one segment sum over the flat layout
-            distances = np.bincount(cover.segment, np.abs(reference - values), len(cover.sizes))
+            distances = np.bincount(cover.segment, np.abs(difference), len(cover.sizes))
             utilities = (distances / cover.sizes - self._bias)[unselected]
             pick = exponential_mechanism(utilities, self._eps_step, self._sensitivity, self._select_source)
             self._spend(f"select/l={l}", "selection")
@@ -168,15 +176,15 @@ class _StreamSynthesizer:
             selected.append(j)
             unselected[j] = False
             cells.append(self._cells(j))
-            measured.append(Measurement(j, self.workloads[j], self._measure(j, delta, reference, cells[-1])))
+            measured.append(Measurement(j, self.workloads[j], self._measure(j, delta, cells[-1])))
             h = self.fitter.fit_weights(measured, cells, h, target)
             fits.append(h)
             if l < k:
-                values = self.support.evaluate_many(cover, h)
+                difference = self.support.evaluate_many(cover, reference - h)
         # dataset_mean of the fits: summed in list order, then scaled by 1/k
         return sum(fits[1:], fits[0]) * (1.0 / len(fits)), selected
 
-    def _measure(self, j: int, delta: WeightedDataset, ref: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    def _measure(self, j: int, delta: WeightedDataset, cells: np.ndarray) -> np.ndarray:
         """Noisy cell values of workload ``j`` (cells ``_cells(j)``) at step t, spending its share."""
         raise NotImplementedError
 
@@ -207,16 +215,16 @@ class StreamingMwem(_StreamSynthesizer):
         if target == 0:
             return self.g  # nothing arrived: no spend, synthetic stream holds
         h = np.full(len(self.support), target / len(self.support))
-        # eval_workload(w, delta) for every w: delta's weights are counts, so every order of
-        # summation over its support positions gives the same bits
-        delta_values = self.support.evaluate_many(self._cover, delta.weights, at)
-        mean, _ = self._round(delta, delta_values, h, self.support.evaluate_many(self._cover, h), target)
+        reference = np.zeros(len(self.support))
+        reference[at] = delta.weights
+        difference = self.support.evaluate_many(self._cover, reference - h)
+        mean, _ = self._round(delta, reference, h, difference, target)
         return self._release(self._weights + mean)
 
-    def _measure(self, j: int, delta: WeightedDataset, ref: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    def _measure(self, j: int, delta: WeightedDataset, cells: np.ndarray) -> np.ndarray:
         scale = 1.0 / self._eps_step  # sensitivity-1 histogram at eps/2k
         noise = self._measure_source.laplace_vector(scale, self.workloads[j].size)
-        noisy = self._cover.part(ref, j) + noise
+        noisy = eval_workload(self.workloads[j], delta) + noise
         self._spend(f"measure/W={j}", "measurement")
         return noisy
 
@@ -250,19 +258,18 @@ class CounterSynthesizer(_StreamSynthesizer):
         target = nonzero_mass(surrogate)
         if target == 0:
             return self.g  # no data and no synthetic mass: skip, no spend
-        surrogate_values = self.support.evaluate_many(self._cover, surrogate)
         h = self._weights.copy()
         zeros = np.flatnonzero(h == 0)
         h[zeros] = 1.0  # new and underflowed points re-enter at unit weight
-        # h - surrogate is -delta at delta's points and +1 at the zeros: score only those positions
-        change = self.support.evaluate_many(
-            self._cover, np.concatenate([-delta.weights, np.ones(len(zeros))]), np.concatenate([at, zeros])
-        )
-        g_t, selected = self._round(delta, surrogate_values, h, surrogate_values + change, target)
+        # surrogate - h is +delta at delta's points and -1 at the zeros (a new point carries
+        # both): score only those positions, in integers
+        weights = np.concatenate([delta.weights, np.full(len(zeros), -1.0)])
+        difference = self.support.evaluate_many(self._cover, weights, np.concatenate([at, zeros]))
+        g_t, selected = self._round(delta, surrogate, h, difference, target)
         self.last_selected = selected
         return self._release(g_t)
 
-    def _measure(self, j: int, delta: WeightedDataset, ref: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    def _measure(self, j: int, delta: WeightedDataset, cells: np.ndarray) -> np.ndarray:
         workload = self.workloads[j]
         if j not in self.counters:
             self.counters[j] = MultiDimCounter(

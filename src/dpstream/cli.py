@@ -77,7 +77,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_surrogate(args: argparse.Namespace) -> int:
-    csv_path, schema_path = write_surrogate(args.out, num_rows=args.rows, seed=args.seed)
+    try:
+        csv_path, schema_path = write_surrogate(args.out, num_rows=args.rows, seed=args.seed)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {csv_path}")
     print(f"wrote {schema_path}")
     return 0

@@ -18,7 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from .domain import DomainSchema, WeightedDataset, nonzero_mass, point_keys, unique_rows
-from .queries import MarginalQuery, Workload, WorkloadCover, compact_cells, query_mask
+from .queries import (
+    MarginalQuery,
+    Workload,
+    WorkloadCover,
+    compact_cells,
+    query_mask,
+    stride_cells,
+    stride_matrix,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -104,12 +112,9 @@ class WorkingSupport:
         return cells
 
     def _cell_strides(self) -> np.ndarray:
-        """The p × G int64 matrix whose column g holds the g-th cached workload's mixed-radix strides
-        on its columns: ``points @`` it is every cached ``point_cells``, exactly."""
+        """The cached workloads' ``stride_matrix``, in cache order: column g gives the g-th one's cells."""
         if self._strides.shape[1] != len(self._cells):  # workloads are only ever added, in order
-            self._strides = np.zeros((self.schema.num_attributes, len(self._cells)), dtype=np.int64)
-            for g, w in enumerate(self._cells):
-                self._strides[w.columns, g] = np.cumprod((1,) + w.cell_shape[:0:-1])[::-1]
+            self._strides = stride_matrix(list(self._cells), self.schema.num_attributes)
         return self._strides
 
     def _matrix(self, cover: WorkloadCover) -> np.ndarray | None:
@@ -136,18 +141,23 @@ class WorkingSupport:
     ) -> np.ndarray:
         """Every workload's values on ``weights`` as one flat vector in ``cover``'s layout. With
         ``at``, ``weights[i]`` is the weight at support position ``at[i]`` (repeats add) and every
-        other position weighs 0. One product with ``_matrix(cover)`` where there is one; otherwise
-        one ``bincount`` over the support per group, then every flat cell summed off its run of
-        joint cells by one ``reduceat`` (equal up to the last bits; a one-cell run is copied)."""
+        other position weighs 0. One product with ``_matrix(cover)`` where there is one. Otherwise,
+        with ``at``, every position's flat cell in every workload and one ``bincount`` (summed in
+        ``at`` order); without, one ``bincount`` over the support per group, then every flat cell
+        summed off its run of joint cells by one ``reduceat`` (equal up to the last bits; a
+        one-cell run is copied)."""
         matrix = self._matrix(cover)
         if matrix is not None:
             return matrix @ weights if at is None else matrix[:, at] @ weights
-        joints = []
-        for group in cover.groups:
-            cells = self.cells(group.joint)
-            joints.append(np.bincount(cells if at is None else cells[at], weights, group.joint.size))
-        joints = np.concatenate(joints, dtype=np.float64)  # an empty ``at`` gives int64 zeros
-        return np.add.reduceat(joints.take(cover.gather), cover.starts)
+        if at is not None:
+            # exact in float64: every partial sum is a nonnegative integer below
+            # len(cover.segment), the length of an array, so far below 2**53
+            flat = stride_cells(self._points[at], cover.strides, len(cover.segment))
+            flat += cover.offsets
+            values = np.bincount(flat.ravel(), np.repeat(weights, len(cover.sizes)), len(cover.segment))
+            return values.astype(np.float64, copy=False)  # an empty ``at`` gives int64 zeros
+        joints = [np.bincount(self.cells(group.joint), weights, group.joint.size) for group in cover.groups]
+        return np.add.reduceat(np.concatenate(joints).take(cover.gather), cover.starts)
 
     def _keys_with(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The support's sorted keys and the keys of ``points``, comparable with each other."""
@@ -186,7 +196,8 @@ class WorkingSupport:
             column = points[:, j]
             column[kept] = self._points[:, j]
             column[added] = fresh_points[:, j]
-        fresh_cells = fresh_points @ self._cell_strides()
+        limit = max((w.size for w in self._cells), default=1)
+        fresh_cells = stride_cells(fresh_points, self._cell_strides(), limit)
         for g, (workload, old) in enumerate(self._cells.items()):
             cells = np.empty(len(kept), dtype=old.dtype)
             cells[kept] = old  # old points keep their order, so a mask places them

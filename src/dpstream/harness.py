@@ -49,7 +49,13 @@ def load_schema(path: str | Path) -> tuple[DomainSchema, list[list[str]]]:
         raise ValueError(f"schema file {path} must be a nonempty list of attributes")
     attributes = []
     value_lists = []
-    for entry in spec:
+    for i, entry in enumerate(spec):
+        if not isinstance(entry, dict):
+            raise ValueError(f"schema attribute {i} must be an object with a name and values")
+        for key in ("name", "values"):
+            if key not in entry:
+                label = f"{i} ({entry['name']!r})" if "name" in entry else str(i)
+                raise ValueError(f"schema attribute {label} has no {key!r} key")
         name = entry["name"]
         values = entry["values"]
         if not values:

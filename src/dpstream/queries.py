@@ -146,6 +146,26 @@ def eval_workload(workload: Workload, dataset: WeightedDataset) -> np.ndarray:
     return cell_values(workload.cell_indices(dataset), dataset.weights, workload.size)
 
 
+def stride_matrix(workloads: Sequence[Workload], num_attributes: int) -> np.ndarray:
+    """The p × W int64 matrix whose column i holds workload i's mixed-radix strides on its
+    columns, first column slowest: ``points @`` it is every workload's ``point_cells``."""
+    strides = np.zeros((num_attributes, len(workloads)), dtype=np.int64)
+    for i, w in enumerate(workloads):
+        strides[w.columns, i] = np.cumprod((1,) + w.cell_shape[:0:-1])[::-1]
+    return strides
+
+
+def stride_cells(points: np.ndarray, strides: np.ndarray, limit: int) -> np.ndarray:
+    """``points @ strides`` in int64, for in-range int64 points and ``stride_matrix`` columns whose
+    cells are all below ``limit``. numpy multiplies int64 matrices without BLAS (69 µs for
+    200 × 13 × 22 on 2 vCPUs, against 13 µs in float64), so up to ``limit`` 2**53 the product is
+    one float64 product cast back. It is exact: every partial sum is a nonnegative integer below
+    ``limit``, and float64 holds every integer up to 2**53."""
+    if limit > 2**53:
+        return points @ strides
+    return (points.astype(np.float64) @ strides.astype(np.float64)).astype(np.int64)
+
+
 def compact_cells(workload: Workload, points: np.ndarray) -> np.ndarray:
     """Read-only ``point_cells`` in the smallest dtype ``np.bincount`` takes that holds ``workload.size``."""
     dtype = np.min_scalar_type(workload.size)
@@ -170,7 +190,9 @@ class WorkloadCover:
     """A ``cover_workloads`` cover and the flat layout of a scoring: workload ``i``'s values are
     ``flat[offsets[i]:offsets[i] + sizes[i]]``, and ``segment`` holds the workload of each flat cell.
     ``home[i]`` is workload ``i``'s group joint and projection. Flat cell r sums the groups' joints,
-    laid end to end, at ``gather[starts[r]:starts[r + 1]]``: a scoring is one ``np.add.reduceat``."""
+    laid end to end, at ``gather[starts[r]:starts[r + 1]]``: a scoring is one ``np.add.reduceat``.
+    ``strides`` is the workloads' ``stride_matrix``: ``stride_cells`` of points with it, plus
+    ``offsets``, gives each point's flat cell in every workload."""
 
     groups: tuple[WorkloadGroup, ...]
     offsets: np.ndarray
@@ -179,6 +201,7 @@ class WorkloadCover:
     home: tuple[tuple[Workload, np.ndarray | None], ...]
     gather: np.ndarray
     starts: np.ndarray
+    strides: np.ndarray
 
     def part(self, flat: np.ndarray, i: int) -> np.ndarray:
         """Workload ``i``'s values in a flat vector of this layout (a view)."""
@@ -232,9 +255,10 @@ def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> WorkloadCo
     counts = np.concatenate([np.bincount(cells, minlength=w.size) for (_, cells), w in zip(runs, workloads)])
     assert counts.min() >= 1, "reduceat would copy the next run's first value into an empty run"
     starts = np.cumsum(counts) - counts
-    for array in (sizes, offsets, segment, gather, starts):
+    strides = stride_matrix(workloads, schema.num_attributes)
+    for array in (sizes, offsets, segment, gather, starts, strides):
         array.flags.writeable = False
-    return WorkloadCover(tuple(plan), offsets, sizes, segment, tuple(home), gather, starts)
+    return WorkloadCover(tuple(plan), offsets, sizes, segment, tuple(home), gather, starts, strides)
 
 
 @dataclass(frozen=True)

@@ -512,14 +512,19 @@ class TestCoverScoring:
         config = RunConfig(epsilon=Fraction(1), k=3, workloads=Q, seed_support_size=2_000, seed=seed)
         return make_synthesizer(algorithm, config)
 
-    def _first_round_values(self, synth, delta):
-        """Step ``synth`` on ``delta``; return the fit and values ``_round`` started from."""
+    def _first_round(self, synth, delta):
+        """Step ``synth`` on ``delta``; return the reference, fit and difference scoring ``_round``
+        started from, and the exact change vector: delta's weights at its points, -1 at the zeros."""
         seen = []
         run = synth._round
 
-        def recording(delta, reference, h, values, target):
-            seen.append((h.copy(), values.copy()))
-            return run(delta, reference, h, values, target)
+        def recording(delta, reference, h, difference, target):
+            _, at = synth.support.observe(delta)  # every point is on the support by now: no growth
+            change = np.zeros(len(h))
+            np.add.at(change, at, delta.weights)
+            change[synth._weights == 0] -= 1.0  # the previous release's zero entries
+            seen.append((reference.copy(), h.copy(), difference.copy(), change))
+            return run(delta, reference, h, difference, target)
 
         synth._round = recording
         synth.step(delta)
@@ -528,17 +533,24 @@ class TestCoverScoring:
 
     def test_round_one_from_surrogate_matches_direct_scoring(self):
         synth = self._synth("main")
+        cover, support = synth._cover, synth.support
         deltas = random_deltas(self.SCHEMA, 6, seed=21, max_rows=60)
         for t, delta in enumerate(deltas, start=1):
-            before = len(synth.support)
+            before = len(support)
             if t == 4:
                 synth._weights[::7] = 0.0  # as if these weights had underflowed
-                assert (synth._weights == 0).sum() > len(synth.support) // 8
-            h, values = self._first_round_values(synth, delta)
+                assert (synth._weights == 0).sum() > len(support) // 8
+            reference, h, difference, change = self._first_round(synth, delta)
             if t == 2:  # every point of this differential is new to the support
-                assert len(synth.support) == before + len(delta)
-            direct = synth.support.evaluate_many(synth._cover, h)
-            np.testing.assert_allclose(values, direct, rtol=1e-12, atol=0)
+                assert len(support) == before + len(delta)
+            np.testing.assert_allclose(reference - h, change, rtol=0, atol=1e-12 * reference.max())
+            # integer entries: the full cover scoring of the change gives the same bits
+            assert difference.tobytes() == support.evaluate_many(cover, change).tobytes()
+            # scoring is linear: the surrogate's values less the fit's, up to rounding
+            values = support.evaluate_many(cover, reference)
+            np.testing.assert_allclose(
+                difference, values - support.evaluate_many(cover, h), rtol=1e-12, atol=1e-12 * values.max()
+            )
 
     @pytest.mark.parametrize("algorithm", ["baseline", "main"])
     def test_support_caches_only_the_cover_joints(self, algorithm):

@@ -261,12 +261,29 @@ class TestMwWeights:
         1.0,
         3,
     ))
+    # point 10's weight ends subnormal in the per-cell updates (4.9e-324) and 0.0 in the scan
+    @example(problem=(
+        np.array([0.0] * 8 + [1.0, 0.0, 2.0] + [0.0] * 4),
+        [
+            np.array([0] * 8 + [4, 0, 5] + [0] * 4),
+            np.array([0] * 8 + [3] + [0] * 6),
+            np.array([0] * 10 + [4] + [0] * 4),
+        ],
+        [
+            np.array([-15000.0, -15000.0, -15000.0, -15000.0, 15000.0, -15000.0]),
+            np.array([-15000.0, -15000.0, -15000.0, 15000.0]),
+            np.array([0.0, -15000.0, -15000.0, -15000.0, -15000.0]),
+        ],
+        15.0,
+        3,
+    ))
     def test_one_pass_scan_matches_per_cell_updates(self, problem):
         weights, cells, values, target, passes = problem
         stats = FitStats()
         got = mw_weights(weights, cells, values, target, passes, stats)
         want, clamps = reference_mw_weights(weights, cells, values, target, passes)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        # below the normal range a float carries no relative precision
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=np.finfo(float).smallest_normal)
         assert (got[weights == 0] == 0).all()
         assert stats.clamped_exponents == clamps
 

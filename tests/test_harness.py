@@ -68,6 +68,21 @@ class TestSchemaFile:
         with pytest.raises(ValueError, match="no values"):
             load_schema(path)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([{"name": "a", "values": ["x"]}, {"name": "b"}], "schema attribute 1 ('b') has no 'values' key"),
+            ([{"values": ["x", "y"]}], "schema attribute 0 has no 'name' key"),
+            ([{"name": "a", "values": ["x"]}, "b"], "schema attribute 1 must be an object with a name and values"),
+        ],
+    )
+    def test_malformed_attribute_named_in_the_error(self, tmp_path, spec, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ValueError) as raised:
+            load_schema(path)
+        assert str(raised.value) == message
+
 
 class TestIngest:
     def test_three_valid_rows(self, tmp_path, schema_file):
@@ -695,10 +710,26 @@ class TestCli:
         assert f"error: argument {argv[-2]}: expected an integer >= 1, got '{argv[-1]}'" in err
         assert list(tmp_path.iterdir()) == []  # nothing ran and nothing was written
 
+    def test_enumerate_workloads_names_the_attribute_missing_values(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps([{"name": "a"}]))
+        assert cli_main(["enumerate-workloads", "--schema", str(schema)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: schema attribute 0 ('a') has no 'values' key\n" and captured.out == ""
+
     def test_make_surrogate(self, tmp_path, capsys):
         assert cli_main(["make-surrogate", "--out", str(tmp_path / "s"), "--rows", "50"]) == 0
         assert (tmp_path / "s" / "census_surrogate.csv").exists()
         assert (tmp_path / "s" / "census_surrogate_schema.json").exists()
+
+    def test_make_surrogate_reports_an_out_dir_it_cannot_make(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        assert cli_main(["make-surrogate", "--out", str(out), "--rows", "50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert (tmp_path / "afile").read_text() == ""
 
     def test_validate_fails_on_bad_config(self, tmp_path, schema_file, capsys):
         payload = {

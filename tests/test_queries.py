@@ -17,7 +17,7 @@ from dpstream import (
 )
 from dpstream import fitters
 from dpstream.fitters import WorkingSupport
-from dpstream.queries import cell_values, cover_workloads
+from dpstream.queries import cell_values, cover_workloads, stride_cells, stride_matrix
 
 SCHEMA = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_243 = DomainSchema((("a", 2), ("b", 4), ("c", 3)))
@@ -165,6 +165,26 @@ class TestWorkload:
         assert np.array_equal(points, before)
         assert not np.shares_memory(got, points)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.data())
+    def test_stride_cells_equal_point_cells(self, cards, data):
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        workloads = [w for k in (1, 2, 3) if k <= len(cards) for w in enumerate_workloads(schema, k)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        points = np.column_stack([rng.integers(0, c, size=25) for c in cards])
+        cells = stride_cells(points, stride_matrix(workloads, len(cards)), max(w.size for w in workloads))
+        assert cells.dtype == np.int64
+        for i, w in enumerate(workloads):
+            assert np.array_equal(cells[:, i], w.point_cells(points))
+
+    def test_stride_cells_stay_exact_past_float64_integers(self):
+        # 2**62 cells: float64 would round the largest of them
+        schema = DomainSchema((("a", 2**31), ("b", 2**31)))
+        w = Workload(schema, (0, 1))
+        points = np.array([[2**31 - 1, 2**31 - 1], [2**31 - 2, 1], [0, 5]])
+        cells = stride_cells(points, stride_matrix([w], 2), w.size)
+        assert cells[:, 0].tolist() == [2**62 - 1, (2**31 - 2) * 2**31 + 1, 5]
+
     def test_point_cells_reject_workloads_past_int64(self):
         # 2**21 * 2**21 * 2**21 = 2**63 cells: one more than the largest int64
         schema = DomainSchema(tuple((f"x{i}", 2**21) for i in range(3)))
@@ -274,6 +294,46 @@ class TestCoverWorkloads:
         for i, workload in enumerate(workloads):
             assert cover.part(values, i).tobytes() == eval_workload(workload, dataset).tobytes()
 
+    @staticmethod
+    def _check_direct_route(support, cover, at, rng):
+        """The ``at`` route against the full path on a vector holding the same entries."""
+        assert len(support) < support.schema.size  # sampled: the cover path
+        counts = rng.integers(-3, 20, size=len(at)).astype(np.float64)  # -1 as at main's zeros
+        floats = rng.random(len(at)) + 0.1
+        for weights in (counts, floats):
+            dense = np.zeros(len(support))
+            np.add.at(dense, at, weights)  # repeated positions add
+            got, want = support.evaluate_many(cover, weights, at), support.evaluate_many(cover, dense)
+            assert got.dtype == np.float64 and got.shape == want.shape == (len(cover.segment),)
+            if weights is counts:  # integer sums are exact in any order
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert support._matrices == {}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=2, max_size=6), st.data())
+    def test_direct_at_route_matches_the_full_path(self, cards, data):
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        assume(schema.size > 1)
+        workloads = [w for k in (1, 2, 3) if k <= len(cards) for w in enumerate_workloads(schema, k)]
+        cover = cover_workloads(workloads, data.draw(st.sampled_from([0, 1, 6, 40, 10**9])))
+        support = WorkingSupport(schema, seed_size=min(60, schema.size - 1), seed=data.draw(st.integers(0, 99)))
+        # possibly empty, possibly repeated
+        at = np.array(data.draw(st.lists(st.integers(0, len(support) - 1), max_size=40)), dtype=np.intp)
+        self._check_direct_route(support, cover, at, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+
+    def test_direct_at_route_with_a_cardinality_one_attribute(self):
+        schema = DomainSchema((("a", 3), ("b", 1), ("c", 4), ("d", 2), ("e", 5)))
+        workloads = list(enumerate_workloads(schema, 1)) + list(enumerate_workloads(schema, 2))
+        assert Workload(schema, (1,)) in workloads  # a one-cell workload
+        cover = cover_workloads(workloads, 12)
+        support = WorkingSupport(schema, seed_size=40, seed=5)
+        rng = np.random.default_rng(17)
+        at = rng.integers(0, len(support), size=60)
+        assert len(np.unique(at)) < len(at)
+        for positions in (at, at[:0], np.array([3, 3, 3])):
+            self._check_direct_route(support, cover, positions, rng)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.sampled_from([1, 1, 2, 3, 4]), min_size=2, max_size=6), st.data())
