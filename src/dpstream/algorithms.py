@@ -56,6 +56,8 @@ class RunConfig:
             raise ValueError("epsilon must be positive")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.k > len(self.workloads):
             raise ValueError(
                 f"cannot select k={self.k} distinct workloads out of {len(self.workloads)}"

@@ -79,7 +79,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_surrogate(args: argparse.Namespace) -> int:
     try:
         csv_path, schema_path = write_surrogate(args.out, num_rows=args.rows, seed=args.seed)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {csv_path}")

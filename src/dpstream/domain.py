@@ -179,10 +179,11 @@ class WeightedDataset:
     equal contents always produce identical arrays. Points are stored
     column-major (F-contiguous), so reading a few columns of every point is a
     contiguous scan. Instances are immutable after construction and safe to
-    share across threads.
+    share across threads, so values derived from the contents alone, such as
+    workload vectors and the total mass, are computed once and kept (``memo``).
     """
 
-    __slots__ = ("schema", "_points", "_weights")
+    __slots__ = ("schema", "_points", "_weights", "_memo")
 
     def __init__(self, schema: DomainSchema, points: np.ndarray, weights: np.ndarray):
         pts, w = _canonicalize(schema, points, weights)
@@ -191,6 +192,21 @@ class WeightedDataset:
         self.schema = schema
         self._points = pts
         self._weights = w
+        self._memo: dict | None = None  # made on first use, so building a dataset makes no dict
+
+    @classmethod
+    def _of(cls, schema: DomainSchema, points: np.ndarray, weights: np.ndarray) -> "WeightedDataset":
+        """The dataset storing ``points`` and ``weights``, already in canonical form, which
+        it makes read-only; nothing is checked."""
+        points.flags.writeable = False
+        weights.flags.writeable = False
+        out = cls.__new__(cls)
+        out.schema, out._points, out._weights, out._memo = schema, points, weights, None
+        return out
+
+    def __reduce__(self):
+        # unpickled arrays come back writeable, so the copy is rebuilt read-only; the memo stays here
+        return type(self)._of, (self.schema, self._points, self._weights)
 
     @classmethod
     def from_sorted(
@@ -211,13 +227,7 @@ class WeightedDataset:
         keep = weights > 0
         if not keep.all():
             points, weights = np.asfortranarray(points[keep]), weights[keep]
-            points.flags.writeable = False
-        weights.flags.writeable = False
-        out = cls.__new__(cls)
-        out.schema = schema
-        out._points = points
-        out._weights = weights
-        return out
+        return cls._of(schema, points, weights)
 
     @classmethod
     def empty(cls, schema: DomainSchema) -> "WeightedDataset":
@@ -249,8 +259,23 @@ class WeightedDataset:
     def weights(self) -> np.ndarray:
         return self._weights
 
+    @property
+    def memo(self) -> dict:
+        """Values computed from this dataset's contents alone, kept for later calls; made on
+        first use. ``eval_workload`` keys its vectors by workload, ``total_mass`` its sum by
+        ``"total_mass"``. A stored value is never None and never written to: a read-only
+        array or an immutable value."""
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        return memo
+
     def total_mass(self) -> float:
-        return float(self._weights.sum())
+        memo = self.memo
+        mass = memo.get("total_mass")
+        if mass is None:
+            mass = memo["total_mass"] = float(self._weights.sum())
+        return mass
 
     def scale(self, factor: float) -> "WeightedDataset":
         if factor < 0:

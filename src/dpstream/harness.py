@@ -91,6 +91,8 @@ class StreamSpec:
                 raise ValueError("batched streams need batch_size >= 1")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"stream seed must be a non-negative integer, got {self.seed}")
 
     @classmethod
     def from_dict(cls, spec: dict[str, Any]) -> "StreamSpec":
@@ -222,6 +224,9 @@ class ExperimentConfig:
         for e in self.epsilons:
             if e <= 0:
                 raise ValueError("epsilon values must be positive")
+        for s in self.seeds:
+            if s < 0:
+                raise ValueError(f"seeds must be non-negative integers, got {s}")
         if self.summary_window < 1:
             raise ValueError(f"summary_window must be >= 1, got {self.summary_window}")
         # a run directory is named by algorithm, float(epsilon) and seed: runs share one iff an axis repeats

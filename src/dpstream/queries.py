@@ -142,8 +142,18 @@ def cell_values(cells: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray
 
 
 def eval_workload(workload: Workload, dataset: WeightedDataset) -> np.ndarray:
-    """Vector of all cell values in lexicographic order; sums to the dataset mass."""
-    return cell_values(workload.cell_indices(dataset), dataset.weights, workload.size)
+    """Read-only vector of all cell values in lexicographic order; sums to the dataset mass.
+
+    Computed on the first call for a (dataset, workload) pair and kept in the
+    dataset's ``memo``: later calls return the same vector.
+    """
+    memo = dataset.memo
+    values = memo.get(workload)
+    if values is None:
+        values = cell_values(workload.cell_indices(dataset), dataset.weights, workload.size)
+        values.flags.writeable = False
+        memo[workload] = values
+    return values
 
 
 def stride_matrix(workloads: Sequence[Workload], num_attributes: int) -> np.ndarray:

@@ -62,6 +62,8 @@ def lowest_cardinality_columns(n: int) -> list[str]:
 
 def generate_rows(num_rows: int, seed: int = 7) -> list[list[str]]:
     """Sample rows from a 3-class mixture with peaked per-class categoricals."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
     class_dists = []
     for _ in range(len(_CLASS_WEIGHTS)):
@@ -84,11 +86,11 @@ def write_surrogate(
     out_dir: str | Path, num_rows: int = 10_000, seed: int = 7
 ) -> tuple[Path, Path]:
     """Write the surrogate CSV and its schema file; returns their paths."""
+    rows = generate_rows(num_rows, seed=seed)  # first: a bad seed leaves no directory behind
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "census_surrogate.csv"
     schema_path = out / "census_surrogate_schema.json"
-    rows = generate_rows(num_rows, seed=seed)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([name for name, _ in SCHEMA])

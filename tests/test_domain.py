@@ -11,6 +11,7 @@ from dpstream import (
     WeightedDataset,
     Workload,
     accumulate,
+    eval_workload,
     stream_difference_norm,
     stream_norm,
 )
@@ -143,6 +144,27 @@ class TestWeightedDataset:
         d = WeightedDataset.from_mapping(SCHEMA_2X2, {(0, 0): 1.0})
         with pytest.raises(ValueError):
             d.weights[0] = 5.0
+
+    def test_pickled_dataset_stays_read_only_and_leaves_its_memo_behind(self):
+        rng = np.random.default_rng(15)
+        d = WeightedDataset(SCHEMA_234, random_rows(SCHEMA_234, 40, rng), rng.random(40))
+        workloads = [Workload(SCHEMA_234, (0, 2)), Workload(SCHEMA_234, (1,))]
+        values = [eval_workload(w, d) for w in workloads]
+        mass = d.total_mass()
+        copy = pickle.loads(pickle.dumps(d))
+        for a in (copy.points, copy.weights):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        assert copy.points.flags.f_contiguous
+        assert copy.points.tobytes() == d.points.tobytes()
+        assert copy.weights.tobytes() == d.weights.tobytes()
+        assert len(d.memo) == 3 and copy.memo == {}
+        fresh = pickle.loads(pickle.dumps(d))
+        for w, want in zip(workloads, values):
+            got = eval_workload(w, fresh)
+            assert got is not want and got.tobytes() == want.tobytes()
+        assert fresh.total_mass() == mass
 
 
     def test_rows_of_wrong_width_rejected(self):

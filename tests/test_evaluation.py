@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpstream import (
     DomainSchema,
@@ -136,6 +138,45 @@ class TestAggregate:
         f = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 4.0, (1, 0): 2.0})
         g = WeightedDataset.from_mapping(SCHEMA, {(0, 1): 3.0, (1, 1): 3.0})
         assert evaluate_step(Q, f, g)[0] == evaluate_step(reversed_q, f, g)[0]
+
+
+def reference_evaluate_step(workloads, true_data, synthetic):
+    """Oracle: ``evaluate_step`` with every vector and mass computed afresh, nothing kept."""
+    we, relwe, excluded = [], [], 0
+    for w in workloads:
+        f, g = (
+            np.bincount(w.point_cells(d.points), weights=d.weights, minlength=w.size)
+            for d in (true_data, synthetic)
+        )
+        mass = float(true_data.weights.sum())
+        we.append(float(np.abs(f / mass - g / mass).mean()))
+        mask = f > 0
+        excluded += int((~mask).sum())
+        relwe.append(float(np.abs((f[mask] - g[mask]) / f[mask]).mean()))
+    return aggregate(we, relwe), excluded
+
+
+class TestEvaluateStepMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=2, max_size=5), st.data())
+    def test_matches_a_memo_free_oracle_bit_for_bit(self, cards, data):
+        # cardinality-1 attributes included; both datasets share one points array
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 30))
+        rows = np.column_stack([rng.integers(0, c, size=n) for c in cards])
+        points = WeightedDataset(schema, rows, np.ones(n)).points
+        a, b = (
+            WeightedDataset.from_sorted(schema, points, rng.random(len(points)) * 4 + 0.25)
+            for _ in range(2)
+        )
+        assert a.points is b.points and a.weights.tobytes() != b.weights.tobytes()
+        workloads = enumerate_workloads(schema, data.draw(st.integers(1, 2)))
+        for true_data, synthetic in ((a, b), (b, a), (a, b), (a, a), (b, b)):
+            got = evaluate_step(workloads, true_data, synthetic)
+            want = reference_evaluate_step(workloads, true_data, synthetic)
+            assert got[1] == want[1]
+            assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
 
 
 class TestSummarizeTail:

@@ -495,6 +495,41 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=f"summary_window must be >= 1, got {window}"):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"seeds": [0, -1]}, "seeds must be non-negative integers, got -1"),
+            (
+                {"stream": {"variant": "randomized_batch", "batch_size": 2, "seed": -3}},
+                "stream seed must be a non-negative integer, got -3",
+            ),
+        ],
+    )
+    def test_negative_seed_rejected_naming_its_field(
+        self, tmp_path, data_file, schema_file, capsys, payload, message
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "dataset": str(data_file),
+            "schema": str(schema_file),
+            "stream": {"variant": "ordered_batch", "batch_size": 2},
+            "output_dir": str(tmp_path / "out"),
+            **payload,
+        }))
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(path)
+        for command in ("validate", "run"):
+            assert cli_main([command, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"config error: {message}\n" and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_run_seed_rejected_before_any_output(self, tmp_path, data_file, schema_file):
+        config = experiment_config(tmp_path, data_file, schema_file)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            run_triple(config, "main", Fraction(1), -1)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field", ["algorithms", "epsilons", "seeds"])
     def test_empty_grid_rejected(self, tmp_path, data_file, schema_file, field):
         message = f"{field} must not be empty"
@@ -730,6 +765,13 @@ class TestCli:
         assert captured.err.startswith("error: ") and str(out) in captured.err
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert (tmp_path / "afile").read_text() == ""
+
+    def test_make_surrogate_reports_a_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert cli_main(["make-surrogate", "--out", str(out), "--rows", "50", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert captured.out == "" and not out.exists()
 
     def test_validate_fails_on_bad_config(self, tmp_path, schema_file, capsys):
         payload = {

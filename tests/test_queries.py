@@ -452,6 +452,54 @@ class TestDenseScoring:
         assert cover in whole._matrices
 
 
+class TestEvalWorkloadMemo:
+    """``eval_workload`` computes once per (dataset, workload) and keeps the vector on the dataset."""
+
+    def counting_cell_indices(self, monkeypatch):
+        calls = []
+        original = Workload.cell_indices
+
+        def counted(workload, dataset):
+            calls.append(workload.columns)
+            return original(workload, dataset)
+
+        monkeypatch.setattr(Workload, "cell_indices", counted)
+        return calls
+
+    def test_each_pair_computes_once(self, monkeypatch):
+        calls = self.counting_cell_indices(monkeypatch)
+        rng = np.random.default_rng(41)
+        a, b = random_dataset(SCHEMA_243, rng, 20), random_dataset(SCHEMA_243, rng, 20)
+        workloads = enumerate_workloads(SCHEMA_243, 2)
+        first = [eval_workload(w, d) for d in (a, b) for w in workloads]
+        assert len(calls) == 2 * len(workloads)
+        again = [eval_workload(w, d) for d in (a, b) for w in workloads]
+        # an equal workload built anew finds the same entry
+        fresh = [eval_workload(Workload(SCHEMA_243, w.columns), d) for d in (a, b) for w in workloads]
+        assert len(calls) == 2 * len(workloads)
+        assert all(x is y is z for x, y, z in zip(first, again, fresh))
+        eval_workload(workloads[0], a.scale(2.0))  # a new dataset computes its own
+        assert len(calls) == 2 * len(workloads) + 1
+
+    def test_vectors_are_read_only(self):
+        d = random_dataset(SCHEMA_243, np.random.default_rng(42), 10)
+        values = eval_workload(Workload(SCHEMA_243, (0, 2)), d)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+        assert np.array_equal(values, brute_force_workload(Workload(SCHEMA_243, (0, 2)), d))
+
+    def test_schema_mismatch_raises_on_every_call(self, monkeypatch):
+        calls = self.counting_cell_indices(monkeypatch)
+        d = random_dataset(SCHEMA_243, np.random.default_rng(43), 10)
+        eval_workload(Workload(SCHEMA_243, (0, 1)), d)  # kept; the same columns on another schema are not it
+        other = Workload(DomainSchema((("a", 2), ("b", 4), ("z", 3))), (0, 1))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="schema"):
+                eval_workload(other, d)
+        assert len(calls) == 1 + 3
+
+
 class TestEnumerateWorkloads:
     def test_three_choose_two(self):
         schema = DomainSchema((("a", 2), ("b", 2), ("c", 2)))

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -92,3 +93,20 @@ class TestBoundCheck:
         assert benchpairs.bound_check(parent, change, "lower", 0.05) == "within bound"
         # one B run tying an A run is not better than every A run
         assert benchpairs.bound_check(parent, change[:3] + [20.0], "lower", 0.05) == "unresolved"
+
+
+steptime = load_tool("steptime")
+
+
+class TestSameMetrics:
+    AGG = (0.1, 0.25, 1 / 3, 2.0)
+
+    def test_equal_bits_and_exclusions_match(self):
+        assert steptime.same_metrics((self.AGG, 4), (tuple(self.AGG), 4))
+
+    def test_any_bit_or_exclusion_count_differs(self):
+        last_bit = (*self.AGG[:3], math.nextafter(2.0, 3.0))
+        assert not steptime.same_metrics((self.AGG, 4), (last_bit, 4))
+        assert not steptime.same_metrics((self.AGG, 4), (self.AGG, 5))
+        # equal as floats, not as bits
+        assert not steptime.same_metrics(((0.0,) * 4, 0), ((0.0, 0.0, 0.0, -0.0), 0))

@@ -8,13 +8,18 @@ width, batch size, steps, counter, epsilon, seed support, rows and the number
 of passes) is read from `bench/workloads.py` next to this script, and its
 inputs are drawn as the benchmark draws them from the workload seed `--seed`.
 Both checkouts then step their own synthesizer over the same differentials,
-one step of each in turn, alternating which of the two goes first. A rep runs
-every pass; `--reps` reps run with fresh synthesizers, and each step's time is
-its fastest over the reps (`time.perf_counter`, single-threaded).
+one step of each in turn, alternating which of the two goes first. After each
+step, each side also adds the differential to its true prefix (`accumulate`)
+and scores its release against it (`evaluate_step` over the 2-way workloads):
+the work the benchmark's `run_s` adds to a step. A rep runs every pass;
+`--reps` reps run with fresh synthesizers and fresh differentials, and each
+step's step time and evaluation time are their fastest over the reps
+(`time.perf_counter`, single-threaded).
 
-Printed: the median over all steps of each step's fastest time for A and for
-B, B's change against A, and the first pass and step whose releases differ in
-their points or weight bits, if any (exit status 1 then).
+Printed: the median over all steps of each step's fastest step time and
+fastest evaluation time for A and for B, B's change against A for each, and
+the first pass and step whose releases differ in their points or weight bits,
+or whose metric aggregates differ in any bit, if any (exit status 1 then).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import argparse
 import importlib
 import importlib.util
 import statistics
+import struct
 import sys
 import tempfile
 import time
@@ -92,6 +98,16 @@ def same_release(a, b) -> bool:
     )
 
 
+def same_metrics(a, b) -> bool:
+    """Whether two ``evaluate_step`` results agree in every bit."""
+    (agg_a, excluded_a), (agg_b, excluded_b) = a, b
+    return excluded_a == excluded_b and struct.pack("4d", *agg_a) == struct.pack("4d", *agg_b)
+
+
+def change(medians: list[float]) -> str:
+    return f"{100 * (medians[1] / medians[0] - 1):+.1f}%"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs=2, type=Path, metavar="CHECKOUT", help="repositories A and B")
@@ -115,40 +131,59 @@ def main(argv: list[str] | None = None) -> int:
         inputs = write_inputs(bench, packages[0], Path(tmp), workload, seeds)
         sides = [Side(package, bench, workload, inputs) for package in packages]
 
-    fastest: list[list[float]] = [[], []]  # per side, one entry per (pass, step)
-    first_difference = None
+    # per side, one entry per (pass, step): the step, then accumulate plus evaluate_step
+    fastest: list[list[float]] = [[], []]
+    fastest_eval: list[list[float]] = [[], []]
+    first_difference = first_metric_difference = None
+
+    def record(times: list[float], rep: int, slot: int, elapsed: float) -> None:
+        if rep == 0:
+            times.append(elapsed)
+        else:
+            times[slot] = min(times[slot], elapsed)
+
     for rep in range(args.reps):
         slot = 0
         for i, (stream_seed, run_seed) in enumerate(zip(seeds.streams, seeds.runs)):
             deltas = [side.deltas(stream_seed) for side in sides]
             synths = [side.synthesizer(args.algorithm, run_seed) for side in sides]
+            true = [side.dp.WeightedDataset.empty(side.schema) for side in sides]
             for t in range(len(deltas[0])):
-                released = [None, None]
-                for s in (0, 1) if (rep + t) % 2 == 0 else (1, 0):
+                released, metrics = [None, None], [None, None]
+                order = (0, 1) if (rep + t) % 2 == 0 else (1, 0)
+                for s in order:
                     start = time.perf_counter()
                     released[s] = synths[s].step(deltas[s][t])
-                    elapsed = time.perf_counter() - start
-                    if rep == 0:
-                        fastest[s].append(elapsed)
-                    else:
-                        fastest[s][slot] = min(fastest[s][slot], elapsed)
+                    record(fastest[s], rep, slot, time.perf_counter() - start)
+                for s in order:
+                    dp = sides[s].dp
+                    start = time.perf_counter()
+                    true[s] = dp.accumulate(true[s], deltas[s][t])
+                    metrics[s] = dp.evaluate_step(sides[s].queries, true[s], released[s])
+                    record(fastest_eval[s], rep, slot, time.perf_counter() - start)
                 if first_difference is None and not same_release(*released):
                     first_difference = (i, t + 1)
+                if first_metric_difference is None and not same_metrics(*metrics):
+                    first_metric_difference = (i, t + 1)
                 slot += 1
 
     medians = [statistics.median(times) * 1e3 for times in fastest]
+    eval_medians = [statistics.median(times) * 1e3 for times in fastest_eval]
     print(
         f"{args.workload} {args.algorithm}, seed {args.seed}: {workload.passes} passes x "
         f"{workload.steps} steps, fastest of {args.reps} reps per step"
     )
-    for mark, checkout, median in zip("AB", args.checkouts, medians):
-        print(f"{mark} {checkout}: median step {median:.3f} ms")
-    print(f"B against A: {100 * (medians[1] / medians[0] - 1):+.1f}%")
-    if first_difference is None:
-        print("releases: identical at every step")
-        return 0
-    print(f"releases: first differ at pass {first_difference[0]} step {first_difference[1]}")
-    return 1
+    for mark, checkout, median, evaluation in zip("AB", args.checkouts, medians, eval_medians):
+        print(f"{mark} {checkout}: median step {median:.3f} ms, evaluation {evaluation:.3f} ms")
+    print(f"B against A: step {change(medians)}, evaluation {change(eval_medians)}")
+    failed = False
+    for what, where in (("releases", first_difference), ("metrics", first_metric_difference)):
+        if where is None:
+            print(f"{what}: identical at every step")
+        else:
+            print(f"{what}: first differ at pass {where[0]} step {where[1]}")
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
