@@ -11,13 +11,15 @@ budget is the whole-stream guarantee.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
 from .counters import MultiDimCounter, check_kind
-from .domain import WeightedDataset, nonzero_mass
+from .domain import WeightedDataset, checked_int, nonzero_mass
 from .fitters import (
     DEFAULT_SEED_SUPPORT,
     Measurement,
@@ -33,6 +35,21 @@ _MEASURE = 1
 _COUNTER = 2
 
 ALGORITHMS = ("baseline", "main")
+
+
+def check_epsilon(epsilon: Fraction, k: int = 1) -> None:
+    """Raise ValueError unless the per-share value ``float(epsilon) / (2k)`` is positive and finite
+    in float64, and so ``float(epsilon)`` too. The default ``k = 1`` rejects only what every k does."""
+    try:
+        share = float(epsilon) / (2 * k)
+    except OverflowError:  # past the largest float64
+        share = math.inf
+    if not 0 < share < math.inf:
+        shown = f"{(Decimal(epsilon.numerator) / epsilon.denominator).normalize():.6g}"
+        raise ValueError(
+            f"epsilon {shown} must be a positive, finite float64, and so must its per-share value "
+            "float(epsilon) / (2k)"
+        )
 
 
 @dataclass
@@ -52,17 +69,20 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self.epsilon = Fraction(str(self.epsilon)) if not isinstance(self.epsilon, Fraction) else self.epsilon
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        self.k = checked_int(self.k, 1, "k must be an integer >= 1")
+        check_epsilon(self.epsilon, self.k)
+        self.seed = checked_int(self.seed, 0, "seed must be a non-negative integer")
+        self.passes = checked_int(self.passes, 1, "fitter passes must be an integer >= 1")
+        self.seed_support_size = checked_int(
+            self.seed_support_size, 1, "fitter seed_support_size must be an integer >= 1"
+        )
         if self.k > len(self.workloads):
             raise ValueError(
                 f"cannot select k={self.k} distinct workloads out of {len(self.workloads)}"
             )
         check_kind(self.counter_kind, self.block_size)
+        if self.block_size is not None:
+            self.block_size = checked_int(self.block_size, 1, "block_size must be an integer >= 1")
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.noise_mode!r}; expected one of {NOISE_MODES}")
         if self.selection_sensitivity is not None:
@@ -137,12 +157,6 @@ class _StreamSynthesizer:
         group = f"t={self.t}"
         self.ledger.spend(f"{group}/{label}", cfg.epsilon, 2 * cfg.k, group=group, category=category)
 
-    def _cells(self, j: int) -> np.ndarray:
-        """Workload ``j``'s cell of every support point, read off its cover joint's cached cells."""
-        joint, projection = self._cover.home[j]
-        cells = self.support.cells(joint)
-        return cells if projection is None else projection[cells]
-
     def _round(
         self,
         delta: WeightedDataset,
@@ -177,7 +191,7 @@ class _StreamSynthesizer:
             j = int(np.flatnonzero(unselected)[pick])
             selected.append(j)
             unselected[j] = False
-            cells.append(self._cells(j))
+            cells.append(self.workloads[j].point_cells(self.support.points))
             measured.append(Measurement(j, self.workloads[j], self._measure(j, delta, cells[-1])))
             h = self.fitter.fit_weights(measured, cells, h, target)
             fits.append(h)
@@ -187,7 +201,7 @@ class _StreamSynthesizer:
         return sum(fits[1:], fits[0]) * (1.0 / len(fits)), selected
 
     def _measure(self, j: int, delta: WeightedDataset, cells: np.ndarray) -> np.ndarray:
-        """Noisy cell values of workload ``j`` (cells ``_cells(j)``) at step t, spending its share."""
+        """Noisy cell values of workload ``j`` (``cells`` on the support) at step t, spending its share."""
         raise NotImplementedError
 
     def _release(self, weights: np.ndarray) -> WeightedDataset:

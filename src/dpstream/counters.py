@@ -21,18 +21,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .domain import checked_int
 from .mechanisms import NoiseSource
 
 KINDS = ("simple", "bounded_block", "binary_tree", "unbounded_block")
-# the spellings of the bounded block counter, the one kind that needs a block_size
-BLOCK_KINDS = ("bounded_block", "block")
 
 
 def check_kind(kind: str, block_size: int | None) -> None:
     """Raise ValueError unless ``make_counter`` accepts ``kind`` with ``block_size``."""
-    if kind in BLOCK_KINDS:
-        if block_size is None or block_size < 1:
-            raise ValueError("bounded block counter needs a block_size >= 1")
+    if kind == "bounded_block":  # the one kind that needs a block_size
+        checked_int(block_size, 1, "bounded block counter needs an integer block_size >= 1")
     elif kind not in KINDS:
         raise ValueError(f"unknown counter kind {kind!r}; expected one of {KINDS}")
 
@@ -209,7 +207,7 @@ def make_counter(
     check_kind(kind, block_size)
     if kind == "simple":
         return SimpleCounter(epsilon, source)
-    if kind in BLOCK_KINDS:
+    if kind == "bounded_block":
         return BlockCounter(epsilon, source, block_size)
     if kind == "binary_tree":
         return BinaryTreeCounter(epsilon, source)

@@ -14,6 +14,14 @@ DataPoint = tuple[int, ...]
 KEY_LIMIT = 2**63
 
 
+def checked_int(value: object, minimum: int, rule: str) -> int:
+    """``value`` as an ``int`` when it is a Python or numpy integer, not a bool, of at least
+    ``minimum``; otherwise a ValueError ``"{rule}, got {value!r}"``, whose ``rule`` names the setting."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{rule}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DomainSchema:
     """Ordered categorical attributes spanning a finite product domain.
@@ -277,11 +285,6 @@ class WeightedDataset:
             mass = memo["total_mass"] = float(self._weights.sum())
         return mass
 
-    def scale(self, factor: float) -> "WeightedDataset":
-        if factor < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return WeightedDataset(self.schema, self._points, self._weights * factor)
-
     def as_mapping(self) -> dict[DataPoint, float]:
         return {tuple(int(v) for v in p): float(w) for p, w in zip(self._points, self._weights)}
 
@@ -326,7 +329,7 @@ def dataset_mean(datasets: list[WeightedDataset]) -> WeightedDataset:
     out = datasets[0]
     for d in datasets[1:]:
         out = accumulate(out, d)
-    return out.scale(1.0 / len(datasets))
+    return WeightedDataset(out.schema, out.points, out.weights * (1.0 / len(datasets)))
 
 
 @dataclass(frozen=True)

@@ -126,12 +126,9 @@ class WorkingSupport:
             return None
         matrix = self._matrices.get(cover)
         if matrix is None:
-            rows = []
-            for offset, (joint, projection) in zip(cover.offsets.tolist(), cover.home):
-                cells = self.cells(joint)
-                rows.append((cells if projection is None else projection[cells]).astype(np.intp) + offset)
+            flat = stride_cells(self._points, cover.strides, len(cover.segment)) + cover.offsets
             matrix = np.zeros((len(cover.segment), n))
-            matrix[np.concatenate(rows), np.tile(np.arange(n), len(rows))] = 1.0
+            matrix[flat.ravel(), np.repeat(np.arange(n), len(cover.sizes))] = 1.0
             matrix.flags.writeable = False
             self._matrices[cover] = matrix
         return matrix
@@ -156,7 +153,7 @@ class WorkingSupport:
             flat += cover.offsets
             values = np.bincount(flat.ravel(), np.repeat(weights, len(cover.sizes)), len(cover.segment))
             return values.astype(np.float64, copy=False)  # an empty ``at`` gives int64 zeros
-        joints = [np.bincount(self.cells(group.joint), weights, group.joint.size) for group in cover.groups]
+        joints = [np.bincount(self.cells(joint), weights, joint.size) for joint in cover.joints]
         return np.add.reduceat(np.concatenate(joints).take(cover.gather), cover.starts)
 
     def _keys_with(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

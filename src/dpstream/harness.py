@@ -21,9 +21,8 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, RunConfig, make_synthesizer
-from .counters import BLOCK_KINDS
-from .domain import DatasetStream, DomainSchema, WeightedDataset, accumulate
+from .algorithms import ALGORITHMS, RunConfig, check_epsilon, make_synthesizer
+from .domain import DatasetStream, DomainSchema, WeightedDataset, accumulate, checked_int
 from .evaluation import MetricRow, evaluate_step, summarize_tail
 from .fitters import DEFAULT_SEED_SUPPORT
 from .queries import WorkloadSet, enumerate_workloads
@@ -84,15 +83,12 @@ class StreamSpec:
         if self.variant == "timestamp_bucketed":
             if not self.timestamp_column:
                 raise ValueError("timestamp_bucketed streams need a timestamp_column")
-            if self.bucket_days is None or self.bucket_days < 1:
-                raise ValueError("bucket width must be at least one day")
+            checked_int(self.bucket_days, 1, "timestamp_bucketed streams need an integer bucket_days >= 1")
         else:
-            if self.batch_size is None or self.batch_size < 1:
-                raise ValueError("batched streams need batch_size >= 1")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"stream seed must be a non-negative integer, got {self.seed}")
+            checked_int(self.batch_size, 1, "batched streams need an integer batch_size >= 1")
+        if self.max_steps is not None:
+            checked_int(self.max_steps, 1, "max_steps must be an integer >= 1")
+        checked_int(self.seed, 0, "stream seed must be a non-negative integer")
 
     @classmethod
     def from_dict(cls, spec: dict[str, Any]) -> "StreamSpec":
@@ -211,7 +207,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.algorithms = tuple(self.algorithms)
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.seeds = tuple(checked_int(s, 0, "seeds must be non-negative integers") for s in self.seeds)
         self.epsilons = tuple(
             e if isinstance(e, Fraction) else Fraction(str(e)) for e in self.epsilons
         )
@@ -222,13 +218,11 @@ class ExperimentConfig:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}; expected subset of {ALGORITHMS}")
         for e in self.epsilons:
-            if e <= 0:
-                raise ValueError("epsilon values must be positive")
-        for s in self.seeds:
-            if s < 0:
-                raise ValueError(f"seeds must be non-negative integers, got {s}")
-        if self.summary_window < 1:
-            raise ValueError(f"summary_window must be >= 1, got {self.summary_window}")
+            check_epsilon(e)
+        self.k_way = checked_int(self.k_way, 1, "k_way must be an integer >= 1")
+        self.summary_window = checked_int(self.summary_window, 1, "summary_window must be an integer >= 1")
+        if not isinstance(self.normalize, bool):
+            raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
         # a run directory is named by algorithm, float(epsilon) and seed: runs share one iff an axis repeats
         axes = (self.algorithms, [float(e) for e in self.epsilons], self.seeds)
         if any(len(set(axis)) < len(axis) for axis in axes):
@@ -288,7 +282,7 @@ def run_config(
     ``passes``, integers >= 1. Raises ValueError for any setting the run rejects.
     """
     block_size = config.block_size
-    if config.counter in BLOCK_KINDS and block_size is None:
+    if config.counter == "bounded_block" and block_size is None:
         block_size = max(1, math.isqrt(max(steps - 1, 0)) + 1)  # ceil sqrt(T)
     fitter = dict(config.fitter)
     name = fitter.pop("name", "mw")
@@ -298,9 +292,6 @@ def run_config(
     passes = fitter.pop("passes", 1)
     if fitter:
         raise ValueError(f"unknown fitter parameters: {sorted(fitter)}")
-    for key, value in (("seed_support_size", seed_support_size), ("passes", passes)):
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(f"fitter {key} must be an integer >= 1, got {value!r}")
     return RunConfig(
         epsilon=epsilon, k=config.k, workloads=workloads, counter_kind=config.counter,
         block_size=block_size, selection_sensitivity=config.selection_sensitivity,
@@ -387,7 +378,7 @@ def run_triple(
         "noise": config.noise,
         "counter": config.counter,
         "block_size": settings.block_size,
-        "k": config.k,
+        "k": settings.k,
         "k_way": config.k_way,
         "workloads": len(workloads),
         "selection_sensitivity": settings.resolved_sensitivity(),

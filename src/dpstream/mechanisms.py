@@ -10,10 +10,6 @@ from typing import Sequence
 
 import numpy as np
 
-# Uniforms drawn per scalar refill. The refill size does not change the draws:
-# each double takes one 64-bit PCG64 output, in order.
-_BUFFER = 256
-
 NOISE_MODES = ("laplace", "zero")
 
 
@@ -26,7 +22,7 @@ class NoiseSource:
     draws a mechanism consumes.
     """
 
-    __slots__ = ("mode", "entropy", "spawn_key", "_rng", "_buf", "_pos", "laplace_draws", "uniform_draws")
+    __slots__ = ("mode", "entropy", "spawn_key", "_rng", "laplace_draws")
 
     def __init__(self, seed: int | Sequence[int], mode: str = "laplace", spawn_key: Sequence[int] = ()):
         if mode not in NOISE_MODES:
@@ -35,10 +31,7 @@ class NoiseSource:
         self.entropy = int(seed) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
         self.spawn_key = tuple(int(k) for k in spawn_key)
         self._rng = np.random.default_rng(np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key))
-        self._buf = np.empty(0)
-        self._pos = 0
         self.laplace_draws = 0
-        self.uniform_draws = 0
 
     def child(self, *key: int) -> "NoiseSource":
         """The source whose spawn key is this one's plus ``key``. ``SeedSequence`` pads the entropy
@@ -46,17 +39,8 @@ class NoiseSource:
         ``SeedSequence`` of at most four words (such as the seed, or ``(seed, 3)``) draws."""
         return NoiseSource(self.entropy, self.mode, self.spawn_key + tuple(int(k) for k in key))
 
-    def _next_uniform(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._rng.random(_BUFFER)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return float(u)
-
     def uniform(self) -> float:
-        self.uniform_draws += 1
-        return self._next_uniform()
+        return self._rng.random()
 
     def laplace(self, scale: float) -> float:
         """One Laplace(0, scale) draw via inverse CDF from a single uniform."""
@@ -65,7 +49,7 @@ class NoiseSource:
         self.laplace_draws += 1
         if self.mode == "zero":
             return 0.0
-        v = 2.0 * self._next_uniform() - 1.0  # in [-1, 1)
+        v = 2.0 * self._rng.random() - 1.0  # in [-1, 1)
         if v <= -1.0:
             v = -1.0 + 2.0 ** -53
         return -scale * math.copysign(1.0, v) * math.log1p(-abs(v))
@@ -78,11 +62,7 @@ class NoiseSource:
         self.laplace_draws += n
         if self.mode == "zero":
             return np.zeros(n)
-        u = self._buf[self._pos : self._pos + n]
-        self._pos += len(u)
-        if len(u) < n:  # the buffer is spent; the next scalar draw refills after these
-            u = np.concatenate([u, self._rng.random(n - len(u))])
-        v = np.maximum(2.0 * u - 1.0, -1.0 + 2.0**-53)  # u = 0 moves up as in ``laplace``
+        v = np.maximum(2.0 * self._rng.random(n) - 1.0, -1.0 + 2.0**-53)  # u = 0 moves up as in ``laplace``
         return -scale * np.copysign(1.0, v) * np.log1p(-np.abs(v))
 
 
@@ -242,7 +222,3 @@ class BudgetLedger:
     def groups(self) -> list[str | None]:
         self._sync()
         return list(self._group_totals)
-
-    def max_group_total(self) -> Fraction:
-        self._sync()
-        return Fraction(max(self._group_totals.values(), default=0), self._denominator)

@@ -187,35 +187,20 @@ def compact_cells(workload: Workload, points: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class WorkloadGroup:
-    """Workloads read off one joint histogram on their columns' union. Members are ``(workload
-    index, projection, size)``; a projection maps joint cells to member cells, None for the joint."""
-
-    joint: Workload
-    members: tuple[tuple[int, np.ndarray | None, int], ...]
-
-
-@dataclass(frozen=True, eq=False)
 class WorkloadCover:
     """A ``cover_workloads`` cover and the flat layout of a scoring: workload ``i``'s values are
     ``flat[offsets[i]:offsets[i] + sizes[i]]``, and ``segment`` holds the workload of each flat cell.
-    ``home[i]`` is workload ``i``'s group joint and projection. Flat cell r sums the groups' joints,
-    laid end to end, at ``gather[starts[r]:starts[r + 1]]``: a scoring is one ``np.add.reduceat``.
-    ``strides`` is the workloads' ``stride_matrix``: ``stride_cells`` of points with it, plus
-    ``offsets``, gives each point's flat cell in every workload."""
+    Flat cell r sums the ``joints`` histograms, laid end to end, at ``gather[starts[r]:starts[r + 1]]``:
+    a scoring is one ``np.add.reduceat``. ``strides`` is the workloads' ``stride_matrix``:
+    ``stride_cells`` of points with it, plus ``offsets``, gives each point's flat cell in every workload."""
 
-    groups: tuple[WorkloadGroup, ...]
+    joints: tuple[Workload, ...]
     offsets: np.ndarray
     sizes: np.ndarray
     segment: np.ndarray
-    home: tuple[tuple[Workload, np.ndarray | None], ...]
     gather: np.ndarray
     starts: np.ndarray
     strides: np.ndarray
-
-    def part(self, flat: np.ndarray, i: int) -> np.ndarray:
-        """Workload ``i``'s values in a flat vector of this layout (a view)."""
-        return flat[self.offsets[i] : self.offsets[i] + self.sizes[i]]
 
 
 def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> WorkloadCover:
@@ -240,7 +225,7 @@ def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> WorkloadCo
             groups.append([mask, workloads[i].size, [i]])
         else:
             best[:] = best[0] | mask, best_size, best[2] + [i]
-    plan, home, runs, base = [], [None] * len(workloads), [None] * len(workloads), 0
+    joints, runs, base = [], [None] * len(workloads), 0
     for mask, _, members in groups:
         columns = tuple(c for c in range(schema.num_attributes) if mask >> c & 1)
         # a member equal to the joint lends its own object, so cache lookups hit by identity
@@ -249,12 +234,9 @@ def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> WorkloadCo
         # the joint's cells as points, first column slowest; a lone member is its joint
         shape = [card if mask & bit else 1 for bit, card in cards.items()]
         grid = np.indices(shape).reshape(len(shape), -1).T if len(members) > 1 else None
-        projections = [None if i in same else compact_cells(workloads[i], grid) for i in members]
-        sizes = [workloads[i].size for i in members]
-        plan.append(WorkloadGroup(joint, tuple(zip(members, projections, sizes))))
-        for i, projection in zip(members, projections):
-            home[i] = joint, projection
-            runs[i] = base, np.arange(joint.size) if projection is None else projection
+        for i in members:  # each member's cell at every joint cell
+            runs[i] = base, np.arange(joint.size) if i in same else compact_cells(workloads[i], grid)
+        joints.append(joint)
         base += joint.size
     sizes = np.array([w.size for w in workloads], dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
@@ -268,7 +250,7 @@ def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> WorkloadCo
     strides = stride_matrix(workloads, schema.num_attributes)
     for array in (sizes, offsets, segment, gather, starts, strides):
         array.flags.writeable = False
-    return WorkloadCover(tuple(plan), offsets, sizes, segment, tuple(home), gather, starts, strides)
+    return WorkloadCover(tuple(joints), offsets, sizes, segment, gather, starts, strides)
 
 
 @dataclass(frozen=True)

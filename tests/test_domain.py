@@ -11,6 +11,7 @@ from dpstream import (
     WeightedDataset,
     Workload,
     accumulate,
+    dataset_mean,
     eval_workload,
     stream_difference_norm,
     stream_norm,
@@ -291,7 +292,7 @@ def test_points_are_column_major_on_every_constructor_path():
         "empty": WeightedDataset.empty(SCHEMA_234),
         "accumulate": accumulate(a, b),
         "prefix": stream.prefix(2),
-        "scale": a.scale(0.5),
+        "dataset_mean": dataset_mean([a, b]),
         "from_sorted": WeightedDataset.from_sorted(SCHEMA_234, a.points, np.arange(len(a), dtype=float)),
     }
     for name, dataset in built.items():

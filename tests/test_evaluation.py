@@ -49,7 +49,8 @@ class TestWorkloadError:
         f = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 4.0, (0, 1): 2.0})
         g = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 3.0, (1, 0): 3.0})
         base = workload_error(W_BOTH, f, g)
-        scaled = workload_error(W_BOTH, f.scale(7.0), g.scale(7.0))
+        f7, g7 = (WeightedDataset(SCHEMA, d.points, d.weights * 7.0) for d in (f, g))
+        scaled = workload_error(W_BOTH, f7, g7)
         assert scaled == pytest.approx(base)
 
     def test_zero_mass_with_normalize_rejected(self):

@@ -1,12 +1,25 @@
 import csv
 import dataclasses
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dpstream import ExperimentConfig, StreamSpec, WeightedDataset, build_stream, ingest_csv, load_schema
+from dpstream import (
+    ExperimentConfig,
+    NoiseSource,
+    RunConfig,
+    StreamSpec,
+    WeightedDataset,
+    build_stream,
+    enumerate_workloads,
+    ingest_csv,
+    load_schema,
+    make_counter,
+)
 from dpstream.cli import main as cli_main
 from dpstream import harness
 from dpstream.harness import IngestError, run_experiment, run_triple, validate_config
@@ -427,7 +440,7 @@ class TestConfigFile:
     def test_validate_reports_unknown_counter(self, tmp_path, data_file, schema_file):
         config = experiment_config(tmp_path, data_file, schema_file, counter="simpel")
         assert [p.split(";")[0] for p in validate_config(config)] == ["unknown counter kind 'simpel'"]
-        for name in ("simple", "bounded_block", "block", "binary_tree", "unbounded_block"):
+        for name in ("simple", "bounded_block", "binary_tree", "unbounded_block"):
             config = experiment_config(tmp_path, data_file, schema_file, counter=name)
             assert validate_config(config) == []
 
@@ -482,7 +495,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("window", [0, -1])
     def test_summary_window_below_one_rejected(self, tmp_path, data_file, schema_file, window):
-        with pytest.raises(ValueError, match=f"summary_window must be >= 1, got {window}"):
+        with pytest.raises(ValueError, match=f"summary_window must be an integer >= 1, got {window}"):
             experiment_config(tmp_path, data_file, schema_file, summary_window=window)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
@@ -492,7 +505,7 @@ class TestConfigFile:
             "output_dir": str(tmp_path / "out"),
             "summary_window": window,
         }))
-        with pytest.raises(ValueError, match=f"summary_window must be >= 1, got {window}"):
+        with pytest.raises(ValueError, match=f"summary_window must be an integer >= 1, got {window}"):
             ExperimentConfig.from_json(path)
 
     @pytest.mark.parametrize(
@@ -783,3 +796,114 @@ class TestCli:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(payload))
         assert cli_main(["validate", "--config", str(config_path)]) == 1
+
+
+def write_config(tmp_path, data_file, schema_file, **extra):
+    """A config file over the two-attribute data, with ``extra`` fields set."""
+    payload = {
+        "dataset": str(data_file),
+        "schema": str(schema_file),
+        "stream": {"variant": "ordered_batch", "batch_size": 2},
+        "output_dir": str(tmp_path / "out"),
+        "k": 1,
+        **extra,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def assert_rejected_by_validate_and_run(path, tmp_path, capsys, message):
+    for command in ("validate", "run"):
+        assert cli_main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n" and captured.out == ""
+    assert not list(tmp_path.rglob("metrics.csv")) and not (tmp_path / "out").exists()
+
+
+BATCHED = {"variant": "ordered_batch", "batch_size": 2}
+# settings that must be integers (not bools, floats or strings) or a bool, and the error each reports
+SETTING_ERRORS = [
+    ({"seeds": [1.5]}, "seeds must be non-negative integers, got 1.5"),
+    ({"seeds": ["2"]}, "seeds must be non-negative integers, got '2'"),
+    ({"seeds": [True]}, "seeds must be non-negative integers, got True"),
+    (
+        {"stream": {**BATCHED, "variant": "randomized_batch", "seed": 1.5}},
+        "stream seed must be a non-negative integer, got 1.5",
+    ),
+    ({"stream": {**BATCHED, "batch_size": 2.5}}, "batched streams need an integer batch_size >= 1, got 2.5"),
+    (
+        {"stream": {"variant": "timestamp_bucketed", "timestamp_column": "when", "bucket_days": 2.5}},
+        "timestamp_bucketed streams need an integer bucket_days >= 1, got 2.5",
+    ),
+    ({"stream": {**BATCHED, "max_steps": 2.5}}, "max_steps must be an integer >= 1, got 2.5"),
+    (
+        {"counter": "bounded_block", "block_size": 2.5},
+        "bounded block counter needs an integer block_size >= 1, got 2.5",
+    ),
+    ({"block_size": 2.5}, "block_size must be an integer >= 1, got 2.5"),
+    ({"k": 2.5}, "k must be an integer >= 1, got 2.5"),
+    ({"k": "2"}, "k must be an integer >= 1, got '2'"),
+    ({"k_way": True}, "k_way must be an integer >= 1, got True"),
+    ({"summary_window": 2.5}, "summary_window must be an integer >= 1, got 2.5"),
+    ({"fitter": {"passes": True}}, "fitter passes must be an integer >= 1, got True"),
+    ({"fitter": {"seed_support_size": 2.5}}, "fitter seed_support_size must be an integer >= 1, got 2.5"),
+    ({"normalize": "no"}, "normalize must be true or false, got 'no'"),
+]
+
+
+class TestSettingChecks:
+    @pytest.mark.parametrize("extra, message", SETTING_ERRORS, ids=lambda o: json.dumps(o))
+    def test_setting_of_the_wrong_type_names_its_field(
+        self, tmp_path, data_file, schema_file, capsys, extra, message
+    ):
+        path = write_config(tmp_path, data_file, schema_file, **extra)
+        assert_rejected_by_validate_and_run(path, tmp_path, capsys, message)
+
+    def test_numpy_integers_are_integers(self, tmp_path, data_file, schema_file):
+        config = experiment_config(
+            tmp_path, data_file, schema_file, k=np.int64(1), k_way=np.int32(2), seeds=(np.int64(1),),
+            counter="bounded_block", block_size=np.int16(2), summary_window=np.uint8(2),
+            fitter={"passes": np.int64(2), "seed_support_size": np.int64(4)},
+            stream=StreamSpec(variant="randomized_batch", batch_size=np.int64(2), seed=np.int64(3)),
+        )
+        assert validate_config(config) == []
+        assert all(r["ok"] for r in run_experiment(config))
+        run_dir = config.run_dir(Path(config.output_dir), "main", Fraction(1), 1)
+        meta = json.loads((run_dir / "meta.json").read_text())
+        assert (meta["k"], meta["k_way"], meta["seed"], meta["block_size"]) == (1, 2, 1, 2)
+
+    @pytest.mark.parametrize(
+        "extra, shown",
+        [
+            ({"epsilons": ["1e-400"]}, "1e-400"),  # 0 in float64
+            ({"epsilons": ["1e400"]}, "1e+400"),  # past the largest float64
+            ({"epsilons": ["1e-323"], "k_way": 1, "k": 2}, "1e-323"),  # 0 once split into 2k = 4 shares
+            ({"epsilons": [-1]}, "-1"),
+        ],
+    )
+    def test_epsilon_outside_float64_names_the_epsilon(
+        self, tmp_path, data_file, schema_file, capsys, extra, shown
+    ):
+        message = (
+            f"epsilon {shown} must be a positive, finite float64, and so must its per-share value "
+            "float(epsilon) / (2k)"
+        )
+        path = write_config(tmp_path, data_file, schema_file, **extra)
+        assert_rejected_by_validate_and_run(path, tmp_path, capsys, message)
+        workloads = enumerate_workloads(load_schema(schema_file)[0], extra.get("k_way", 2))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(epsilon=Fraction(str(extra["epsilons"][0])), k=extra.get("k", 1), workloads=workloads)
+
+    def test_block_spelling_rejected_everywhere(self, tmp_path, data_file, schema_file, capsys):
+        message = (
+            "unknown counter kind 'block'; expected one of "
+            "('simple', 'bounded_block', 'binary_tree', 'unbounded_block')"
+        )
+        workloads = enumerate_workloads(load_schema(schema_file)[0], 1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(epsilon=Fraction(1), k=1, workloads=workloads, counter_kind="block", block_size=2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_counter("block", 1.0, NoiseSource(0), block_size=2)
+        path = write_config(tmp_path, data_file, schema_file, counter="block", block_size=2)
+        assert_rejected_by_validate_and_run(path, tmp_path, capsys, message)

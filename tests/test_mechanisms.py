@@ -15,6 +15,19 @@ from dpstream import (
 from dpstream.mechanisms import BudgetEntry
 
 
+class FixedUniforms:
+    """Stands in for a source's generator: hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, n=None):
+        if n is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:n]), self.values[n:]
+        return out
+
+
 class TestNoiseSource:
     def test_zero_mode_returns_exact_zero(self):
         src = NoiseSource(0, mode="zero")
@@ -64,8 +77,8 @@ class TestNoiseSource:
 
     @pytest.mark.parametrize("before, n", [(0, 5), (250, 20), (3, 600), (256, 256), (10, 0)])
     def test_laplace_vector_takes_the_uniforms_of_scalar_draws(self, before, n):
-        # before scalar draws leave the 256-uniform buffer part spent; the vector takes the rest
-        # first, and the draw after it is the one n scalar calls would be followed by
+        # after before scalar draws, the vector takes the next n uniforms, and the draw after it
+        # is the one n scalar calls would be followed by
         vector, scalar = NoiseSource(17), NoiseSource(17)
         for source in (vector, scalar):
             for _ in range(before):
@@ -83,10 +96,26 @@ class TestNoiseSource:
         # u = 0 gives v = -1, moved up by 2**-53 as the scalar draw does: a finite value
         vector, scalar = NoiseSource(0), NoiseSource(0)
         for source in (vector, scalar):
-            source._buf, source._pos = np.array([0.0, 0.5]), 0
+            source._rng = FixedUniforms([0.0, 0.5])
         got = vector.laplace_vector(1.0, 2)
         assert got.tolist() == [math.log1p(-(1.0 - 2.0**-53)), 0.0]
         assert got.tolist() == [scalar.laplace(1.0), scalar.laplace(1.0)]
+
+    @pytest.mark.parametrize("key", [(), (2,), (1, 0)])
+    def test_draws_take_the_generator_uniforms_in_order(self, key):
+        # a root source and its children alike: uniform, laplace and laplace_vector each take the
+        # next uniforms of the generator of SeedSequence(entropy, spawn_key=key), none skipped
+        source = NoiseSource(23).child(*key) if key else NoiseSource(23)
+        assert source.spawn_key == key
+        rng = np.random.default_rng(np.random.SeedSequence(23, spawn_key=key))
+        for n in (3, 0, 1, 300, 7):
+            assert source.uniform() == rng.random()
+            v = 2.0 * rng.random() - 1.0
+            assert source.laplace(2.0) == -2.0 * math.copysign(1.0, v) * math.log1p(-abs(v))
+            v = np.maximum(2.0 * rng.random(n) - 1.0, -1.0 + 2.0**-53)
+            want = -2.0 * np.copysign(1.0, v) * np.log1p(-np.abs(v))
+            assert source.laplace_vector(2.0, n).tobytes() == want.tobytes()
+        assert source.uniform() == rng.random()
 
     def test_laplace_vector_in_zero_mode(self):
         source = NoiseSource(3, mode="zero")
@@ -261,7 +290,7 @@ class TestBudgetLedger:
         for t in (1, 2, 3):
             ledger.spend("a", Fraction(1), 2, group=f"t={t}")
             ledger.spend("b", Fraction(1), 2, group=f"t={t}")
-        assert ledger.max_group_total() == Fraction(1)
+        assert max(ledger.group_total(g) for g in ledger.groups()) == Fraction(1)
         with pytest.raises(BudgetOverspendError):
             ledger.spend("c", Fraction(1), 2, group="t=2")
 
@@ -291,7 +320,8 @@ class TestBudgetLedger:
                 assert ledger.group_total(g) == scan(ledger.entries, g)
                 for c in ("selection", "measurement", "other"):
                     assert ledger.category_total(g, c) == scan(ledger.entries, g, c)
-            assert ledger.max_group_total() == max((scan(ledger.entries, g) for g in seen), default=0)
+            top = max((ledger.group_total(g) for g in ledger.groups()), default=0)
+            assert top == max((scan(ledger.entries, g) for g in seen), default=0)
         assert rejected > 0
 
     @pytest.mark.parametrize("total", [Fraction(1), Fraction(7, 3), Fraction(2, 5)])
@@ -328,8 +358,9 @@ class TestBudgetLedger:
                 assert type(ledger.group_total(g)) is Fraction
                 for c in ("selection", "counter", "measurement"):
                     assert ledger.category_total(g, c) == scan(ledger.entries, g, c)
-            assert ledger.max_group_total() == max(scan(ledger.entries, g) for g in ledger.groups())
-            assert type(ledger.max_group_total()) is Fraction
+            top = max(ledger.group_total(g) for g in ledger.groups())
+            assert top == max(scan(ledger.entries, g) for g in ledger.groups())
+            assert type(top) is Fraction
         assert ledger.group_total("t=1") > 0 and ledger.group_total("t=3") > 0
 
     def test_spend_up_to_a_non_integer_total_exactly(self):

@@ -23,6 +23,20 @@ SCHEMA = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_243 = DomainSchema((("a", 2), ("b", 4), ("c", 3)))
 
 
+def part(cover, flat, i):
+    """Workload ``i``'s values in a flat vector of ``cover``'s layout."""
+    return flat[cover.offsets[i] : cover.offsets[i] + cover.sizes[i]]
+
+
+def joint_runs(cover):
+    """Each workload's joint index in ``cover.joints``, and where its run of joint cells starts in
+    ``cover.gather`` (one more entry: its length). Joints lie end to end in ``joints`` order, and a
+    workload's flat cells sum cells of its joint alone, so the first gathered cell names the joint."""
+    runs = np.append(cover.starts[cover.offsets], len(cover.gather))
+    ends = np.cumsum([joint.size for joint in cover.joints])
+    return np.searchsorted(ends, cover.gather[runs[:-1]], side="right"), runs
+
+
 def brute_force_workload(workload, dataset):
     """Oracle: evaluate every cell by scanning the full domain table."""
     cards = dataset.schema.cardinalities
@@ -211,17 +225,21 @@ class TestCoverWorkloads:
         cap = data.draw(st.sampled_from([0, 1, 6, 40, 10**9]))
         cover = cover_workloads(workloads, cap)
 
-        members = sorted(i for group in cover.groups for i, _, _ in group.members)
-        assert members == list(range(len(workloads)))
-        for group in cover.groups:
-            first = workloads[group.members[0][0]]
-            assert group.joint.size <= cap or (len(group.members) == 1 and first.size > cap)
-            union = {c for i, _, _ in group.members for c in workloads[i].columns}
-            assert group.joint.columns == tuple(sorted(union))
-            for i, projection, _ in group.members:
-                assert cover.home[i][0] is group.joint and cover.home[i][1] is projection
-                if workloads[i].columns == group.joint.columns:
-                    assert projection is None and group.joint is workloads[i]
+        # every workload reads each cell of one joint exactly once; every joint has a member
+        homes, runs = joint_runs(cover)
+        bases = np.cumsum([0] + [joint.size for joint in cover.joints])
+        for i, g in enumerate(homes):
+            assert sorted(cover.gather[runs[i] : runs[i + 1]]) == list(range(bases[g], bases[g + 1]))
+        assert sorted(set(homes.tolist())) == list(range(len(cover.joints)))
+        for g, joint in enumerate(cover.joints):
+            members = np.flatnonzero(homes == g).tolist()
+            first = workloads[members[0]]
+            assert joint.size <= cap or (len(members) == 1 and first.size > cap)
+            union = {c for i in members for c in workloads[i].columns}
+            assert joint.columns == tuple(sorted(union))
+            for i in members:
+                if workloads[i].columns == joint.columns:
+                    assert joint is workloads[i]
 
         # the flat layout lays every workload's cells end to end in index order
         sizes = [w.size for w in workloads]
@@ -242,16 +260,15 @@ class TestCoverWorkloads:
             dataset = WeightedDataset(schema, support.points, weights)
             assert values.dtype == np.float64 and values.shape == (sum(sizes),)
             for i, workload in enumerate(workloads):
-                part = cover.part(values, i)
-                np.testing.assert_allclose(part, eval_workload(workload, dataset), rtol=1e-12, atol=0)
+                got = part(cover, values, i)
+                np.testing.assert_allclose(got, eval_workload(workload, dataset), rtol=1e-12, atol=0)
             if len(support) == schema.size:
                 continue
             # on the cover path a member equal to its joint is the joint's own bincount
-            for group in cover.groups:
-                for i, projection, _ in group.members:
-                    if projection is None:
-                        direct = cell_values(support.cells(workloads[i]), weights, workloads[i].size)
-                        assert cover.part(values, i).tobytes() == direct.tobytes()
+            for i, g in enumerate(homes):
+                if workloads[i].columns == cover.joints[g].columns:
+                    direct = cell_values(support.cells(workloads[i]), weights, workloads[i].size)
+                    assert part(cover, values, i).tobytes() == direct.tobytes()
 
     def test_census_pairs_share_support_passes(self):
         # 78 two-way workloads over 13 attributes: pairs that share columns fill
@@ -262,13 +279,17 @@ class TestCoverWorkloads:
         schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
         workloads = list(enumerate_workloads(schema, 2))
         cover = cover_workloads(workloads, 10_000 // 8)
-        assert len(cover.groups) < len(workloads) // 3
-        for group in cover.groups:
-            assert len(group.members) > 1
-            for i, projection, size in group.members:
-                assert size == workloads[i].size
-                assert projection.dtype == np.min_scalar_type(size) and not projection.flags.writeable
-                assert projection.shape == (group.joint.size,) and int(projection.max()) == size - 1
+        assert len(cover.joints) < len(workloads) // 3
+        homes, _ = joint_runs(cover)
+        starts = np.append(cover.starts, len(cover.gather))
+        for g, joint in enumerate(cover.joints):
+            members = np.flatnonzero(homes == g)
+            assert len(members) > 1
+            for i in members:
+                assert cover.sizes[i] == workloads[i].size
+                # every joint cell lands in one member cell, and every member cell gets one at least
+                cells = starts[cover.offsets[i] : cover.offsets[i] + cover.sizes[i] + 1]
+                assert cells[-1] - cells[0] == joint.size and (np.diff(cells) >= 1).all()
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=2, max_size=5), st.data())
@@ -292,7 +313,7 @@ class TestCoverWorkloads:
         values = support.evaluate_many(cover, counts, at)
         dataset = WeightedDataset(schema, support.points[at], counts)
         for i, workload in enumerate(workloads):
-            assert cover.part(values, i).tobytes() == eval_workload(workload, dataset).tobytes()
+            assert part(cover, values, i).tobytes() == eval_workload(workload, dataset).tobytes()
 
     @staticmethod
     def _check_direct_route(support, cover, at, rng):
@@ -346,7 +367,7 @@ class TestCoverWorkloads:
         starts, gather = cover.starts, cover.gather
         assert len(starts) == len(cover.segment) and starts[0] == 0
         assert (np.diff(starts) >= 1).all() and starts[-1] < len(gather)
-        assert len(gather) == sum(group.joint.size * len(group.members) for group in cover.groups)
+        assert len(gather) == sum(cover.joints[g].size for g in joint_runs(cover)[0])
         # a seed size below the domain size samples, so scoring takes the cover path
         support = WorkingSupport(schema, seed_size=min(60, schema.size - 1), seed=data.draw(st.integers(0, 99)))
         assert len(support) < schema.size
@@ -365,9 +386,9 @@ class TestCoverWorkloads:
         as_counts = WeightedDataset(schema, support.points[at], counts)
         for i, workload in enumerate(workloads):
             want = eval_workload(workload, as_floats)
-            np.testing.assert_allclose(cover.part(got_floats, i), want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(part(cover, got_floats, i), want, rtol=1e-12, atol=0)
             # integer weights sum exactly in any order
-            assert cover.part(got_counts, i).tobytes() == eval_workload(workload, as_counts).tobytes()
+            assert part(cover, got_counts, i).tobytes() == eval_workload(workload, as_counts).tobytes()
 
 
 class TestDenseScoring:
@@ -391,7 +412,7 @@ class TestDenseScoring:
         assert values.dtype == np.float64 and values.shape == (len(cover.segment),)
         dataset = WeightedDataset(schema, support.points, weights)
         for i, workload in enumerate(workloads):
-            np.testing.assert_allclose(cover.part(values, i), eval_workload(workload, dataset), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(part(cover, values, i), eval_workload(workload, dataset), rtol=1e-12, atol=0)
         # integer weights sum exactly in any order, at every position or at some, with repeats
         at = np.array(data.draw(st.lists(st.integers(0, len(support) - 1), max_size=30)), dtype=np.intp)
         counts = rng.integers(1, 20, size=len(support)).astype(np.float64)
@@ -401,7 +422,7 @@ class TestDenseScoring:
             (WeightedDataset(schema, support.points[at], at_counts), support.evaluate_many(cover, at_counts, at)),
         ):
             for i, workload in enumerate(workloads):
-                assert cover.part(got, i).tobytes() == eval_workload(workload, dataset).tobytes()
+                assert part(cover, got, i).tobytes() == eval_workload(workload, dataset).tobytes()
 
     def test_empty_positions_score_zero(self):
         workloads = list(enumerate_workloads(SCHEMA_243, 2))
@@ -443,7 +464,7 @@ class TestDenseScoring:
             assert support._matrices == {}
             dataset = WeightedDataset(schema, support.points, weights)
             for i, workload in enumerate(workloads):
-                np.testing.assert_allclose(cover.part(values, i), eval_workload(workload, dataset), rtol=1e-12)
+                np.testing.assert_allclose(part(cover, values, i), eval_workload(workload, dataset), rtol=1e-12)
         # the limit is inclusive
         monkeypatch.setattr(fitters, "DENSE_LIMIT", entries)
         sampled.evaluate_many(cover, np.ones(len(sampled)))
@@ -478,7 +499,8 @@ class TestEvalWorkloadMemo:
         fresh = [eval_workload(Workload(SCHEMA_243, w.columns), d) for d in (a, b) for w in workloads]
         assert len(calls) == 2 * len(workloads)
         assert all(x is y is z for x, y, z in zip(first, again, fresh))
-        eval_workload(workloads[0], a.scale(2.0))  # a new dataset computes its own
+        doubled = WeightedDataset(SCHEMA_243, a.points, a.weights * 2.0)
+        eval_workload(workloads[0], doubled)  # a new dataset computes its own
         assert len(calls) == 2 * len(workloads) + 1
 
     def test_vectors_are_read_only(self):

@@ -23,11 +23,16 @@ Each grid runs through `run_experiment(jobs=1)` in a temporary directory
 `runtime_sec` is dropped from every `meta.json` before hashing, because it is
 wall time. Both grids run eps 0.5 and 2, seeds 0 and 1, and k = 3 over the
 2-way workloads: `baseline` once (with the `simple` counter setting, which it
-never reads) and `main` once per counter kind (`simple`, `bounded_block`,
-`unbounded_block`, `binary_tree`):
+never reads), `main` once per counter kind (`simple`, `bounded_block`,
+`unbounded_block`, `binary_tree`), and `main` with the `simple` counter and
+`"fitter": {"name": "mw", "passes": 2}`, whose replays re-read every round's
+cells:
 
 - census13: the 13-attribute surrogate, 4,000 rows, 12 steps of 200 rows;
 - low5: its 5 lowest-cardinality attributes, 4,000 rows, 60 steps of 5 rows.
+
+Each checkout also prints `sha256 of this printout: <hex>` to stderr: the
+sha256 of its digest lines as printed, one newline after each.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ GRIDS = {
 }
 NOISES = ("zero", "laplace")
 COUNTERS = ("simple", "bounded_block", "unbounded_block", "binary_tree")
+# (algorithm, counter, fitter passes) of every run on each grid and noise mode
+RUNS = [("baseline", "simple", 1)] + [("main", counter, 1) for counter in COUNTERS] + [("main", "simple", 2)]
 ROWS = 4_000
 FILES = ("metrics.csv", "summary.json", "meta.json")
 TOLERANCE = 1e-9  # relative difference reported as the first step that differs
@@ -166,14 +173,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run_grids(harness, surrogate, work: Path) -> int:
-    """Run every grid under ``work`` and print one digest line per output file."""
-    failed = 0
+    """Run every grid under ``work``, print one digest line per output file, then the
+    printout's sha256 to stderr."""
+    failed, printout = 0, hashlib.sha256()
     for name, grid in GRIDS.items():
         dataset, schema = write_inputs(surrogate, work, name, grid["columns"])
         for noise in NOISES:
-            runs = [("baseline", "simple")] + [("main", c) for c in COUNTERS]
-            for algorithm, counter in runs:
-                label = f"{name}-{noise}-{algorithm}-{counter}"
+            for algorithm, counter, passes in RUNS:
+                label = f"{name}-{noise}-{algorithm}-{counter}" + (f"-passes{passes}" if passes > 1 else "")
                 out = work / "out" / label
                 config = harness.ExperimentConfig(
                     dataset=str(dataset),
@@ -187,6 +194,7 @@ def run_grids(harness, surrogate, work: Path) -> int:
                     algorithms=(algorithm,),
                     epsilons=("0.5", "2"),
                     counter=counter,
+                    fitter={"name": "mw", "passes": passes},
                     seeds=(0, 1),
                     noise=noise,
                 )
@@ -199,7 +207,10 @@ def run_grids(harness, surrogate, work: Path) -> int:
                         print(f"FAIL {label}: {result}", file=sys.stderr)
                 for path in sorted(out.rglob("*")):
                     if path.name in FILES:
-                        print(f"{file_digest(path)}  {label}/{path.relative_to(out).as_posix()}")
+                        line = f"{file_digest(path)}  {label}/{path.relative_to(out).as_posix()}"
+                        print(line)
+                        printout.update(f"{line}\n".encode())
+    print(f"sha256 of this printout: {printout.hexdigest()}", file=sys.stderr)
     return 1 if failed else 0
 
 
