@@ -37,9 +37,24 @@ _COUNTER = 2
 ALGORITHMS = ("baseline", "main")
 
 
-def check_epsilon(epsilon: Fraction, k: int = 1) -> None:
-    """Raise ValueError unless the per-share value ``float(epsilon) / (2k)`` is positive and finite
-    in float64, and so ``float(epsilon)`` too. The default ``k = 1`` rejects only what every k does."""
+def checked_fraction(value: object, rule: str, text: bool = False) -> Fraction:
+    """``value`` read exactly as a fraction (``0.1`` is 1/10) when it is a finite Python or numpy
+    number, not a bool, or with ``text`` a string ``Fraction`` reads, such as ``"1/2"``; otherwise a
+    ValueError ``"{rule}, got {value!r}"``, whose ``rule`` names the setting."""
+    kinds = (int, float, Fraction, np.integer, np.floating) + ((str,) if text else ())
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        try:
+            return value if isinstance(value, Fraction) else Fraction(str(value))
+        except (ValueError, ZeroDivisionError):  # nan, inf, "1/0" or a string of no number
+            pass
+    raise ValueError(f"{rule}, got {value!r}")
+
+
+def checked_epsilon(value: object, k: int = 1, name: str = "epsilon") -> Fraction:
+    """``value`` read by ``checked_fraction``, strings too, with ``name`` for the setting. Raise
+    ValueError unless the per-share value ``float(epsilon) / (2k)`` is positive and finite in
+    float64, and so ``float(epsilon)`` too. The default ``k = 1`` rejects only what every k does."""
+    epsilon = checked_fraction(value, f'{name} must be a number or a string such as "1/2"', text=True)
     try:
         share = float(epsilon) / (2 * k)
     except OverflowError:  # past the largest float64
@@ -50,6 +65,7 @@ def check_epsilon(epsilon: Fraction, k: int = 1) -> None:
             f"epsilon {shown} must be a positive, finite float64, and so must its per-share value "
             "float(epsilon) / (2k)"
         )
+    return epsilon
 
 
 @dataclass
@@ -68,9 +84,8 @@ class RunConfig:
     noise_mode: str = "laplace"
 
     def __post_init__(self) -> None:
-        self.epsilon = Fraction(str(self.epsilon)) if not isinstance(self.epsilon, Fraction) else self.epsilon
         self.k = checked_int(self.k, 1, "k must be an integer >= 1")
-        check_epsilon(self.epsilon, self.k)
+        self.epsilon = checked_epsilon(self.epsilon, self.k)
         self.seed = checked_int(self.seed, 0, "seed must be a non-negative integer")
         self.passes = checked_int(self.passes, 1, "fitter passes must be an integer >= 1")
         self.seed_support_size = checked_int(
@@ -86,6 +101,7 @@ class RunConfig:
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.noise_mode!r}; expected one of {NOISE_MODES}")
         if self.selection_sensitivity is not None:
+            checked_fraction(self.selection_sensitivity, "selection_sensitivity must be a finite number")
             floor = self._sensitivity_floor()
             if self.selection_sensitivity < floor:
                 raise ValueError(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -107,19 +107,22 @@ class DomainSchema:
         return pt
 
 
-def point_keys(schema: DomainSchema, *arrays: np.ndarray) -> list[np.ndarray]:
+def point_keys(
+    schema: DomainSchema, *arrays: np.ndarray, known: np.ndarray | None = None
+) -> list[np.ndarray]:
     """One int64 key per row of each in-range ``(n, p)`` array, comparable across arrays.
 
     Key order is lexicographic row order and equal rows get equal keys. Below
-    ``KEY_LIMIT`` the keys are the mixed-radix point keys; above it they are
-    the rows' ranks in one joint row sort, valid only for this call.
+    ``KEY_LIMIT`` the keys are the mixed-radix point keys, and ``known``, when
+    given, is taken as the first array's; above it they are the rows' ranks in
+    one joint row sort, valid only for this call.
     """
     if schema.key_strides is None:
         _, ranks = np.unique(np.concatenate(arrays), axis=0, return_inverse=True)
         bounds = np.cumsum([len(a) for a in arrays])[:-1]
         return np.split(ranks.reshape(-1).astype(np.int64), bounds)
     strides = schema.stride_array
-    return [a @ strides for a in arrays]
+    return [a @ strides if i or known is None else known for i, a in enumerate(arrays)]
 
 
 def unique_rows(schema: DomainSchema, points: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -148,6 +151,36 @@ def merge_rows(
     if inverse is None:
         return rows, weights
     return rows, np.bincount(inverse, weights=weights, minlength=len(rows))
+
+
+def union_rows(
+    schema: DomainSchema, points: np.ndarray, keys: np.ndarray | None, new_points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """Union of two nonempty sorted sets of distinct in-range rows, given ``points``' keys or None.
+
+    Returns ``(at, added, kept, union, union_keys)``: each new row's union position, those of the
+    new rows ``points`` lacks, the mask of the positions of ``points`` (None, and ``union`` is
+    ``points``, when nothing is added), the F-contiguous union and its ``point_keys`` (None when
+    the schema has no key strides)."""
+    keys, new_keys = point_keys(schema, points, new_points, known=keys)
+    pos = np.searchsorted(keys, new_keys)
+    fresh = keys[pos.clip(max=len(keys) - 1)] != new_keys
+    strided = schema.key_strides is not None
+    if not fresh.any():
+        return pos, pos[fresh], None, points, keys if strided else None
+    at = pos + (np.cumsum(fresh) - fresh)  # new rows are sorted: the fresh ones before a row land before it
+    added = at[fresh]
+    kept = np.ones(len(keys) + len(added), dtype=bool)
+    kept[added] = False
+    fresh_points = new_points[fresh]
+    union = np.empty((len(kept), points.shape[1]), dtype=np.int64, order="F")
+    for j in range(union.shape[1]):  # column by column: contiguous on both sides
+        column = union[:, j]
+        column[kept], column[added] = points[:, j], fresh_points[:, j]
+    union_keys = np.empty(len(kept), dtype=np.int64) if strided else None
+    if strided:
+        union_keys[kept], union_keys[added] = keys, new_keys[fresh]
+    return at, added, kept, union, union_keys
 
 
 def _canonicalize(
@@ -271,8 +304,8 @@ class WeightedDataset:
     def memo(self) -> dict:
         """Values computed from this dataset's contents alone, kept for later calls; made on
         first use. ``eval_workload`` keys its vectors by workload, ``total_mass`` its sum by
-        ``"total_mass"``. A stored value is never None and never written to: a read-only
-        array or an immutable value."""
+        ``"total_mass"``, ``accumulate`` the point keys of its sums by ``"keys"``. A stored
+        value is never None and never written to: a read-only array or an immutable value."""
         memo = self._memo
         if memo is None:
             memo = self._memo = {}
@@ -310,25 +343,32 @@ def nonzero_mass(weights: np.ndarray) -> float:
 
 
 def accumulate(prefix: WeightedDataset, delta: WeightedDataset) -> WeightedDataset:
-    """Pointwise sum of two datasets; entries that cancel to zero are dropped."""
+    """Pointwise sum of two datasets by a sorted merge: a shared point gets ``prefix + delta``,
+    the bits of ``WeightedDataset`` over the concatenated entries (whose ``bincount`` adds
+    ``0.0 + prefix + delta``)."""
     if prefix.schema != delta.schema:
         raise ValueError("schema mismatch in accumulate")
     if len(prefix) == 0:
         return delta
     if len(delta) == 0:
         return prefix
-    points = np.concatenate([prefix.points, delta.points])
-    weights = np.concatenate([prefix.weights, delta.weights])
-    return WeightedDataset(prefix.schema, points, weights)
+    schema = prefix.schema
+    at, _, kept, points, keys = union_rows(schema, prefix.points, prefix.memo.get("keys"), delta.points)
+    weights = np.zeros(len(points))
+    weights[... if kept is None else kept] = prefix.weights
+    weights[at] += delta.weights  # weights are positive, so no sum cancels to zero
+    out = WeightedDataset._of(schema, points, weights)
+    if keys is not None:  # the next accumulate onto this sum needs them
+        keys.flags.writeable = False
+        out.memo["keys"] = keys
+    return out
 
 
 def dataset_mean(datasets: list[WeightedDataset]) -> WeightedDataset:
     """Pointwise average of a nonempty list of datasets sharing one schema."""
     if not datasets:
         raise ValueError("dataset_mean of empty list")
-    out = datasets[0]
-    for d in datasets[1:]:
-        out = accumulate(out, d)
+    out = reduce(accumulate, datasets)
     return WeightedDataset(out.schema, out.points, out.weights * (1.0 / len(datasets)))
 
 
@@ -355,18 +395,10 @@ class DatasetStream:
         return len(self.differentials)
 
     def prefix(self, t: int) -> WeightedDataset:
-        """The accumulated dataset after the first t differentials."""
+        """The accumulated dataset after the first t differentials: ``accumulate`` folded over them."""
         if not 0 <= t <= self.num_steps:
             raise ValueError(f"prefix time {t} out of range [0, {self.num_steps}]")
-        steps = self.differentials[:t]
-        if not steps:
-            return WeightedDataset.empty(self.schema)
-        # one merge; bincount adds each point's weights in step order, as a fold of accumulate does
-        return WeightedDataset(
-            self.schema,
-            np.concatenate([d.points for d in steps]),
-            np.concatenate([d.weights for d in steps]),
-        )
+        return reduce(accumulate, self.differentials[:t], WeightedDataset.empty(self.schema))
 
 
 def stream_norm(stream: DatasetStream) -> float:

@@ -56,7 +56,9 @@ def workload_error(
             raise ValueError("cannot normalize against a zero-mass true dataset")
         f = f / mass
         g = g / mass
-    return float(np.abs(f - g).mean())
+    diff = f - g
+    # abs in place; np.add.reduce(x) / n is what x.mean() computes, without its Python wrapper
+    return float(np.add.reduce(np.abs(diff, out=diff)) / diff.size)
 
 
 def _relative_error_cells(
@@ -65,22 +67,25 @@ def _relative_error_cells(
     f = eval_workload(workload, true_data)
     g = eval_workload(workload, synthetic)
     mask = f > 0
-    excluded = int((~mask).sum())
-    if not mask.any():
+    kept = int(np.count_nonzero(mask))
+    if kept == 0:
         raise ValueError("relative workload error undefined: all true cells are zero")
-    rel = np.abs((f[mask] - g[mask]) / f[mask])
-    return float(rel.mean()), excluded
+    if kept < f.size:  # with every true cell positive, no masked copies
+        f, g = f[mask], g[mask]
+    rel = (f - g) / f
+    return float(np.add.reduce(np.abs(rel, out=rel)) / kept), mask.size - kept
 
 
 def aggregate(we_values: Sequence[float], relwe_values: Sequence[float]) -> MetricAggregate:
     """Mean and max over per-workload errors."""
     if len(we_values) == 0 or len(relwe_values) == 0:
         raise ValueError("cannot aggregate over an empty workload set")
+    we, relwe = np.array(we_values, dtype=np.float64), np.array(relwe_values, dtype=np.float64)
     return MetricAggregate(
-        avg_we=float(np.mean(we_values)),
-        max_we=float(np.max(we_values)),
-        avg_relwe=float(np.mean(relwe_values)),
-        max_relwe=float(np.max(relwe_values)),
+        avg_we=float(np.add.reduce(we) / we.size),
+        max_we=float(np.maximum.reduce(we)),
+        avg_relwe=float(np.add.reduce(relwe) / relwe.size),
+        max_relwe=float(np.maximum.reduce(relwe)),
     )
 
 
@@ -92,9 +97,7 @@ def evaluate_step(
 ) -> tuple[MetricAggregate, int]:
     """All four aggregates for one time step, plus the count of excluded
     zero-denominator cells (reported in run metadata)."""
-    we = []
-    relwe = []
-    excluded = 0
+    we, relwe, excluded = [], [], 0
     for w in workloads:
         we.append(workload_error(w, true_data, synthetic, normalize=normalize))
         value, skipped = _relative_error_cells(w, true_data, synthetic)

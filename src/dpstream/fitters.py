@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import DomainSchema, WeightedDataset, nonzero_mass, point_keys, unique_rows
+from .domain import DomainSchema, WeightedDataset, nonzero_mass, point_keys, union_rows, unique_rows
 from .queries import (
     MarginalQuery,
     Workload,
@@ -156,14 +156,6 @@ class WorkingSupport:
         joints = [np.bincount(self.cells(joint), weights, joint.size) for joint in cover.joints]
         return np.add.reduceat(np.concatenate(joints).take(cover.gather), cover.starts)
 
-    def _keys_with(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The support's sorted keys and the keys of ``points``, comparable with each other."""
-        if self._keys is None:
-            support_keys, keys = point_keys(self.schema, self._points, points)
-        else:
-            support_keys, (keys,) = self._keys, point_keys(self.schema, points)
-        return support_keys, keys
-
     def observe(self, delta: WeightedDataset) -> tuple[np.ndarray | None, np.ndarray]:
         """Union the support with the points of an observed differential.
 
@@ -175,37 +167,17 @@ class WorkingSupport:
             raise ValueError("schema mismatch in observe")
         if len(delta) == 0:
             return None, np.empty(0, dtype=np.intp)
-        n = len(self._points)
-        keys, delta_keys = self._keys_with(delta.points)
-        pos = np.searchsorted(keys, delta_keys)
-        fresh = keys[pos.clip(max=n - 1)] != delta_keys
-        if not fresh.any():
-            return None, pos
-        # delta is sorted, so the fresh points before a delta point are exactly
-        # the new support points that land before it
-        at = pos + (np.cumsum(fresh) - fresh)
-        added = at[fresh]
-        kept = np.ones(n + len(added), dtype=bool)
-        kept[added] = False
-        fresh_points = delta.points[fresh]
-        points = np.empty((len(kept), self.schema.num_attributes), dtype=np.int64, order="F")
-        for j in range(points.shape[1]):  # column by column: contiguous on both sides
-            column = points[:, j]
-            column[kept] = self._points[:, j]
-            column[added] = fresh_points[:, j]
+        at, added, kept, points, self._keys = union_rows(self.schema, self._points, self._keys, delta.points)
+        if kept is None:
+            return None, at
         limit = max((w.size for w in self._cells), default=1)
-        fresh_cells = stride_cells(fresh_points, self._cell_strides(), limit)
+        fresh_cells = stride_cells(points[added], self._cell_strides(), limit)
         for g, (workload, old) in enumerate(self._cells.items()):
             cells = np.empty(len(kept), dtype=old.dtype)
             cells[kept] = old  # old points keep their order, so a mask places them
             cells[added] = fresh_cells[:, g]
             cells.flags.writeable = False
             self._cells[workload] = cells
-        if self._keys is not None:
-            merged_keys = np.empty(len(kept), dtype=np.int64)
-            merged_keys[kept] = keys
-            merged_keys[added] = delta_keys[fresh]
-            self._keys = merged_keys
         points.flags.writeable = False
         self._points = points
         return np.flatnonzero(kept), at
@@ -231,9 +203,9 @@ class WorkingSupport:
             raise ValueError("schema mismatch in extend")
         weights = np.full(len(self._points), float(fill))
         if len(dataset):
-            support_keys, dataset_keys = self._keys_with(dataset.points)
-            at = np.searchsorted(dataset_keys, support_keys).clip(max=len(dataset_keys) - 1)
-            found = dataset_keys[at] == support_keys
+            support_keys, keys = point_keys(self.schema, self._points, dataset.points, known=self._keys)
+            at = np.searchsorted(keys, support_keys).clip(max=len(keys) - 1)
+            found = keys[at] == support_keys
             weights[found] = dataset.weights[at[found]]
         return WeightedDataset(self.schema, self._points, weights)
 

@@ -21,7 +21,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, RunConfig, check_epsilon, make_synthesizer
+from .algorithms import ALGORITHMS, RunConfig, checked_epsilon, make_synthesizer
 from .domain import DatasetStream, DomainSchema, WeightedDataset, accumulate, checked_int
 from .evaluation import MetricRow, evaluate_step, summarize_tail
 from .fitters import DEFAULT_SEED_SUPPORT
@@ -208,17 +208,13 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         self.algorithms = tuple(self.algorithms)
         self.seeds = tuple(checked_int(s, 0, "seeds must be non-negative integers") for s in self.seeds)
-        self.epsilons = tuple(
-            e if isinstance(e, Fraction) else Fraction(str(e)) for e in self.epsilons
-        )
+        self.epsilons = tuple(checked_epsilon(e, name="each of epsilons") for e in self.epsilons)
         for name in ("algorithms", "epsilons", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty: the grid would have no runs")
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}; expected subset of {ALGORITHMS}")
-        for e in self.epsilons:
-            check_epsilon(e)
         self.k_way = checked_int(self.k_way, 1, "k_way must be an integer >= 1")
         self.summary_window = checked_int(self.summary_window, 1, "summary_window must be an integer >= 1")
         if not isinstance(self.normalize, bool):
@@ -328,16 +324,11 @@ def run_triple(
     for t, delta in enumerate(stream.differentials, start=1):
         synthetic = synthesizer.step(delta)
         true_data = accumulate(true_data, delta)
-        if true_data.total_mass() == 0:
-            metrics = (math.nan, math.nan, math.nan, math.nan)
-            row = MetricRow(t, eps_float, algorithm, seed, *metrics)
-        else:
-            agg, skipped = evaluate_step(
-                workloads, true_data, synthetic, normalize=config.normalize
-            )
+        agg = (math.nan,) * 4  # no metrics while the true data is empty
+        if true_data.total_mass() != 0:
+            agg, skipped = evaluate_step(workloads, true_data, synthetic, normalize=config.normalize)
             excluded_cells += skipped
-            row = MetricRow(t, eps_float, algorithm, seed, *agg)
-        rows_out.append(row)
+        rows_out.append(MetricRow(t, eps_float, algorithm, seed, *agg))
 
     metrics_path = run_dir / "metrics.csv"
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:

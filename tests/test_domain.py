@@ -358,6 +358,58 @@ class TestAccumulate:
         assert accumulate(a, b).as_mapping() == accumulate(b, a).as_mapping()
 
 
+def related_rows(kind, schema, points, rng):
+    """Rows for a delta that is ``kind`` to a prefix storing ``points``: sharing none of them, some,
+    exactly them, or no rows at all."""
+    if kind == "empty" or (kind == "equal" and len(points) == 0):
+        return np.empty((0, schema.num_attributes), dtype=np.int64)
+    if kind == "equal":
+        return points.copy()
+    rows = random_rows(schema, int(rng.integers(1, 30)), rng)
+    if kind == "disjoint":
+        taken = {tuple(p) for p in points.tolist()}
+        return rows[[tuple(r) not in taken for r in rows.tolist()]]
+    shared = points[rng.random(len(points)) < 0.5]
+    return np.concatenate([shared, rows])
+
+
+class TestAccumulateMerge:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.just([]), st.lists(st.integers(1, 5), min_size=1, max_size=5)), st.data())
+    def test_fold_matches_the_concatenation_oracle_bit_for_bit(self, cards, data):
+        # [] stands for SCHEMA_HUGE, which has no key strides; cardinality-1 attributes included
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards))) if cards else SCHEMA_HUGE
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def dataset(rows):
+            # fractional weights over seven decades, so the order of each sum shows in its bits
+            return WeightedDataset(schema, rows, rng.random(len(rows)) * 10.0 ** rng.integers(-3, 4, len(rows)))
+
+        prefix = dataset(random_rows(schema, data.draw(st.integers(0, 30)), rng))
+        steps = [prefix]
+        kinds = st.sampled_from(["disjoint", "overlapping", "equal", "empty"])
+        for kind in data.draw(st.lists(kinds, min_size=1, max_size=4)):
+            delta = dataset(related_rows(kind, schema, prefix.points, rng))
+            before = [(a, a.tobytes()) for a in (prefix.points, prefix.weights, delta.points, delta.weights)]
+            got = accumulate(prefix, delta)
+            for array, saved in before:
+                assert array.tobytes() == saved and not array.flags.writeable
+            pair = WeightedDataset(
+                schema, np.concatenate([prefix.points, delta.points]), np.concatenate([prefix.weights, delta.weights])
+            )
+            steps.append(delta)
+            whole = WeightedDataset(
+                schema, np.concatenate([d.points for d in steps]), np.concatenate([d.weights for d in steps])
+            )
+            for want in (pair, whole):
+                assert got.points.shape == want.points.shape
+                assert got.points.tobytes() == want.points.tobytes()
+                assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.points.flags.f_contiguous and got.points.dtype == np.int64
+            assert not got.points.flags.writeable and not got.weights.flags.writeable
+            prefix = got
+
+
 class TestStream:
     def test_empty_stream_norm(self):
         assert stream_norm(DatasetStream(SCHEMA_2X2, ())) == 0.0

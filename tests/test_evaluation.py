@@ -141,20 +141,29 @@ class TestAggregate:
         assert evaluate_step(Q, f, g)[0] == evaluate_step(reversed_q, f, g)[0]
 
 
-def reference_evaluate_step(workloads, true_data, synthetic):
-    """Oracle: ``evaluate_step`` with every vector and mass computed afresh, nothing kept."""
+def reference_evaluate_step(workloads, true_data, synthetic, normalize=True):
+    """Oracle: ``evaluate_step`` with every vector and mass computed afresh, nothing kept, in plain
+    numpy: ``mean``, ``max`` and boolean masks."""
     we, relwe, excluded = [], [], 0
     for w in workloads:
         f, g = (
             np.bincount(w.point_cells(d.points), weights=d.weights, minlength=w.size)
             for d in (true_data, synthetic)
         )
-        mass = float(true_data.weights.sum())
-        we.append(float(np.abs(f / mass - g / mass).mean()))
+        if normalize:
+            mass = float(true_data.weights.sum())
+            we.append(float(np.abs(f / mass - g / mass).mean()))
+        else:
+            we.append(float(np.abs(f - g).mean()))
         mask = f > 0
         excluded += int((~mask).sum())
         relwe.append(float(np.abs((f[mask] - g[mask]) / f[mask]).mean()))
-    return aggregate(we, relwe), excluded
+    return (float(np.mean(we)), float(np.max(we)), float(np.mean(relwe)), float(np.max(relwe))), excluded
+
+
+def assert_same_bits(got, want):
+    assert got[1] == want[1] and type(got[1]) is int
+    assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
 
 
 class TestEvaluateStepMemo:
@@ -174,10 +183,30 @@ class TestEvaluateStepMemo:
         assert a.points is b.points and a.weights.tobytes() != b.weights.tobytes()
         workloads = enumerate_workloads(schema, data.draw(st.integers(1, 2)))
         for true_data, synthetic in ((a, b), (b, a), (a, b), (a, a), (b, b)):
-            got = evaluate_step(workloads, true_data, synthetic)
-            want = reference_evaluate_step(workloads, true_data, synthetic)
-            assert got[1] == want[1]
-            assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+            for normalize in (True, False):
+                got = evaluate_step(workloads, true_data, synthetic, normalize=normalize)
+                assert_same_bits(got, reference_evaluate_step(workloads, true_data, synthetic, normalize))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=2, max_size=4).filter(lambda c: max(c) > 1), st.data())
+    def test_true_data_with_and_without_zero_cells_match_the_oracle(self, cards, data):
+        # on the whole domain every true cell is positive (no masking); without the points whose
+        # first non-constant attribute is 0, every workload over that attribute has zero cells
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        domain = np.indices(cards).reshape(len(cards), -1).T
+        column = next(i for i, c in enumerate(cards) if c > 1)
+        n = data.draw(st.integers(1, 40))
+        synthetic = WeightedDataset(
+            schema, np.column_stack([rng.integers(0, c, size=n) for c in cards]), rng.random(n) * 3
+        )
+        workloads = enumerate_workloads(schema, data.draw(st.integers(1, 2)))
+        for rows, zero_cells in ((domain, False), (domain[domain[:, column] != 0], True)):
+            true_data = WeightedDataset(schema, rows, rng.random(len(rows)) * 4 + 0.25)
+            for normalize in (True, False):
+                got = evaluate_step(workloads, true_data, synthetic, normalize=normalize)
+                assert (got[1] > 0) == zero_cells
+                assert_same_bits(got, reference_evaluate_step(workloads, true_data, synthetic, normalize))
 
 
 class TestSummarizeTail:

@@ -822,7 +822,10 @@ def assert_rejected_by_validate_and_run(path, tmp_path, capsys, message):
 
 
 BATCHED = {"variant": "ordered_batch", "batch_size": 2}
-# settings that must be integers (not bools, floats or strings) or a bool, and the error each reports
+SENSITIVITY_RULE = "selection_sensitivity must be a finite number"
+EPSILON_RULE = 'must be a number or a string such as "1/2"'
+# settings that must be integers (not bools, floats or strings), a bool, or numbers (not bools; finite;
+# epsilons may be strings of one), and the error each reports
 SETTING_ERRORS = [
     ({"seeds": [1.5]}, "seeds must be non-negative integers, got 1.5"),
     ({"seeds": ["2"]}, "seeds must be non-negative integers, got '2'"),
@@ -849,6 +852,16 @@ SETTING_ERRORS = [
     ({"fitter": {"passes": True}}, "fitter passes must be an integer >= 1, got True"),
     ({"fitter": {"seed_support_size": 2.5}}, "fitter seed_support_size must be an integer >= 1, got 2.5"),
     ({"normalize": "no"}, "normalize must be true or false, got 'no'"),
+    ({"selection_sensitivity": "0.5"}, f"{SENSITIVITY_RULE}, got '0.5'"),
+    ({"selection_sensitivity": True}, f"{SENSITIVITY_RULE}, got True"),
+    ({"selection_sensitivity": float("nan")}, f"{SENSITIVITY_RULE}, got nan"),
+    ({"selection_sensitivity": float("inf")}, f"{SENSITIVITY_RULE}, got inf"),
+    ({"selection_sensitivity": [0.5]}, f"{SENSITIVITY_RULE}, got [0.5]"),
+    ({"epsilons": [True]}, f"each of epsilons {EPSILON_RULE}, got True"),
+    ({"epsilons": [1.0, None]}, f"each of epsilons {EPSILON_RULE}, got None"),
+    ({"epsilons": ["half"]}, f"each of epsilons {EPSILON_RULE}, got 'half'"),
+    ({"epsilons": [float("nan")]}, f"each of epsilons {EPSILON_RULE}, got nan"),
+    ({"epsilons": [[1]]}, f"each of epsilons {EPSILON_RULE}, got [1]"),
 ]
 
 
@@ -859,6 +872,31 @@ class TestSettingChecks:
     ):
         path = write_config(tmp_path, data_file, schema_file, **extra)
         assert_rejected_by_validate_and_run(path, tmp_path, capsys, message)
+
+    @pytest.mark.parametrize("value", ["0.5", True, np.bool_(True), float("nan"), np.float64("-inf"), [0.5]])
+    def test_run_config_rejects_a_sensitivity_that_is_no_finite_number(self, schema_file, value):
+        workloads = enumerate_workloads(load_schema(schema_file)[0], 2)
+        with pytest.raises(ValueError, match=re.escape(f"{SENSITIVITY_RULE}, got {value!r}")):
+            RunConfig(epsilon=Fraction(1), k=1, workloads=workloads, selection_sensitivity=value)
+
+    @pytest.mark.parametrize("value", [True, None, "half", "1/0", float("inf"), [1]])
+    def test_run_config_rejects_an_epsilon_that_is_no_number(self, schema_file, value):
+        workloads = enumerate_workloads(load_schema(schema_file)[0], 2)
+        with pytest.raises(ValueError, match=re.escape(f"epsilon {EPSILON_RULE}, got {value!r}")):
+            RunConfig(epsilon=value, k=1, workloads=workloads)
+
+    def test_numbers_of_every_kind_are_accepted(self, schema_file):
+        workloads = enumerate_workloads(load_schema(schema_file)[0], 2)
+        cases = [
+            ("1/2", 0.5, Fraction(1, 2)),
+            (np.float64(0.1), Fraction(1, 2), Fraction(1, 10)),
+            (np.int64(2), np.float32(0.5), Fraction(2)),
+            (Fraction(1, 3), 1, Fraction(1, 3)),
+        ]
+        for epsilon, sensitivity, exact in cases:
+            config = RunConfig(epsilon=epsilon, k=1, workloads=workloads, selection_sensitivity=sensitivity)
+            assert config.epsilon == exact
+            assert config.resolved_sensitivity() == float(sensitivity)
 
     def test_numpy_integers_are_integers(self, tmp_path, data_file, schema_file):
         config = experiment_config(

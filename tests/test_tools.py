@@ -110,3 +110,18 @@ class TestSameMetrics:
         assert not steptime.same_metrics((self.AGG, 4), (self.AGG, 5))
         # equal as floats, not as bits
         assert not steptime.same_metrics(((0.0,) * 4, 0), ((0.0, 0.0, 0.0, -0.0), 0))
+
+
+class TestReport:
+    def test_each_phase_has_its_own_median_per_checkout(self):
+        fastest = {
+            "step": [[0.003, 0.001, 0.002], [0.002, 0.002, 0.001]],
+            "accumulate": [[0.0004, 0.0002, 0.0003], [0.0001, 0.0001, 0.0002]],
+            "evaluate_step": [[0.005, 0.005, 0.006], [0.004, 0.003, 0.005]],
+        }
+        assert list(fastest) == list(steptime.PHASES)
+        assert steptime.report([Path("a"), Path("b")], fastest) == [
+            "A a: median step 2.000 ms, median accumulate 0.300 ms, median evaluate_step 5.000 ms",
+            "B b: median step 2.000 ms, median accumulate 0.100 ms, median evaluate_step 4.000 ms",
+            "B against A: step +0.0%, accumulate -66.7%, evaluate_step -20.0%",
+        ]

@@ -13,13 +13,13 @@ step, each side also adds the differential to its true prefix (`accumulate`)
 and scores its release against it (`evaluate_step` over the 2-way workloads):
 the work the benchmark's `run_s` adds to a step. A rep runs every pass;
 `--reps` reps run with fresh synthesizers and fresh differentials, and each
-step's step time and evaluation time are their fastest over the reps
-(`time.perf_counter`, single-threaded).
+step's step, `accumulate` and `evaluate_step` times are their fastest over the
+reps (`time.perf_counter`, single-threaded).
 
-Printed: the median over all steps of each step's fastest step time and
-fastest evaluation time for A and for B, B's change against A for each, and
-the first pass and step whose releases differ in their points or weight bits,
-or whose metric aggregates differ in any bit, if any (exit status 1 then).
+Printed: the median over all steps of each of the three fastest times for A
+and for B, B's change against A for each, and the first pass and step whose
+releases differ in their points or weight bits, or whose metric aggregates
+differ in any bit, if any (exit status 1 then).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PHASES = ("step", "accumulate", "evaluate_step")
 
 
 def load_module(name: str, path: Path, package: bool = False):
@@ -108,6 +109,18 @@ def change(medians: list[float]) -> str:
     return f"{100 * (medians[1] / medians[0] - 1):+.1f}%"
 
 
+def report(checkouts: list[Path], fastest: dict[str, list[list[float]]]) -> list[str]:
+    """A line per checkout with the median of each phase's per-step fastest times (given in
+    seconds, shown in ms), then a line with B's change against A in each phase."""
+    medians = {phase: [statistics.median(times) * 1e3 for times in sides] for phase, sides in fastest.items()}
+    lines = [
+        f"{mark} {checkout}: " + ", ".join(f"median {phase} {m[side]:.3f} ms" for phase, m in medians.items())
+        for side, (mark, checkout) in enumerate(zip("AB", checkouts))
+    ]
+    lines.append("B against A: " + ", ".join(f"{phase} {change(m)}" for phase, m in medians.items()))
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs=2, type=Path, metavar="CHECKOUT", help="repositories A and B")
@@ -131,9 +144,8 @@ def main(argv: list[str] | None = None) -> int:
         inputs = write_inputs(bench, packages[0], Path(tmp), workload, seeds)
         sides = [Side(package, bench, workload, inputs) for package in packages]
 
-    # per side, one entry per (pass, step): the step, then accumulate plus evaluate_step
-    fastest: list[list[float]] = [[], []]
-    fastest_eval: list[list[float]] = [[], []]
+    # per phase, then per side, one entry per (pass, step)
+    fastest: dict[str, list[list[float]]] = {phase: [[], []] for phase in PHASES}
     first_difference = first_metric_difference = None
 
     def record(times: list[float], rep: int, slot: int, elapsed: float) -> None:
@@ -154,28 +166,28 @@ def main(argv: list[str] | None = None) -> int:
                 for s in order:
                     start = time.perf_counter()
                     released[s] = synths[s].step(deltas[s][t])
-                    record(fastest[s], rep, slot, time.perf_counter() - start)
+                    record(fastest["step"][s], rep, slot, time.perf_counter() - start)
                 for s in order:
                     dp = sides[s].dp
                     start = time.perf_counter()
                     true[s] = dp.accumulate(true[s], deltas[s][t])
+                    middle = time.perf_counter()
                     metrics[s] = dp.evaluate_step(sides[s].queries, true[s], released[s])
-                    record(fastest_eval[s], rep, slot, time.perf_counter() - start)
+                    end = time.perf_counter()
+                    record(fastest["accumulate"][s], rep, slot, middle - start)
+                    record(fastest["evaluate_step"][s], rep, slot, end - middle)
                 if first_difference is None and not same_release(*released):
                     first_difference = (i, t + 1)
                 if first_metric_difference is None and not same_metrics(*metrics):
                     first_metric_difference = (i, t + 1)
                 slot += 1
 
-    medians = [statistics.median(times) * 1e3 for times in fastest]
-    eval_medians = [statistics.median(times) * 1e3 for times in fastest_eval]
     print(
         f"{args.workload} {args.algorithm}, seed {args.seed}: {workload.passes} passes x "
         f"{workload.steps} steps, fastest of {args.reps} reps per step"
     )
-    for mark, checkout, median, evaluation in zip("AB", args.checkouts, medians, eval_medians):
-        print(f"{mark} {checkout}: median step {median:.3f} ms, evaluation {evaluation:.3f} ms")
-    print(f"B against A: step {change(medians)}, evaluation {change(eval_medians)}")
+    for line in report(args.checkouts, fastest):
+        print(line)
     failed = False
     for what, where in (("releases", first_difference), ("metrics", first_metric_difference)):
         if where is None:
