@@ -183,6 +183,18 @@ def union_rows(
     return at, added, kept, union, union_keys
 
 
+def _check_points(schema: DomainSchema, points: np.ndarray) -> None:
+    """Raise ValueError unless ``points`` is an ``(n, p)`` array of in-range rows."""
+    p = schema.num_attributes
+    if points.ndim != 2 or points.shape[1] != p:
+        raise ValueError(
+            f"points must be an (n, {p}) array for a {p}-attribute schema, got shape {points.shape}"
+        )
+    cards = np.asarray(schema.cardinalities, dtype=np.int64)
+    if (points < 0).any() or (points >= cards).any():
+        raise ValueError("point coordinate out of range for schema")
+
+
 def _canonicalize(
     schema: DomainSchema, points: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -190,20 +202,13 @@ def _canonicalize(
 
     The points come back column-major (F-contiguous).
     """
-    p = schema.num_attributes
     points = np.array(points, dtype=np.int64, order="F")
     weights = np.array(weights, dtype=np.float64).reshape(-1)
-    if points.ndim != 2 or points.shape[1] != p:
-        raise ValueError(
-            f"points must be an (n, {p}) array for a {p}-attribute schema, got shape {points.shape}"
-        )
+    _check_points(schema, points)
     if len(points) != len(weights):
         raise ValueError("points and weights length mismatch")
     if len(points) == 0:
         return points, weights
-    cards = np.asarray(schema.cardinalities, dtype=np.int64)
-    if (points < 0).any() or (points >= cards).any():
-        raise ValueError("point coordinate out of range for schema")
     points, merged = merge_rows(schema, points, weights)
     if (merged < 0).any():
         raise ValueError("negative weight after merge; datasets are insert-only")
@@ -330,6 +335,35 @@ class WeightedDataset:
 
     def __repr__(self) -> str:
         return f"WeightedDataset(p={self.schema.num_attributes}, nnz={len(self)}, mass={self.total_mass():g})"
+
+
+def step_datasets(
+    schema: DomainSchema, rows: list[Iterable[int]], steps: np.ndarray, num_steps: int
+) -> list[WeightedDataset]:
+    """``WeightedDataset.from_rows`` over the rows of each step in ``range(num_steps)``, in
+    one sorted pass; ``steps[i]``, in that range, is the step of ``rows[i]``.
+
+    The rows are converted and checked together, with ``from_rows``'s errors, then sorted
+    by (step, point); equal rows of a step merge into their count, and each step's dataset
+    is a slice of the result. A step without rows gets an empty dataset.
+    """
+    if not rows:
+        return [WeightedDataset.empty(schema) for _ in range(num_steps)]
+    points = np.array(rows, dtype=np.int64)
+    _check_points(schema, points)
+    (keys,) = point_keys(schema, points)
+    order = np.lexsort((keys, steps))
+    keys, steps = keys[order], steps[order]
+    first = np.ones(len(order), dtype=bool)  # where a run of equal (step, point) pairs starts
+    first[1:] = (keys[1:] != keys[:-1]) | (steps[1:] != steps[:-1])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(order)).astype(np.float64)
+    distinct = points[order[starts]]
+    bounds = np.searchsorted(steps[starts], np.arange(num_steps + 1)).tolist()
+    return [
+        WeightedDataset._of(schema, np.asfortranarray(distinct[a:b]), counts[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def nonzero_mass(weights: np.ndarray) -> float:

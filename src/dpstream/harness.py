@@ -8,7 +8,6 @@ JSON. Algorithms only ever see differentials, never the accumulated dataset.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import time
@@ -17,12 +16,12 @@ from dataclasses import dataclass, field, fields
 from datetime import date
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
 from .algorithms import ALGORITHMS, RunConfig, checked_epsilon, make_synthesizer
-from .domain import DatasetStream, DomainSchema, WeightedDataset, accumulate, checked_int
+from .domain import DatasetStream, DomainSchema, WeightedDataset, accumulate, checked_int, step_datasets
 from .evaluation import MetricRow, evaluate_step, summarize_tail
 from .fitters import DEFAULT_SEED_SUPPORT
 from .queries import WorkloadSet, enumerate_workloads
@@ -107,11 +106,12 @@ def ingest_csv(
     """Map CSV rows to dense index tuples, optionally parsing an ISO date column.
 
     Every schema attribute must appear in the header; extra CSV columns are
-    ignored, which makes projecting a wide file onto a narrow schema free.
+    ignored, which makes projecting a wide file onto a narrow schema free. A
+    leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     """
     indexes = [{v: i for i, v in enumerate(values)} for values in value_lists]
     rows: list[tuple[tuple[int, ...], date | None]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         position = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name reads its last
         missing = [n for n in schema.names if n not in position]
@@ -156,32 +156,32 @@ def build_stream(
     spec: StreamSpec,
     schema: DomainSchema,
 ) -> DatasetStream:
-    """Slice ingested rows into differentials according to the stream spec."""
+    """Slice ingested rows into differentials according to the stream spec.
+
+    Each row gets a step: its timestamp's bucket counted from the earliest one, or
+    its batch in file or shuffled order. Only the rows of the first ``max_steps``
+    steps are read, and ``step_datasets`` builds every step from them in one sorted
+    pass. An empty bucket is an empty step; zero rows make a 0-step stream.
+    """
     if spec.variant == "timestamp_bucketed":
         if any(stamp is None for _, stamp in rows):
             raise ValueError("timestamp_bucketed stream needs a timestamp on every row")
-        start = min(stamp for _, stamp in rows)
-        width = int(spec.bucket_days)  # type: ignore[arg-type]
-        buckets: dict[int, list[tuple[int, ...]]] = {}
-        last = 0
-        for point, stamp in rows:
-            b = (stamp - start).days // width  # type: ignore[operator]
-            buckets.setdefault(b, []).append(point)
-            last = max(last, b)
-        slices: Iterable[list[tuple[int, ...]]] = (buckets.get(b, []) for b in range(last + 1))
+        start = min((stamp for _, stamp in rows), default=None)
+        days = np.array([(stamp - start).days for _, stamp in rows], dtype=np.int64)  # type: ignore[operator]
+        steps = days // int(spec.bucket_days)  # type: ignore[arg-type]
     else:
-        ordered = [point for point, _ in rows]
+        position = np.arange(len(rows))
         if spec.variant == "randomized_batch":
+            # each row's place in the shuffle, which covers every row whatever max_steps keeps
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(spec.seed))))
-            order = rng.permutation(len(ordered))
-            ordered = [ordered[i] for i in order]
-        batch = int(spec.batch_size)  # type: ignore[arg-type]
-        slices = (ordered[i : i + batch] for i in range(0, len(ordered), batch))
-    # build only the kept steps; the shuffle above covers every row, so they are unchanged
-    differentials = [
-        WeightedDataset.from_rows(schema, chunk) for chunk in itertools.islice(slices, spec.max_steps)
-    ]
-    return DatasetStream(schema, tuple(differentials))
+            position[rng.permutation(len(rows))] = np.arange(len(rows))
+        steps = position // int(spec.batch_size)  # type: ignore[arg-type]
+    num_steps = int(steps.max(initial=-1)) + 1
+    if spec.max_steps is not None:
+        num_steps = min(num_steps, spec.max_steps)
+    kept = np.flatnonzero(steps < num_steps)
+    points = [rows[i][0] for i in kept.tolist()]
+    return DatasetStream(schema, tuple(step_datasets(schema, points, steps[kept], num_steps)))
 
 
 @dataclass
@@ -256,7 +256,10 @@ def _eps_label(epsilon: Fraction) -> str:
 
 
 def load_stream(config: ExperimentConfig) -> DatasetStream:
-    """Read the schema, ingest the dataset CSV and slice it into the configured stream."""
+    """Read the schema, ingest the dataset CSV and slice it into the configured stream.
+
+    Raises IngestError for a dataset without data rows, which would make a 0-step stream.
+    """
     schema, value_lists = load_schema(config.schema)
     spec = config.stream
     rows = ingest_csv(
@@ -265,6 +268,8 @@ def load_stream(config: ExperimentConfig) -> DatasetStream:
         value_lists,
         timestamp_column=spec.timestamp_column if spec.variant == "timestamp_bucketed" else None,
     )
+    if not rows:
+        raise IngestError(f"{config.dataset}: no data rows")
     return build_stream(rows, spec, schema)
 
 
@@ -447,7 +452,7 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     if not Path(config.dataset).exists():
         return [f"dataset file not found: {config.dataset}"]
     try:
-        with open(config.dataset, newline="", encoding="utf-8") as fh:
+        with open(config.dataset, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), [])
     except OSError as exc:
         return [f"dataset: {exc}"]

@@ -1,14 +1,19 @@
 import csv
 import dataclasses
+import itertools
 import json
 import re
+from datetime import date, timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpstream import (
+    DomainSchema,
     ExperimentConfig,
     NoiseSource,
     RunConfig,
@@ -22,7 +27,7 @@ from dpstream import (
 )
 from dpstream.cli import main as cli_main
 from dpstream import harness
-from dpstream.harness import IngestError, run_experiment, run_triple, validate_config
+from dpstream.harness import STREAM_VARIANTS, IngestError, run_experiment, run_triple, validate_config
 
 SCHEMA_SPEC = [
     {"name": "color", "values": ["red", "green", "blue"]},
@@ -229,8 +234,8 @@ class TestBuildStream:
         spec = StreamSpec(variant="ordered_batch", batch_size=2, max_steps=3)
         assert build_stream(rows, spec, schema).num_steps == 3
 
-    @pytest.mark.parametrize("variant", ["randomized_batch", "ordered_batch", "timestamp_bucketed"])
-    def test_max_steps_builds_only_the_kept_steps(self, tmp_path, schema_file, monkeypatch, variant):
+    @pytest.mark.parametrize("variant", STREAM_VARIANTS)
+    def test_max_steps_builds_only_the_kept_steps(self, tmp_path, schema_file, variant):
         schema, value_lists = load_schema(schema_file)
         colors, sizes = ("red", "green", "blue"), ("small", "large")
         path = write_csv(
@@ -245,20 +250,31 @@ class TestBuildStream:
         else:
             fields.update(batch_size=4)
         full = build_stream(rows, StreamSpec(**fields), schema)
-        calls = []
-
-        def counted(cls, *args):
-            calls.append(args)
-            return from_rows(*args)
-
-        from_rows = WeightedDataset.from_rows
-        monkeypatch.setattr(WeightedDataset, "from_rows", classmethod(counted))
-        capped = build_stream(rows, StreamSpec(max_steps=5, **fields), schema)
-        assert full.num_steps > 5 and len(calls) == 5
-        assert capped.num_steps == 5
+        capped_spec = StreamSpec(max_steps=5, **fields)
+        capped = build_stream(rows, capped_spec, schema)
+        assert full.num_steps > 5 and capped.num_steps == 5
         for got, want in zip(capped.differentials, full.differentials[:5]):
             assert got.points.tobytes() == want.points.tobytes()
             assert got.weights.tobytes() == want.weights.tobytes()
+        # an out-of-range row put in each row's place raises exactly when that row is in a kept step
+        raised = 0
+        for i, (_, stamp) in enumerate(rows):
+            bad = rows[:i] + [((3, 0), stamp)] + rows[i + 1 :]
+            with pytest.raises(ValueError, match="out of range"):
+                build_stream(bad, StreamSpec(**fields), schema)
+            try:
+                build_stream(bad, capped_spec, schema)
+            except ValueError as exc:
+                assert "point coordinate out of range for schema" in str(exc)
+                raised += 1
+        assert raised == capped.prefix(5).total_mass() < len(rows)
+
+    @pytest.mark.parametrize("variant", STREAM_VARIANTS)
+    def test_zero_rows_make_a_zero_step_stream(self, variant):
+        schema = DomainSchema((("color", 3), ("size", 2)))
+        spec = StreamSpec(variant=variant, timestamp_column="when", bucket_days=7, batch_size=2)
+        stream = build_stream([], spec, schema)
+        assert stream.num_steps == 0 and stream.schema == schema
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -267,6 +283,68 @@ class TestBuildStream:
             StreamSpec(variant="ordered_batch")  # no batch size
         with pytest.raises(ValueError):
             StreamSpec(variant="timestamp_bucketed", timestamp_column="when", bucket_days=0)
+
+
+def oracle_stream(rows, spec, schema):
+    """The differentials of ``build_stream``, built one ``WeightedDataset.from_rows`` call per step."""
+    if spec.variant == "timestamp_bucketed":
+        start = min((stamp for _, stamp in rows), default=None)
+        buckets = {}
+        for point, stamp in rows:
+            buckets.setdefault((stamp - start).days // spec.bucket_days, []).append(point)
+        slices = (buckets.get(b, []) for b in range(max(buckets, default=-1) + 1))
+    else:
+        ordered = [point for point, _ in rows]
+        if spec.variant == "randomized_batch":
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
+            ordered = [ordered[i] for i in rng.permutation(len(ordered))]
+        batch = spec.batch_size
+        slices = (ordered[i : i + batch] for i in range(0, len(ordered), batch))
+    return [WeightedDataset.from_rows(schema, chunk) for chunk in itertools.islice(slices, spec.max_steps)]
+
+
+SCHEMA_HUGE = DomainSchema(tuple((f"x{i}", 8) for i in range(22)))  # 2**66 points: no key strides
+
+
+@st.composite
+def streams(draw, variant):
+    """Rows drawn from a few distinct points (so steps repeat rows) with dates a month apart at
+    most, and a ``variant`` spec with a batch size of 1 to n + 1, a bucket width and ``max_steps``."""
+    if draw(st.integers(0, 3)) == 0:
+        schema = SCHEMA_HUGE
+    else:
+        cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        schema = DomainSchema(tuple((f"a{i}", c) for i, c in enumerate(cards)))
+    point = st.tuples(*(st.integers(0, c - 1) for c in schema.cardinalities))
+    pool = draw(st.lists(point, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 40))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 30)), min_size=n, max_size=n))
+    rows = [(point, date(2020, 2, 20) + timedelta(days=day)) for point, day in picks]
+    spec = StreamSpec(
+        variant=variant,
+        timestamp_column="when",
+        bucket_days=draw(st.integers(1, 12)),
+        batch_size=draw(st.one_of(st.integers(1, 4), st.integers(1, n + 1))),
+        seed=draw(st.integers(0, 2**32)),
+        max_steps=draw(st.one_of(st.none(), st.integers(1, 12))),
+    )
+    return schema, rows, spec
+
+
+class TestBuildStreamOracle:
+    @pytest.mark.parametrize("variant", STREAM_VARIANTS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_one_from_rows_call_per_step(self, variant, data):
+        schema, rows, spec = data.draw(streams(variant))
+        got = build_stream(rows, spec, schema)
+        want = oracle_stream(rows, spec, schema)
+        assert got.num_steps == len(want)
+        for a, b in zip(got.differentials, want):
+            assert a.points.shape == b.points.shape and a.points.tobytes() == b.points.tobytes()
+            assert a.weights.dtype == b.weights.dtype and a.weights.tobytes() == b.weights.tobytes()
+            assert a.points.flags.f_contiguous
+            assert not a.points.flags.writeable and not a.weights.flags.writeable
 
 
 def experiment_config(tmp_path, data_file, schema_file, **overrides):
@@ -380,6 +458,44 @@ class TestRunExperiment:
         ]
         assert all(not r["ok"] and "IngestError" in r["error"] and "purple" in r["error"] for r in results)
         assert not Path(config.output_dir).exists()
+
+    @pytest.mark.parametrize("variant", STREAM_VARIANTS)
+    def test_header_only_dataset_fails_every_triple_naming_the_file(
+        self, tmp_path, schema_file, capsys, variant
+    ):
+        empty = write_csv(tmp_path / "empty.csv", [], header=("color", "size", "when"))
+        stream = StreamSpec(variant=variant, timestamp_column="when", bucket_days=7, batch_size=2)
+        config = experiment_config(tmp_path, empty, schema_file, stream=stream, seeds=(0, 1))
+        assert validate_config(config) == []  # validate reads only the header
+        results = run_experiment(config)
+        assert len(results) == 4
+        assert all(r["error"] == f"IngestError: {empty}: no data rows" for r in results)
+        assert not Path(config.output_dir).exists()
+        payload = {
+            "dataset": str(empty), "schema": str(schema_file), "output_dir": str(tmp_path / "out"),
+            "stream": dataclasses.asdict(stream), "epsilons": [1], "k": 1, "noise": "zero",
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        assert "0/2 runs completed" in capsys.readouterr().out
+
+    def test_byte_order_mark_is_read_past(self, tmp_path, data_file, schema_file, capsys):
+        schema, value_lists = load_schema(schema_file)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + data_file.read_bytes())
+        assert ingest_csv(marked, schema, value_lists) == ingest_csv(data_file, schema, value_lists)
+        config = experiment_config(tmp_path, marked, schema_file)
+        assert validate_config(config) == []
+        payload = {
+            "dataset": str(marked), "schema": str(schema_file), "output_dir": str(tmp_path / "out"),
+            "stream": {"variant": "ordered_batch", "batch_size": 2}, "epsilons": [1], "k": 1, "noise": "zero",
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        assert cli_main(["validate", "--config", str(config_path)]) == 0
+        assert cli_main(["run", "--config", str(config_path)]) == 0
+        assert "2/2 runs completed" in capsys.readouterr().out
 
     def test_parallel_jobs_match_sequential(self, tmp_path, data_file, schema_file):
         config = experiment_config(tmp_path, data_file, schema_file, seeds=(0, 1))

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from dpstream import DomainSchema, WeightedDataset
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -110,6 +112,22 @@ class TestSameMetrics:
         assert not steptime.same_metrics((self.AGG, 4), (self.AGG, 5))
         # equal as floats, not as bits
         assert not steptime.same_metrics(((0.0,) * 4, 0), ((0.0, 0.0, 0.0, -0.0), 0))
+
+
+class TestFirstDifferingStep:
+    SCHEMA = DomainSchema((("a", 3),))
+
+    def stream(self, *steps):
+        return [WeightedDataset.from_rows(self.SCHEMA, rows) for rows in steps]
+
+    def test_names_the_first_step_whose_bits_differ_or_that_one_side_lacks(self):
+        deltas = self.stream([(0,)], [(1,), (1,)], [])
+        assert steptime.first_differing_step(deltas, self.stream([(0,)], [(1,), (1,)], [])) is None
+        assert steptime.first_differing_step(deltas, self.stream([(0,)], [(1,)], [])) == 2  # weight 1, not 2
+        assert steptime.first_differing_step(deltas, self.stream([(0,)], [(2,), (2,)], [])) == 2
+        assert steptime.first_differing_step(deltas, deltas[:2]) == 3
+        assert steptime.first_differing_step(deltas[:1], deltas) == 2
+        assert steptime.first_differing_step([], []) is None
 
 
 class TestReport:

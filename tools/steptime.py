@@ -16,10 +16,16 @@ the work the benchmark's `run_s` adds to a step. A rep runs every pass;
 step's step, `accumulate` and `evaluate_step` times are their fastest over the
 reps (`time.perf_counter`, single-threaded).
 
+Before stepping a pass, each side builds its differentials with its own
+`build_stream`, alternating which goes first; if the two differ in any step's
+points or weight bits, or in their number, the first pass and step that differ
+are printed and the script exits 1 without stepping.
+
 Printed: the median over all steps of each of the three fastest times for A
-and for B, B's change against A for each, and the first pass and step whose
-releases differ in their points or weight bits, or whose metric aggregates
-differ in any bit, if any (exit status 1 then).
+and for B, B's change against A for each, each side's median `build_stream`
+time over every pass and rep, and the first pass and step whose releases
+differ in their points or weight bits, or whose metric aggregates differ in
+any bit, if any (exit status 1 then).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import itertools
 import statistics
 import struct
 import sys
@@ -93,10 +100,19 @@ class Side:
         return self.dp.make_synthesizer(algorithm, config)
 
 
-def same_release(a, b) -> bool:
+def same_dataset(a, b) -> bool:
     return (
         a.points.tobytes() == b.points.tobytes() and a.weights.tobytes() == b.weights.tobytes()
     )
+
+
+def first_differing_step(a: list, b: list) -> int | None:
+    """The first step (from 1) at which two differential lists differ in points or weight
+    bits, or at which only one of them has a step; None when they agree."""
+    for t, (x, y) in enumerate(itertools.zip_longest(a, b), start=1):
+        if x is None or y is None or not same_dataset(x, y):
+            return t
+    return None
 
 
 def same_metrics(a, b) -> bool:
@@ -146,7 +162,12 @@ def main(argv: list[str] | None = None) -> int:
 
     # per phase, then per side, one entry per (pass, step)
     fastest: dict[str, list[list[float]]] = {phase: [[], []] for phase in PHASES}
+    builds: list[list[float]] = [[], []]  # per side, every build_stream time
     first_difference = first_metric_difference = None
+    heading = (
+        f"{args.workload} {args.algorithm}, seed {args.seed}: {workload.passes} passes x "
+        f"{workload.steps} steps, fastest of {args.reps} reps per step"
+    )
 
     def record(times: list[float], rep: int, slot: int, elapsed: float) -> None:
         if rep == 0:
@@ -157,7 +178,16 @@ def main(argv: list[str] | None = None) -> int:
     for rep in range(args.reps):
         slot = 0
         for i, (stream_seed, run_seed) in enumerate(zip(seeds.streams, seeds.runs)):
-            deltas = [side.deltas(stream_seed) for side in sides]
+            deltas: list = [None, None]
+            for s in (0, 1) if (rep + i) % 2 == 0 else (1, 0):
+                start = time.perf_counter()
+                deltas[s] = sides[s].deltas(stream_seed)
+                builds[s].append(time.perf_counter() - start)
+            differing = first_differing_step(*deltas)
+            if differing is not None:
+                print(heading)
+                print(f"differentials: first differ at pass {i} step {differing}")
+                return 1
             synths = [side.synthesizer(args.algorithm, run_seed) for side in sides]
             true = [side.dp.WeightedDataset.empty(side.schema) for side in sides]
             for t in range(len(deltas[0])):
@@ -176,18 +206,21 @@ def main(argv: list[str] | None = None) -> int:
                     end = time.perf_counter()
                     record(fastest["accumulate"][s], rep, slot, middle - start)
                     record(fastest["evaluate_step"][s], rep, slot, end - middle)
-                if first_difference is None and not same_release(*released):
+                if first_difference is None and not same_dataset(*released):
                     first_difference = (i, t + 1)
                 if first_metric_difference is None and not same_metrics(*metrics):
                     first_metric_difference = (i, t + 1)
                 slot += 1
 
-    print(
-        f"{args.workload} {args.algorithm}, seed {args.seed}: {workload.passes} passes x "
-        f"{workload.steps} steps, fastest of {args.reps} reps per step"
-    )
+    print(heading)
     for line in report(args.checkouts, fastest):
         print(line)
+    build_medians = [statistics.median(times) * 1e3 for times in builds]
+    print(
+        f"median build_stream: A {build_medians[0]:.3f} ms, B {build_medians[1]:.3f} ms, "
+        f"B against A {change(build_medians)}"
+    )
+    print("differentials: identical at every step")
     failed = False
     for what, where in (("releases", first_difference), ("metrics", first_metric_difference)):
         if where is None:
