@@ -271,7 +271,9 @@ def _apply_measurement(
     mass is M * S_c / (updated + pending), where ``updated`` sums S * f over the
     cells already done and ``pending`` sums S from c on. Both are sums of
     nonnegative terms, so the ratio cannot cancel to zero. Cells with no
-    live support are skipped: there is nothing to reweight.
+    live support are skipped: there is nothing to reweight. So are cells
+    whose mass underflows to 0 by their turn, as in per-cell updates, where an
+    earlier cell's renormalization zeroes their weights; those stay 0.
     """
     sums = np.bincount(cells, weights=weights, minlength=len(values))
     pending = np.cumsum(sums[::-1])[::-1].tolist()
@@ -281,6 +283,9 @@ def _apply_measurement(
         if cell_sum == 0:
             continue
         current = target_mass * cell_sum / (updated + pending[c])
+        if current == 0:
+            factors[c] = 0.0
+            continue
         x = (measured - current) / (2.0 * target_mass)  # NaN and the clamped go through _clamped_exp
         factors[c] = math.exp(x) if -EXPONENT_CLAMP <= x <= EXPONENT_CLAMP else _clamped_exp(x, stats)
         updated += cell_sum * factors[c]

@@ -277,6 +277,23 @@ class TestMwWeights:
         15.0,
         3,
     ))
+    # point 9's weights underflow in pass 3 when point 6's cell, ahead of its own, is
+    # renormalized: its cell's sum is nonzero when the sweep starts but 0 at its turn
+    @example(problem=(
+        np.array([0.0] * 6 + [1.0, 0.0, 0.0, 1.0] + [0.0] * 9),
+        [
+            np.array([0] * 6 + [1] + [0] * 12),
+            np.array([0] * 9 + [2] + [0] * 9),
+            np.array([0] * 6 + [1] + [0] * 12),
+        ],
+        [
+            np.array([-1000.0, 1000.0]),
+            np.array([1000.0, 0.0, -1000.0]),
+            np.array([-1000.0, 1000.0]),
+        ],
+        1.0,
+        3,
+    ))
     def test_one_pass_scan_matches_per_cell_updates(self, problem):
         weights, cells, values, target, passes = problem
         stats = FitStats()
