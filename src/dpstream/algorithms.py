@@ -37,24 +37,20 @@ _COUNTER = 2
 ALGORITHMS = ("baseline", "main")
 
 
-def checked_fraction(value: object, rule: str, text: bool = False) -> Fraction:
-    """``value`` read exactly as a fraction (``0.1`` is 1/10) when it is a finite Python or numpy
-    number, not a bool, or with ``text`` a string ``Fraction`` reads, such as ``"1/2"``; otherwise a
-    ValueError ``"{rule}, got {value!r}"``, whose ``rule`` names the setting."""
-    kinds = (int, float, Fraction, np.integer, np.floating) + ((str,) if text else ())
+def checked_epsilon(value: object, k: int = 1, name: str = "epsilon") -> Fraction:
+    """``value`` read exactly as a fraction (``0.1`` is 1/10) from a finite Python or numpy number,
+    not a bool, or from a string ``Fraction`` reads, such as ``"1/2"``; ``name`` names the setting in
+    the error. Raise ValueError unless the per-share value ``float(epsilon) / (2k)`` is positive and
+    finite in float64, and so ``float(epsilon)`` too. The default ``k = 1`` rejects only what every
+    k does."""
+    epsilon, kinds = None, (int, float, str, Fraction, np.integer, np.floating)
     if isinstance(value, kinds) and not isinstance(value, bool):
         try:
-            return value if isinstance(value, Fraction) else Fraction(str(value))
+            epsilon = value if isinstance(value, Fraction) else Fraction(str(value))
         except (ValueError, ZeroDivisionError):  # nan, inf, "1/0" or a string of no number
             pass
-    raise ValueError(f"{rule}, got {value!r}")
-
-
-def checked_epsilon(value: object, k: int = 1, name: str = "epsilon") -> Fraction:
-    """``value`` read by ``checked_fraction``, strings too, with ``name`` for the setting. Raise
-    ValueError unless the per-share value ``float(epsilon) / (2k)`` is positive and finite in
-    float64, and so ``float(epsilon)`` too. The default ``k = 1`` rejects only what every k does."""
-    epsilon = checked_fraction(value, f'{name} must be a number or a string such as "1/2"', text=True)
+    if epsilon is None:
+        raise ValueError(f'{name} must be a number or a string such as "1/2", got {value!r}')
     try:
         share = float(epsilon) / (2 * k)
     except OverflowError:  # past the largest float64
@@ -77,7 +73,6 @@ class RunConfig:
     workloads: WorkloadSet
     counter_kind: str = "simple"
     block_size: int | None = None
-    selection_sensitivity: float | None = None
     seed_support_size: int = DEFAULT_SEED_SUPPORT
     passes: int = 1
     seed: int = 0
@@ -100,26 +95,12 @@ class RunConfig:
             self.block_size = checked_int(self.block_size, 1, "block_size must be an integer >= 1")
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.noise_mode!r}; expected one of {NOISE_MODES}")
-        if self.selection_sensitivity is not None:
-            checked_fraction(self.selection_sensitivity, "selection_sensitivity must be a finite number")
-            floor = self._sensitivity_floor()
-            if self.selection_sensitivity < floor:
-                raise ValueError(
-                    f"selection_sensitivity {self.selection_sensitivity} is below {floor}, "
-                    "the sensitivity of the smallest workload's utility"
-                )
-
-    def _sensitivity_floor(self) -> float:
-        """Largest sensitivity of a selection utility ``|s - h|_1 / |W|``: 1 / min |W|."""
-        return 1.0 / min(w.size for w in self.workloads)
 
     def resolved_sensitivity(self) -> float:
-        """Selection sensitivity: the explicit value, else 1/4 when every
-        workload is 2-way and 1 otherwise, raised to ``_sensitivity_floor``."""
-        if self.selection_sensitivity is not None:
-            return float(self.selection_sensitivity)
+        """Selection sensitivity: 1/4 when every workload is 2-way and 1 otherwise, raised to
+        1 / min |W|, the largest sensitivity of a selection utility ``|s - h|_1 / |W|``."""
         default = 0.25 if all(w.arity == 2 for w in self.workloads) else 1.0
-        return max(default, self._sensitivity_floor())
+        return max(default, 1.0 / min(w.size for w in self.workloads))
 
 
 class _StreamSynthesizer:

@@ -36,27 +36,18 @@ class MetricAggregate(NamedTuple):
     max_relwe: float
 
 
-def workload_error(
-    workload: Workload,
-    true_data: WeightedDataset,
-    synthetic: WeightedDataset,
-    normalize: bool = True,
-) -> float:
+def workload_error(workload: Workload, true_data: WeightedDataset, synthetic: WeightedDataset) -> float:
     """Average absolute cell error over the workload.
 
-    With ``normalize`` both cell vectors are divided by the true dataset's
-    total mass first, turning counts into frequencies relative to the true
-    data; this is the scale the headline numbers are reported on.
+    Both cell vectors are divided by the true dataset's total mass first,
+    turning counts into frequencies relative to the true data; this is the
+    scale the headline numbers are reported on. A zero-mass true dataset is a
+    ValueError.
     """
-    f = eval_workload(workload, true_data)
-    g = eval_workload(workload, synthetic)
-    if normalize:
-        mass = true_data.total_mass()
-        if mass == 0:
-            raise ValueError("cannot normalize against a zero-mass true dataset")
-        f = f / mass
-        g = g / mass
-    diff = f - g
+    mass = true_data.total_mass()
+    if mass == 0:
+        raise ValueError("cannot normalize against a zero-mass true dataset")
+    diff = eval_workload(workload, true_data) / mass - eval_workload(workload, synthetic) / mass
     # abs in place; np.add.reduce(x) / n is what x.mean() computes, without its Python wrapper
     return float(np.add.reduce(np.abs(diff, out=diff)) / diff.size)
 
@@ -90,19 +81,16 @@ def aggregate(we_values: Sequence[float], relwe_values: Sequence[float]) -> Metr
 
 
 def evaluate_step(
-    workloads: WorkloadSet,
-    true_data: WeightedDataset,
-    synthetic: WeightedDataset,
-    normalize: bool = True,
+    workloads: WorkloadSet, true_data: WeightedDataset, synthetic: WeightedDataset
 ) -> tuple[MetricAggregate, int]:
     """All four aggregates for one time step, plus the count of excluded
     zero-denominator cells (reported in run metadata)."""
     we, relwe, excluded = [], [], 0
     for w in workloads:
-        we.append(workload_error(w, true_data, synthetic, normalize=normalize))
         value, skipped = _relative_error_cells(w, true_data, synthetic)
         relwe.append(value)
         excluded += skipped
+        we.append(workload_error(w, true_data, synthetic))
     return aggregate(we, relwe), excluded
 
 

@@ -12,9 +12,10 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from fractions import Fraction
+from os import PathLike
 from pathlib import Path
 from typing import Any
 
@@ -27,6 +28,7 @@ from .fitters import DEFAULT_SEED_SUPPORT
 from .queries import WorkloadSet, enumerate_workloads
 
 METRIC_COLUMNS = ("t", "AvgWE", "MaxWE", "AvgRelWE", "MaxRelWE")
+SUMMARY_WINDOW = 10  # summary.json averages the last 10 steps, or every step of a shorter stream
 
 STREAM_VARIANTS = ("timestamp_bucketed", "randomized_batch", "ordered_batch")
 
@@ -54,14 +56,17 @@ def load_schema(path: str | Path) -> tuple[DomainSchema, list[list[str]]]:
             if key not in entry:
                 label = f"{i} ({entry['name']!r})" if "name" in entry else str(i)
                 raise ValueError(f"schema attribute {label} has no {key!r} key")
-        name = entry["name"]
-        values = entry["values"]
+        name, values = entry["name"], entry["values"]
+        if not isinstance(values, list):
+            raise ValueError(f"attribute {name!r} values must be a JSON list, got {values!r}")
         if not values:
             raise ValueError(f"attribute {name!r} has no values")
-        if len(set(values)) != len(values):
-            raise ValueError(f"attribute {name!r} has duplicate values")
+        strings = [str(v) for v in values]  # what CSV fields are matched against: 1 and "1" are one value
+        if len(set(strings)) < len(strings):
+            repeated = sorted({v for v in strings if strings.count(v) > 1})
+            raise ValueError(f"attribute {name!r} has duplicate values {repeated}")
         attributes.append((name, len(values)))
-        value_lists.append([str(v) for v in values])
+        value_lists.append(strings)
     return DomainSchema(tuple(attributes)), value_lists
 
 
@@ -91,6 +96,8 @@ class StreamSpec:
 
     @classmethod
     def from_dict(cls, spec: dict[str, Any]) -> "StreamSpec":
+        if not isinstance(spec, dict):
+            raise ValueError(f"stream must be an object, got {spec!r}")
         unknown = set(spec) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown stream spec fields: {sorted(unknown)}")
@@ -198,14 +205,19 @@ class ExperimentConfig:
     k: int = 3
     counter: str = "simple"
     block_size: int | None = None
-    selection_sensitivity: float | None = None
     fitter: dict[str, Any] = field(default_factory=lambda: {"name": "mw"})
     seeds: tuple[int, ...] = (0,)
     noise: str = "laplace"
-    normalize: bool = True
-    summary_window: int = 10
 
     def __post_init__(self) -> None:
+        for name in ("dataset", "schema", "output_dir"):  # an int would open that file descriptor
+            if not isinstance(getattr(self, name), (str, PathLike)):
+                raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
+        for name in ("algorithms", "epsilons", "seeds"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
+        if not isinstance(self.fitter, dict):
+            raise ValueError(f"fitter must be an object, got {self.fitter!r}")
         self.algorithms = tuple(self.algorithms)
         self.seeds = tuple(checked_int(s, 0, "seeds must be non-negative integers") for s in self.seeds)
         self.epsilons = tuple(checked_epsilon(e, name="each of epsilons") for e in self.epsilons)
@@ -216,9 +228,6 @@ class ExperimentConfig:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}; expected subset of {ALGORITHMS}")
         self.k_way = checked_int(self.k_way, 1, "k_way must be an integer >= 1")
-        self.summary_window = checked_int(self.summary_window, 1, "summary_window must be an integer >= 1")
-        if not isinstance(self.normalize, bool):
-            raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
         # a run directory is named by algorithm, float(epsilon) and seed: runs share one iff an axis repeats
         axes = (self.algorithms, [float(e) for e in self.epsilons], self.seeds)
         if any(len(set(axis)) < len(axis) for axis in axes):
@@ -232,9 +241,16 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        unknown = set(raw) - {f.name for f in fields(cls)}
+        if not isinstance(raw, dict):
+            raise ValueError(f"config file {path} must be a JSON object, got a {type(raw).__name__}")
+        known = fields(cls)
+        unknown = set(raw) - {f.name for f in known}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        required = [f.name for f in known if f.default is MISSING and f.default_factory is MISSING]
+        missing = [name for name in required if name not in raw]
+        if missing:
+            raise ValueError(f"missing config fields: {missing}")
         raw["stream"] = StreamSpec.from_dict(raw["stream"])
         return cls(**raw)
 
@@ -295,8 +311,8 @@ def run_config(
         raise ValueError(f"unknown fitter parameters: {sorted(fitter)}")
     return RunConfig(
         epsilon=epsilon, k=config.k, workloads=workloads, counter_kind=config.counter,
-        block_size=block_size, selection_sensitivity=config.selection_sensitivity,
-        seed_support_size=seed_support_size, passes=passes, seed=seed, noise_mode=config.noise,
+        block_size=block_size, seed_support_size=seed_support_size, passes=passes, seed=seed,
+        noise_mode=config.noise,
     )
 
 
@@ -331,7 +347,7 @@ def run_triple(
         true_data = accumulate(true_data, delta)
         agg = (math.nan,) * 4  # no metrics while the true data is empty
         if true_data.total_mass() != 0:
-            agg, skipped = evaluate_step(workloads, true_data, synthetic, normalize=config.normalize)
+            agg, skipped = evaluate_step(workloads, true_data, synthetic)
             excluded_cells += skipped
         rows_out.append(MetricRow(t, eps_float, algorithm, seed, *agg))
 
@@ -344,7 +360,7 @@ def run_triple(
                 [row.t, repr(row.avg_we), repr(row.max_we), repr(row.avg_relwe), repr(row.max_relwe)]
             )
 
-    window = min(config.summary_window, len(rows_out)) if rows_out else 0
+    window = min(SUMMARY_WINDOW, len(rows_out))
     summary: dict[str, Any] = {
         "algorithm": algorithm,
         "epsilon": _eps_label(epsilon),
@@ -379,7 +395,7 @@ def run_triple(
         "workloads": len(workloads),
         "selection_sensitivity": settings.resolved_sensitivity(),
         "steps": stream.num_steps,
-        "normalize": config.normalize,
+        "normalize": True,  # WE is always over the true mass; the key keeps meta.json's layout
         "ledger": {
             "total_epsilon": str(ledger.total_epsilon),
             "spent_steps": len(spent_groups),

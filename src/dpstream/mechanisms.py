@@ -139,23 +139,23 @@ class BudgetLedger:
     of one workload histogram) is recorded as a single entry at the shared
     per-cell epsilon.
 
-    Running totals are integers in units of 1/D, D the lcm of the denominators
-    seen so far, so the overspend check compares integers.
+    Only ``spend`` adds entries. Running totals are integers in units of 1/D,
+    D the lcm of the denominators seen so far, so the overspend check compares
+    integers.
     """
 
     total_epsilon: Fraction
-    entries: list[BudgetEntry] = field(default_factory=list)
+    entries: list[BudgetEntry] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         self.total_epsilon = Fraction(self.total_epsilon)
         if self.total_epsilon <= 0:
             raise ValueError("total epsilon must be positive")
-        # Running totals over entries[:_counted] in units of 1/_denominator, brought up to date by
-        # every reader; dict order is first-spend order. _units holds each epsilon seen in those units.
+        # Running totals over entries in units of 1/_denominator; dict order is first-spend order.
+        # _units holds each epsilon seen in those units.
         self._group_totals: dict[str | None, int] = {}
         self._category_totals: dict[tuple[str | None, str], int] = {}
         self._units: dict[Fraction, int] = {}
-        self._counted = 0
         self._denominator, self._limit = self.total_epsilon.denominator, self.total_epsilon.numerator
 
     def _units_of(self, epsilon: Fraction) -> int:
@@ -172,19 +172,6 @@ class BudgetLedger:
             units = self._units[epsilon] = epsilon.numerator * (self._denominator // epsilon.denominator)
         return units
 
-    def _count(self, entry: BudgetEntry, units: int, group_total: int) -> None:
-        """Fold the next uncounted entry into the totals; ``group_total`` includes it."""
-        self._group_totals[entry.group] = group_total
-        key = (entry.group, entry.category)
-        self._category_totals[key] = self._category_totals.get(key, 0) + units
-        self._counted += 1
-
-    def _sync(self) -> None:
-        """Fold entries not yet counted (seeded or appended directly) into the totals."""
-        for e in self.entries[self._counted :]:
-            units = self._units_of(e.epsilon)
-            self._count(e, units, self._group_totals.get(e.group, 0) + units)
-
     def spend(
         self,
         label: str,
@@ -199,8 +186,7 @@ class BudgetLedger:
         if num <= 0 or divisor < 1:
             raise ValueError("spend must be positive")
         entry = BudgetEntry(label, num, divisor, group, category)
-        self._sync()
-        units = self._units_of(entry.epsilon)  # after the sync, which may refine the denominator
+        units = self._units_of(entry.epsilon)
         total = self._group_totals.get(group, 0) + units
         if total > self._limit:
             raise BudgetOverspendError(
@@ -208,17 +194,16 @@ class BudgetLedger:
                 f"{self.total_epsilon} in group {group!r}"
             )
         self.entries.append(entry)
-        self._count(entry, units, total)
+        self._group_totals[group] = total
+        key = (group, category)
+        self._category_totals[key] = self._category_totals.get(key, 0) + units
         return entry
 
     def group_total(self, group: str | None) -> Fraction:
-        self._sync()
         return Fraction(self._group_totals.get(group, 0), self._denominator)
 
     def category_total(self, group: str | None, category: str) -> Fraction:
-        self._sync()
         return Fraction(self._category_totals.get((group, category), 0), self._denominator)
 
     def groups(self) -> list[str | None]:
-        self._sync()
         return list(self._group_totals)

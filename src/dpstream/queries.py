@@ -102,14 +102,6 @@ class Workload:
             out *= c
         return out
 
-    def query_at(self, cell: int) -> MarginalQuery:
-        values = np.unravel_index(cell, self.cell_shape)
-        return MarginalQuery(self.columns, tuple(int(v) for v in values))
-
-    def queries(self) -> Iterator[MarginalQuery]:
-        for cell in range(self.size):
-            yield self.query_at(cell)
-
     def cell_indices(self, dataset: WeightedDataset) -> np.ndarray:
         """Lexicographic cell index of every stored point (one pass, O(nnz))."""
         if dataset.schema != self.schema:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpstream import (
     CounterSynthesizer,
@@ -62,10 +64,6 @@ class TestRunConfig:
         one_way = enumerate_workloads(SCHEMA_234, 1)
         assert RunConfig(epsilon=Fraction(1), k=1, workloads=two_way).resolved_sensitivity() == 0.25
         assert RunConfig(epsilon=Fraction(1), k=1, workloads=one_way).resolved_sensitivity() == 1.0
-        explicit = RunConfig(
-            epsilon=Fraction(1), k=1, workloads=two_way, selection_sensitivity=0.5
-        )
-        assert explicit.resolved_sensitivity() == 0.5
 
     def test_sensitivity_covers_smallest_workload(self):
         # a 2-way workload over a cardinality-1 attribute has |W| = 2, so its
@@ -74,12 +72,18 @@ class TestRunConfig:
         two_way = enumerate_workloads(schema, 2)
         assert min(w.size for w in two_way) == 2
         assert RunConfig(epsilon=Fraction(1), k=1, workloads=two_way).resolved_sensitivity() == 0.5
-        explicit = RunConfig(
-            epsilon=Fraction(1), k=1, workloads=two_way, selection_sensitivity=0.5
-        )
-        assert explicit.resolved_sensitivity() == 0.5
-        with pytest.raises(ValueError, match="selection_sensitivity"):
-            RunConfig(epsilon=Fraction(1), k=1, workloads=two_way, selection_sensitivity=0.25)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=6), st.data())
+    def test_sensitivity_follows_the_documented_rule(self, cards, data):
+        # cardinality-1 attributes included, so a workload can have 1, 2 or 3 cells
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        k_way = data.draw(st.integers(1, min(3, len(cards))))
+        workloads = enumerate_workloads(schema, k_way)
+        sensitivity = RunConfig(epsilon=Fraction(1), k=1, workloads=workloads).resolved_sensitivity()
+        floor = 1 / min(math.prod(cards[c] for c in w.columns) for w in workloads)
+        assert sensitivity >= floor
+        assert sensitivity == max(0.25 if k_way == 2 else 1.0, floor)
 
     def test_epsilon_parsed_exactly(self):
         Q = enumerate_workloads(SCHEMA_2X2, 1)

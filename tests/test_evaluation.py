@@ -35,15 +35,13 @@ class TestWorkloadError:
         # cells (0,0),(0,1),(1,0),(1,1): |4-2| + 0 + 0 + |0-2| over 4 cells
         f = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 4.0})
         g = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 2.0, (1, 1): 2.0})
-        assert workload_error(W_BOTH, f, g, normalize=False) == 1.0
-        assert workload_error(W_BOTH, f, g, normalize=True) == pytest.approx(0.25)
+        # normalized by the true mass 4: (0.5 + 0 + 0 + 0.5) / 4
+        assert workload_error(W_BOTH, f, g) == pytest.approx(0.25)
 
-    def test_symmetric_in_raw_counts(self):
-        f = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 4.0})
+    def test_symmetric_when_masses_agree(self):
+        f = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 2.0})
         g = WeightedDataset.from_mapping(SCHEMA, {(1, 1): 2.0})
-        assert workload_error(W_BOTH, f, g, normalize=False) == workload_error(
-            W_BOTH, g, f, normalize=False
-        )
+        assert workload_error(W_BOTH, f, g) == workload_error(W_BOTH, g, f) == 0.5
 
     def test_normalized_error_scale_invariant(self):
         f = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 4.0, (0, 1): 2.0})
@@ -53,7 +51,7 @@ class TestWorkloadError:
         scaled = workload_error(W_BOTH, f7, g7)
         assert scaled == pytest.approx(base)
 
-    def test_zero_mass_with_normalize_rejected(self):
+    def test_zero_mass_rejected(self):
         g = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 1.0})
         with pytest.raises(ValueError, match="zero-mass"):
             workload_error(W_BOTH, WeightedDataset.empty(SCHEMA), g)
@@ -61,7 +59,7 @@ class TestWorkloadError:
 
 def avg_relwe(workload, true_data, synthetic):
     """AvgRelWE of ``evaluate_step`` over the one workload: its relative error."""
-    agg, _ = evaluate_step(WorkloadSet((workload,)), true_data, synthetic, normalize=False)
+    agg, _ = evaluate_step(WorkloadSet((workload,)), true_data, synthetic)
     return agg.avg_relwe
 
 
@@ -141,7 +139,7 @@ class TestAggregate:
         assert evaluate_step(Q, f, g)[0] == evaluate_step(reversed_q, f, g)[0]
 
 
-def reference_evaluate_step(workloads, true_data, synthetic, normalize=True):
+def reference_evaluate_step(workloads, true_data, synthetic):
     """Oracle: ``evaluate_step`` with every vector and mass computed afresh, nothing kept, in plain
     numpy: ``mean``, ``max`` and boolean masks."""
     we, relwe, excluded = [], [], 0
@@ -150,11 +148,8 @@ def reference_evaluate_step(workloads, true_data, synthetic, normalize=True):
             np.bincount(w.point_cells(d.points), weights=d.weights, minlength=w.size)
             for d in (true_data, synthetic)
         )
-        if normalize:
-            mass = float(true_data.weights.sum())
-            we.append(float(np.abs(f / mass - g / mass).mean()))
-        else:
-            we.append(float(np.abs(f - g).mean()))
+        mass = float(true_data.weights.sum())
+        we.append(float(np.abs(f / mass - g / mass).mean()))
         mask = f > 0
         excluded += int((~mask).sum())
         relwe.append(float(np.abs((f[mask] - g[mask]) / f[mask]).mean()))
@@ -183,9 +178,8 @@ class TestEvaluateStepMemo:
         assert a.points is b.points and a.weights.tobytes() != b.weights.tobytes()
         workloads = enumerate_workloads(schema, data.draw(st.integers(1, 2)))
         for true_data, synthetic in ((a, b), (b, a), (a, b), (a, a), (b, b)):
-            for normalize in (True, False):
-                got = evaluate_step(workloads, true_data, synthetic, normalize=normalize)
-                assert_same_bits(got, reference_evaluate_step(workloads, true_data, synthetic, normalize))
+            got = evaluate_step(workloads, true_data, synthetic)
+            assert_same_bits(got, reference_evaluate_step(workloads, true_data, synthetic))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 4), min_size=2, max_size=4).filter(lambda c: max(c) > 1), st.data())
@@ -203,10 +197,9 @@ class TestEvaluateStepMemo:
         workloads = enumerate_workloads(schema, data.draw(st.integers(1, 2)))
         for rows, zero_cells in ((domain, False), (domain[domain[:, column] != 0], True)):
             true_data = WeightedDataset(schema, rows, rng.random(len(rows)) * 4 + 0.25)
-            for normalize in (True, False):
-                got = evaluate_step(workloads, true_data, synthetic, normalize=normalize)
-                assert (got[1] > 0) == zero_cells
-                assert_same_bits(got, reference_evaluate_step(workloads, true_data, synthetic, normalize))
+            got = evaluate_step(workloads, true_data, synthetic)
+            assert (got[1] > 0) == zero_cells
+            assert_same_bits(got, reference_evaluate_step(workloads, true_data, synthetic))
 
 
 class TestSummarizeTail:

@@ -28,6 +28,7 @@ from dpstream import (
 from dpstream.cli import main as cli_main
 from dpstream import harness
 from dpstream.harness import STREAM_VARIANTS, IngestError, run_experiment, run_triple, validate_config
+from dpstream.surrogate import write_surrogate
 
 SCHEMA_SPEC = [
     {"name": "color", "values": ["red", "green", "blue"]},
@@ -79,6 +80,31 @@ class TestSchemaFile:
         path.write_text(json.dumps([{"name": "a", "values": ["x", "x"]}]))
         with pytest.raises(ValueError, match="duplicate"):
             load_schema(path)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ("pq", "attribute 'a' values must be a JSON list, got 'pq'"),
+            ({"p": 1, "q": 2}, "attribute 'a' values must be a JSON list, got {'p': 1, 'q': 2}"),
+            (3, "attribute 'a' values must be a JSON list, got 3"),
+            ([1, "1"], "attribute 'a' has duplicate values ['1']"),
+            (["x", True, "y", "True", "x"], "attribute 'a' has duplicate values ['True', 'x']"),
+        ],
+    )
+    def test_values_must_be_a_list_distinct_as_text(self, tmp_path, capsys, values, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"name": "a", "values": values}]))
+        with pytest.raises(ValueError) as raised:
+            load_schema(path)
+        assert str(raised.value) == message
+        assert cli_main(["enumerate-workloads", "--schema", str(path), "--k", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    def test_values_are_matched_as_text(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps([{"name": "a", "values": [1, 2.5, True]}]))
+        assert load_schema(path)[1] == [["1", "2.5", "True"]]
 
     def test_empty_values_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -391,16 +417,23 @@ class TestRunExperiment:
         }
         assert first == second
 
-    def test_summary_is_mean_of_last_rows(self, tmp_path, data_file, schema_file):
-        config = experiment_config(tmp_path, data_file, schema_file, summary_window=3)
+    @pytest.mark.parametrize("batch_size, window", [(1, 10), (3, 4)])
+    def test_summary_is_mean_of_last_rows(self, tmp_path, data_file, schema_file, batch_size, window):
+        # 12 rows: 12 one-row steps average the last harness.SUMMARY_WINDOW = 10, 4 steps all 4
+        with open(data_file, newline="") as fh:
+            data_rows = list(csv.reader(fh))[1:]
+        long_file = write_csv(tmp_path / "long.csv", data_rows + data_rows[:2])
+        stream = StreamSpec(variant="ordered_batch", batch_size=batch_size)
+        config = experiment_config(tmp_path, long_file, schema_file, stream=stream)
         run_triple(config, "main", Fraction(1), 0)
         run_dir = config.run_dir(Path(config.output_dir), "main", Fraction(1), 0)
         with open(run_dir / "metrics.csv") as fh:
             rows = list(csv.DictReader(fh))
-        tail = [float(r["AvgWE"]) for r in rows[-3:]]
+        assert len(rows) == 12 // batch_size
+        tail = [float(r["AvgWE"]) for r in rows[-window:]]
         summary = json.loads((run_dir / "summary.json").read_text())
-        assert summary["AvgWE"] == pytest.approx(sum(tail) / 3)
-        assert summary["window"] == 3
+        assert summary["AvgWE"] == pytest.approx(sum(tail) / window)
+        assert summary["window"] == window
 
     def test_meta_reports_full_budget_spend(self, tmp_path, data_file, schema_file):
         config = experiment_config(tmp_path, data_file, schema_file, epsilons=(Fraction(1, 2),))
@@ -587,7 +620,6 @@ class TestConfigFile:
         "overrides",
         [
             {"counter": "bounded_block", "block_size": 0},
-            {"selection_sensitivity": 0.1},
             {"k": 0},
             {"noise": "laplcae"},
             {"k_way": 3},
@@ -608,21 +640,6 @@ class TestConfigFile:
         assert error.startswith("ValueError: ")
         assert validate_config(config) == [error.removeprefix("ValueError: ")]
         assert not list(Path(config.output_dir).rglob("metrics.csv"))
-
-    @pytest.mark.parametrize("window", [0, -1])
-    def test_summary_window_below_one_rejected(self, tmp_path, data_file, schema_file, window):
-        with pytest.raises(ValueError, match=f"summary_window must be an integer >= 1, got {window}"):
-            experiment_config(tmp_path, data_file, schema_file, summary_window=window)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({
-            "dataset": str(data_file),
-            "schema": str(schema_file),
-            "stream": {"variant": "ordered_batch", "batch_size": 2},
-            "output_dir": str(tmp_path / "out"),
-            "summary_window": window,
-        }))
-        with pytest.raises(ValueError, match=f"summary_window must be an integer >= 1, got {window}"):
-            ExperimentConfig.from_json(path)
 
     @pytest.mark.parametrize(
         "payload, message",
@@ -690,12 +707,9 @@ class TestConfigFile:
             "k": 2,
             "counter": "bounded_block",
             "block_size": 2,
-            "selection_sensitivity": 0.5,
             "fitter": {"name": "mw", "passes": 2},
             "seeds": [3, 1],
             "noise": "zero",
-            "normalize": False,
-            "summary_window": 2,
         }
         assert set(payload) == {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert set(payload["stream"]) == {f.name for f in dataclasses.fields(StreamSpec)}
@@ -739,7 +753,7 @@ class TestCli:
         "extra, reported",
         [
             ({"typo_field": 1}, "config error: unknown config fields: ['typo_field']\n"),
-            ({"epsilons": 0.5}, "config error: "),  # a TypeError from the constructor
+            ({"epsilons": 0.5}, "config error: epsilons must be a list, got 0.5\n"),
         ],
     )
     def test_unreadable_config_fails_validate_and_run(
@@ -764,10 +778,8 @@ class TestCli:
         "overrides",
         [
             {"counter": "bounded_block", "block_size": 0},
-            {"selection_sensitivity": 0.1},
             {"k": 0},
             {"noise": "laplcae"},
-            {"summary_window": -1},
         ],
         ids=lambda o: json.dumps(o),
     )
@@ -938,10 +950,9 @@ def assert_rejected_by_validate_and_run(path, tmp_path, capsys, message):
 
 
 BATCHED = {"variant": "ordered_batch", "batch_size": 2}
-SENSITIVITY_RULE = "selection_sensitivity must be a finite number"
 EPSILON_RULE = 'must be a number or a string such as "1/2"'
-# settings that must be integers (not bools, floats or strings), a bool, or numbers (not bools; finite;
-# epsilons may be strings of one), and the error each reports
+# settings that must be integers (not bools, floats or strings) or numbers (not bools; finite; epsilons
+# may be strings of one), and the error each reports
 SETTING_ERRORS = [
     ({"seeds": [1.5]}, "seeds must be non-negative integers, got 1.5"),
     ({"seeds": ["2"]}, "seeds must be non-negative integers, got '2'"),
@@ -964,15 +975,8 @@ SETTING_ERRORS = [
     ({"k": 2.5}, "k must be an integer >= 1, got 2.5"),
     ({"k": "2"}, "k must be an integer >= 1, got '2'"),
     ({"k_way": True}, "k_way must be an integer >= 1, got True"),
-    ({"summary_window": 2.5}, "summary_window must be an integer >= 1, got 2.5"),
     ({"fitter": {"passes": True}}, "fitter passes must be an integer >= 1, got True"),
     ({"fitter": {"seed_support_size": 2.5}}, "fitter seed_support_size must be an integer >= 1, got 2.5"),
-    ({"normalize": "no"}, "normalize must be true or false, got 'no'"),
-    ({"selection_sensitivity": "0.5"}, f"{SENSITIVITY_RULE}, got '0.5'"),
-    ({"selection_sensitivity": True}, f"{SENSITIVITY_RULE}, got True"),
-    ({"selection_sensitivity": float("nan")}, f"{SENSITIVITY_RULE}, got nan"),
-    ({"selection_sensitivity": float("inf")}, f"{SENSITIVITY_RULE}, got inf"),
-    ({"selection_sensitivity": [0.5]}, f"{SENSITIVITY_RULE}, got [0.5]"),
     ({"epsilons": [True]}, f"each of epsilons {EPSILON_RULE}, got True"),
     ({"epsilons": [1.0, None]}, f"each of epsilons {EPSILON_RULE}, got None"),
     ({"epsilons": ["half"]}, f"each of epsilons {EPSILON_RULE}, got 'half'"),
@@ -981,19 +985,57 @@ SETTING_ERRORS = [
 ]
 
 
+CONFIG_SHAPE_ERRORS = [
+    ({"stream": None}, "missing config fields: ['stream']"),
+    ({"dataset": None, "stream": None}, "missing config fields: ['dataset', 'stream']"),
+    ({"seeds": 3}, "seeds must be a list, got 3"),
+    ({"epsilons": 1}, "epsilons must be a list, got 1"),
+    ({"algorithms": "main"}, "algorithms must be a list, got 'main'"),
+    ({"stream": "x"}, "stream must be an object, got 'x'"),
+    ({"fitter": "mw"}, "fitter must be an object, got 'mw'"),
+    ({"schema": 0}, "schema must be a path string, got 0"),
+    ({"dataset": 5}, "dataset must be a path string, got 5"),
+    ({"output_dir": ["out"]}, "output_dir must be a path string, got ['out']"),
+    ([1, 2], "config file {path} must be a JSON object, got a list"),
+]
+
+
 class TestSettingChecks:
+    @pytest.mark.parametrize(
+        "shape, message",
+        CONFIG_SHAPE_ERRORS,
+        ids=[
+            "no stream", "no dataset or stream", "seeds", "epsilons", "algorithms", "stream", "fitter",
+            "schema", "dataset", "output_dir", "list",
+        ],
+    )
+    def test_config_of_the_wrong_shape_names_its_field(
+        self, tmp_path, data_file, schema_file, capsys, shape, message
+    ):
+        # a dict updates a valid config (None drops the field); a list is the whole file
+        path = write_config(tmp_path, data_file, schema_file)
+        payload = shape
+        if isinstance(shape, dict):
+            merged = {**json.loads(path.read_text()), **shape}
+            payload = {name: value for name, value in merged.items() if value is not None}
+        path.write_text(json.dumps(payload))
+        message = message.format(path=path)
+        with pytest.raises(ValueError) as raised:
+            ExperimentConfig.from_json(path)
+        assert str(raised.value) == message
+        assert_rejected_by_validate_and_run(path, tmp_path, capsys, message)
+
+    @pytest.mark.parametrize("name", ["selection_sensitivity", "normalize", "summary_window"])
+    def test_derived_values_are_not_settings(self, tmp_path, data_file, schema_file, capsys, name):
+        path = write_config(tmp_path, data_file, schema_file, **{name: 1})
+        assert_rejected_by_validate_and_run(path, tmp_path, capsys, f"unknown config fields: ['{name}']")
+
     @pytest.mark.parametrize("extra, message", SETTING_ERRORS, ids=lambda o: json.dumps(o))
     def test_setting_of_the_wrong_type_names_its_field(
         self, tmp_path, data_file, schema_file, capsys, extra, message
     ):
         path = write_config(tmp_path, data_file, schema_file, **extra)
         assert_rejected_by_validate_and_run(path, tmp_path, capsys, message)
-
-    @pytest.mark.parametrize("value", ["0.5", True, np.bool_(True), float("nan"), np.float64("-inf"), [0.5]])
-    def test_run_config_rejects_a_sensitivity_that_is_no_finite_number(self, schema_file, value):
-        workloads = enumerate_workloads(load_schema(schema_file)[0], 2)
-        with pytest.raises(ValueError, match=re.escape(f"{SENSITIVITY_RULE}, got {value!r}")):
-            RunConfig(epsilon=Fraction(1), k=1, workloads=workloads, selection_sensitivity=value)
 
     @pytest.mark.parametrize("value", [True, None, "half", "1/0", float("inf"), [1]])
     def test_run_config_rejects_an_epsilon_that_is_no_number(self, schema_file, value):
@@ -1004,20 +1046,19 @@ class TestSettingChecks:
     def test_numbers_of_every_kind_are_accepted(self, schema_file):
         workloads = enumerate_workloads(load_schema(schema_file)[0], 2)
         cases = [
-            ("1/2", 0.5, Fraction(1, 2)),
-            (np.float64(0.1), Fraction(1, 2), Fraction(1, 10)),
-            (np.int64(2), np.float32(0.5), Fraction(2)),
-            (Fraction(1, 3), 1, Fraction(1, 3)),
+            ("1/2", Fraction(1, 2)),
+            (np.float64(0.1), Fraction(1, 10)),
+            (np.int64(2), Fraction(2)),
+            (np.float32(0.5), Fraction(1, 2)),
+            (Fraction(1, 3), Fraction(1, 3)),
         ]
-        for epsilon, sensitivity, exact in cases:
-            config = RunConfig(epsilon=epsilon, k=1, workloads=workloads, selection_sensitivity=sensitivity)
-            assert config.epsilon == exact
-            assert config.resolved_sensitivity() == float(sensitivity)
+        for epsilon, exact in cases:
+            assert RunConfig(epsilon=epsilon, k=1, workloads=workloads).epsilon == exact
 
     def test_numpy_integers_are_integers(self, tmp_path, data_file, schema_file):
         config = experiment_config(
             tmp_path, data_file, schema_file, k=np.int64(1), k_way=np.int32(2), seeds=(np.int64(1),),
-            counter="bounded_block", block_size=np.int16(2), summary_window=np.uint8(2),
+            counter="bounded_block", block_size=np.int16(2),
             fitter={"passes": np.int64(2), "seed_support_size": np.int64(4)},
             stream=StreamSpec(variant="randomized_batch", batch_size=np.int64(2), seed=np.int64(3)),
         )
@@ -1061,3 +1102,32 @@ class TestSettingChecks:
             make_counter("block", 1.0, NoiseSource(0), block_size=2)
         path = write_config(tmp_path, data_file, schema_file, counter="block", block_size=2)
         assert_rejected_by_validate_and_run(path, tmp_path, capsys, message)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config_section():
+    """README's "Config file" section, up to the next heading of any level below the title."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("### Config file")
+    return text[start : text.index("\n#", start)]
+
+
+class TestReadme:
+    def test_config_section_names_every_field_and_no_derived_value(self):
+        section = readme_config_section()
+        for f in dataclasses.fields(ExperimentConfig):
+            assert f"`{f.name}`" in section or f'"{f.name}"' in section, f.name
+        for name in ("selection_sensitivity", "normalize", "summary_window"):
+            assert not re.search(rf"\b{name}\b", section), name
+
+    def test_example_config_validates_on_a_surrogate(self, tmp_path):
+        example = json.loads(readme_config_section().split("```json\n", 1)[1].split("```", 1)[0])
+        csv_path, schema_path = write_surrogate(tmp_path / "data", num_rows=200)
+        assert Path(example["dataset"]).name == csv_path.name
+        assert Path(example["schema"]).name == schema_path.name
+        example.update(dataset=str(csv_path), schema=str(schema_path), output_dir=str(tmp_path / "results"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(example))
+        assert validate_config(ExperimentConfig.from_json(path)) == []

@@ -326,7 +326,7 @@ class TestBudgetLedger:
 
     @pytest.mark.parametrize("total", [Fraction(1), Fraction(7, 3), Fraction(2, 5)])
     def test_integer_totals_match_fraction_scan(self, total):
-        # mixed divisors, float and string numerators and seeded entries all refine the unit
+        # mixed divisors and float and string numerators all refine the unit
         def scan(entries, group, category=None):
             return sum(
                 (e.epsilon for e in entries if e.group == group and category in (None, e.category)),
@@ -335,11 +335,10 @@ class TestBudgetLedger:
 
         rng = np.random.default_rng(11)
         numerators = [total, Fraction(1, 3), 0.1, "0.25", Fraction(5, 7)]
-        seeded = BudgetLedger(total)
-        seeded.spend("s0", 0.1, 3, group="t=2", category="selection")
-        seeded.spend("s1", Fraction(2, 9), 1, group="t=1", category="counter")
-        ledger = BudgetLedger(total, list(seeded.entries))
-        ledger.entries.append(BudgetEntry("direct", Fraction(1, 11), 2, "t=3", "measurement"))
+        ledger = BudgetLedger(total)
+        ledger.spend("s0", 0.1, 3, group="t=2", category="selection")
+        ledger.spend("s1", Fraction(2, 9), 1, group="t=1", category="counter")
+        ledger.spend("s2", Fraction(1, 11), 2, group="t=3", category="measurement")
         groups = [None, "t=1", "t=2", "t=3"]
         for i in range(200):
             group = groups[int(rng.integers(len(groups)))]
@@ -373,17 +372,12 @@ class TestBudgetLedger:
         ledger.spend("float", 0.1, group="t=2")
         assert ledger.group_total("t=2") == Fraction(1, 10)
 
-    def test_totals_seeded_from_constructor_entries(self):
-        first = BudgetLedger(Fraction(1))
-        first.spend("a", Fraction(1), 2, group="t=1", category="selection")
-        first.spend("b", Fraction(1), 4, group="t=2", category="measurement")
-        copy = BudgetLedger(Fraction(1), list(first.entries))
-        assert copy.groups() == ["t=1", "t=2"]
-        assert copy.group_total("t=1") == Fraction(1, 2)
-        assert copy.category_total("t=2", "measurement") == Fraction(1, 4)
-        with pytest.raises(BudgetOverspendError):
-            copy.spend("c", Fraction(3), 4, group="t=1")
-        assert len(copy.entries) == 2
+    def test_entries_come_only_from_spend(self):
+        with pytest.raises(TypeError):
+            BudgetLedger(Fraction(1), [])
+        ledger = BudgetLedger(Fraction(1))
+        first = ledger.spend("a", Fraction(1), 2, group="t=1", category="selection")
+        assert ledger.entries == [first]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
