@@ -20,7 +20,6 @@ from .domain import (
     stream_norm,
 )
 from .evaluation import (
-    MetricRow,
     aggregate,
     evaluate_step,
     summarize_tail,

@@ -34,9 +34,6 @@ _SELECT = 0
 _MEASURE = 1
 _COUNTER = 2
 
-ALGORITHMS = ("baseline", "main")
-
-
 def checked_epsilon(value: object, k: int = 1, name: str = "epsilon") -> Fraction:
     """``value`` read exactly as a fraction (``0.1`` is 1/10) from a finite Python or numpy number,
     not a bool, or from a string ``Fraction`` reads, such as ``"1/2"``; ``name`` names the setting in
@@ -308,9 +305,11 @@ class CounterSynthesizer(_StreamSynthesizer):
         return self.last_measurements[j]
 
 
+# each synthesizer class by the name a config gives it
+ALGORITHMS = {cls.algorithm: cls for cls in (StreamingMwem, CounterSynthesizer)}
+
+
 def make_synthesizer(algorithm: str, config: RunConfig) -> _StreamSynthesizer:
-    if algorithm == "baseline":
-        return StreamingMwem(config)
-    if algorithm == "main":
-        return CounterSynthesizer(config)
-    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {tuple(ALGORITHMS)}")
+    return ALGORITHMS[algorithm](config)

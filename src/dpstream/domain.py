@@ -125,32 +125,20 @@ def point_keys(
     return [a @ strides if i or known is None else known for i, a in enumerate(arrays)]
 
 
-def unique_rows(schema: DomainSchema, points: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Distinct rows of an in-range ``(n, p)`` array in lexicographic order.
-
-    Returns ``(rows, inverse)`` with ``rows[inverse]`` equal to ``points``. When
-    the rows are already strictly increasing, ``rows`` is ``points`` itself and
-    ``inverse`` is None.
-    """
-    (keys,) = point_keys(schema, points)
-    if (keys[1:] > keys[:-1]).all():
-        return points, None
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return points[first], inverse
-
-
 def merge_rows(
     schema: DomainSchema, points: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in lexicographic order, with the weights of equal rows summed.
+    """Distinct rows of an in-range ``(n, p)`` array in lexicographic order, with the
+    weights of equal rows summed.
 
-    Sums run in input order, so equal inputs always merge to identical bits.
-    May return the input arrays themselves when they need no merging.
+    Sums run in input order, so equal inputs always merge to identical bits. When the
+    rows are already strictly increasing, the input arrays themselves come back.
     """
-    rows, inverse = unique_rows(schema, points)
-    if inverse is None:
-        return rows, weights
-    return rows, np.bincount(inverse, weights=weights, minlength=len(rows))
+    (keys,) = point_keys(schema, points)
+    if (keys[1:] > keys[:-1]).all():
+        return points, weights
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return points[first], np.bincount(inverse, weights=weights, minlength=len(first))
 
 
 def union_rows(
@@ -225,11 +213,14 @@ class WeightedDataset:
     equal contents always produce identical arrays. Points are stored
     column-major (F-contiguous), so reading a few columns of every point is a
     contiguous scan. Instances are immutable after construction and safe to
-    share across threads, so values derived from the contents alone, such as
-    workload vectors and the total mass, are computed once and kept (``memo``).
+    share across threads, so values derived from the contents alone are computed
+    once and kept in ``memo``: ``eval_workload`` keys its vectors by workload,
+    ``total_mass`` its sum by ``"total_mass"``, ``accumulate`` the point keys of
+    its sums by ``"keys"``. A stored value is never None and never written to: a
+    read-only array or an immutable value.
     """
 
-    __slots__ = ("schema", "_points", "_weights", "_memo")
+    __slots__ = ("schema", "_points", "_weights", "memo")
 
     def __init__(self, schema: DomainSchema, points: np.ndarray, weights: np.ndarray):
         pts, w = _canonicalize(schema, points, weights)
@@ -238,7 +229,7 @@ class WeightedDataset:
         self.schema = schema
         self._points = pts
         self._weights = w
-        self._memo: dict | None = None  # made on first use, so building a dataset makes no dict
+        self.memo: dict = {}
 
     @classmethod
     def _of(cls, schema: DomainSchema, points: np.ndarray, weights: np.ndarray) -> "WeightedDataset":
@@ -247,7 +238,7 @@ class WeightedDataset:
         points.flags.writeable = False
         weights.flags.writeable = False
         out = cls.__new__(cls)
-        out.schema, out._points, out._weights, out._memo = schema, points, weights, None
+        out.schema, out._points, out._weights, out.memo = schema, points, weights, {}
         return out
 
     def __reduce__(self):
@@ -304,17 +295,6 @@ class WeightedDataset:
     @property
     def weights(self) -> np.ndarray:
         return self._weights
-
-    @property
-    def memo(self) -> dict:
-        """Values computed from this dataset's contents alone, kept for later calls; made on
-        first use. ``eval_workload`` keys its vectors by workload, ``total_mass`` its sum by
-        ``"total_mass"``, ``accumulate`` the point keys of its sums by ``"keys"``. A stored
-        value is never None and never written to: a read-only array or an immutable value."""
-        memo = self._memo
-        if memo is None:
-            memo = self._memo = {}
-        return memo
 
     def total_mass(self) -> float:
         memo = self.memo

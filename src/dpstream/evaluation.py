@@ -6,7 +6,6 @@ and is not privacy constrained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -15,18 +14,7 @@ from .domain import WeightedDataset
 from .queries import Workload, WorkloadSet, eval_workload
 
 
-@dataclass(frozen=True)
-class MetricRow:
-    """Per-step metric record for one (algorithm, epsilon, seed) run."""
-
-    t: int
-    epsilon: float
-    algorithm: str
-    seed: int
-    avg_we: float
-    max_we: float
-    avg_relwe: float
-    max_relwe: float
+METRIC_NAMES = ("AvgWE", "MaxWE", "AvgRelWE", "MaxRelWE")  # MetricAggregate's fields, as reported
 
 
 class MetricAggregate(NamedTuple):
@@ -94,16 +82,11 @@ def evaluate_step(
     return aggregate(we, relwe), excluded
 
 
-def summarize_tail(rows: Sequence[MetricRow], window: int) -> dict[str, float]:
-    """Per-metric means over the final ``window`` rows."""
+def summarize_tail(rows: Sequence[MetricAggregate], window: int) -> dict[str, float]:
+    """Per-metric means over the final ``window`` rows, keyed by ``METRIC_NAMES``."""
     if window < 1:
         raise ValueError("window must be >= 1")
     if len(rows) < window:
         raise ValueError(f"need at least {window} rows, got {len(rows)}")
-    tail = rows[-window:]
-    return {
-        "AvgWE": float(np.mean([r.avg_we for r in tail])),
-        "MaxWE": float(np.mean([r.max_we for r in tail])),
-        "AvgRelWE": float(np.mean([r.avg_relwe for r in tail])),
-        "MaxRelWE": float(np.mean([r.max_relwe for r in tail])),
-    }
+    # one np.mean per metric: a mean over axis 0 of the 2-D tail sums in another order
+    return {name: float(np.mean(column)) for name, column in zip(METRIC_NAMES, zip(*rows[-window:]))}

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import DomainSchema, WeightedDataset, nonzero_mass, point_keys, union_rows, unique_rows
+from .domain import DomainSchema, WeightedDataset, merge_rows, nonzero_mass, point_keys, union_rows
 from .queries import (
     MarginalQuery,
     Workload,
@@ -85,7 +85,7 @@ class WorkingSupport:
         else:
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), 3))))
             draws = np.column_stack([rng.integers(0, c, size=seed_size) for c in cards])
-            points, _ = unique_rows(schema, draws.astype(np.int64))
+            points, _ = merge_rows(schema, draws.astype(np.int64), np.ones(seed_size))
         points = np.asfortranarray(points)
         points.flags.writeable = False
         self._points = points

@@ -23,11 +23,11 @@ import numpy as np
 
 from .algorithms import ALGORITHMS, RunConfig, checked_epsilon, make_synthesizer
 from .domain import DatasetStream, DomainSchema, WeightedDataset, accumulate, checked_int, step_datasets
-from .evaluation import MetricRow, evaluate_step, summarize_tail
+from .evaluation import METRIC_NAMES, MetricAggregate, evaluate_step, summarize_tail
 from .fitters import DEFAULT_SEED_SUPPORT
 from .queries import WorkloadSet, enumerate_workloads
 
-METRIC_COLUMNS = ("t", "AvgWE", "MaxWE", "AvgRelWE", "MaxRelWE")
+METRIC_COLUMNS = ("t", *METRIC_NAMES)
 SUMMARY_WINDOW = 10  # summary.json averages the last 10 steps, or every step of a shorter stream
 
 STREAM_VARIANTS = ("timestamp_bucketed", "randomized_batch", "ordered_batch")
@@ -52,11 +52,14 @@ def load_schema(path: str | Path) -> tuple[DomainSchema, list[list[str]]]:
     for i, entry in enumerate(spec):
         if not isinstance(entry, dict):
             raise ValueError(f"schema attribute {i} must be an object with a name and values")
-        for key in ("name", "values"):
-            if key not in entry:
-                label = f"{i} ({entry['name']!r})" if "name" in entry else str(i)
-                raise ValueError(f"schema attribute {label} has no {key!r} key")
-        name, values = entry["name"], entry["values"]
+        if "name" not in entry:
+            raise ValueError(f"schema attribute {i} has no 'name' key")
+        name = entry["name"]
+        if not isinstance(name, str) or not name:  # matched against header text: null would read "None"
+            raise ValueError(f"schema attribute {i} name must be a nonempty string, got {name!r}")
+        if "values" not in entry:
+            raise ValueError(f"schema attribute {i} ({name!r}) has no 'values' key")
+        values = entry["values"]
         if not isinstance(values, list):
             raise ValueError(f"attribute {name!r} values must be a JSON list, got {values!r}")
         if not values:
@@ -226,7 +229,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not be empty: the grid would have no runs")
         for a in self.algorithms:
             if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}; expected subset of {ALGORITHMS}")
+                raise ValueError(f"unknown algorithm {a!r}; expected subset of {tuple(ALGORITHMS)}")
         self.k_way = checked_int(self.k_way, 1, "k_way must be an integer >= 1")
         # a run directory is named by algorithm, float(epsilon) and seed: runs share one iff an axis repeats
         axes = (self.algorithms, [float(e) for e in self.epsilons], self.seeds)
@@ -338,27 +341,22 @@ def run_triple(
     run_dir = config.run_dir(Path(config.output_dir), algorithm, epsilon, seed)
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    rows_out: list[MetricRow] = []
+    rows_out: list[MetricAggregate] = []  # step t's metrics at position t - 1
     excluded_cells = 0
     true_data = WeightedDataset.empty(schema)
-    eps_float = float(epsilon)
-    for t, delta in enumerate(stream.differentials, start=1):
+    for delta in stream.differentials:
         synthetic = synthesizer.step(delta)
         true_data = accumulate(true_data, delta)
-        agg = (math.nan,) * 4  # no metrics while the true data is empty
+        agg = MetricAggregate._make((math.nan,) * 4)  # no metrics while the true data is empty
         if true_data.total_mass() != 0:
             agg, skipped = evaluate_step(workloads, true_data, synthetic)
             excluded_cells += skipped
-        rows_out.append(MetricRow(t, eps_float, algorithm, seed, *agg))
+        rows_out.append(agg)
 
-    metrics_path = run_dir / "metrics.csv"
-    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
+    with open(run_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRIC_COLUMNS)
-        for row in rows_out:
-            writer.writerow(
-                [row.t, repr(row.avg_we), repr(row.max_we), repr(row.avg_relwe), repr(row.max_relwe)]
-            )
+        writer.writerows([t, *map(repr, agg)] for t, agg in enumerate(rows_out, start=1))
 
     window = min(SUMMARY_WINDOW, len(rows_out))
     summary: dict[str, Any] = {

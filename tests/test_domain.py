@@ -16,7 +16,7 @@ from dpstream import (
     stream_difference_norm,
     stream_norm,
 )
-from dpstream.domain import point_keys
+from dpstream.domain import merge_rows, point_keys
 
 SCHEMA_2X2 = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_234 = DomainSchema((("a", 2), ("b", 3), ("c", 4)))
@@ -371,6 +371,32 @@ def related_rows(kind, schema, points, rng):
         return rows[[tuple(r) not in taken for r in rows.tolist()]]
     shared = points[rng.random(len(points)) < 0.5]
     return np.concatenate([shared, rows])
+
+
+class TestMergeRows:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.just([]), st.lists(st.integers(1, 5), min_size=1, max_size=5)), st.data())
+    def test_matches_row_unique_and_sequential_sums(self, cards, data):
+        # [] stands for SCHEMA_HUGE, whose rows are keyed by rank; cardinality-1 attributes included
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards))) if cards else SCHEMA_HUGE
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        points = random_rows(schema, data.draw(st.integers(1, 40)), rng)
+        if data.draw(st.booleans()):
+            points = np.concatenate([points, points[rng.integers(0, len(points), len(points))]])
+        if data.draw(st.booleans()):
+            points = np.unique(points, axis=0)  # strictly increasing
+        # signed weights over seven decades, so the order of each sum shows in its bits
+        n = len(points)
+        weights = rng.choice([-1.0, 1.0], n) * rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
+        rows, sums = merge_rows(schema, points, weights)
+        want_rows = np.unique(points, axis=0)
+        assert np.array_equal(rows, want_rows)
+        totals = {}
+        for row, w in zip(map(tuple, points.tolist()), weights.tolist()):
+            totals[row] = totals.get(row, 0.0) + w
+        assert sums.tobytes() == np.array([totals[row] for row in map(tuple, rows.tolist())]).tobytes()
+        if np.array_equal(points, want_rows):
+            assert rows is points and sums is weights
 
 
 class TestAccumulateMerge:

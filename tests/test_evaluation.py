@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dpstream import (
     DomainSchema,
-    MetricRow,
     WeightedDataset,
     Workload,
     WorkloadSet,
@@ -15,15 +14,14 @@ from dpstream import (
     summarize_tail,
     workload_error,
 )
+from dpstream.evaluation import MetricAggregate
 
 SCHEMA = DomainSchema((("a", 2), ("b", 2)))
 W_BOTH = Workload(SCHEMA, (0, 1))
 
 
 def rows_from(series):
-    return [
-        MetricRow(t, 1.0, "main", 0, v, v, v, v) for t, v in enumerate(series, start=1)
-    ]
+    return [MetricAggregate(v, v, v, v) for v in series]
 
 
 class TestWorkloadError:

@@ -19,7 +19,7 @@ from dpstream import (
     mw_fit,
     mw_update,
 )
-from dpstream.domain import unique_rows
+from dpstream.domain import point_keys
 from dpstream.fitters import FitStats, mw_weights
 
 SCHEMA = DomainSchema((("a", 2), ("b", 2)))
@@ -41,8 +41,10 @@ def reference_observe(schema, points, delta_points):
     nothing was added) and the positions of ``delta_points``.
     """
     n = len(points)
-    merged, inverse = unique_rows(schema, np.concatenate([points, delta_points]))
-    positions = np.arange(len(merged)) if inverse is None else inverse
+    rows = np.concatenate([points, delta_points])
+    (keys,) = point_keys(schema, rows)
+    _, first, positions = np.unique(keys, return_index=True, return_inverse=True)
+    merged = rows[first]
     return merged, (None if len(merged) == n else positions[:n]), positions[n:]
 
 

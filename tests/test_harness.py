@@ -112,6 +112,20 @@ class TestSchemaFile:
         with pytest.raises(ValueError, match="no values"):
             load_schema(path)
 
+    @pytest.mark.parametrize("name", [None, "", ["color"], 3, True])
+    def test_name_must_be_a_nonempty_string(self, tmp_path, data_file, capsys, name):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([SCHEMA_SPEC[0], {"name": name, "values": ["x"]}]))
+        message = f"schema attribute 1 name must be a nonempty string, got {name!r}"
+        with pytest.raises(ValueError) as raised:
+            load_schema(path)
+        assert str(raised.value) == message
+        assert cli_main(["enumerate-workloads", "--schema", str(path), "--k", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        config = write_config(tmp_path, data_file, path)
+        assert_rejected_by_validate_and_run(config, tmp_path, capsys, f"schema: {message}")
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -609,6 +623,27 @@ class TestConfigFile:
         error = problem.removeprefix("fitter: ")
         assert [r["error"] for r in run_experiment(config)] == [f"ValueError: {error}"] * 2
         assert not list(Path(config.output_dir).rglob("metrics.csv"))
+
+    @pytest.mark.parametrize(
+        "header, stream, problem",
+        [
+            (("color",), {"variant": "ordered_batch", "batch_size": 2}, "dataset is missing schema column 'size'"),
+            (
+                ("color", "size"),
+                {"variant": "timestamp_bucketed", "timestamp_column": "when", "bucket_days": 1},
+                "dataset is missing timestamp column 'when'",
+            ),
+        ],
+        ids=["schema-column", "timestamp-column"],
+    )
+    def test_validate_reports_a_header_problem(self, tmp_path, schema_file, capsys, header, stream, problem):
+        data = write_csv(tmp_path / "data.csv", [["red", "small"][: len(header)]], header=header)
+        config = experiment_config(tmp_path, data, schema_file, stream=StreamSpec.from_dict(stream))
+        assert validate_config(config) == [problem]
+        # run_experiment, which skips validate, fails every triple on the same header
+        assert all(r["error"].startswith(f"IngestError: {data}: ") for r in run_experiment(config))
+        path = write_config(tmp_path, data, schema_file, stream=stream)
+        assert_rejected_by_validate_and_run(path, tmp_path, capsys, problem)
 
     def test_validate_accepts_mw_fitter(self, tmp_path, data_file, schema_file):
         for fitter in ({"name": "mw"}, {"name": "mw", "seed_support_size": 4, "passes": 2}, {}):
@@ -1121,6 +1156,12 @@ class TestReadme:
             assert f"`{f.name}`" in section or f'"{f.name}"' in section, f.name
         for name in ("selection_sensitivity", "normalize", "summary_window"):
             assert not re.search(rf"\b{name}\b", section), name
+
+    def test_metrics_csv_line_lists_the_metric_columns(self):
+        lines = README.read_text(encoding="utf-8").splitlines()
+        (line,) = [l for l in lines if l.lstrip().startswith("metrics.csv")]
+        listed = line.split("#", 1)[1].removesuffix(" per step").split(", ")
+        assert tuple(c.strip() for c in listed) == harness.METRIC_COLUMNS
 
     def test_example_config_validates_on_a_surrogate(self, tmp_path):
         example = json.loads(readme_config_section().split("```json\n", 1)[1].split("```", 1)[0])
