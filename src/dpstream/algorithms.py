@@ -134,16 +134,16 @@ class _StreamSynthesizer:
         self._bias = self._cell_bias * self._cover.sizes
         self._release(np.ones(len(self.support)))
 
-    def _observe(self, delta: WeightedDataset) -> np.ndarray:
-        """Grow the support by ``delta``, realign ``_weights``; return ``delta``'s support positions."""
+    def _observe(self, delta: WeightedDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Look ``delta`` up on the fixed support: the support positions of the rows it holds and
+        their weights, then the other rows' scoring in the cover's flat layout and their mass."""
         if delta.schema != self.schema:
             raise ValueError("differential schema does not match the run schema")
-        moved, at = self.support.observe(delta)
-        if moved is not None:
-            weights = np.zeros(len(self.support))
-            weights[moved] = self._weights
-            self._weights = weights
-        return at
+        at, held = self.support.observe(delta)
+        if held.all():  # as on every whole-domain support
+            return at, delta.weights, np.zeros(len(self._cover.segment)), 0.0
+        points, weights = delta.points[~held], delta.weights[~held]
+        return at, delta.weights[held], self._cover.values(points, weights), float(weights.sum())
 
     def _spend(self, label: str, category: str) -> None:
         """Record one eps/2k share of step ``t`` in the ledger."""
@@ -156,19 +156,21 @@ class _StreamSynthesizer:
         delta: WeightedDataset,
         reference: np.ndarray,
         h: np.ndarray,
+        off: np.ndarray,
         difference: np.ndarray,
         target: float,
     ) -> tuple[np.ndarray, list[int]]:
-        """k select → measure → fit iterations starting from the fit ``h``, where ``difference``
-        is the scoring of ``reference - h`` and ``reference`` is a weight vector on the support.
+        """k select → measure → fit iterations starting from the fit ``h``, where ``reference``
+        is a weight vector on the support, ``off`` the scoring of the rows of ``delta`` off the
+        support, and ``difference`` the scoring of ``reference - h`` plus ``off``.
 
         Each iteration scores every unselected workload by the L1 distance
-        between its ``reference`` histogram and the current fit over its cell
-        count, less ``_cell_bias`` per cell; picks one with the exponential
-        mechanism, measures it and refits to ``target`` mass. Scoring is linear,
-        so each distance is read off one scoring of the difference of the two
-        weight vectors. Returns the mean of the k fits and the selected
-        workload indices.
+        between its histogram of ``reference`` and the rows off the support and
+        that of the current fit, over its cell count, less ``_cell_bias`` per
+        cell; picks one with the exponential mechanism, measures it and refits
+        to ``target`` mass. Scoring is linear, so each distance is read off one
+        scoring of the difference of the two weight vectors, plus ``off``.
+        Returns the mean of the k fits and the selected workload indices.
         """
         cover, k = self._cover, self.config.k
         fits: list[np.ndarray] = []
@@ -190,7 +192,7 @@ class _StreamSynthesizer:
             h = self.fitter.fit_weights(measured, cells, h, target)
             fits.append(h)
             if l < k:
-                difference = self.support.evaluate_many(cover, reference - h)
+                difference = self.support.evaluate_many(cover, reference - h) + off
         # dataset_mean of the fits: summed in list order, then scaled by 1/k
         return sum(fits[1:], fits[0]) * (1.0 / len(fits)), selected
 
@@ -219,16 +221,16 @@ class StreamingMwem(_StreamSynthesizer):
     algorithm = "baseline"
 
     def step(self, delta: WeightedDataset) -> WeightedDataset:
-        at = self._observe(delta)
+        at, held_weights, off, _ = self._observe(delta)
         self.t += 1
         target = delta.total_mass()
         if target == 0:
             return self.g  # nothing arrived: no spend, synthetic stream holds
         h = np.full(len(self.support), target / len(self.support))
         reference = np.zeros(len(self.support))
-        reference[at] = delta.weights
-        difference = self.support.evaluate_many(self._cover, reference - h)
-        mean, _ = self._round(delta, reference, h, difference, target)
+        reference[at] = held_weights
+        difference = self.support.evaluate_many(self._cover, reference - h) + off
+        mean, _ = self._round(delta, reference, h, off, difference, target)
         return self._release(self._weights + mean)
 
     def _measure(self, j: int, delta: WeightedDataset, cells: np.ndarray) -> np.ndarray:
@@ -261,21 +263,22 @@ class CounterSynthesizer(_StreamSynthesizer):
         self.last_selected: list[int] = []
 
     def step(self, delta: WeightedDataset) -> WeightedDataset:
-        at = self._observe(delta)
+        at, held_weights, off, off_mass = self._observe(delta)
         self.t += 1
         surrogate = self._weights.copy()
-        surrogate[at] += delta.weights
-        target = nonzero_mass(surrogate)
+        surrogate[at] += held_weights
+        target = nonzero_mass(surrogate) + off_mass
         if target == 0:
             return self.g  # no data and no synthetic mass: skip, no spend
         h = self._weights.copy()
         zeros = np.flatnonzero(h == 0)
-        h[zeros] = 1.0  # new and underflowed points re-enter at unit weight
-        # surrogate - h is +delta at delta's points and -1 at the zeros (a new point carries
+        h[zeros] = 1.0  # underflowed points re-enter at unit weight
+        # surrogate - h is +delta at delta's held points and -1 at the zeros (one point can carry
         # both): score only those positions, in integers
-        weights = np.concatenate([delta.weights, np.full(len(zeros), -1.0)])
+        weights = np.concatenate([held_weights, np.full(len(zeros), -1.0)])
         difference = self.support.evaluate_many(self._cover, weights, np.concatenate([at, zeros]))
-        g_t, selected = self._round(delta, surrogate, h, difference, target)
+        difference += off
+        g_t, selected = self._round(delta, surrogate, h, off, difference, target)
         self.last_selected = selected
         return self._release(g_t)
 
@@ -293,7 +296,7 @@ class CounterSynthesizer(_StreamSynthesizer):
         if self.t > 1 and j not in self.last_selected:
             # Unselected at the previous round, the remainder is the workload's value
             # on that round's release less the counter. Neither has changed since
-            # (the counter was not fed, ``_weights`` only gained zeros), so it is
+            # (the counter was not fed, ``_weights`` is that release), so it is
             # computed here, when the counter is fed, rather than after every step.
             self.remainders[j] = (
                 cell_values(cells, self._weights, workload.size) - self.counters[j].peek()

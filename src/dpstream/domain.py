@@ -33,16 +33,18 @@ class DomainSchema:
     attributes: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        attrs = tuple((str(n), int(c)) for n, c in self.attributes)
-        object.__setattr__(self, "attributes", attrs)
+        attrs = []
+        for i, (name, card) in enumerate(self.attributes):
+            if not isinstance(name, str) or not name:
+                raise ValueError(f"attribute {i} name must be a nonempty string, got {name!r}")
+            rule = f"attribute {name!r} cardinality must be an integer >= 1"
+            attrs.append((str(name), checked_int(card, 1, rule)))
+        object.__setattr__(self, "attributes", tuple(attrs))
         if len(attrs) < 1:
             raise ValueError("schema needs at least one attribute")
         names = [n for n, _ in attrs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate attribute names: {names}")
-        for name, card in attrs:
-            if card < 1:
-                raise ValueError(f"attribute {name!r} has cardinality {card} < 1")
 
     @property
     def num_attributes(self) -> int:
@@ -143,19 +145,18 @@ def merge_rows(
 
 def union_rows(
     schema: DomainSchema, points: np.ndarray, keys: np.ndarray | None, new_points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Union of two nonempty sorted sets of distinct in-range rows, given ``points``' keys or None.
 
-    Returns ``(at, added, kept, union, union_keys)``: each new row's union position, those of the
-    new rows ``points`` lacks, the mask of the positions of ``points`` (None, and ``union`` is
-    ``points``, when nothing is added), the F-contiguous union and its ``point_keys`` (None when
-    the schema has no key strides)."""
+    Returns ``(at, kept, union, union_keys)``: each new row's union position, the mask of the
+    positions of ``points`` (None, and ``union`` is ``points``, when nothing is added), the
+    F-contiguous union and its ``point_keys`` (None when the schema has no key strides)."""
     keys, new_keys = point_keys(schema, points, new_points, known=keys)
     pos = np.searchsorted(keys, new_keys)
     fresh = keys[pos.clip(max=len(keys) - 1)] != new_keys
     strided = schema.key_strides is not None
     if not fresh.any():
-        return pos, pos[fresh], None, points, keys if strided else None
+        return pos, None, points, keys if strided else None
     at = pos + (np.cumsum(fresh) - fresh)  # new rows are sorted: the fresh ones before a row land before it
     added = at[fresh]
     kept = np.ones(len(keys) + len(added), dtype=bool)
@@ -168,7 +169,7 @@ def union_rows(
     union_keys = np.empty(len(kept), dtype=np.int64) if strided else None
     if strided:
         union_keys[kept], union_keys[added] = keys, new_keys[fresh]
-    return at, added, kept, union, union_keys
+    return at, kept, union, union_keys
 
 
 def _check_points(schema: DomainSchema, points: np.ndarray) -> None:
@@ -367,7 +368,7 @@ def accumulate(prefix: WeightedDataset, delta: WeightedDataset) -> WeightedDatas
     if len(delta) == 0:
         return prefix
     schema = prefix.schema
-    at, _, kept, points, keys = union_rows(schema, prefix.points, prefix.memo.get("keys"), delta.points)
+    at, kept, points, keys = union_rows(schema, prefix.points, prefix.memo.get("keys"), delta.points)
     weights = np.zeros(len(points))
     weights[... if kept is None else kept] = prefix.weights
     weights[at] += delta.weights  # weights are positive, so no sum cancels to zero

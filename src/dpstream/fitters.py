@@ -3,9 +3,9 @@
 True multiplicative weights maintains a weight for every point of the domain,
 which is hopeless at 20+ attributes. The fitter here keeps weights on a
 working support instead: a deterministic uniform sample of the domain (the
-seed support) plus every point ever observed in a differential. On domains
-small enough to enumerate, the working support is the whole domain and the
-updates are exact.
+seed support), fixed for the whole run so that it depends on no record. On
+domains small enough to enumerate, the working support is the whole domain
+and the updates are exact.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import DomainSchema, WeightedDataset, merge_rows, nonzero_mass, point_keys, union_rows
+from .domain import DomainSchema, WeightedDataset, merge_rows, nonzero_mass, point_keys
 from .queries import (
     MarginalQuery,
     Workload,
@@ -25,15 +25,14 @@ from .queries import (
     compact_cells,
     query_mask,
     stride_cells,
-    stride_matrix,
 )
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_SEED_SUPPORT = 10_000
 EXPONENT_CLAMP = 50.0
-# Most entries of a whole-domain support's scoring matrix (512 KiB of float64); above it, and on
-# sampled supports, scoring takes the cover path. Both cost about the same near 190,000 entries.
+# Most entries of a support's scoring matrix (512 KiB of float64); above it, scoring takes the
+# cover path. Both cost about the same near 190,000 entries.
 DENSE_LIMIT = 2**16
 
 
@@ -63,15 +62,15 @@ class FitStats:
 
 
 class WorkingSupport:
-    """The set of domain points on which synthetic datasets carry weight.
+    """The fixed set of domain points on which synthetic datasets carry weight.
 
-    Starts as a deterministic uniform sample of the domain (the full domain if
-    it fits) and grows by union with every observed differential. Points stay
-    sorted and unique, so a weight vector aligned with ``points`` describes the
-    dataset storing its nonzero entries. They are held column-major and
-    read-only, together with their sorted int64 point keys (none when the
-    schema has no key strides). The cell index of every point is cached per
-    workload on first use and kept up to date as the support grows.
+    A deterministic uniform sample of the domain drawn from the run seed (the
+    full domain if it fits). It never changes, so no release holds a point
+    that only a record put there. Points are sorted and unique, so a weight
+    vector aligned with ``points`` describes the dataset storing its nonzero
+    entries. They are held column-major and read-only, together with their
+    sorted int64 point keys (none when the schema has no key strides). The
+    cell index of every point is cached per workload on first use.
     """
 
     def __init__(self, schema: DomainSchema, seed_size: int = DEFAULT_SEED_SUPPORT, seed: int = 0):
@@ -91,7 +90,6 @@ class WorkingSupport:
         self._points = points
         self._keys = None if schema.key_strides is None else point_keys(schema, points)[0]
         self._cells: dict[Workload, np.ndarray] = {}
-        self._strides = np.zeros((schema.num_attributes, 0), dtype=np.int64)
         self._matrices: dict[WorkloadCover, np.ndarray] = {}
 
     @property
@@ -111,18 +109,11 @@ class WorkingSupport:
             self._cells[workload] = cells
         return cells
 
-    def _cell_strides(self) -> np.ndarray:
-        """The cached workloads' ``stride_matrix``, in cache order: column g gives the g-th one's cells."""
-        if self._strides.shape[1] != len(self._cells):  # workloads are only ever added, in order
-            self._strides = stride_matrix(list(self._cells), self.schema.num_attributes)
-        return self._strides
-
     def _matrix(self, cover: WorkloadCover) -> np.ndarray | None:
         """The 0/1 matrix whose row r marks the support points in ``cover``'s flat cell r, built
-        once per cover; None unless the support is the whole domain (so it never grows and the
-        matrix never goes stale) and the matrix has at most ``DENSE_LIMIT`` entries."""
+        once per cover; None when it would have more than ``DENSE_LIMIT`` entries."""
         n = len(self._points)
-        if n != self.schema.size or len(cover.segment) * n > DENSE_LIMIT:
+        if len(cover.segment) * n > DENSE_LIMIT:
             return None
         matrix = self._matrices.get(cover)
         if matrix is None:
@@ -139,48 +130,29 @@ class WorkingSupport:
         """Every workload's values on ``weights`` as one flat vector in ``cover``'s layout. With
         ``at``, ``weights[i]`` is the weight at support position ``at[i]`` (repeats add) and every
         other position weighs 0. One product with ``_matrix(cover)`` where there is one. Otherwise,
-        with ``at``, every position's flat cell in every workload and one ``bincount`` (summed in
-        ``at`` order); without, one ``bincount`` over the support per group, then every flat cell
-        summed off its run of joint cells by one ``reduceat`` (equal up to the last bits; a
-        one-cell run is copied)."""
+        with ``at``, ``cover.values`` of the points at ``at``; without, one ``bincount`` over the
+        support per group, then every flat cell summed off its run of joint cells by one
+        ``reduceat`` (equal up to the last bits; a one-cell run is copied)."""
         matrix = self._matrix(cover)
         if matrix is not None:
             return matrix @ weights if at is None else matrix[:, at] @ weights
         if at is not None:
-            # exact in float64: every partial sum is a nonnegative integer below
-            # len(cover.segment), the length of an array, so far below 2**53
-            flat = stride_cells(self._points[at], cover.strides, len(cover.segment))
-            flat += cover.offsets
-            values = np.bincount(flat.ravel(), np.repeat(weights, len(cover.sizes)), len(cover.segment))
-            return values.astype(np.float64, copy=False)  # an empty ``at`` gives int64 zeros
+            return cover.values(self._points[at], weights)
         joints = [np.bincount(self.cells(joint), weights, joint.size) for joint in cover.joints]
         return np.add.reduceat(np.concatenate(joints).take(cover.gather), cover.starts)
 
-    def observe(self, delta: WeightedDataset) -> tuple[np.ndarray | None, np.ndarray]:
-        """Union the support with the points of an observed differential.
+    def observe(self, delta: WeightedDataset) -> tuple[np.ndarray, np.ndarray]:
+        """Look up the points of a differential on the support, which stays as it is.
 
-        Returns ``(moved, at)``: the new position of every previous support
-        point (None when the support did not grow) and the support position of
-        every point of ``delta``.
+        Returns ``(at, held)``: the support positions of the points of ``delta``
+        that the support holds, and the mask of the rows of ``delta`` they are.
         """
         if delta.schema != self.schema:
             raise ValueError("schema mismatch in observe")
-        if len(delta) == 0:
-            return None, np.empty(0, dtype=np.intp)
-        at, added, kept, points, self._keys = union_rows(self.schema, self._points, self._keys, delta.points)
-        if kept is None:
-            return None, at
-        limit = max((w.size for w in self._cells), default=1)
-        fresh_cells = stride_cells(points[added], self._cell_strides(), limit)
-        for g, (workload, old) in enumerate(self._cells.items()):
-            cells = np.empty(len(kept), dtype=old.dtype)
-            cells[kept] = old  # old points keep their order, so a mask places them
-            cells[added] = fresh_cells[:, g]
-            cells.flags.writeable = False
-            self._cells[workload] = cells
-        points.flags.writeable = False
-        self._points = points
-        return np.flatnonzero(kept), at
+        keys, delta_keys = point_keys(self.schema, self._points, delta.points, known=self._keys)
+        at = np.searchsorted(keys, delta_keys).clip(max=len(keys) - 1)
+        held = keys[at] == delta_keys
+        return at[held], held
 
     def uniform_dataset(self, mass: float) -> WeightedDataset:
         """Uniform weights over the support with the given total mass."""
@@ -192,12 +164,12 @@ class WorkingSupport:
         return WeightedDataset(self.schema, self._points, np.full(n, mass / n))
 
     def extend(self, dataset: WeightedDataset, fill: float = 1.0) -> WeightedDataset:
-        """Spread a dataset onto the full support, giving new points ``fill`` weight.
+        """The dataset's weights at the support's points, with ``fill`` where it has none.
 
-        Multiplicative updates can never revive a zero weight, so points that
-        joined the support after the dataset was formed must enter with some
-        positive weight; they get the same unit weight a fresh initialization
-        would give them.
+        Multiplicative updates can never revive a zero weight, so support
+        points the dataset lacks (such as those whose weights underflowed)
+        re-enter with the unit weight a fresh initialization gives them. Points
+        of the dataset off the support are dropped.
         """
         if dataset.schema != self.schema:
             raise ValueError("schema mismatch in extend")

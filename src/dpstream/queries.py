@@ -9,7 +9,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .domain import KEY_LIMIT, DomainSchema, WeightedDataset
+from .domain import KEY_LIMIT, DomainSchema, WeightedDataset, checked_int
+
+
+def _checked_indices(values: Sequence[object], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ``int``, each checked by ``checked_int`` to be an integer >= 0."""
+    return tuple(checked_int(v, 0, f"{what} must be an integer >= 0") for v in values)
 
 
 @dataclass(frozen=True)
@@ -20,8 +25,8 @@ class MarginalQuery:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", tuple(int(c) for c in self.columns))
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "columns", _checked_indices(self.columns, "query column"))
+        object.__setattr__(self, "values", _checked_indices(self.values, "query value"))
         if len(self.columns) < 1:
             raise ValueError("query needs at least one column")
         if len(self.columns) != len(self.values):
@@ -66,7 +71,7 @@ class Workload:
     columns: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", tuple(int(c) for c in self.columns))
+        object.__setattr__(self, "columns", _checked_indices(self.columns, "workload column"))
         if len(self.columns) < 1:
             raise ValueError("workload needs at least one column")
         if any(b <= a for a, b in zip(self.columns, self.columns[1:])):
@@ -193,6 +198,17 @@ class WorkloadCover:
     gather: np.ndarray
     starts: np.ndarray
     strides: np.ndarray
+
+    def values(self, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Every workload's values on the in-range int64 rows ``points`` weighted by ``weights``
+        (repeats add), as one flat vector in this layout: every row's flat cell in every workload
+        and one ``bincount``, summed in row order."""
+        # exact in float64: every partial sum is a nonnegative integer below
+        # len(self.segment), the length of an array, so far below 2**53
+        flat = stride_cells(points, self.strides, len(self.segment))
+        flat += self.offsets
+        values = np.bincount(flat.ravel(), np.repeat(weights, len(self.sizes)), len(self.segment))
+        return values.astype(np.float64, copy=False)  # no rows give int64 zeros
 
 
 def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> WorkloadCover:

@@ -25,8 +25,9 @@ from dpstream import (
     exponential_mechanism,
     make_synthesizer,
     mw_fit,
+    stream_difference_norm,
 )
-from dpstream import algorithms
+from dpstream import algorithms, surrogate
 from dpstream.counters import KINDS
 from dpstream.queries import compact_cells
 
@@ -367,6 +368,9 @@ def reference_releases(algorithm, config, deltas):
 
     This is the step loop before the synthetic state became a weight vector
     over the support; every release of the synthesizers must match it bit for bit.
+    The support never changes: rows of a differential off it count in selection's
+    reference and in measurements, and ``main``'s target is the mass of the part of
+    the surrogate on the support plus that of those rows.
     """
     Q = config.workloads
     root = NoiseSource(config.seed, mode=config.noise_mode)
@@ -376,15 +380,17 @@ def reference_releases(algorithm, config, deltas):
     g = support.uniform_dataset(len(support))
     counters, remainders = {}, {}
     releases = []
+    on_support = {tuple(p) for p in support.points.tolist()}
     for t, delta in enumerate(deltas, start=1):
-        support.observe(delta)
         if algorithm == "baseline":
             target = delta.total_mass()
             h = support.uniform_dataset(target) if target else None
             reference = [eval_workload(w, delta) for w in Q]
         else:
             surrogate = accumulate(delta, g)
-            target = surrogate.total_mass()
+            off = np.array([tuple(p) not in on_support for p in delta.points.tolist()], dtype=bool)
+            off_mass = WeightedDataset(delta.schema, delta.points[off], delta.weights[off]).total_mass()
+            target = support.extend(surrogate, fill=0.0).total_mass() + off_mass
             h = support.extend(g)
             reference = [eval_workload(w, surrogate) for w in Q]
         if target == 0:
@@ -434,7 +440,7 @@ class TestWeightVectorState:
     SCHEMA = DomainSchema((("a", 3), ("b", 4), ("c", 5), ("d", 3), ("e", 2)))
 
     def _assert_matches_reference(self, algorithm, **counter):
-        # seeded Laplace noise and a 40-point seed support that every step grows
+        # seeded Laplace noise and a 40-point seed support that most rows miss
         Q = enumerate_workloads(self.SCHEMA, 2)
         deltas = random_deltas(self.SCHEMA, 8, seed=17, max_rows=25)
         deltas.insert(3, WeightedDataset.empty(self.SCHEMA))
@@ -443,13 +449,16 @@ class TestWeightVectorState:
             **counter,
         )
         synth = make_synthesizer(algorithm, config)
-        sizes = []
+        points, before = synth.support.points, synth.support.points.copy()
+        missed = 0
         for delta, want in zip(deltas, reference_releases(algorithm, config, deltas)):
+            missed += int((~synth.support.observe(delta)[1]).sum())
             got = synth.step(delta)
-            sizes.append(len(synth.support))
             assert np.array_equal(got.points, want.points)
             assert got.weights.tobytes() == want.weights.tobytes()
-        assert len(set(sizes)) > len(deltas) // 2  # the support grew at most steps
+            # the support never changed
+            assert synth.support.points is points and np.array_equal(points, before)
+        assert missed > len(deltas)  # rows off the support took part at most steps
 
     @pytest.mark.parametrize("algorithm", ["baseline", "main"])
     def test_releases_match_dataset_reference_bit_for_bit(self, algorithm):
@@ -510,17 +519,20 @@ class TestCoverScoring:
 
     def _first_round(self, synth, delta):
         """Step ``synth`` on ``delta``; return the reference, fit and difference scoring ``_round``
-        started from, and the exact change vector: delta's weights at its points, -1 at the zeros."""
+        started from, the exact change vector (delta's weights at its points on the support, -1 at
+        the zeros) and the direct scoring of delta's rows off the support."""
         seen = []
         run = synth._round
 
-        def recording(delta, reference, h, difference, target):
-            _, at = synth.support.observe(delta)  # every point is on the support by now: no growth
+        def recording(delta, reference, h, off, difference, target):
+            at, held = synth.support.observe(delta)
             change = np.zeros(len(h))
-            np.add.at(change, at, delta.weights)
+            np.add.at(change, at, delta.weights[held])
             change[synth._weights == 0] -= 1.0  # the previous release's zero entries
-            seen.append((reference.copy(), h.copy(), difference.copy(), change))
-            return run(delta, reference, h, difference, target)
+            missed = WeightedDataset(delta.schema, delta.points[~held], delta.weights[~held])
+            direct = np.concatenate([eval_workload(w, missed) for w in synth.workloads])
+            seen.append((reference.copy(), h.copy(), difference.copy(), change, direct))
+            return run(delta, reference, h, off, difference, target)
 
         synth._round = recording
         synth.step(delta)
@@ -530,20 +542,26 @@ class TestCoverScoring:
     def test_round_one_from_surrogate_matches_direct_scoring(self):
         synth = self._synth("main")
         cover, support = synth._cover, synth.support
+        points = support.points
         deltas = random_deltas(self.SCHEMA, 6, seed=21, max_rows=60)
         for t, delta in enumerate(deltas, start=1):
-            before = len(support)
             if t == 4:
                 synth._weights[::7] = 0.0  # as if these weights had underflowed
                 assert (synth._weights == 0).sum() > len(support) // 8
-            reference, h, difference, change = self._first_round(synth, delta)
-            if t == 2:  # every point of this differential is new to the support
-                assert len(support) == before + len(delta)
+            if t == 5:  # some rows of this differential lie on the support
+                held = points[:: len(points) // 30]
+                delta = accumulate(delta, WeightedDataset(self.SCHEMA, held, np.ones(len(held))))
+            reference, h, difference, change, direct = self._first_round(synth, delta)
+            assert support.points is points  # the support never grows
+            # each workload counts every row off the support once
+            off_mass = direct.sum() / len(synth.workloads)
+            assert 0 < off_mass < delta.total_mass() if t == 5 else off_mass == delta.total_mass()
             np.testing.assert_allclose(reference - h, change, rtol=0, atol=1e-12 * reference.max())
-            # integer entries: the full cover scoring of the change gives the same bits
-            assert difference.tobytes() == support.evaluate_many(cover, change).tobytes()
+            # integer entries: the full cover scoring of the change, plus the direct scoring of the
+            # rows off the support, gives the same bits
+            assert difference.tobytes() == (support.evaluate_many(cover, change) + direct).tobytes()
             # scoring is linear: the surrogate's values less the fit's, up to rounding
-            values = support.evaluate_many(cover, reference)
+            values = support.evaluate_many(cover, reference) + direct
             np.testing.assert_allclose(
                 difference, values - support.evaluate_many(cover, h), rtol=1e-12, atol=1e-12 * values.max()
             )
@@ -570,3 +588,30 @@ class TestCoverScoring:
             for j, got in zip(measured, cells):
                 want = compact_cells(synth.workloads[j], points)
                 assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+class TestSupportEvent:
+    """The support event of a neighbour pair: a record at a point off the seed support."""
+
+    def test_record_off_the_seed_support_is_never_released(self):
+        # the census13 schema, 5 steps of 200 surrogate rows; the neighbour adds one record at t=3
+        schema = DomainSchema(tuple((name, len(values)) for name, values in surrogate.SCHEMA))
+        index = [{v: i for i, v in enumerate(values)} for _, values in surrogate.SCHEMA]
+        rows = [tuple(map(dict.__getitem__, index, row)) for row in surrogate.generate_rows(1_000, seed=7)]
+        record = tuple(c - 1 for c in schema.cardinalities)
+        assert record not in rows
+        base = [WeightedDataset.from_rows(schema, rows[i : i + 200]) for i in range(0, 1_000, 200)]
+        neighbour = base[:2] + [accumulate(base[2], WeightedDataset.from_rows(schema, [record]))] + base[3:]
+        pair = DatasetStream(schema, base), DatasetStream(schema, neighbour)
+        assert stream_difference_norm(*pair) == 1.0
+        workloads = enumerate_workloads(schema, 2)
+        for seed in range(5):
+            for algorithm in ("baseline", "main"):
+                config = RunConfig(epsilon=Fraction(1, 2), k=3, workloads=workloads, seed=seed)
+                synth = make_synthesizer(algorithm, config)
+                points, size = synth.support.points, len(synth.support)
+                assert not (points == record).all(axis=1).any()  # off the seed support
+                for t, delta in enumerate(neighbour, start=1):
+                    released = synth.step(delta)
+                    assert not (released.points == record).all(axis=1).any(), (seed, algorithm, t)
+                    assert synth.support.points is points and len(synth.support) == size

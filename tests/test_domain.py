@@ -63,6 +63,21 @@ class TestSchema:
         with pytest.raises(ValueError):
             DomainSchema(())
 
+    @pytest.mark.parametrize("name", [None, "", 1.5, 3, b"a"])
+    def test_rejects_a_name_that_is_not_a_nonempty_string(self, name):
+        with pytest.raises(ValueError, match=f"attribute 1 name must be a nonempty string, got {name!r}"):
+            DomainSchema((("a", 2), (name, 3)))
+
+    @pytest.mark.parametrize("card", [True, 2.7, 2.0, "3", None, -1])
+    def test_rejects_a_cardinality_that_is_not_a_positive_integer(self, card):
+        with pytest.raises(ValueError, match="'b' cardinality must be an integer >= 1"):
+            DomainSchema((("a", 2), ("b", card)))
+
+    def test_numpy_integer_cardinality_becomes_int(self):
+        schema = DomainSchema((("a", np.int64(3)), ("b", np.uint8(2))))
+        assert schema.attributes == (("a", 3), ("b", 2))
+        assert all(type(c) is int for c in schema.cardinalities)
+
     def test_key_strides_last_attribute_fastest(self):
         assert SCHEMA_234.key_strides == (12, 4, 1)
         assert DomainSchema((("a", 5),)).key_strides == (1,)

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -78,6 +79,16 @@ class TestMarginalQuery:
         with pytest.raises(ValueError, match="length"):
             MarginalQuery((0, 1), (0,))
 
+    @pytest.mark.parametrize("bad", [True, 1.7, 1.0, "1", None, -1])
+    def test_columns_and_values_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="query column must be an integer >= 0"):
+            MarginalQuery((bad,), (1,))
+        with pytest.raises(ValueError, match="query value must be an integer >= 0"):
+            MarginalQuery((1,), (bad,))
+        query = MarginalQuery((np.int64(0), 2), (np.uint8(1), 0))
+        assert (query.columns, query.values) == ((0, 2), (1, 0))
+        assert all(type(v) is int for v in query.columns + query.values)
+
     def test_empty_dataset_gives_zero(self):
         q = MarginalQuery((0,), (1,))
         assert eval_query(q, WeightedDataset.empty(SCHEMA)) == 0.0
@@ -106,6 +117,13 @@ class TestMarginalQuery:
 
 
 class TestWorkload:
+    @pytest.mark.parametrize("bad", [0.9, 1.2, True, "1", None, -1])
+    def test_columns_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="workload column must be an integer >= 0"):
+            Workload(SCHEMA_243, (0, bad))
+        workload = Workload(SCHEMA_243, (np.int64(0), np.int32(2)))
+        assert workload.columns == (0, 2) and all(type(c) is int for c in workload.columns)
+
     def test_size_is_product_of_cardinalities(self):
         w = Workload(SCHEMA_243, (1, 2))
         assert w.size == 12
@@ -255,20 +273,22 @@ class TestCoverWorkloads:
 
         seed = data.draw(st.integers(0, 99))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        # seed size 60 enumerates domains of up to 60 points (the dense path); a seed
-        # size below the domain size always samples (the cover path)
+        # seed size 60 enumerates domains of up to 60 points; a seed size below the
+        # domain size always samples. Each is scored on the dense path where its matrix
+        # fits DENSE_LIMIT, and on the cover path with a limit of 0
         supports = [WorkingSupport(schema, seed_size=60, seed=seed)]
         if schema.size > 1:
             supports.append(WorkingSupport(schema, seed_size=min(60, schema.size - 1), seed=seed))
-        for support in supports:
+        for support, limit in itertools.product(supports, (fitters.DENSE_LIMIT, 0)):
             weights = rng.random(len(support)) * (rng.random(len(support)) < 0.8)
-            values = support.evaluate_many(cover, weights)
+            with mock.patch.object(fitters, "DENSE_LIMIT", limit):
+                values = support.evaluate_many(cover, weights)
             dataset = WeightedDataset(schema, support.points, weights)
             assert values.dtype == np.float64 and values.shape == (sum(sizes),)
             for i, workload in enumerate(workloads):
                 got = part(cover, values, i)
                 np.testing.assert_allclose(got, eval_workload(workload, dataset), rtol=1e-12, atol=0)
-            if len(support) == schema.size:
+            if limit:
                 continue
             # on the cover path a member equal to its joint is the joint's own bincount
             for i, g in enumerate(homes):
@@ -323,14 +343,16 @@ class TestCoverWorkloads:
 
     @staticmethod
     def _check_direct_route(support, cover, at, rng):
-        """The ``at`` route against the full path on a vector holding the same entries."""
-        assert len(support) < support.schema.size  # sampled: the cover path
+        """The ``at`` route against the full path on a vector holding the same entries, both on
+        the cover path (a ``DENSE_LIMIT`` of 0), on a sampled support."""
+        assert len(support) < support.schema.size
         counts = rng.integers(-3, 20, size=len(at)).astype(np.float64)  # -1 as at main's zeros
         floats = rng.random(len(at)) + 0.1
         for weights in (counts, floats):
             dense = np.zeros(len(support))
             np.add.at(dense, at, weights)  # repeated positions add
-            got, want = support.evaluate_many(cover, weights, at), support.evaluate_many(cover, dense)
+            with mock.patch.object(fitters, "DENSE_LIMIT", 0):
+                got, want = support.evaluate_many(cover, weights, at), support.evaluate_many(cover, dense)
             assert got.dtype == np.float64 and got.shape == want.shape == (len(cover.segment),)
             if weights is counts:  # integer sums are exact in any order
                 assert got.tobytes() == want.tobytes()
@@ -374,14 +396,15 @@ class TestCoverWorkloads:
         assert len(starts) == len(cover.segment) and starts[0] == 0
         assert (np.diff(starts) >= 1).all() and starts[-1] < len(gather)
         assert len(gather) == sum(cover.joints[g].size for g in joint_runs(cover)[0])
-        # a seed size below the domain size samples, so scoring takes the cover path
+        # a seed size below the domain size samples; a DENSE_LIMIT of 0 takes the cover path
         support = WorkingSupport(schema, seed_size=min(60, schema.size - 1), seed=data.draw(st.integers(0, 99)))
         assert len(support) < schema.size
         at = np.array(data.draw(st.lists(st.integers(0, len(support) - 1), max_size=30)), dtype=np.intp)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         floats = rng.random(len(at)) + 0.1
         counts = rng.integers(1, 20, size=len(at)).astype(np.float64)
-        got_floats, got_counts = (support.evaluate_many(cover, w, at) for w in (floats, counts))
+        with mock.patch.object(fitters, "DENSE_LIMIT", 0):
+            got_floats, got_counts = (support.evaluate_many(cover, w, at) for w in (floats, counts))
         assert support._matrices == {}
         if len(at) == 0:
             for got in (got_floats, got_counts):
@@ -398,7 +421,7 @@ class TestCoverWorkloads:
 
 
 class TestDenseScoring:
-    """On a whole-domain support with a small matrix, scoring is one matrix product."""
+    """On a support whose matrix fits ``DENSE_LIMIT``, scoring is one matrix product."""
 
     @settings(max_examples=60, deadline=None)
     # at most 256 points and 128 cells: always within DENSE_LIMIT
@@ -455,7 +478,7 @@ class TestDenseScoring:
         support.evaluate_many(other, weights)
         assert len(support._matrices) == 2 and support._matrices[cover] is matrix
 
-    def test_no_matrix_on_sampled_support_or_above_limit(self, monkeypatch):
+    def test_matrix_only_within_the_limit_on_any_support(self, monkeypatch):
         schema = DomainSchema(tuple((f"x{i}", 4) for i in range(5)))  # 1,024 points
         workloads = list(enumerate_workloads(schema, 2))  # 160 cells
         cover = cover_workloads(workloads, 128)
@@ -464,6 +487,7 @@ class TestDenseScoring:
         rng = np.random.default_rng(3)
         sampled = WorkingSupport(schema, seed_size=schema.size - 1, seed=0)
         whole = WorkingSupport(schema, seed_size=schema.size, seed=0)
+        assert len(cover.segment) * len(sampled) > fitters.DENSE_LIMIT
         for support in (sampled, whole):
             weights = rng.random(len(support))
             values = support.evaluate_many(cover, weights)
@@ -471,10 +495,13 @@ class TestDenseScoring:
             dataset = WeightedDataset(schema, support.points, weights)
             for i, workload in enumerate(workloads):
                 np.testing.assert_allclose(part(cover, values, i), eval_workload(workload, dataset), rtol=1e-12)
-        # the limit is inclusive
-        monkeypatch.setattr(fitters, "DENSE_LIMIT", entries)
+        # the limit is inclusive, and a sampled support within it gets a matrix too
+        monkeypatch.setattr(fitters, "DENSE_LIMIT", entries - 1)
+        whole.evaluate_many(cover, np.ones(len(whole)))
+        assert whole._matrices == {}
         sampled.evaluate_many(cover, np.ones(len(sampled)))
-        assert sampled._matrices == {}
+        assert cover in sampled._matrices
+        monkeypatch.setattr(fitters, "DENSE_LIMIT", entries)
         whole.evaluate_many(cover, np.ones(len(whole)))
         assert cover in whole._matrices
 

@@ -143,3 +143,29 @@ class TestReport:
             "B b: median step 2.000 ms, median accumulate 0.100 ms, median evaluate_step 4.000 ms",
             "B against A: step +0.0%, accumulate -66.7%, evaluate_step -20.0%",
         ]
+
+
+identity = load_tool("identity")
+
+
+class TestTally:
+    def test_one_line_per_grid_and_noise_counting_missing_files_as_differing(self):
+        names = [
+            "low5-zero-main-simple/eps=0.5/seed=0/metrics.csv",
+            "low5-zero-baseline-simple/eps=0.5/seed=0/metrics.csv",
+            "low5-laplace-main-simple/eps=2/seed=1/summary.json",
+            "census13-laplace-main-binary_tree/eps=2/seed=1/meta.json",
+            "census13-laplace-main-simple-passes2/eps=2/seed=1/meta.json",
+        ]
+        a = {name: f"{i:064x}  {name}" for i, name in enumerate(names)}
+        b = dict(a)
+        b[names[1]] = f"{99:064x}  {names[1]}"  # a differing digest
+        del b[names[3]]  # a file only one checkout wrote
+        b["census13-zero-main-simple/eps=0.5/seed=0/metrics.csv"] = "new"
+        assert identity.tally(a, b) == [
+            "census13 zero: 0 of 1 identical",
+            "census13 laplace: 1 of 2 identical",
+            "low5 zero: 1 of 2 identical",
+            "low5 laplace: 1 of 1 identical",
+        ]
+        assert identity.tally(a, a)[2:] == ["low5 zero: 2 of 2 identical", "low5 laplace: 1 of 1 identical"]

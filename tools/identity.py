@@ -10,8 +10,9 @@ parent checkout and the changed one and compare the output:
 With two checkouts, each runs in its own process and writes its grids into
 its own directory under one temporary directory. The script then prints
 both digest lines of every file whose digests differ, marked A or B for the
-checkout they came from, then one `<noise>: N of M identical` tally per noise
-mode and the total; it exits 1 if any differ or a run fails. Under a
+checkout they came from, then one `<grid> <noise>: N of M identical` tally per
+grid and noise mode (such as `low5 zero: 72 of 72 identical`) and the total;
+it exits 1 if any differ or a run fails. Under a
 differing `metrics.csv` it also prints the largest relative difference
 between the two files' values and the first step `t` where a value differs
 by more than 1e-9 relative.
@@ -106,6 +107,20 @@ def metrics_difference(a: Path, b: Path) -> str:
     return f"largest relative difference {largest:.3g}; {above}"
 
 
+def tally(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """One ``<grid> <noise>: N of M identical`` line per grid and noise mode, in run order, from
+    each checkout's digest line by file name (``<grid>-<noise>-...``); a file that one checkout
+    lacks counts as differing."""
+    files = list(dict.fromkeys([*a, *b]))
+    lines = []
+    for grid in GRIDS:
+        for noise in NOISES:
+            names = [name for name in files if name.startswith(f"{grid}-{noise}-")]
+            same = sum(a.get(name) == b.get(name) for name in names)
+            lines.append(f"{grid} {noise}: {same} of {len(names)} identical")
+    return lines
+
+
 def compare(a: Path, b: Path) -> int:
     """Run the grids on two checkouts in separate processes and print the lines that differ."""
     with tempfile.TemporaryDirectory(prefix="dpstream-identity-") as tmp:
@@ -133,10 +148,8 @@ def compare(a: Path, b: Path) -> int:
                     print(f"{mark} {line if line is not None else '(missing)  ' + name}")
                 if name.endswith("metrics.csv") and None not in pair:
                     print(f"  {metrics_difference(*(work / 'out' / name for work in works))}")
-    for noise in NOISES:  # file names start "<grid>-<noise>-"
-        names = [name for name in files if name.split("-")[1] == noise]
-        same = sum(by_file[0].get(name) == by_file[1].get(name) for name in names)
-        print(f"{noise}: {same} of {len(names)} identical", file=sys.stderr)
+    for line in tally(*by_file):
+        print(line, file=sys.stderr)
     print(
         f"{len(files) - differing} of {len(files)} digests identical (A = {a}, B = {b})",
         file=sys.stderr,
