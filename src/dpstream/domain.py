@@ -217,8 +217,11 @@ class WeightedDataset:
     share across threads, so values derived from the contents alone are computed
     once and kept in ``memo``: ``eval_workload`` keys its vectors by workload,
     ``total_mass`` its sum by ``"total_mass"``, ``accumulate`` the point keys of
-    its sums by ``"keys"``. A stored value is never None and never written to: a
-    read-only array or an immutable value.
+    its sums by ``"keys"``, and a synthesizer gives a release that holds every
+    point of its working support that support's ``cells`` lookup under
+    ``"cells"``, from which ``eval_workload`` takes the cells it sums. A stored
+    value is never None and never written to: a read-only array, an immutable
+    value or that lookup, whose cells are read-only.
     """
 
     __slots__ = ("schema", "_points", "_weights", "memo")

@@ -69,8 +69,10 @@ class WorkingSupport:
     that only a record put there. Points are sorted and unique, so a weight
     vector aligned with ``points`` describes the dataset storing its nonzero
     entries. They are held column-major and read-only, together with their
-    sorted int64 point keys (none when the schema has no key strides). The
-    cell index of every point is cached per workload on first use.
+    sorted int64 point keys; when the schema has no key strides, with a
+    structured view of their rows instead, on which ``observe`` binary-searches
+    a differential's rows. The cell index of every point is cached per
+    workload on first use.
     """
 
     def __init__(self, schema: DomainSchema, seed_size: int = DEFAULT_SEED_SUPPORT, seed: int = 0):
@@ -89,6 +91,8 @@ class WorkingSupport:
         points.flags.writeable = False
         self._points = points
         self._keys = None if schema.key_strides is None else point_keys(schema, points)[0]
+        # without int64 keys, a lookup binary-searches whole rows, in the order they are sorted in
+        self._rows = _row_view(points) if self._keys is None else None
         self._cells: dict[Workload, np.ndarray] = {}
         self._matrices: dict[WorkloadCover, np.ndarray] = {}
 
@@ -149,7 +153,10 @@ class WorkingSupport:
         """
         if delta.schema != self.schema:
             raise ValueError("schema mismatch in observe")
-        keys, delta_keys = point_keys(self.schema, self._points, delta.points, known=self._keys)
+        if self._keys is None:
+            keys, delta_keys = self._rows, _row_view(delta.points)
+        else:
+            keys, delta_keys = point_keys(self.schema, self._points, delta.points, known=self._keys)
         at = np.searchsorted(keys, delta_keys).clip(max=len(keys) - 1)
         held = keys[at] == delta_keys
         return at[held], held
@@ -180,6 +187,14 @@ class WorkingSupport:
             found = keys[at] == support_keys
             weights[found] = dataset.weights[at[found]]
         return WeightedDataset(self.schema, self._points, weights)
+
+
+def _row_view(points: np.ndarray) -> np.ndarray:
+    """The rows of an int64 ``(n, p)`` array as a 1-D C-contiguous structured array of p int64
+    fields: sorting, ``np.searchsorted`` and ``==`` on it compare rows field by field, so its
+    order is lexicographic row order."""
+    fields = np.dtype([(f"f{i}", np.int64) for i in range(points.shape[1])])
+    return np.ascontiguousarray(points).view(fields).reshape(-1)
 
 
 def _rescaled(weights: np.ndarray, target_mass: float) -> np.ndarray:

@@ -122,6 +122,21 @@ class BudgetEntry:
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", _quotient(self.numerator, self.divisor))
 
+    @classmethod
+    def _of(
+        cls, label: str, numerator: Fraction, divisor: int, group: str | None, category: str,
+        epsilon: Fraction,
+    ) -> "BudgetEntry":
+        """The entry of these fields, ``epsilon`` being ``numerator / divisor``; nothing is checked."""
+        entry, put = object.__new__(cls), object.__setattr__
+        put(entry, "label", label)
+        put(entry, "numerator", numerator)
+        put(entry, "divisor", divisor)
+        put(entry, "group", group)
+        put(entry, "category", category)
+        put(entry, "epsilon", epsilon)
+        return entry
+
 
 @functools.lru_cache(maxsize=64)
 def _quotient(numerator: Fraction, divisor: int) -> Fraction:
@@ -141,7 +156,8 @@ class BudgetLedger:
 
     Only ``spend`` adds entries. Running totals are integers in units of 1/D,
     D the lcm of the denominators seen so far, so the overspend check compares
-    integers.
+    integers. The last share's epsilon and units are kept, so a spend that
+    passes the same numerator object and divisor again derives neither.
     """
 
     total_epsilon: Fraction
@@ -152,25 +168,24 @@ class BudgetLedger:
         if self.total_epsilon <= 0:
             raise ValueError("total epsilon must be positive")
         # Running totals over entries in units of 1/_denominator; dict order is first-spend order.
-        # _units holds each epsilon seen in those units.
         self._group_totals: dict[str | None, int] = {}
         self._category_totals: dict[tuple[str | None, str], int] = {}
-        self._units: dict[Fraction, int] = {}
         self._denominator, self._limit = self.total_epsilon.denominator, self.total_epsilon.numerator
+        # The last share derived: (numerator as passed, divisor, numerator as a Fraction, epsilon,
+        # units). Only deriving a share refines the unit, and that share then replaces it, so its
+        # units are always in the current unit.
+        self._share: tuple[object, int, Fraction, Fraction, int] | None = None
 
     def _units_of(self, epsilon: Fraction) -> int:
         """``epsilon * _denominator``, first refining the denominator (and every total) to make it whole."""
-        units = self._units.get(epsilon)
-        if units is None:
-            scale = epsilon.denominator // math.gcd(self._denominator, epsilon.denominator)
-            if scale > 1:
-                self._denominator *= scale
-                self._limit *= scale
-                for totals in (self._units, self._group_totals, self._category_totals):
-                    for key in totals:
-                        totals[key] *= scale
-            units = self._units[epsilon] = epsilon.numerator * (self._denominator // epsilon.denominator)
-        return units
+        scale = epsilon.denominator // math.gcd(self._denominator, epsilon.denominator)
+        if scale > 1:
+            self._denominator *= scale
+            self._limit *= scale
+            for totals in (self._group_totals, self._category_totals):
+                for key in totals:
+                    totals[key] *= scale
+        return epsilon.numerator * (self._denominator // epsilon.denominator)
 
     def spend(
         self,
@@ -181,12 +196,19 @@ class BudgetLedger:
         group: str | None = None,
         category: str = "",
     ) -> BudgetEntry:
-        num = numerator if isinstance(numerator, Fraction) else Fraction(str(numerator))
-        divisor = int(divisor)
-        if num <= 0 or divisor < 1:
-            raise ValueError("spend must be positive")
-        entry = BudgetEntry(label, num, divisor, group, category)
-        units = self._units_of(entry.epsilon)
+        share = self._share
+        if share is not None and numerator is share[0] and divisor == share[1]:
+            _, divisor, num, epsilon, units = share
+        else:
+            num = numerator if isinstance(numerator, Fraction) else Fraction(str(numerator))
+            divisor = int(divisor)
+            if num <= 0 or divisor < 1:
+                raise ValueError("spend must be positive")
+            epsilon = _quotient(num, divisor)
+            units = self._units_of(epsilon)
+            # kept with the object passed: a number or string, so the same object is the same value
+            self._share = numerator, divisor, num, epsilon, units
+        entry = BudgetEntry._of(label, num, divisor, group, category, epsilon)
         total = self._group_totals.get(group, 0) + units
         if total > self._limit:
             raise BudgetOverspendError(

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from dpstream import (
 )
 from dpstream import algorithms, surrogate
 from dpstream.counters import KINDS
-from dpstream.queries import compact_cells
+from dpstream.queries import cell_values, compact_cells
 
 SCHEMA_2X2 = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_234 = DomainSchema((("a", 2), ("b", 3), ("c", 4)))
@@ -506,6 +507,47 @@ class TestWeightVectorState:
         assert inits[0][victim] == 1.0
         assert inits[0].tobytes() == synth.support.extend(g1).weights.tobytes()
         assert g2.as_mapping()[point] > 0
+
+
+class TestReleaseCells:
+    """A release on the whole support evaluates on the support's cached cells."""
+
+    @staticmethod
+    def _check(synth, g):
+        whole = g.points is synth.support.points
+        assert whole == (len(g) == len(synth.support))
+        assert ("cells" in g.memo) == whole
+        want = [cell_values(w.point_cells(g.points), g.weights, w.size).tobytes() for w in synth.workloads]
+        assert [eval_workload(w, g).tobytes() for w in synth.workloads] == want
+        copy = pickle.loads(pickle.dumps(g))
+        assert "cells" not in copy.memo  # the lookup stays with the support it came from
+        assert [eval_workload(w, copy).tobytes() for w in synth.workloads] == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(1, 5), min_size=2, max_size=5),
+        st.sampled_from(["baseline", "main"]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_release_evaluates_as_its_own_points_bit_for_bit(self, cards, algorithm, sampled, seed):
+        # cardinality-1 attributes included; a sampled support holds at most half the domain
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        seed_size = max(1, schema.size // 2) if sampled else schema.size
+        config = RunConfig(
+            epsilon=Fraction(1), k=1, workloads=enumerate_workloads(schema, 2), seed_support_size=seed_size,
+            seed=seed % 5,
+        )
+        synth = make_synthesizer(algorithm, config)
+        assert (len(synth.support) < schema.size) == (seed_size < schema.size)
+        self._check(synth, synth.g)
+        for delta in random_deltas(schema, 4, seed=seed, max_rows=12):
+            self._check(synth, synth.step(delta))
+        weights = synth._weights.copy()
+        weights[seed % len(weights)] = 0.0  # as if the weight had underflowed
+        g = synth._release(weights)
+        assert len(g) == len(synth.support) - 1 and "cells" not in g.memo
+        self._check(synth, g)
 
 
 class TestCoverScoring:

@@ -19,6 +19,7 @@ from dpstream import (
     mw_fit,
     mw_update,
 )
+from dpstream.domain import point_keys
 from dpstream.fitters import FitStats, mw_weights
 
 SCHEMA = DomainSchema((("a", 2), ("b", 2)))
@@ -410,6 +411,41 @@ class TestWorkingSupport:
             assert support.points is points and not points.flags.writeable
             assert np.array_equal(points, before) and support._keys is keys
             assert all(support.cells(w) is cells for w, cells in zip(workloads, cached))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.just(SCHEMA_HUGE),
+            # no int64 keys; coordinates up to 2**40 and cardinality-1 attributes included
+            st.lists(st.integers(1, 2**40), min_size=2, max_size=8)
+            .filter(lambda cards: math.prod(cards) >= 2**63)
+            .map(lambda cards: DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))),
+        ),
+        st.integers(1, 300),
+        st.lists(st.integers(0, 40), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_keyless_observe_matches_the_joint_rank_route(self, schema, seed_size, sizes, seed):
+        # the route before the support kept its sorted rows: rank the support and the differential
+        # together (point_keys, a row-wise np.unique), then binary-search the support's ranks
+        support = WorkingSupport(schema, seed_size=seed_size, seed=seed % 7)
+        assert schema.key_strides is None and support._keys is None
+        rng = np.random.default_rng(seed)
+        cards = np.array(schema.cardinalities)
+        for n in sizes:  # support rows, their neighbours in one coordinate, and random rows
+            near = support.points[rng.integers(0, len(support), size=n)]
+            column = rng.integers(0, len(cards), size=n)
+            near[np.arange(n), column] = (near[np.arange(n), column] + 1) % cards[column]
+            rows = np.concatenate(
+                [support.points[rng.integers(0, len(support), size=n)], near, random_rows(schema, n, rng)]
+            )
+            delta = WeightedDataset(schema, rows, np.ones(len(rows)))
+            keys, delta_keys = point_keys(schema, support.points, delta.points)
+            want = np.searchsorted(keys, delta_keys).clip(max=len(keys) - 1)
+            want_held = keys[want] == delta_keys
+            at, held = support.observe(delta)
+            assert np.array_equal(held, want_held) and np.array_equal(at, want[want_held])
+            assert held.sum() >= len(np.unique(rows[:n], axis=0))  # every support row is found
 
     def test_unit_and_uniform_datasets(self):
         support = WorkingSupport(SCHEMA, seed_size=100, seed=0)

@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -371,6 +372,50 @@ class TestBudgetLedger:
             ledger.spend("over", Fraction(1, 10**30), group="t=1")
         ledger.spend("float", 0.1, group="t=2")
         assert ledger.group_total("t=2") == Fraction(1, 10)
+
+    def test_a_repeated_share_matches_fresh_fractions(self):
+        # share A, A again (reused), B whose denominator refines the unit, then A twice: once
+        # derived again at the new unit and once reused; the other ledger gets a new Fraction
+        # every spend, so it derives every share
+        a, b = Fraction(2, 3), Fraction(1, 5)
+        spends = [
+            ("a0", a, 4, "t=1", "selection"),
+            ("a1", a, 4, "t=1", "counter"),
+            ("b0", b, 7, "t=1", "selection"),
+            ("a2", a, 4, "t=1", "selection"),
+            ("a3", a, 4, "t=2", "counter"),
+            ("a4", a, 8, "t=2", "selection"),  # the same numerator at another divisor
+        ]
+        reused, fresh = BudgetLedger(Fraction(3, 2)), BudgetLedger(Fraction(3, 2))
+        with mock.patch.object(reused, "_units_of", wraps=reused._units_of) as units_of:
+            for label, numerator, divisor, group, category in spends:
+                reused.spend(label, numerator, divisor, group=group, category=category)
+                copy = Fraction(numerator.numerator, numerator.denominator)
+                fresh.spend(label, copy, divisor, group=group, category=category)
+        assert units_of.call_count == 4  # a0, b0, a2 and a4 derive their share
+        assert reused.entries == fresh.entries
+        sixth, share_b = Fraction(1, 6), Fraction(1, 35)
+        assert [e.epsilon for e in reused.entries] == [sixth, sixth, share_b, sixth, sixth, sixth / 2]
+        for group in ("t=1", "t=2"):
+            assert reused.group_total(group) == fresh.group_total(group)
+            for category in ("selection", "counter"):
+                assert reused.category_total(group, category) == fresh.category_total(group, category)
+        assert reused.group_total("t=1") == Fraction(1, 2) + Fraction(1, 35)
+
+    def test_overspend_through_a_reused_share_is_rejected(self):
+        ledger = BudgetLedger(Fraction(1, 2))
+        share = Fraction(1, 2)
+        with mock.patch.object(ledger, "_units_of", wraps=ledger._units_of) as units_of:
+            for _ in range(3):
+                ledger.spend("share", share, 3, group="t=1", category="selection")
+            assert ledger.group_total("t=1") == Fraction(1, 2)
+            with pytest.raises(BudgetOverspendError):
+                ledger.spend("over", share, 3, group="t=1", category="selection")
+        assert units_of.call_count == 1  # derived by the first spend, reused by the other three
+        assert len(ledger.entries) == 3 and ledger.group_total("t=1") == Fraction(1, 2)
+        assert ledger.category_total("t=1", "selection") == Fraction(1, 2)
+        ledger.spend("next", share, 3, group="t=2")
+        assert ledger.group_total("t=2") == Fraction(1, 6)
 
     def test_entries_come_only_from_spend(self):
         with pytest.raises(TypeError):

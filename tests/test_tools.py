@@ -1,5 +1,7 @@
 import importlib.util
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,6 +145,16 @@ class TestReport:
             "B b: median step 2.000 ms, median accumulate 0.100 ms, median evaluate_step 4.000 ms",
             "B against A: step +0.0%, accumulate -66.7%, evaluate_step -20.0%",
         ]
+
+
+class TestStepTimeRun:
+    def test_one_rep_of_a_checkout_against_itself_is_identical(self):
+        # the whole script end to end: the benchmark's inputs, both sides' streams and every step
+        root = str(TOOLS.parent)
+        command = [sys.executable, str(TOOLS / "steptime.py"), root, root, "--workload", "low5-long", "--reps", "1"]
+        done = subprocess.run(command, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "releases: identical at every step" in done.stdout.splitlines()
 
 
 identity = load_tool("identity")
