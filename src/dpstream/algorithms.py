@@ -202,9 +202,7 @@ class _StreamSynthesizer:
 
     def _release(self, weights: np.ndarray) -> WeightedDataset:
         self._weights = weights
-        self.g = WeightedDataset.from_sorted(self.schema, self.support.points, weights)
-        if self.g.points is self.support.points:  # no zero weight: its cells are the support's
-            self.g.memo["cells"] = self.support.cells
+        self.g = self.support.release(weights)
         return self.g
 
     def step(self, delta: WeightedDataset) -> WeightedDataset:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -217,14 +217,16 @@ class WeightedDataset:
     share across threads, so values derived from the contents alone are computed
     once and kept in ``memo``: ``eval_workload`` keys its vectors by workload,
     ``total_mass`` its sum by ``"total_mass"``, ``accumulate`` the point keys of
-    its sums by ``"keys"``, and a synthesizer gives a release that holds every
-    point of its working support that support's ``cells`` lookup under
-    ``"cells"``, from which ``eval_workload`` takes the cells it sums. A stored
-    value is never None and never written to: a read-only array, an immutable
-    value or that lookup, whose cells are read-only.
+    its sums by ``"keys"``. A stored value is never None and never written to: a
+    read-only array or an immutable value.
+
+    ``support_cells`` is None, or, on a dataset that ``WorkingSupport.release``
+    built on all of a working support's points, that support's ``cells``
+    lookup: the read-only cell index of every point per workload, from which
+    ``eval_workload`` sums. Copies and pickles leave it behind.
     """
 
-    __slots__ = ("schema", "_points", "_weights", "memo")
+    __slots__ = ("schema", "_points", "_weights", "memo", "support_cells")
 
     def __init__(self, schema: DomainSchema, points: np.ndarray, weights: np.ndarray):
         pts, w = _canonicalize(schema, points, weights)
@@ -234,6 +236,7 @@ class WeightedDataset:
         self._points = pts
         self._weights = w
         self.memo: dict = {}
+        self.support_cells: Callable[..., np.ndarray] | None = None
 
     @classmethod
     def _of(cls, schema: DomainSchema, points: np.ndarray, weights: np.ndarray) -> "WeightedDataset":
@@ -243,10 +246,12 @@ class WeightedDataset:
         weights.flags.writeable = False
         out = cls.__new__(cls)
         out.schema, out._points, out._weights, out.memo = schema, points, weights, {}
+        out.support_cells = None
         return out
 
     def __reduce__(self):
-        # unpickled arrays come back writeable, so the copy is rebuilt read-only; the memo stays here
+        # unpickled arrays come back writeable, so the copy is rebuilt read-only; the memo and
+        # support_cells stay here
         return type(self)._of, (self.schema, self._points, self._weights)
 
     @classmethod

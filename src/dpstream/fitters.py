@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import DomainSchema, WeightedDataset, merge_rows, nonzero_mass, point_keys
+from .domain import DomainSchema, WeightedDataset, merge_rows, nonzero_mass
 from .queries import (
     MarginalQuery,
     Workload,
@@ -69,10 +69,9 @@ class WorkingSupport:
     that only a record put there. Points are sorted and unique, so a weight
     vector aligned with ``points`` describes the dataset storing its nonzero
     entries. They are held column-major and read-only, together with their
-    sorted int64 point keys; when the schema has no key strides, with a
-    structured view of their rows instead, on which ``observe`` binary-searches
-    a differential's rows. The cell index of every point is cached per
-    workload on first use.
+    sorted lookup keys (``_keys_of``), in which ``observe`` and ``extend``
+    binary-search. The cell index of every point is cached per workload on
+    first use.
     """
 
     def __init__(self, schema: DomainSchema, seed_size: int = DEFAULT_SEED_SUPPORT, seed: int = 0):
@@ -90,9 +89,7 @@ class WorkingSupport:
         points = np.asfortranarray(points)
         points.flags.writeable = False
         self._points = points
-        self._keys = None if schema.key_strides is None else point_keys(schema, points)[0]
-        # without int64 keys, a lookup binary-searches whole rows, in the order they are sorted in
-        self._rows = _row_view(points) if self._keys is None else None
+        self._keys = self._keys_of(points)
         self._cells: dict[Workload, np.ndarray] = {}
         self._matrices: dict[WorkloadCover, np.ndarray] = {}
 
@@ -102,6 +99,16 @@ class WorkingSupport:
 
     def __len__(self) -> int:
         return len(self._points)
+
+    def _keys_of(self, points: np.ndarray) -> np.ndarray:
+        """One key per row of an in-range ``(n, p)`` array, ordered as the rows are
+        lexicographically and equal for equal rows: the int64 point keys, or, when the schema has
+        none, the rows themselves as a 1-D C-contiguous array of p int64 fields, which sorting,
+        ``np.searchsorted`` and ``==`` compare field by field."""
+        if self.schema.key_strides is not None:
+            return points @ self.schema.stride_array
+        fields = np.dtype([(f"f{i}", np.int64) for i in range(points.shape[1])])
+        return np.ascontiguousarray(points, dtype=np.int64).view(fields).reshape(-1)
 
     def cells(self, workload: Workload) -> np.ndarray:
         """Read-only cell index of every support point, in the smallest dtype that holds ``workload.size``."""
@@ -153,13 +160,18 @@ class WorkingSupport:
         """
         if delta.schema != self.schema:
             raise ValueError("schema mismatch in observe")
-        if self._keys is None:
-            keys, delta_keys = self._rows, _row_view(delta.points)
-        else:
-            keys, delta_keys = point_keys(self.schema, self._points, delta.points, known=self._keys)
+        keys, delta_keys = self._keys, self._keys_of(delta.points)
         at = np.searchsorted(keys, delta_keys).clip(max=len(keys) - 1)
         held = keys[at] == delta_keys
         return at[held], held
+
+    def release(self, weights: np.ndarray) -> WeightedDataset:
+        """``WeightedDataset.from_sorted`` of ``weights`` at the support's points. When no weight
+        is zero, the dataset shares ``points`` and takes its ``support_cells`` from ``cells``."""
+        out = WeightedDataset.from_sorted(self.schema, self._points, weights)
+        if out.points is self._points:
+            out.support_cells = self.cells
+        return out
 
     def uniform_dataset(self, mass: float) -> WeightedDataset:
         """Uniform weights over the support with the given total mass."""
@@ -182,19 +194,11 @@ class WorkingSupport:
             raise ValueError("schema mismatch in extend")
         weights = np.full(len(self._points), float(fill))
         if len(dataset):
-            support_keys, keys = point_keys(self.schema, self._points, dataset.points, known=self._keys)
+            support_keys, keys = self._keys, self._keys_of(dataset.points)
             at = np.searchsorted(keys, support_keys).clip(max=len(keys) - 1)
             found = keys[at] == support_keys
             weights[found] = dataset.weights[at[found]]
         return WeightedDataset(self.schema, self._points, weights)
-
-
-def _row_view(points: np.ndarray) -> np.ndarray:
-    """The rows of an int64 ``(n, p)`` array as a 1-D C-contiguous structured array of p int64
-    fields: sorting, ``np.searchsorted`` and ``==`` on it compare rows field by field, so its
-    order is lexicographic row order."""
-    fields = np.dtype([(f"f{i}", np.int64) for i in range(points.shape[1])])
-    return np.ascontiguousarray(points).view(fields).reshape(-1)
 
 
 def _rescaled(weights: np.ndarray, target_mass: float) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -109,7 +108,7 @@ class BudgetEntry:
 
     ``numerator`` is the run's total epsilon and ``divisor`` the share split
     (e.g. 2k), so sums over entries are exact rationals with no float drift.
-    ``epsilon`` is their quotient, divided once per distinct pair.
+    ``epsilon`` is their quotient.
     """
 
     label: str
@@ -120,7 +119,7 @@ class BudgetEntry:
     epsilon: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", _quotient(self.numerator, self.divisor))
+        object.__setattr__(self, "epsilon", self.numerator / self.divisor)
 
     @classmethod
     def _of(
@@ -136,11 +135,6 @@ class BudgetEntry:
         put(entry, "category", category)
         put(entry, "epsilon", epsilon)
         return entry
-
-
-@functools.lru_cache(maxsize=64)
-def _quotient(numerator: Fraction, divisor: int) -> Fraction:
-    return numerator / divisor
 
 
 @dataclass
@@ -197,17 +191,15 @@ class BudgetLedger:
         category: str = "",
     ) -> BudgetEntry:
         share = self._share
-        if share is not None and numerator is share[0] and divisor == share[1]:
-            _, divisor, num, epsilon, units = share
-        else:
+        if share is None or numerator is not share[0] or divisor != share[1]:
             num = numerator if isinstance(numerator, Fraction) else Fraction(str(numerator))
             divisor = int(divisor)
             if num <= 0 or divisor < 1:
                 raise ValueError("spend must be positive")
-            epsilon = _quotient(num, divisor)
-            units = self._units_of(epsilon)
             # kept with the object passed: a number or string, so the same object is the same value
-            self._share = numerator, divisor, num, epsilon, units
+            epsilon = num / divisor
+            share = self._share = numerator, divisor, num, epsilon, self._units_of(epsilon)
+        _, divisor, num, epsilon, units = share
         entry = BudgetEntry._of(label, num, divisor, group, category, epsilon)
         total = self._group_totals.get(group, 0) + units
         if total > self._limit:

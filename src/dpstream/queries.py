@@ -142,14 +142,14 @@ def eval_workload(workload: Workload, dataset: WeightedDataset) -> np.ndarray:
     """Read-only vector of all cell values in lexicographic order; sums to the dataset mass.
 
     Computed on the first call for a (dataset, workload) pair and kept in the
-    dataset's ``memo``: later calls return the same vector. A dataset whose
-    memo holds a ``"cells"`` lookup (a release on the whole working support)
-    sums the cells it returns, the same integers in the same order.
+    dataset's ``memo``: later calls return the same vector. A dataset with
+    ``support_cells`` sums the cells it returns, the same integers in the same
+    order.
     """
     memo = dataset.memo
     values = memo.get(workload)
     if values is None:
-        lookup = memo.get("cells")
+        lookup = dataset.support_cells
         cells = workload.cell_indices(dataset) if lookup is None else lookup(workload)
         values = cell_values(cells, dataset.weights, workload.size)
         values.flags.writeable = False

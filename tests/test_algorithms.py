@@ -516,11 +516,11 @@ class TestReleaseCells:
     def _check(synth, g):
         whole = g.points is synth.support.points
         assert whole == (len(g) == len(synth.support))
-        assert ("cells" in g.memo) == whole
+        assert (g.support_cells is not None) == whole
         want = [cell_values(w.point_cells(g.points), g.weights, w.size).tobytes() for w in synth.workloads]
         assert [eval_workload(w, g).tobytes() for w in synth.workloads] == want
         copy = pickle.loads(pickle.dumps(g))
-        assert "cells" not in copy.memo  # the lookup stays with the support it came from
+        assert copy.support_cells is None  # the lookup stays with the support it came from
         assert [eval_workload(w, copy).tobytes() for w in synth.workloads] == want
 
     @settings(max_examples=40, deadline=None)
@@ -546,7 +546,7 @@ class TestReleaseCells:
         weights = synth._weights.copy()
         weights[seed % len(weights)] = 0.0  # as if the weight had underflowed
         g = synth._release(weights)
-        assert len(g) == len(synth.support) - 1 and "cells" not in g.memo
+        assert len(g) == len(synth.support) - 1 and g.support_cells is None
         self._check(synth, g)
 
 
@@ -623,6 +623,13 @@ class TestCoverScoring:
         joints = synth._cover.joints
         assert len(joints) < len(synth.workloads)
         assert sorted(map(id, synth.support._cells)) == sorted(map(id, joints))
+        # evaluating a release adds the cells of exactly the workloads evaluated
+        evaluated = synth.workloads[::5]
+        assert synth.g.support_cells is not None
+        for w in evaluated:
+            eval_workload(w, synth.g)
+        assert set(synth.support._cells) == set(joints) | set(evaluated)
+        assert len(synth.support._cells) > len(joints)
         # each round fits every workload measured so far on its cells at the support's points
         assert len(fits) == 10 * synth.config.k
         for measured, cells, points in fits:

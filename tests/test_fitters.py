@@ -425,11 +425,11 @@ class TestWorkingSupport:
         st.lists(st.integers(0, 40), min_size=1, max_size=3),
         st.integers(0, 2**32 - 1),
     )
-    def test_keyless_observe_matches_the_joint_rank_route(self, schema, seed_size, sizes, seed):
-        # the route before the support kept its sorted rows: rank the support and the differential
-        # together (point_keys, a row-wise np.unique), then binary-search the support's ranks
+    def test_keyless_lookups_match_the_joint_rank_route(self, schema, seed_size, sizes, seed):
+        # the route before the support kept its sorted rows: rank the support and the other rows
+        # together (point_keys, a row-wise np.unique), then binary-search one side's ranks
         support = WorkingSupport(schema, seed_size=seed_size, seed=seed % 7)
-        assert schema.key_strides is None and support._keys is None
+        assert schema.key_strides is None and support._keys.dtype.names is not None
         rng = np.random.default_rng(seed)
         cards = np.array(schema.cardinalities)
         for n in sizes:  # support rows, their neighbours in one coordinate, and random rows
@@ -439,13 +439,19 @@ class TestWorkingSupport:
             rows = np.concatenate(
                 [support.points[rng.integers(0, len(support), size=n)], near, random_rows(schema, n, rng)]
             )
-            delta = WeightedDataset(schema, rows, np.ones(len(rows)))
+            delta = WeightedDataset(schema, rows, rng.random(len(rows)) + 0.5)
             keys, delta_keys = point_keys(schema, support.points, delta.points)
             want = np.searchsorted(keys, delta_keys).clip(max=len(keys) - 1)
             want_held = keys[want] == delta_keys
             at, held = support.observe(delta)
             assert np.array_equal(held, want_held) and np.array_equal(at, want[want_held])
             assert held.sum() >= len(np.unique(rows[:n], axis=0))  # every support row is found
+            if len(delta):  # extend looks the support's rows up in the dataset's
+                back = np.searchsorted(delta_keys, keys).clip(max=len(delta_keys) - 1)
+                found = delta_keys[back] == keys
+                weights = np.full(len(support), 0.25)
+                weights[found] = delta.weights[back[found]]
+                assert support.extend(delta, fill=0.25).weights.tobytes() == weights.tobytes()
 
     def test_unit_and_uniform_datasets(self):
         support = WorkingSupport(SCHEMA, seed_size=100, seed=0)
