@@ -100,31 +100,37 @@ class DomainSchema:
         return type(self), (self.attributes,)
 
     def validate_point(self, point: Iterable[int]) -> DataPoint:
-        pt = tuple(int(v) for v in point)
+        """``point`` as a tuple of ints; ValueError unless it holds one in-range Python or numpy
+        integer, not a bool, per attribute."""
+        pt = tuple(point)
         if len(pt) != self.num_attributes:
             raise ValueError(f"point has {len(pt)} coordinates, schema has {self.num_attributes}")
         for (name, card), v in zip(self.attributes, pt):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"value {v!r} for attribute {name!r} is not an integer")
             if not 0 <= v < card:
                 raise ValueError(f"value {v} out of range [0, {card}) for attribute {name!r}")
-        return pt
+        return tuple(int(v) for v in pt)
 
 
-def point_keys(
-    schema: DomainSchema, *arrays: np.ndarray, known: np.ndarray | None = None
-) -> list[np.ndarray]:
-    """One int64 key per row of each in-range ``(n, p)`` array, comparable across arrays.
+def row_keys(schema: DomainSchema, points: np.ndarray) -> np.ndarray:
+    """One key per row of an in-range ``(n, p)`` array, ordered as the rows are lexicographically
+    and equal for equal rows, in any array keyed alike: the int64 point keys, or, when the schema
+    has none, the rows themselves as a 1-D C-contiguous array of p int64 fields, which sorting,
+    ``np.unique``, ``np.searchsorted`` and ``==`` compare field by field."""
+    if schema.key_strides is not None:
+        return points @ schema.stride_array
+    fields = np.dtype([(f"f{i}", np.int64) for i in range(points.shape[1])])
+    return np.ascontiguousarray(points, dtype=np.int64).view(fields).reshape(-1)
 
-    Key order is lexicographic row order and equal rows get equal keys. Below
-    ``KEY_LIMIT`` the keys are the mixed-radix point keys, and ``known``, when
-    given, is taken as the first array's; above it they are the rows' ranks in
-    one joint row sort, valid only for this call.
-    """
-    if schema.key_strides is None:
-        _, ranks = np.unique(np.concatenate(arrays), axis=0, return_inverse=True)
-        bounds = np.cumsum([len(a) for a in arrays])[:-1]
-        return np.split(ranks.reshape(-1).astype(np.int64), bounds)
-    strides = schema.stride_array
-    return [a @ strides if i or known is None else known for i, a in enumerate(arrays)]
+
+def lookup_keys(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Binary search of ``queries`` in the nonempty, sorted, distinct ``keys`` of ``row_keys``.
+
+    Returns ``(pos, found)``: each query's insertion position in ``keys``, which is its position
+    where ``found`` is True, and the mask of the queries ``keys`` holds."""
+    pos = np.searchsorted(keys, queries)
+    return pos, keys[pos.clip(max=len(keys) - 1)] == queries
 
 
 def merge_rows(
@@ -136,27 +142,25 @@ def merge_rows(
     Sums run in input order, so equal inputs always merge to identical bits. When the
     rows are already strictly increasing, the input arrays themselves come back.
     """
-    (keys,) = point_keys(schema, points)
-    if (keys[1:] > keys[:-1]).all():
+    _, first, inverse = np.unique(row_keys(schema, points), return_index=True, return_inverse=True)
+    if len(first) == len(points) and (first == np.arange(len(first))).all():
         return points, weights
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return points[first], np.bincount(inverse, weights=weights, minlength=len(first))
 
 
 def union_rows(
-    schema: DomainSchema, points: np.ndarray, keys: np.ndarray | None, new_points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """Union of two nonempty sorted sets of distinct in-range rows, given ``points``' keys or None.
+    schema: DomainSchema, points: np.ndarray, keys: np.ndarray, new_points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Union of two nonempty sorted sets of distinct in-range rows, given ``points``' ``row_keys``.
 
     Returns ``(at, kept, union, union_keys)``: each new row's union position, the mask of the
-    positions of ``points`` (None, and ``union`` is ``points``, when nothing is added), the
-    F-contiguous union and its ``point_keys`` (None when the schema has no key strides)."""
-    keys, new_keys = point_keys(schema, points, new_points, known=keys)
-    pos = np.searchsorted(keys, new_keys)
-    fresh = keys[pos.clip(max=len(keys) - 1)] != new_keys
-    strided = schema.key_strides is not None
-    if not fresh.any():
-        return pos, None, points, keys if strided else None
+    positions of ``points`` (None, ``union`` being ``points`` and ``union_keys`` ``keys``, when
+    nothing is added), the F-contiguous union and its ``row_keys``."""
+    new_keys = row_keys(schema, new_points)
+    pos, held = lookup_keys(keys, new_keys)
+    if held.all():
+        return pos, None, points, keys
+    fresh = ~held
     at = pos + (np.cumsum(fresh) - fresh)  # new rows are sorted: the fresh ones before a row land before it
     added = at[fresh]
     kept = np.ones(len(keys) + len(added), dtype=bool)
@@ -166,14 +170,18 @@ def union_rows(
     for j in range(union.shape[1]):  # column by column: contiguous on both sides
         column = union[:, j]
         column[kept], column[added] = points[:, j], fresh_points[:, j]
-    union_keys = np.empty(len(kept), dtype=np.int64) if strided else None
-    if strided:
-        union_keys[kept], union_keys[added] = keys, new_keys[fresh]
+    union_keys = np.empty(len(kept), dtype=keys.dtype)
+    union_keys[kept], union_keys[added] = keys, new_keys[fresh]
     return at, kept, union, union_keys
 
 
-def _check_points(schema: DomainSchema, points: np.ndarray) -> None:
-    """Raise ValueError unless ``points`` is an ``(n, p)`` array of in-range rows."""
+def _checked_points(schema: DomainSchema, points: np.ndarray, order: str = "C") -> np.ndarray:
+    """An int64 copy of ``points`` in ``order``; ValueError unless ``points`` is an ``(n, p)``
+    array of in-range integers of an integer dtype (not bool)."""
+    array = np.asarray(points)
+    if not np.issubdtype(array.dtype, np.integer):
+        raise ValueError(f"point coordinates must be integers, got dtype {array.dtype}")
+    points = array.astype(np.int64, order=order, copy=isinstance(points, np.ndarray))
     p = schema.num_attributes
     if points.ndim != 2 or points.shape[1] != p:
         raise ValueError(
@@ -182,6 +190,7 @@ def _check_points(schema: DomainSchema, points: np.ndarray) -> None:
     cards = np.asarray(schema.cardinalities, dtype=np.int64)
     if (points < 0).any() or (points >= cards).any():
         raise ValueError("point coordinate out of range for schema")
+    return points
 
 
 def _canonicalize(
@@ -191,11 +200,12 @@ def _canonicalize(
 
     The points come back column-major (F-contiguous).
     """
-    points = np.array(points, dtype=np.int64, order="F")
+    points = _checked_points(schema, points, order="F")
     weights = np.array(weights, dtype=np.float64).reshape(-1)
-    _check_points(schema, points)
     if len(points) != len(weights):
         raise ValueError("points and weights length mismatch")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
     if len(points) == 0:
         return points, weights
     points, merged = merge_rows(schema, points, weights)
@@ -216,8 +226,8 @@ class WeightedDataset:
     contiguous scan. Instances are immutable after construction and safe to
     share across threads, so values derived from the contents alone are computed
     once and kept in ``memo``: ``eval_workload`` keys its vectors by workload,
-    ``total_mass`` its sum by ``"total_mass"``, ``accumulate`` the point keys of
-    its sums by ``"keys"``. A stored value is never None and never written to: a
+    ``total_mass`` its sum by ``"total_mass"``, ``accumulate`` the ``row_keys``
+    of its sums by ``"keys"``. A stored value is never None and never written to: a
     read-only array or an immutable value.
 
     ``support_cells`` is None, or, on a dataset that ``WorkingSupport.release``
@@ -292,7 +302,7 @@ class WeightedDataset:
     @classmethod
     def from_rows(cls, schema: DomainSchema, rows: Iterable[Iterable[int]]) -> "WeightedDataset":
         """Build a unit-weight dataset from raw rows (duplicates accumulate)."""
-        pts = np.array([tuple(r) for r in rows], dtype=np.int64)
+        pts = np.array([tuple(r) for r in rows])
         if pts.size == 0:
             return cls.empty(schema)
         return cls(schema, pts, np.ones(len(pts)))
@@ -338,9 +348,8 @@ def step_datasets(
     """
     if not rows:
         return [WeightedDataset.empty(schema) for _ in range(num_steps)]
-    points = np.array(rows, dtype=np.int64)
-    _check_points(schema, points)
-    (keys,) = point_keys(schema, points)
+    points = _checked_points(schema, rows)
+    keys = row_keys(schema, points)
     order = np.lexsort((keys, steps))
     keys, steps = keys[order], steps[order]
     first = np.ones(len(order), dtype=bool)  # where a run of equal (step, point) pairs starts
@@ -375,15 +384,15 @@ def accumulate(prefix: WeightedDataset, delta: WeightedDataset) -> WeightedDatas
         return delta
     if len(delta) == 0:
         return prefix
-    schema = prefix.schema
-    at, kept, points, keys = union_rows(schema, prefix.points, prefix.memo.get("keys"), delta.points)
+    schema, memo = prefix.schema, prefix.memo
+    keys = memo["keys"] if "keys" in memo else row_keys(schema, prefix.points)
+    at, kept, points, keys = union_rows(schema, prefix.points, keys, delta.points)
     weights = np.zeros(len(points))
     weights[... if kept is None else kept] = prefix.weights
     weights[at] += delta.weights  # weights are positive, so no sum cancels to zero
     out = WeightedDataset._of(schema, points, weights)
-    if keys is not None:  # the next accumulate onto this sum needs them
-        keys.flags.writeable = False
-        out.memo["keys"] = keys
+    keys.flags.writeable = False  # kept for the next accumulate onto this sum
+    out.memo["keys"] = keys
     return out
 
 

@@ -17,7 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import DomainSchema, WeightedDataset, merge_rows, nonzero_mass
+from .domain import (
+    DomainSchema, WeightedDataset, checked_int, lookup_keys, merge_rows, nonzero_mass, row_keys
+)
 from .queries import (
     MarginalQuery,
     Workload,
@@ -69,27 +71,26 @@ class WorkingSupport:
     that only a record put there. Points are sorted and unique, so a weight
     vector aligned with ``points`` describes the dataset storing its nonzero
     entries. They are held column-major and read-only, together with their
-    sorted lookup keys (``_keys_of``), in which ``observe`` and ``extend``
-    binary-search. The cell index of every point is cached per workload on
-    first use.
+    sorted ``row_keys``, in which ``observe`` and ``extend`` binary-search.
+    The cell index of every point is cached per workload on first use.
     """
 
     def __init__(self, schema: DomainSchema, seed_size: int = DEFAULT_SEED_SUPPORT, seed: int = 0):
-        if seed_size < 1:
-            raise ValueError("seed support size must be >= 1")
+        seed_size = checked_int(seed_size, 1, "seed support size must be an integer >= 1")
+        seed = checked_int(seed, 0, "seed must be a non-negative integer")
         self.schema = schema
         cards = np.asarray(schema.cardinalities, dtype=np.int64)
         if schema.size <= seed_size:
             grids = np.indices(tuple(int(c) for c in cards))
             points = grids.reshape(schema.num_attributes, -1).T.astype(np.int64)
         else:
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), 3))))
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 3))))
             draws = np.column_stack([rng.integers(0, c, size=seed_size) for c in cards])
             points, _ = merge_rows(schema, draws.astype(np.int64), np.ones(seed_size))
         points = np.asfortranarray(points)
         points.flags.writeable = False
         self._points = points
-        self._keys = self._keys_of(points)
+        self._keys = row_keys(schema, points)
         self._cells: dict[Workload, np.ndarray] = {}
         self._matrices: dict[WorkloadCover, np.ndarray] = {}
 
@@ -99,16 +100,6 @@ class WorkingSupport:
 
     def __len__(self) -> int:
         return len(self._points)
-
-    def _keys_of(self, points: np.ndarray) -> np.ndarray:
-        """One key per row of an in-range ``(n, p)`` array, ordered as the rows are
-        lexicographically and equal for equal rows: the int64 point keys, or, when the schema has
-        none, the rows themselves as a 1-D C-contiguous array of p int64 fields, which sorting,
-        ``np.searchsorted`` and ``==`` compare field by field."""
-        if self.schema.key_strides is not None:
-            return points @ self.schema.stride_array
-        fields = np.dtype([(f"f{i}", np.int64) for i in range(points.shape[1])])
-        return np.ascontiguousarray(points, dtype=np.int64).view(fields).reshape(-1)
 
     def cells(self, workload: Workload) -> np.ndarray:
         """Read-only cell index of every support point, in the smallest dtype that holds ``workload.size``."""
@@ -160,9 +151,7 @@ class WorkingSupport:
         """
         if delta.schema != self.schema:
             raise ValueError("schema mismatch in observe")
-        keys, delta_keys = self._keys, self._keys_of(delta.points)
-        at = np.searchsorted(keys, delta_keys).clip(max=len(keys) - 1)
-        held = keys[at] == delta_keys
+        at, held = lookup_keys(self._keys, row_keys(self.schema, delta.points))
         return at[held], held
 
     def release(self, weights: np.ndarray) -> WeightedDataset:
@@ -194,9 +183,7 @@ class WorkingSupport:
             raise ValueError("schema mismatch in extend")
         weights = np.full(len(self._points), float(fill))
         if len(dataset):
-            support_keys, keys = self._keys, self._keys_of(dataset.points)
-            at = np.searchsorted(keys, support_keys).clip(max=len(keys) - 1)
-            found = keys[at] == support_keys
+            at, found = lookup_keys(row_keys(self.schema, dataset.points), self._keys)
             weights[found] = dataset.weights[at[found]]
         return WeightedDataset(self.schema, self._points, weights)
 

@@ -9,6 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .domain import checked_int
+
 NOISE_MODES = ("laplace", "zero")
 
 
@@ -98,6 +100,12 @@ def exponential_mechanism(
     return min(idx, u.size - 1)
 
 
+def _exact(value: Fraction | float | str) -> Fraction:
+    """``value`` read exactly as the fraction its text shows (``0.1`` is 1/10), as ``spend`` and
+    ``checked_epsilon`` read numbers."""
+    return value if isinstance(value, Fraction) else Fraction(str(value))
+
+
 class BudgetOverspendError(RuntimeError):
     """Raised when a spend would push a composition group past the total budget."""
 
@@ -158,7 +166,7 @@ class BudgetLedger:
     entries: list[BudgetEntry] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        self.total_epsilon = Fraction(self.total_epsilon)
+        self.total_epsilon = _exact(self.total_epsilon)
         if self.total_epsilon <= 0:
             raise ValueError("total epsilon must be positive")
         # Running totals over entries in units of 1/_denominator; dict order is first-spend order.
@@ -192,9 +200,9 @@ class BudgetLedger:
     ) -> BudgetEntry:
         share = self._share
         if share is None or numerator is not share[0] or divisor != share[1]:
-            num = numerator if isinstance(numerator, Fraction) else Fraction(str(numerator))
-            divisor = int(divisor)
-            if num <= 0 or divisor < 1:
+            num = _exact(numerator)
+            divisor = checked_int(divisor, 1, "spend divisor must be an integer >= 1")
+            if num <= 0:
                 raise ValueError("spend must be positive")
             # kept with the object passed: a number or string, so the same object is the same value
             epsilon = num / divisor

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -16,7 +17,7 @@ from dpstream import (
     stream_difference_norm,
     stream_norm,
 )
-from dpstream.domain import merge_rows, point_keys
+from dpstream.domain import lookup_keys, merge_rows, row_keys, step_datasets
 
 SCHEMA_2X2 = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_234 = DomainSchema((("a", 2), ("b", 3), ("c", 4)))
@@ -122,6 +123,12 @@ class TestSchema:
             schema.validate_point((1, 3))
         with pytest.raises(ValueError, match="coordinates"):
             schema.validate_point((1,))
+        # checked, not cast: (1.7, 0) used to come back as (1, 0) and (True, 1) as (1, 1)
+        for point in [(1.7, 0), (True, 1), (1, False), (np.float64(1.0), 0), ("1", 0), (None, 0)]:
+            with pytest.raises(ValueError, match="not an integer"):
+                schema.validate_point(point)
+        got = schema.validate_point((np.int64(1), np.uint8(2)))
+        assert got == (1, 2) and all(type(v) is int for v in got)
 
 
 class TestWeightedDataset:
@@ -193,6 +200,34 @@ class TestWeightedDataset:
         with pytest.raises(ValueError, match=r"\(n, 3\)"):
             WeightedDataset.from_rows(SCHEMA_234, [(0, 1), (1, 2)])
 
+    def test_non_integer_coordinates_rejected_by_every_constructor(self):
+        # each used to be truncated or cast to a stored point, such as (0, 1) for (0.5, 1.9)
+        with pytest.raises(ValueError, match="integers"):
+            WeightedDataset(SCHEMA_2X2, [[0.5, 1.9]], [1])
+        with pytest.raises(ValueError, match="integers"):
+            WeightedDataset(SCHEMA_2X2, np.array([[True, False]]), [1.0])
+        with pytest.raises(ValueError, match="integers"):
+            WeightedDataset.from_rows(SCHEMA_2X2, [(0.9, 1.5)])
+        with pytest.raises(ValueError, match="integers"):
+            WeightedDataset.from_rows(SCHEMA_2X2, [(True, False), (False, True)])
+        with pytest.raises(ValueError, match="integers"):
+            step_datasets(SCHEMA_2X2, [(0, 1), (0.5, 1.0)], np.array([0, 0]), 1)
+        for point in [(1.7, 0), (True, 1), (0, np.float64(1.0)), ("1", 0)]:
+            with pytest.raises(ValueError, match="not an integer"):
+                WeightedDataset.from_mapping(SCHEMA_2X2, {point: 1.0})
+        # integers of any integer dtype still go through
+        got = WeightedDataset(SCHEMA_2X2, np.array([[1, 0], [0, 1]], dtype=np.uint8), [2.0, 3.0])
+        assert got.as_mapping() == {(0, 1): 3.0, (1, 0): 2.0}
+        assert WeightedDataset.from_mapping(SCHEMA_2X2, {(np.int16(1), 1): 1.0}).as_mapping() == {(1, 1): 1.0}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # a NaN weight used to drop its point and an infinite one to be stored
+        with pytest.raises(ValueError, match="finite"):
+            WeightedDataset.from_mapping(SCHEMA_2X2, {(0, 1): bad})
+        with pytest.raises(ValueError, match="finite"):
+            WeightedDataset(SCHEMA_2X2, np.array([[0, 1], [1, 1]]), [1.0, bad])
+
 
 @pytest.mark.parametrize("schema", [SCHEMA_234, SCHEMA_HUGE], ids=["keys", "rows"])
 class TestCanonicalOrder:
@@ -223,7 +258,7 @@ class TestCanonicalOrder:
     def test_key_order_is_row_order(self, schema):
         rng = np.random.default_rng(13)
         a, b = random_rows(schema, 200, rng), random_rows(schema, 50, rng)
-        keys_a, keys_b = point_keys(schema, a, b)
+        keys_a, keys_b = row_keys(schema, a), row_keys(schema, b)  # keyed apart, compared together
         rows = np.concatenate([a, b])
         keys = np.concatenate([keys_a, keys_b])
         assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(rows.T[::-1]))
@@ -414,7 +449,61 @@ class TestMergeRows:
             assert rows is points and sums is weights
 
 
+# keyed schemas of up to 5 values an attribute, and schemas of 2**63 points or more, which have no
+# int64 point keys; cardinality-1 attributes in both
+any_schemas = st.one_of(
+    st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    st.lists(st.integers(1, 2**40), min_size=2, max_size=8).filter(lambda cards: math.prod(cards) >= 2**63),
+).map(lambda cards: DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards))))
+
+
+class TestRowKeys:
+    @settings(max_examples=80, deadline=None)
+    @given(any_schemas, st.integers(1, 30), st.integers(0, 30), st.integers(0, 2**32 - 1))
+    def test_keys_of_separate_arrays_compare_as_their_rows(self, schema, n, m, seed):
+        # the keys of one array hold against another's without ranking the two together
+        rng = np.random.default_rng(seed)
+        cards = np.array(schema.cardinalities)
+        a = random_rows(schema, n, rng)
+        near = a[rng.integers(0, n, size=m)]  # rows of a moved by one in one coordinate
+        column = rng.integers(0, len(cards), size=m)
+        near[np.arange(m), column] = (near[np.arange(m), column] + 1) % cards[column]
+        b = np.concatenate([a[rng.integers(0, n, size=m)], near, random_rows(schema, m, rng)])
+        keys_a, keys_b = row_keys(schema, np.asfortranarray(a)), row_keys(schema, b)
+        assert (keys_a.dtype.names is None) == (schema.key_strides is not None)
+        assert keys_a.dtype == keys_b.dtype and keys_a.ndim == keys_b.ndim == 1
+        rows, keys = np.concatenate([a, b]), np.concatenate([keys_a, keys_b])
+        assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(rows.T[::-1]))
+        same = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+        assert np.array_equal(keys[:, None] == keys[None, :], same)
+        # lookup_keys finds exactly the rows of b that a holds, at their sorted position
+        distinct = np.unique(a, axis=0)
+        pos, found = lookup_keys(row_keys(schema, distinct), keys_b)
+        held = {tuple(r): i for i, r in enumerate(distinct.tolist())}
+        assert found.tolist() == [tuple(r) in held for r in b.tolist()]
+        assert pos[found].tolist() == [held[tuple(r)] for r in b.tolist() if tuple(r) in held]
+
+
 class TestAccumulateMerge:
+    @pytest.mark.parametrize("schema", [SCHEMA_234, SCHEMA_HUGE], ids=["keys", "rows"])
+    def test_every_sum_keeps_its_row_keys(self, schema):
+        # every sum accumulate builds memoizes the keys the next accumulate onto it looks up in,
+        # on schemas with and without int64 point keys alike
+        rng = np.random.default_rng(22)
+        prefix = WeightedDataset.empty(schema)
+        sums = 0
+        for kind in ["disjoint", "overlapping", "equal", "empty", "overlapping"] * 4:
+            rows = related_rows(kind, schema, prefix.points, rng)
+            delta = WeightedDataset(schema, rows, rng.random(len(rows)) + 0.5)
+            got = accumulate(prefix, delta)
+            if len(prefix) and len(delta):
+                sums += 1
+                keys, want = got.memo["keys"], row_keys(schema, got.points)
+                assert keys.dtype == want.dtype and keys.tobytes() == want.tobytes()
+                assert not keys.flags.writeable
+            prefix = got
+        assert sums >= 10
+
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(st.just([]), st.lists(st.integers(1, 5), min_size=1, max_size=5)), st.data())
     def test_fold_matches_the_concatenation_oracle_bit_for_bit(self, cards, data):
@@ -486,6 +575,21 @@ class TestStream:
             assert got.weights.tobytes() == folded.weights.tobytes()
             if t < len(deltas):
                 folded = accumulate(folded, deltas[t])
+
+    @pytest.mark.parametrize("schema", [SCHEMA_234, SCHEMA_HUGE], ids=["keys", "rows"])
+    def test_step_datasets_match_from_rows_per_step(self, schema):
+        # one (step, point) sort over either key kind, against one from_rows per step
+        rng = np.random.default_rng(23)
+        rows = random_rows(schema, 50, rng)
+        rows = np.concatenate([rows, rows[rng.integers(0, 50, size=30)]])
+        steps = rng.integers(0, 7, size=len(rows))  # rows of steps 5 and 6 are left out
+        got = step_datasets(schema, [tuple(r) for r in rows.tolist()], steps, 5)
+        assert len(got) == 5
+        for t, d in enumerate(got):
+            want = WeightedDataset.from_rows(schema, rows[steps == t].tolist())
+            assert d.points.shape == want.points.shape and d.points.flags.f_contiguous
+            assert d.points.tobytes() == want.points.tobytes()
+            assert d.weights.tobytes() == want.weights.tobytes()
 
     def test_neighboring_streams_difference_norm(self):
         # neighbors: one unit of weight moved at a single (point, time)

@@ -19,7 +19,6 @@ from dpstream import (
     mw_fit,
     mw_update,
 )
-from dpstream.domain import point_keys
 from dpstream.fitters import FitStats, mw_weights
 
 SCHEMA = DomainSchema((("a", 2), ("b", 2)))
@@ -32,6 +31,13 @@ SCHEMA_UNIT = DomainSchema((("a", 3), ("b", 1), ("c", 5), ("d", 4)))
 
 def random_rows(schema, n, rng):
     return np.column_stack([rng.integers(0, c, size=n) for c in schema.cardinalities]).astype(np.int64)
+
+
+def joint_ranks(*arrays):
+    """Oracle keys: each row's rank in one row-wise ``np.unique`` of all the arrays together, so
+    ordered and equal as the rows are, but comparable only among these arrays."""
+    _, ranks = np.unique(np.concatenate(arrays), axis=0, return_inverse=True)
+    return np.split(ranks.reshape(-1), np.cumsum([len(a) for a in arrays])[:-1])
 
 
 def reference_mw_weights(weights, cells, values, target_mass, passes):
@@ -427,7 +433,7 @@ class TestWorkingSupport:
     )
     def test_keyless_lookups_match_the_joint_rank_route(self, schema, seed_size, sizes, seed):
         # the route before the support kept its sorted rows: rank the support and the other rows
-        # together (point_keys, a row-wise np.unique), then binary-search one side's ranks
+        # together (joint_ranks, a row-wise np.unique), then binary-search one side's ranks
         support = WorkingSupport(schema, seed_size=seed_size, seed=seed % 7)
         assert schema.key_strides is None and support._keys.dtype.names is not None
         rng = np.random.default_rng(seed)
@@ -440,7 +446,7 @@ class TestWorkingSupport:
                 [support.points[rng.integers(0, len(support), size=n)], near, random_rows(schema, n, rng)]
             )
             delta = WeightedDataset(schema, rows, rng.random(len(rows)) + 0.5)
-            keys, delta_keys = point_keys(schema, support.points, delta.points)
+            keys, delta_keys = joint_ranks(support.points, delta.points)
             want = np.searchsorted(keys, delta_keys).clip(max=len(keys) - 1)
             want_held = keys[want] == delta_keys
             at, held = support.observe(delta)
@@ -452,6 +458,18 @@ class TestWorkingSupport:
                 weights = np.full(len(support), 0.25)
                 weights[found] = delta.weights[back[found]]
                 assert support.extend(delta, fill=0.25).weights.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize(
+        "seed_size, seed, match",
+        [(True, 0, "seed support size"), (2.5, 0, "seed support size"), (0, 0, "seed support size"),
+         (50, 2.7, "seed"), (50, True, "seed"), (50, -1, "seed")],
+    )
+    def test_integer_arguments_are_checked(self, seed_size, seed, match):
+        # seed 2.7 used to run as seed 2 and True as seed 1; a bool or float size ended in numpy
+        with pytest.raises(ValueError, match=match):
+            WorkingSupport(SCHEMA_WIDE, seed_size=seed_size, seed=seed)
+        got = WorkingSupport(SCHEMA_WIDE, seed_size=np.int64(50), seed=np.int32(2))
+        assert np.array_equal(got.points, WorkingSupport(SCHEMA_WIDE, seed_size=50, seed=2).points)
 
     def test_unit_and_uniform_datasets(self):
         support = WorkingSupport(SCHEMA, seed_size=100, seed=0)

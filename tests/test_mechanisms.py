@@ -424,6 +424,29 @@ class TestBudgetLedger:
         first = ledger.spend("a", Fraction(1), 2, group="t=1", category="selection")
         assert ledger.entries == [first]
 
+    @pytest.mark.parametrize("total", [0.1, 0.3, "0.3", np.float64(0.3)])
+    def test_a_float_total_spends_itself_exactly(self, total):
+        # the total is read as spend reads a numerator: 0.3 is 3/10, not the binary
+        # 5404319552844595/18014398509481984, which the spend of 0.3 used to exceed
+        ledger = BudgetLedger(total)
+        assert ledger.total_epsilon == Fraction(str(total))
+        ledger.spend("all", total, group="t=1")
+        assert ledger.group_total("t=1") == ledger.total_epsilon
+        for _ in range(3):
+            ledger.spend("thirds", total, 3, group="t=2")
+        assert ledger.group_total("t=2") == ledger.total_epsilon
+        with pytest.raises(BudgetOverspendError):
+            ledger.spend("over", Fraction(1, 10**30), group="t=1")
+
+    @pytest.mark.parametrize("divisor", [4.5, 2.9, True, 0, -2, "4"])
+    def test_a_divisor_must_be_an_integer_of_at_least_one(self, divisor):
+        # 4.5 used to record 1/4, 2.9 a divisor of 2 and True a divisor of 1
+        ledger = BudgetLedger(Fraction(1))
+        with pytest.raises(ValueError, match="divisor"):
+            ledger.spend("bad", 1, divisor)
+        assert ledger.entries == [] and ledger.group_total(None) == 0
+        assert ledger.spend("good", 1, np.int64(4)).epsilon == Fraction(1, 4)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             BudgetLedger(Fraction(0))
