@@ -129,8 +129,7 @@ class _StreamSynthesizer:
         self.ledger = BudgetLedger(config.epsilon)
         self._eps_step = float(config.epsilon) / (2 * config.k)
         self._sensitivity = config.resolved_sensitivity()
-        # selection reads workloads off joints of at most 1/8 of the seed support (fastest in a sweep)
-        self._cover = cover_workloads(self.workloads, len(self.support) // 8)
+        self._cover = cover_workloads(self.workloads, self.support.points)
         self._bias = self._cell_bias * self._cover.sizes
         self._release(np.ones(len(self.support)))
 
@@ -179,9 +178,7 @@ class _StreamSynthesizer:
         selected: list[int] = []
         unselected = np.ones(len(cover.sizes), dtype=bool)
         for l in range(1, k + 1):
-            # every workload's L1 distance in one segment sum over the flat layout
-            distances = np.bincount(cover.segment, np.abs(difference), len(cover.sizes))
-            utilities = (distances / cover.sizes - self._bias)[unselected]
+            utilities = (cover.mean_abs(difference) - self._bias)[unselected]
             pick = exponential_mechanism(utilities, self._eps_step, self._sensitivity, self._select_source)
             self._spend(f"select/l={l}", "selection")
             j = int(np.flatnonzero(unselected)[pick])
@@ -192,7 +189,7 @@ class _StreamSynthesizer:
             h = self.fitter.fit_weights(measured, cells, h, target)
             fits.append(h)
             if l < k:
-                difference = self.support.evaluate_many(cover, reference - h) + off
+                difference = cover.score(reference - h) + off
         # dataset_mean of the fits: summed in list order, then scaled by 1/k
         return sum(fits[1:], fits[0]) * (1.0 / len(fits)), selected
 
@@ -229,7 +226,7 @@ class StreamingMwem(_StreamSynthesizer):
         h = np.full(len(self.support), target / len(self.support))
         reference = np.zeros(len(self.support))
         reference[at] = held_weights
-        difference = self.support.evaluate_many(self._cover, reference - h) + off
+        difference = self._cover.score(reference - h) + off
         mean, _ = self._round(delta, reference, h, off, difference, target)
         return self._release(self._weights + mean)
 
@@ -276,7 +273,7 @@ class CounterSynthesizer(_StreamSynthesizer):
         # surrogate - h is +delta at delta's held points and -1 at the zeros (one point can carry
         # both): score only those positions, in integers
         weights = np.concatenate([held_weights, np.full(len(zeros), -1.0)])
-        difference = self.support.evaluate_many(self._cover, weights, np.concatenate([at, zeros]))
+        difference = self._cover.score(weights, np.concatenate([at, zeros]))
         difference += off
         g_t, selected = self._round(delta, surrogate, h, off, difference, target)
         self.last_selected = selected

@@ -17,6 +17,7 @@ tree's epoch base is the last release).
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -41,8 +42,8 @@ class Counter:
     kind = "base"
 
     def __init__(self, epsilon: float, source: NoiseSource):
-        if epsilon <= 0:
-            raise ValueError("counter epsilon must be positive")
+        if not 0 < epsilon < math.inf:
+            raise ValueError(f"counter epsilon must be positive and finite, got {epsilon}")
         self.epsilon = float(epsilon)
         self.source = source
         self.t = 0
@@ -97,9 +98,7 @@ class BlockCounter(Counter):
 
     def __init__(self, epsilon: float, source: NoiseSource, block_size: int):
         super().__init__(epsilon, source)
-        if block_size < 1:
-            raise ValueError("block size must be >= 1")
-        self.block_size = int(block_size)
+        self.block_size = checked_int(block_size, 1, "block size must be an integer >= 1")
         self.t_at_partition = 0
         self._last_block = 0.0
         self._true_in_block = 0.0
@@ -241,11 +240,9 @@ class MultiDimCounter:
         source: NoiseSource,
         block_size: int | None = None,
     ):
-        if num_cells < 1:
-            raise ValueError("multi-dimensional counter needs at least one cell")
+        self.num_cells = checked_int(num_cells, 1, "a counter needs an integer number of cells >= 1")
         self.kind = kind
         self.epsilon = float(epsilon)
-        self.num_cells = int(num_cells)
         self.source = source
         self._counter = make_counter(kind, epsilon, _CellNoise(source, self.num_cells), block_size)
 

@@ -301,8 +301,12 @@ class WeightedDataset:
 
     @classmethod
     def from_rows(cls, schema: DomainSchema, rows: Iterable[Iterable[int]]) -> "WeightedDataset":
-        """Build a unit-weight dataset from raw rows (duplicates accumulate)."""
-        pts = np.array([tuple(r) for r in rows])
+        """Build a unit-weight dataset from raw rows (duplicates accumulate); a bool anywhere in
+        them is rejected, as numpy would read it as an integer among ints."""
+        rows = [tuple(r) for r in rows]
+        if any(isinstance(v, (bool, np.bool_)) for row in rows for v in row):
+            raise ValueError("point coordinates must be integers, got a bool")
+        pts = np.array(rows)
         if pts.size == 0:
             return cls.empty(schema)
         return cls(schema, pts, np.ones(len(pts)))
@@ -342,9 +346,11 @@ def step_datasets(
     """``WeightedDataset.from_rows`` over the rows of each step in ``range(num_steps)``, in
     one sorted pass; ``steps[i]``, in that range, is the step of ``rows[i]``.
 
-    The rows are converted and checked together, with ``from_rows``'s errors, then sorted
-    by (step, point); equal rows of a step merge into their count, and each step's dataset
-    is a slice of the result. A step without rows gets an empty dataset.
+    The rows are converted and checked together as one array, with the errors of
+    ``WeightedDataset(...)``, then sorted by (step, point); equal rows of a step merge into
+    their count, and each step's dataset is a slice of the result. A step without rows gets
+    an empty dataset. Unlike ``from_rows`` it checks no value on its own, so a bool among
+    ints reads as an integer: callers give it ints.
     """
     if not rows:
         return [WeightedDataset.empty(schema) for _ in range(num_steps)]

@@ -20,22 +20,12 @@ import numpy as np
 from .domain import (
     DomainSchema, WeightedDataset, checked_int, lookup_keys, merge_rows, nonzero_mass, row_keys
 )
-from .queries import (
-    MarginalQuery,
-    Workload,
-    WorkloadCover,
-    compact_cells,
-    query_mask,
-    stride_cells,
-)
+from .queries import MarginalQuery, Workload, query_mask
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_SEED_SUPPORT = 10_000
 EXPONENT_CLAMP = 50.0
-# Most entries of a support's scoring matrix (512 KiB of float64); above it, scoring takes the
-# cover path. Both cost about the same near 190,000 entries.
-DENSE_LIMIT = 2**16
 
 
 @dataclass(frozen=True)
@@ -92,7 +82,6 @@ class WorkingSupport:
         self._points = points
         self._keys = row_keys(schema, points)
         self._cells: dict[Workload, np.ndarray] = {}
-        self._matrices: dict[WorkloadCover, np.ndarray] = {}
 
     @property
     def points(self) -> np.ndarray:
@@ -107,41 +96,13 @@ class WorkingSupport:
         if cells is None:
             if workload.schema != self.schema:
                 raise ValueError("workload schema does not match the support schema")
-            cells = compact_cells(workload, self._points)
+            dtype = np.min_scalar_type(workload.size)
+            if dtype.itemsize == 8:  # np.bincount cannot take uint64
+                dtype = np.dtype(np.int64)
+            cells = workload.point_cells(self._points).astype(dtype)
+            cells.flags.writeable = False
             self._cells[workload] = cells
         return cells
-
-    def _matrix(self, cover: WorkloadCover) -> np.ndarray | None:
-        """The 0/1 matrix whose row r marks the support points in ``cover``'s flat cell r, built
-        once per cover; None when it would have more than ``DENSE_LIMIT`` entries."""
-        n = len(self._points)
-        if len(cover.segment) * n > DENSE_LIMIT:
-            return None
-        matrix = self._matrices.get(cover)
-        if matrix is None:
-            flat = stride_cells(self._points, cover.strides, len(cover.segment)) + cover.offsets
-            matrix = np.zeros((len(cover.segment), n))
-            matrix[flat.ravel(), np.repeat(np.arange(n), len(cover.sizes))] = 1.0
-            matrix.flags.writeable = False
-            self._matrices[cover] = matrix
-        return matrix
-
-    def evaluate_many(
-        self, cover: WorkloadCover, weights: np.ndarray, at: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Every workload's values on ``weights`` as one flat vector in ``cover``'s layout. With
-        ``at``, ``weights[i]`` is the weight at support position ``at[i]`` (repeats add) and every
-        other position weighs 0. One product with ``_matrix(cover)`` where there is one. Otherwise,
-        with ``at``, ``cover.values`` of the points at ``at``; without, one ``bincount`` over the
-        support per group, then every flat cell summed off its run of joint cells by one
-        ``reduceat`` (equal up to the last bits; a one-cell run is copied)."""
-        matrix = self._matrix(cover)
-        if matrix is not None:
-            return matrix @ weights if at is None else matrix[:, at] @ weights
-        if at is not None:
-            return cover.values(self._points[at], weights)
-        joints = [np.bincount(self.cells(joint), weights, joint.size) for joint in cover.joints]
-        return np.add.reduceat(np.concatenate(joints).take(cover.gather), cover.starts)
 
     def observe(self, delta: WeightedDataset) -> tuple[np.ndarray, np.ndarray]:
         """Look up the points of a differential on the support, which stays as it is.
@@ -290,8 +251,7 @@ def mw_weights(
     bit for bit that of the dataset storing only the nonzero entries. Returns
     a new vector aligned with ``weights``; weights that underflow come back as 0.
     """
-    if passes < 1:
-        raise ValueError("passes must be >= 1")
+    passes = checked_int(passes, 1, "passes must be an integer >= 1")
     if target_mass <= 0:
         raise ValueError("target mass must be positive")
     out = _rescaled(weights, target_mass)
@@ -325,9 +285,7 @@ class MultiplicativeWeightsFitter:
     """
 
     def __init__(self, passes: int = 1):
-        if passes < 1:
-            raise ValueError("passes must be >= 1")
-        self.passes = passes
+        self.passes = checked_int(passes, 1, "passes must be an integer >= 1")
         self.stats = FitStats()
 
     def fit_weights(

@@ -45,8 +45,8 @@ class NoiseSource:
 
     def laplace(self, scale: float) -> float:
         """One Laplace(0, scale) draw via inverse CDF from a single uniform."""
-        if scale <= 0:
-            raise ValueError(f"laplace scale must be positive, got {scale}")
+        if not 0 < scale < math.inf:
+            raise ValueError(f"laplace scale must be positive and finite, got {scale}")
         self.laplace_draws += 1
         if self.mode == "zero":
             return 0.0
@@ -58,8 +58,8 @@ class NoiseSource:
     def laplace_vector(self, scale: float, n: int) -> np.ndarray:
         """``n`` Laplace(0, scale) draws from the uniforms ``n`` ``laplace`` calls would take, by the same
         formula on arrays: equal up to the last bit, where ``np.log1p`` rounds apart from ``math.log1p``."""
-        if scale <= 0:
-            raise ValueError(f"laplace scale must be positive, got {scale}")
+        if not 0 < scale < math.inf:
+            raise ValueError(f"laplace scale must be positive and finite, got {scale}")
         self.laplace_draws += n
         if self.mode == "zero":
             return np.zeros(n)
@@ -85,10 +85,10 @@ def exponential_mechanism(
         raise ValueError("utilities must be nonempty")
     if not np.isfinite(u).all():
         raise ValueError("utilities must be finite")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if sensitivity <= 0:
-        raise ValueError("sensitivity must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if not 0 < sensitivity < math.inf:
+        raise ValueError(f"sensitivity must be positive and finite, got {sensitivity}")
     if source.mode == "zero":
         return int(np.argmax(u >= u.max() - 1e-9 * max(1.0, abs(u.max()))))
     logits = (epsilon / (2.0 * sensitivity)) * u

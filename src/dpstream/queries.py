@@ -177,31 +177,35 @@ def stride_cells(points: np.ndarray, strides: np.ndarray, limit: int) -> np.ndar
     return (points.astype(np.float64) @ strides.astype(np.float64)).astype(np.int64)
 
 
-def compact_cells(workload: Workload, points: np.ndarray) -> np.ndarray:
-    """Read-only ``point_cells`` in the smallest dtype ``np.bincount`` takes that holds ``workload.size``."""
-    dtype = np.min_scalar_type(workload.size)
-    if dtype.itemsize == 8:  # np.bincount cannot take uint64
-        dtype = np.dtype(np.int64)
-    cells = workload.point_cells(points).astype(dtype)
-    cells.flags.writeable = False
-    return cells
+# Most entries of a cover's scoring matrix (512 KiB of float64); above it, a scoring sums the
+# joints. Both cost about the same near 190,000 entries.
+DENSE_LIMIT = 2**16
 
 
 @dataclass(frozen=True, eq=False)
 class WorkloadCover:
-    """A ``cover_workloads`` cover and the flat layout of a scoring: workload ``i``'s values are
-    ``flat[offsets[i]:offsets[i] + sizes[i]]``, and ``segment`` holds the workload of each flat cell.
-    Flat cell r sums the ``joints`` histograms, laid end to end, at ``gather[starts[r]:starts[r + 1]]``:
-    a scoring is one ``np.add.reduceat``. ``strides`` is the workloads' ``stride_matrix``:
-    ``stride_cells`` of points with it, plus ``offsets``, gives each point's flat cell in every workload."""
+    """Every workload's scoring on one fixed point set, ``points``, built once by ``cover_workloads``.
 
-    joints: tuple[Workload, ...]
+    A scoring is one flat float64 vector: workload ``i``'s values are
+    ``flat[offsets[i]:offsets[i] + sizes[i]]``, and ``segment`` holds the workload of each flat
+    cell. ``strides`` is the workloads' ``stride_matrix``: ``stride_cells`` of points with it, plus
+    ``offsets``, gives each point's flat cell in every workload. ``matrix`` is the 0/1 matrix
+    whose row r marks the points in flat cell r, or None where it would have more than
+    ``DENSE_LIMIT`` entries; then ``joint_cells`` holds the cells at the points of each of the
+    ``joints`` that group the workloads, and flat cell r sums their histograms, laid end to end,
+    at ``gather[starts[r]:starts[r + 1]]``: one ``np.add.reduceat``. Every array is read-only.
+    """
+
+    points: np.ndarray
     offsets: np.ndarray
     sizes: np.ndarray
     segment: np.ndarray
+    strides: np.ndarray
+    matrix: np.ndarray | None
+    joints: tuple[Workload, ...]
+    joint_cells: tuple[np.ndarray, ...]
     gather: np.ndarray
     starts: np.ndarray
-    strides: np.ndarray
 
     def values(self, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Every workload's values on the in-range int64 rows ``points`` weighted by ``weights``
@@ -214,9 +218,34 @@ class WorkloadCover:
         values = np.bincount(flat.ravel(), np.repeat(weights, len(self.sizes)), len(self.segment))
         return values.astype(np.float64, copy=False)  # no rows give int64 zeros
 
+    def score(self, weights: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+        """Every workload's values on ``weights``, aligned with ``points``, as one flat vector. With
+        ``at``, ``weights[i]`` is the weight at ``points[at[i]]`` (repeats add) and every other
+        point weighs 0. One product with ``matrix`` where there is one. Otherwise, with ``at``,
+        ``values`` of the points at ``at``; without, one ``bincount`` per joint, then every flat
+        cell summed off its run of joint cells by one ``reduceat`` (equal up to the last bits; a
+        one-cell run is copied)."""
+        if self.matrix is not None:
+            return self.matrix @ weights if at is None else self.matrix[:, at] @ weights
+        if at is not None:
+            return self.values(self.points[at], weights)
+        joints = [np.bincount(c, weights, j.size) for j, c in zip(self.joints, self.joint_cells)]
+        return np.add.reduceat(np.concatenate(joints).take(self.gather), self.starts)
 
-def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> WorkloadCover:
-    """Greedy cover of ``workloads`` by groups whose joints have at most ``max_cells`` cells.
+    def mean_abs(self, flat: np.ndarray) -> np.ndarray:
+        """Each workload's L1 norm in the flat vector ``flat`` over its cell count, by one segment sum."""
+        return np.bincount(self.segment, np.abs(flat), len(self.sizes)) / self.sizes
+
+
+def cover_workloads(workloads: Sequence[Workload], points: np.ndarray) -> WorkloadCover:
+    """The ``WorkloadCover`` of ``workloads`` on the in-range int64 rows ``points``, which the
+    cover keeps and scores on for good."""
+    # joints of at most an eighth of the points scored fastest in a sweep of the cap
+    return _cover(workloads, points, len(points) // 8)
+
+
+def _cover(workloads: Sequence[Workload], points: np.ndarray, max_cells: int) -> WorkloadCover:
+    """``cover_workloads`` with joints of at most ``max_cells`` cells, grouped greedily.
 
     Largest first, each workload joins the group whose column union stays within
     the cap with the smallest joint, else opens a group (alone when over the cap).
@@ -240,14 +269,12 @@ def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> WorkloadCo
     joints, runs, base = [], [None] * len(workloads), 0
     for mask, _, members in groups:
         columns = tuple(c for c in range(schema.num_attributes) if mask >> c & 1)
-        # a member equal to the joint lends its own object, so cache lookups hit by identity
-        same = [i for i in members if workloads[i].columns == columns]
-        joint = workloads[same[0]] if same else Workload(schema, columns)
+        joint = Workload(schema, columns)
         # the joint's cells as points, first column slowest; a lone member is its joint
         shape = [card if mask & bit else 1 for bit, card in cards.items()]
         grid = np.indices(shape).reshape(len(shape), -1).T if len(members) > 1 else None
         for i in members:  # each member's cell at every joint cell
-            runs[i] = base, np.arange(joint.size) if i in same else compact_cells(workloads[i], grid)
+            runs[i] = base, np.arange(joint.size) if grid is None else workloads[i].point_cells(grid)
         joints.append(joint)
         base += joint.size
     sizes = np.array([w.size for w in workloads], dtype=np.int64)
@@ -260,9 +287,23 @@ def cover_workloads(workloads: Sequence[Workload], max_cells: int) -> WorkloadCo
     assert counts.min() >= 1, "reduceat would copy the next run's first value into an empty run"
     starts = np.cumsum(counts) - counts
     strides = stride_matrix(workloads, schema.num_attributes)
-    for array in (sizes, offsets, segment, gather, starts, strides):
+    matrix, joint_cells = None, ()
+    if len(segment) * len(points) <= DENSE_LIMIT:
+        flat = stride_cells(points, strides, len(segment)) + offsets
+        matrix = np.zeros((len(segment), len(points)))
+        matrix[flat.ravel(), np.repeat(np.arange(len(points)), len(workloads))] = 1.0
+        matrix.flags.writeable = False
+    else:
+        # uint16 where it holds a joint's cells: int64 ones (1.7 MiB on census13's 10,000-point
+        # support) made census13 releases 6% slower, though bincount casts uint16 on every call
+        joint_cells = tuple(
+            j.point_cells(points).astype(np.uint16 if j.size <= 2**16 else np.intp) for j in joints
+        )
+    for array in (sizes, offsets, segment, gather, starts, strides, *joint_cells):
         array.flags.writeable = False
-    return WorkloadCover(tuple(joints), offsets, sizes, segment, gather, starts, strides)
+    return WorkloadCover(
+        points, offsets, sizes, segment, strides, matrix, tuple(joints), joint_cells, gather, starts
+    )
 
 
 @dataclass(frozen=True)

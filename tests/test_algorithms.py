@@ -30,7 +30,7 @@ from dpstream import (
 )
 from dpstream import algorithms, surrogate
 from dpstream.counters import KINDS
-from dpstream.queries import cell_values, compact_cells
+from dpstream.queries import cell_values
 
 SCHEMA_2X2 = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_234 = DomainSchema((("a", 2), ("b", 3), ("c", 4)))
@@ -601,16 +601,19 @@ class TestCoverScoring:
             np.testing.assert_allclose(reference - h, change, rtol=0, atol=1e-12 * reference.max())
             # integer entries: the full cover scoring of the change, plus the direct scoring of the
             # rows off the support, gives the same bits
-            assert difference.tobytes() == (support.evaluate_many(cover, change) + direct).tobytes()
+            assert difference.tobytes() == (cover.score(change) + direct).tobytes()
             # scoring is linear: the surrogate's values less the fit's, up to rounding
-            values = support.evaluate_many(cover, reference) + direct
+            values = cover.score(reference) + direct
             np.testing.assert_allclose(
-                difference, values - support.evaluate_many(cover, h), rtol=1e-12, atol=1e-12 * values.max()
+                difference, values - cover.score(h), rtol=1e-12, atol=1e-12 * values.max()
             )
 
     @pytest.mark.parametrize("algorithm", ["baseline", "main"])
-    def test_support_caches_only_the_cover_joints(self, algorithm):
+    def test_support_caches_only_workloads_evaluated_on_releases(self, algorithm):
         synth = self._synth(algorithm, seed=3)
+        cover = synth._cover
+        assert cover.matrix is None and len(cover.joints) < len(synth.workloads)
+        built = cover.joint_cells
         fits, fit_weights = [], synth.fitter.fit_weights
 
         def recording(measurements, cells, weights, target):
@@ -620,22 +623,24 @@ class TestCoverScoring:
         synth.fitter.fit_weights = recording
         for delta in random_deltas(self.SCHEMA, 10, seed=4, max_rows=60):
             synth.step(delta)
-        joints = synth._cover.joints
-        assert len(joints) < len(synth.workloads)
-        assert sorted(map(id, synth.support._cells)) == sorted(map(id, joints))
+        # every scoring read the joint cells the cover built, at the support's points
+        assert synth._cover is cover and cover.joint_cells is built
+        for joint, cells in zip(cover.joints, built):
+            assert cells.dtype == np.uint16 and not cells.flags.writeable
+            assert np.array_equal(cells, joint.point_cells(synth.support.points))
+        assert synth.support._cells == {}
         # evaluating a release adds the cells of exactly the workloads evaluated
         evaluated = synth.workloads[::5]
         assert synth.g.support_cells is not None
         for w in evaluated:
             eval_workload(w, synth.g)
-        assert set(synth.support._cells) == set(joints) | set(evaluated)
-        assert len(synth.support._cells) > len(joints)
+        assert set(synth.support._cells) == set(evaluated)
         # each round fits every workload measured so far on its cells at the support's points
         assert len(fits) == 10 * synth.config.k
         for measured, cells, points in fits:
             assert len(measured) == len(cells) >= 1
             for j, got in zip(measured, cells):
-                want = compact_cells(synth.workloads[j], points)
+                want = synth.workloads[j].point_cells(points)
                 assert got.dtype == np.int64 and np.array_equal(got, want)
 
 

@@ -217,6 +217,28 @@ class TestBinaryTreeCounter:
             assert c.levels <= math.ceil(math.log2(t + 1)) + 1
 
 
+class TestParameterChecks:
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_epsilon_must_be_positive_and_finite(self, kind, epsilon):
+        # a NaN epsilon used to make every release NaN
+        block_size = 3 if kind == "bounded_block" else None
+        with pytest.raises(ValueError, match="epsilon"):
+            make_counter(kind, epsilon, NoiseSource(0), block_size)
+        with pytest.raises(ValueError, match="epsilon"):
+            MultiDimCounter(kind, 2, epsilon, NoiseSource(0), block_size=block_size)
+
+    @pytest.mark.parametrize("bad", [2.5, True, 0, np.float64(3.0)])
+    def test_integer_sizes_are_checked(self, bad):
+        # a block size of 2.5 used to become 2, and 2.5 cells 2
+        with pytest.raises(ValueError, match="block size must be an integer"):
+            BlockCounter(1.0, NoiseSource(0), bad)
+        with pytest.raises(ValueError, match="number of cells"):
+            MultiDimCounter("simple", bad, 1.0, NoiseSource(0))
+        assert BlockCounter(1.0, NoiseSource(0), np.int64(3)).block_size == 3
+        assert len(MultiDimCounter("simple", np.int32(3), 1.0, NoiseSource(0))) == 3
+
+
 class TestMultiDimCounter:
     def test_zero_noise_vector_feeds(self):
         m = MultiDimCounter("simple", 2, 1.0, NoiseSource(0, mode="zero"))

@@ -212,6 +212,10 @@ class TestWeightedDataset:
             WeightedDataset.from_rows(SCHEMA_2X2, [(True, False), (False, True)])
         with pytest.raises(ValueError, match="integers"):
             step_datasets(SCHEMA_2X2, [(0, 1), (0.5, 1.0)], np.array([0, 0]), 1)
+        # a bool among ints, which numpy reads as an integer: (True, 1) used to be stored as (1, 1)
+        for rows in ([(True, 1), (0, 1)], [(0, 1), (1, np.True_)]):
+            with pytest.raises(ValueError, match="integers"):
+                WeightedDataset.from_rows(SCHEMA_2X2, rows)
         for point in [(1.7, 0), (True, 1), (0, np.float64(1.0)), ("1", 0)]:
             with pytest.raises(ValueError, match="not an integer"):
                 WeightedDataset.from_mapping(SCHEMA_2X2, {point: 1.0})

@@ -212,6 +212,20 @@ class TestMwFit:
         with pytest.raises(ValueError):
             mw_fit([], init, target_mass=1.0, passes=0)
 
+    @pytest.mark.parametrize("passes", [2.5, True, 0, np.float64(2.0)])
+    def test_passes_must_be_an_integer(self, passes):
+        # 2.5 used to be accepted, then fail in range() at the first fit; True ran one pass
+        init = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 1.0, (1, 1): 1.0})
+        w = Workload(SCHEMA, (0,))
+        meas = [Measurement(0, w, np.array([1.0, 1.0]))]
+        with pytest.raises(ValueError, match="passes must be an integer"):
+            MultiplicativeWeightsFitter(passes=passes)
+        with pytest.raises(ValueError, match="passes must be an integer"):
+            mw_fit(meas, init, 2.0, passes=passes)
+        with pytest.raises(ValueError, match="passes must be an integer"):
+            mw_weights(init.weights, [w.cell_indices(init)], [meas[0].values], 2.0, passes)
+        assert MultiplicativeWeightsFitter(passes=np.int64(2)).passes == 2
+
 
 class TestMwWeights:
     @pytest.mark.parametrize("passes", [1, 3])

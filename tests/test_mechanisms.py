@@ -140,6 +140,17 @@ class TestNoiseSource:
         with pytest.raises(ValueError):
             src_zero.laplace(0.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["laplace", "zero"])
+    def test_scale_must_be_finite(self, scale, mode):
+        # a NaN scale used to draw NaN and an infinite one [inf, -inf]
+        src = NoiseSource(0, mode=mode)
+        with pytest.raises(ValueError, match="finite"):
+            src.laplace(scale)
+        with pytest.raises(ValueError, match="finite"):
+            src.laplace_vector(scale, 2)
+        assert src.laplace_draws == 0
+
     def test_empirical_variance(self):
         # oracle: Var[Laplace(0, b)] = 2 b^2, Monte Carlo at 1e5 draws
         src = NoiseSource(123)
@@ -168,6 +179,16 @@ class TestExponentialMechanism:
             exponential_mechanism([0.0], 0.0, 1.0, src)
         with pytest.raises(ValueError, match="sensitivity"):
             exponential_mechanism([0.0], 1.0, 0.0, src)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["laplace", "zero"])
+    def test_rejects_non_finite_epsilon_and_sensitivity(self, bad, mode):
+        # a NaN epsilon used to return index 0 silently, and an infinite one with a RuntimeWarning
+        src = NoiseSource(0, mode=mode)
+        with pytest.raises(ValueError, match="epsilon"):
+            exponential_mechanism([0.1, 0.5, 0.2], bad, 1.0, src)
+        with pytest.raises(ValueError, match="sensitivity"):
+            exponential_mechanism([0.1, 0.5, 0.2], 1.0, bad, src)
 
     def test_zero_mode_is_argmax_with_lowest_index_ties(self):
         src = NoiseSource(0, mode="zero")

@@ -16,7 +16,7 @@ from dpstream import (
     eval_query,
     eval_workload,
 )
-from dpstream import fitters
+from dpstream import queries
 from dpstream.fitters import WorkingSupport
 from dpstream.queries import cell_values, cover_workloads, stride_cells, stride_matrix
 
@@ -236,6 +236,13 @@ class TestWorkload:
         assert just_fits.point_cells(top).tolist() == [just_fits.size - 1]
 
 
+def build_cover(workloads, support, cap, limit=queries.DENSE_LIMIT):
+    """``queries._cover`` of ``workloads`` on the support's points with joints of at most ``cap``
+    cells, built under a ``DENSE_LIMIT`` of ``limit`` (0 for the joint path)."""
+    with mock.patch.object(queries, "DENSE_LIMIT", limit):
+        return queries._cover(workloads, support.points, cap)
+
+
 class TestCoverWorkloads:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.sampled_from([1, 1, 2, 3, 5]), min_size=1, max_size=6), st.data())
@@ -247,7 +254,19 @@ class TestCoverWorkloads:
         picked = data.draw(st.lists(st.sampled_from(tuples), min_size=1, unique=True))
         workloads = [Workload(schema, cols) for cols in picked]
         cap = data.draw(st.sampled_from([0, 1, 6, 40, 10**9]))
-        cover = cover_workloads(workloads, cap)
+        seed = data.draw(st.integers(0, 99))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # seed size 60 enumerates domains of up to 60 points; a seed size below the
+        # domain size always samples. Each is scored on the dense path where its matrix
+        # fits DENSE_LIMIT, and on the joint path with a limit of 0
+        supports = [WorkingSupport(schema, seed_size=60, seed=seed)]
+        if schema.size > 1:
+            supports.append(WorkingSupport(schema, seed_size=min(60, schema.size - 1), seed=seed))
+        covers = [
+            (support, build_cover(workloads, support, cap, limit))
+            for support, limit in itertools.product(supports, (queries.DENSE_LIMIT, 0))
+        ]
+        cover = covers[0][1]
 
         # every workload reads each cell of one joint exactly once; every joint has a member
         homes, runs = joint_runs(cover)
@@ -261,9 +280,6 @@ class TestCoverWorkloads:
             assert joint.size <= cap or (len(members) == 1 and first.size > cap)
             union = {c for i in members for c in workloads[i].columns}
             assert joint.columns == tuple(sorted(union))
-            for i in members:
-                if workloads[i].columns == joint.columns:
-                    assert joint is workloads[i]
 
         # the flat layout lays every workload's cells end to end in index order
         sizes = [w.size for w in workloads]
@@ -271,26 +287,18 @@ class TestCoverWorkloads:
         assert cover.offsets.tolist() == np.concatenate([[0], np.cumsum(sizes)[:-1]]).tolist()
         assert cover.segment.tolist() == [i for i, size in enumerate(sizes) for _ in range(size)]
 
-        seed = data.draw(st.integers(0, 99))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        # seed size 60 enumerates domains of up to 60 points; a seed size below the
-        # domain size always samples. Each is scored on the dense path where its matrix
-        # fits DENSE_LIMIT, and on the cover path with a limit of 0
-        supports = [WorkingSupport(schema, seed_size=60, seed=seed)]
-        if schema.size > 1:
-            supports.append(WorkingSupport(schema, seed_size=min(60, schema.size - 1), seed=seed))
-        for support, limit in itertools.product(supports, (fitters.DENSE_LIMIT, 0)):
+        for support, cover in covers:
+            assert cover.points is support.points
             weights = rng.random(len(support)) * (rng.random(len(support)) < 0.8)
-            with mock.patch.object(fitters, "DENSE_LIMIT", limit):
-                values = support.evaluate_many(cover, weights)
+            values = cover.score(weights)
             dataset = WeightedDataset(schema, support.points, weights)
             assert values.dtype == np.float64 and values.shape == (sum(sizes),)
             for i, workload in enumerate(workloads):
                 got = part(cover, values, i)
                 np.testing.assert_allclose(got, eval_workload(workload, dataset), rtol=1e-12, atol=0)
-            if limit:
+            if cover.matrix is not None:
                 continue
-            # on the cover path a member equal to its joint is the joint's own bincount
+            # on the joint path a member equal to its joint is the joint's own bincount
             for i, g in enumerate(homes):
                 if workloads[i].columns == cover.joints[g].columns:
                     direct = cell_values(support.cells(workloads[i]), weights, workloads[i].size)
@@ -304,11 +312,18 @@ class TestCoverWorkloads:
         cards = [len(values) for _, values in surrogate.SCHEMA]
         schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
         workloads = list(enumerate_workloads(schema, 2))
-        cover = cover_workloads(workloads, 10_000 // 8)
-        assert len(cover.joints) < len(workloads) // 3
+        support = WorkingSupport(schema)
+        assert len(support) == 10_000
+        cover = cover_workloads(workloads, support.points)
+        assert cover.matrix is None and len(cover.joints) < len(workloads) // 3
+        assert max(joint.size for joint in cover.joints) <= 10_000 // 8
         homes, _ = joint_runs(cover)
         starts = np.append(cover.starts, len(cover.gather))
         for g, joint in enumerate(cover.joints):
+            # the joint's cells at the support points, built once, in uint16 and read-only
+            cells = cover.joint_cells[g]
+            assert cells.dtype == np.uint16 and not cells.flags.writeable
+            assert cells.tolist() == joint.point_cells(support.points).tolist()
             members = np.flatnonzero(homes == g)
             assert len(members) > 1
             for i in members:
@@ -317,26 +332,37 @@ class TestCoverWorkloads:
                 cells = starts[cover.offsets[i] : cover.offsets[i] + cover.sizes[i] + 1]
                 assert cells[-1] - cells[0] == joint.size and (np.diff(cells) >= 1).all()
 
+    def test_joint_cells_past_uint16_are_intp(self):
+        # a lone workload of 90,000 cells: its joint's cells do not fit uint16
+        schema = DomainSchema((("a", 300), ("b", 300), ("c", 2)))
+        workloads = [Workload(schema, (0, 1)), Workload(schema, (2,))]
+        support = WorkingSupport(schema, seed_size=500, seed=1)
+        cover = build_cover(workloads, support, 8)
+        assert [j.size for j in cover.joints] == [90_000, 2]
+        assert [c.dtype for c in cover.joint_cells] == [np.intp, np.uint16]
+        counts = np.random.default_rng(2).integers(1, 9, size=len(support)).astype(np.float64)
+        values = cover.score(counts)
+        dataset = WeightedDataset(schema, support.points, counts)
+        for i, workload in enumerate(workloads):
+            assert part(cover, values, i).tobytes() == eval_workload(workload, dataset).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=2, max_size=5), st.data())
     def test_scoring_at_positions_equals_dense_scoring(self, cards, data):
         schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
         workloads = list(enumerate_workloads(schema, 2)) + list(enumerate_workloads(schema, 1))
-        cover = cover_workloads(workloads, data.draw(st.sampled_from([1, 6, 40, 10**9])))
         support = WorkingSupport(schema, seed_size=50, seed=data.draw(st.integers(0, 99)))
+        cover = build_cover(workloads, support, data.draw(st.sampled_from([1, 6, 40, 10**9])))
         # positions with repeats, as a differential's points and the zero entries can share one
         at = np.array(data.draw(st.lists(st.integers(0, len(support) - 1), max_size=30)), dtype=np.intp)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         weights = rng.normal(size=len(at))
         dense = np.zeros(len(support))
         np.add.at(dense, at, weights)
-        np.testing.assert_allclose(
-            support.evaluate_many(cover, weights, at), support.evaluate_many(cover, dense),
-            rtol=1e-12, atol=1e-12,
-        )
+        np.testing.assert_allclose(cover.score(weights, at), cover.score(dense), rtol=1e-12, atol=1e-12)
         # integer weights sum exactly in any order: the same bits as eval_workload on the points
         counts = rng.integers(1, 20, size=len(at)).astype(np.float64)
-        values = support.evaluate_many(cover, counts, at)
+        values = cover.score(counts, at)
         dataset = WeightedDataset(schema, support.points[at], counts)
         for i, workload in enumerate(workloads):
             assert part(cover, values, i).tobytes() == eval_workload(workload, dataset).tobytes()
@@ -344,21 +370,19 @@ class TestCoverWorkloads:
     @staticmethod
     def _check_direct_route(support, cover, at, rng):
         """The ``at`` route against the full path on a vector holding the same entries, both on
-        the cover path (a ``DENSE_LIMIT`` of 0), on a sampled support."""
-        assert len(support) < support.schema.size
+        the joint path (a cover built under a ``DENSE_LIMIT`` of 0), on a sampled support."""
+        assert len(support) < support.schema.size and cover.matrix is None
         counts = rng.integers(-3, 20, size=len(at)).astype(np.float64)  # -1 as at main's zeros
         floats = rng.random(len(at)) + 0.1
         for weights in (counts, floats):
             dense = np.zeros(len(support))
             np.add.at(dense, at, weights)  # repeated positions add
-            with mock.patch.object(fitters, "DENSE_LIMIT", 0):
-                got, want = support.evaluate_many(cover, weights, at), support.evaluate_many(cover, dense)
+            got, want = cover.score(weights, at), cover.score(dense)
             assert got.dtype == np.float64 and got.shape == want.shape == (len(cover.segment),)
             if weights is counts:  # integer sums are exact in any order
                 assert got.tobytes() == want.tobytes()
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        assert support._matrices == {}
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=2, max_size=6), st.data())
@@ -366,8 +390,8 @@ class TestCoverWorkloads:
         schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
         assume(schema.size > 1)
         workloads = [w for k in (1, 2, 3) if k <= len(cards) for w in enumerate_workloads(schema, k)]
-        cover = cover_workloads(workloads, data.draw(st.sampled_from([0, 1, 6, 40, 10**9])))
         support = WorkingSupport(schema, seed_size=min(60, schema.size - 1), seed=data.draw(st.integers(0, 99)))
+        cover = build_cover(workloads, support, data.draw(st.sampled_from([0, 1, 6, 40, 10**9])), 0)
         # possibly empty, possibly repeated
         at = np.array(data.draw(st.lists(st.integers(0, len(support) - 1), max_size=40)), dtype=np.intp)
         self._check_direct_route(support, cover, at, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
@@ -376,8 +400,8 @@ class TestCoverWorkloads:
         schema = DomainSchema((("a", 3), ("b", 1), ("c", 4), ("d", 2), ("e", 5)))
         workloads = list(enumerate_workloads(schema, 1)) + list(enumerate_workloads(schema, 2))
         assert Workload(schema, (1,)) in workloads  # a one-cell workload
-        cover = cover_workloads(workloads, 12)
         support = WorkingSupport(schema, seed_size=40, seed=5)
+        cover = build_cover(workloads, support, 12, 0)
         rng = np.random.default_rng(17)
         at = rng.integers(0, len(support), size=60)
         assert len(np.unique(at)) < len(at)
@@ -390,22 +414,21 @@ class TestCoverWorkloads:
         schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
         assume(schema.size > 1)
         workloads = [w for k in (1, 2, 3) if k <= len(cards) for w in enumerate_workloads(schema, k)]
-        cover = cover_workloads(workloads, data.draw(st.sampled_from([0, 1, 6, 40, 10**9])))
+        # a seed size below the domain size samples; a DENSE_LIMIT of 0 takes the joint path
+        support = WorkingSupport(schema, seed_size=min(60, schema.size - 1), seed=data.draw(st.integers(0, 99)))
+        assert len(support) < schema.size
+        cover = build_cover(workloads, support, data.draw(st.sampled_from([0, 1, 6, 40, 10**9])), 0)
+        assert cover.matrix is None and len(cover.joint_cells) == len(cover.joints)
         # one nonempty run of joint cells per flat cell: reduceat never reads a neighbour's value
         starts, gather = cover.starts, cover.gather
         assert len(starts) == len(cover.segment) and starts[0] == 0
         assert (np.diff(starts) >= 1).all() and starts[-1] < len(gather)
         assert len(gather) == sum(cover.joints[g].size for g in joint_runs(cover)[0])
-        # a seed size below the domain size samples; a DENSE_LIMIT of 0 takes the cover path
-        support = WorkingSupport(schema, seed_size=min(60, schema.size - 1), seed=data.draw(st.integers(0, 99)))
-        assert len(support) < schema.size
         at = np.array(data.draw(st.lists(st.integers(0, len(support) - 1), max_size=30)), dtype=np.intp)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         floats = rng.random(len(at)) + 0.1
         counts = rng.integers(1, 20, size=len(at)).astype(np.float64)
-        with mock.patch.object(fitters, "DENSE_LIMIT", 0):
-            got_floats, got_counts = (support.evaluate_many(cover, w, at) for w in (floats, counts))
-        assert support._matrices == {}
+        got_floats, got_counts = (cover.score(w, at) for w in (floats, counts))
         if len(at) == 0:
             for got in (got_floats, got_counts):
                 assert got.dtype == np.float64 and got.tobytes() == np.zeros(len(cover.segment)).tobytes()
@@ -421,7 +444,7 @@ class TestCoverWorkloads:
 
 
 class TestDenseScoring:
-    """On a support whose matrix fits ``DENSE_LIMIT``, scoring is one matrix product."""
+    """On points whose matrix fits ``DENSE_LIMIT``, scoring is one matrix product."""
 
     @settings(max_examples=60, deadline=None)
     # at most 256 points and 128 cells: always within DENSE_LIMIT
@@ -431,13 +454,13 @@ class TestDenseScoring:
         workloads = list(enumerate_workloads(schema, 1))
         if len(cards) > 1:
             workloads += list(enumerate_workloads(schema, 2))
-        cover = cover_workloads(workloads, data.draw(st.sampled_from([1, 6, 40, 10**9])))
         support = WorkingSupport(schema, seed_size=schema.size, seed=0)
-        assert len(support) == schema.size and len(cover.segment) * len(support) <= fitters.DENSE_LIMIT
+        cover = build_cover(workloads, support, data.draw(st.sampled_from([1, 6, 40, 10**9])))
+        assert len(support) == schema.size and len(cover.segment) * len(support) <= queries.DENSE_LIMIT
+        assert cover.matrix is not None and cover.joint_cells == ()
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         weights = rng.random(len(support)) * (rng.random(len(support)) < 0.8)
-        values = support.evaluate_many(cover, weights)
-        assert cover in support._matrices
+        values = cover.score(weights)
         assert values.dtype == np.float64 and values.shape == (len(cover.segment),)
         dataset = WeightedDataset(schema, support.points, weights)
         for i, workload in enumerate(workloads):
@@ -447,63 +470,59 @@ class TestDenseScoring:
         counts = rng.integers(1, 20, size=len(support)).astype(np.float64)
         at_counts = rng.integers(1, 20, size=len(at)).astype(np.float64)
         for dataset, got in (
-            (WeightedDataset(schema, support.points, counts), support.evaluate_many(cover, counts)),
-            (WeightedDataset(schema, support.points[at], at_counts), support.evaluate_many(cover, at_counts, at)),
+            (WeightedDataset(schema, support.points, counts), cover.score(counts)),
+            (WeightedDataset(schema, support.points[at], at_counts), cover.score(at_counts, at)),
         ):
             for i, workload in enumerate(workloads):
                 assert part(cover, got, i).tobytes() == eval_workload(workload, dataset).tobytes()
 
     def test_empty_positions_score_zero(self):
         workloads = list(enumerate_workloads(SCHEMA_243, 2))
-        cover = cover_workloads(workloads, 3)
         support = WorkingSupport(SCHEMA_243, seed_size=100)
-        values = support.evaluate_many(cover, np.empty(0), np.empty(0, dtype=np.intp))
-        assert cover in support._matrices
+        cover = build_cover(workloads, support, 3)
+        assert cover.matrix is not None
+        values = cover.score(np.empty(0), np.empty(0, dtype=np.intp))
         assert values.dtype == np.float64 and values.tobytes() == np.zeros(len(cover.segment)).tobytes()
 
     def test_matrix_built_once_per_cover(self):
         workloads = list(enumerate_workloads(SCHEMA_243, 2))
         support = WorkingSupport(SCHEMA_243, seed_size=100)
-        cover, other = cover_workloads(workloads, 3), cover_workloads(workloads, 100)
+        cover, other = build_cover(workloads, support, 3), build_cover(workloads, support, 100)
         weights = np.arange(len(support), dtype=np.float64)
-        first = support.evaluate_many(cover, weights)
-        matrix = support._matrices[cover]
+        matrix = cover.matrix
         assert matrix.shape == (len(cover.segment), len(support)) and not matrix.flags.writeable
         # every point lies in exactly one cell of each workload
         assert set(np.unique(matrix)) == {0.0, 1.0}
         assert (matrix.sum(axis=0) == len(workloads)).all()
-        assert support.evaluate_many(cover, weights).tobytes() == first.tobytes()
-        support.evaluate_many(cover, weights[:2], np.array([0, 1]))
-        assert support._matrices[cover] is matrix and len(support._matrices) == 1
-        support.evaluate_many(other, weights)
-        assert len(support._matrices) == 2 and support._matrices[cover] is matrix
+        first = cover.score(weights)
+        assert cover.score(weights).tobytes() == first.tobytes()
+        cover.score(weights[:2], np.array([0, 1]))
+        assert cover.matrix is matrix
+        # the layout does not depend on the cap: the other cover's own matrix holds the same entries
+        assert other.matrix is not matrix and other.matrix.tobytes() == matrix.tobytes()
 
-    def test_matrix_only_within_the_limit_on_any_support(self, monkeypatch):
+    def test_matrix_only_within_the_limit_on_any_support(self):
         schema = DomainSchema(tuple((f"x{i}", 4) for i in range(5)))  # 1,024 points
         workloads = list(enumerate_workloads(schema, 2))  # 160 cells
-        cover = cover_workloads(workloads, 128)
-        entries = len(cover.segment) * schema.size
-        assert entries > fitters.DENSE_LIMIT
+        entries = 160 * schema.size
+        assert entries > queries.DENSE_LIMIT
         rng = np.random.default_rng(3)
         sampled = WorkingSupport(schema, seed_size=schema.size - 1, seed=0)
         whole = WorkingSupport(schema, seed_size=schema.size, seed=0)
-        assert len(cover.segment) * len(sampled) > fitters.DENSE_LIMIT
+        assert 160 * len(sampled) > queries.DENSE_LIMIT
         for support in (sampled, whole):
+            cover = build_cover(workloads, support, 128)
+            assert cover.matrix is None and len(cover.joint_cells) == len(cover.joints)
             weights = rng.random(len(support))
-            values = support.evaluate_many(cover, weights)
-            assert support._matrices == {}
+            values = cover.score(weights)
             dataset = WeightedDataset(schema, support.points, weights)
             for i, workload in enumerate(workloads):
                 np.testing.assert_allclose(part(cover, values, i), eval_workload(workload, dataset), rtol=1e-12)
-        # the limit is inclusive, and a sampled support within it gets a matrix too
-        monkeypatch.setattr(fitters, "DENSE_LIMIT", entries - 1)
-        whole.evaluate_many(cover, np.ones(len(whole)))
-        assert whole._matrices == {}
-        sampled.evaluate_many(cover, np.ones(len(sampled)))
-        assert cover in sampled._matrices
-        monkeypatch.setattr(fitters, "DENSE_LIMIT", entries)
-        whole.evaluate_many(cover, np.ones(len(whole)))
-        assert cover in whole._matrices
+        # the limit is inclusive, and sampled points within it get a matrix too
+        assert build_cover(workloads, whole, 128, entries - 1).matrix is None
+        assert build_cover(workloads, sampled, 128, entries - 1).matrix is not None
+        dense = build_cover(workloads, whole, 128, entries)
+        assert dense.matrix is not None and dense.joint_cells == ()
 
 
 class TestEvalWorkloadMemo:
