@@ -20,14 +20,9 @@ import numpy as np
 
 from .counters import MultiDimCounter, check_kind
 from .domain import WeightedDataset, checked_int, nonzero_mass
-from .fitters import (
-    DEFAULT_SEED_SUPPORT,
-    Measurement,
-    MultiplicativeWeightsFitter,
-    WorkingSupport,
-)
+from .fitters import DEFAULT_SEED_SUPPORT, MultiplicativeWeightsFitter, WorkingSupport
 from .mechanisms import NOISE_MODES, BudgetLedger, NoiseSource, exponential_mechanism
-from .queries import WorkloadSet, cell_values, cover_workloads, eval_workload
+from .queries import WorkloadSet, cover_workloads, eval_workload
 
 # child-source roles under the run seed
 _SELECT = 0
@@ -131,6 +126,8 @@ class _StreamSynthesizer:
         self._sensitivity = config.resolved_sensitivity()
         self._cover = cover_workloads(self.workloads, self.support.points)
         self._bias = self._cell_bias * self._cover.sizes
+        # the workloads of the latest round that spent budget, in selection order
+        self.last_selected: list[int] = []
         self._release(np.ones(len(self.support)))
 
     def _observe(self, delta: WeightedDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -158,7 +155,7 @@ class _StreamSynthesizer:
         off: np.ndarray,
         difference: np.ndarray,
         target: float,
-    ) -> tuple[np.ndarray, list[int]]:
+    ) -> np.ndarray:
         """k select → measure → fit iterations starting from the fit ``h``, where ``reference``
         is a weight vector on the support, ``off`` the scoring of the rows of ``delta`` off the
         support, and ``difference`` the scoring of ``reference - h`` plus ``off``.
@@ -169,12 +166,12 @@ class _StreamSynthesizer:
         cell; picks one with the exponential mechanism, measures it and refits
         to ``target`` mass. Scoring is linear, so each distance is read off one
         scoring of the difference of the two weight vectors, plus ``off``.
-        Returns the mean of the k fits and the selected workload indices.
+        Returns the mean of the k fits; ``last_selected`` holds the selection.
         """
         cover, k = self._cover, self.config.k
         fits: list[np.ndarray] = []
-        measured: list[Measurement] = []
         cells: list[np.ndarray] = []
+        values: list[np.ndarray] = []
         selected: list[int] = []
         unselected = np.ones(len(cover.sizes), dtype=bool)
         for l in range(1, k + 1):
@@ -185,16 +182,17 @@ class _StreamSynthesizer:
             selected.append(j)
             unselected[j] = False
             cells.append(self.workloads[j].point_cells(self.support.points))
-            measured.append(Measurement(j, self.workloads[j], self._measure(j, delta, cells[-1])))
-            h = self.fitter.fit_weights(measured, cells, h, target)
+            values.append(self._measure(j, delta))
+            h = self.fitter.fit_weights(cells, values, h, target)
             fits.append(h)
             if l < k:
                 difference = cover.score(reference - h) + off
+        self.last_selected = selected  # only now: main's ``_measure`` reads the previous round's
         # dataset_mean of the fits: summed in list order, then scaled by 1/k
-        return sum(fits[1:], fits[0]) * (1.0 / len(fits)), selected
+        return sum(fits[1:], fits[0]) * (1.0 / len(fits))
 
-    def _measure(self, j: int, delta: WeightedDataset, cells: np.ndarray) -> np.ndarray:
-        """Noisy cell values of workload ``j`` (``cells`` on the support) at step t, spending its share."""
+    def _measure(self, j: int, delta: WeightedDataset) -> np.ndarray:
+        """Noisy cell values of workload ``j`` at step t, spending its share."""
         raise NotImplementedError
 
     def _release(self, weights: np.ndarray) -> WeightedDataset:
@@ -227,10 +225,10 @@ class StreamingMwem(_StreamSynthesizer):
         reference = np.zeros(len(self.support))
         reference[at] = held_weights
         difference = self._cover.score(reference - h) + off
-        mean, _ = self._round(delta, reference, h, off, difference, target)
+        mean = self._round(delta, reference, h, off, difference, target)
         return self._release(self._weights + mean)
 
-    def _measure(self, j: int, delta: WeightedDataset, cells: np.ndarray) -> np.ndarray:
+    def _measure(self, j: int, delta: WeightedDataset) -> np.ndarray:
         scale = 1.0 / self._eps_step  # sensitivity-1 histogram at eps/2k
         noise = self._measure_source.laplace_vector(scale, self.workloads[j].size)
         noisy = eval_workload(self.workloads[j], delta) + noise
@@ -257,7 +255,6 @@ class CounterSynthesizer(_StreamSynthesizer):
         self.counters: dict[int, MultiDimCounter] = {}
         self.remainders: dict[int, np.ndarray] = {}
         self.last_measurements: dict[int, np.ndarray] = {}
-        self.last_selected: list[int] = []
 
     def step(self, delta: WeightedDataset) -> WeightedDataset:
         at, held_weights, off, off_mass = self._observe(delta)
@@ -275,11 +272,9 @@ class CounterSynthesizer(_StreamSynthesizer):
         weights = np.concatenate([held_weights, np.full(len(zeros), -1.0)])
         difference = self._cover.score(weights, np.concatenate([at, zeros]))
         difference += off
-        g_t, selected = self._round(delta, surrogate, h, off, difference, target)
-        self.last_selected = selected
-        return self._release(g_t)
+        return self._release(self._round(delta, surrogate, h, off, difference, target))
 
-    def _measure(self, j: int, delta: WeightedDataset, cells: np.ndarray) -> np.ndarray:
+    def _measure(self, j: int, delta: WeightedDataset) -> np.ndarray:
         workload = self.workloads[j]
         if j not in self.counters:
             self.counters[j] = MultiDimCounter(
@@ -293,11 +288,9 @@ class CounterSynthesizer(_StreamSynthesizer):
         if self.t > 1 and j not in self.last_selected:
             # Unselected at the previous round, the remainder is the workload's value
             # on that round's release less the counter. Neither has changed since
-            # (the counter was not fed, ``_weights`` is that release), so it is
-            # computed here, when the counter is fed, rather than after every step.
-            self.remainders[j] = (
-                cell_values(cells, self._weights, workload.size) - self.counters[j].peek()
-            )
+            # (the counter was not fed, ``g`` is that release), so it is computed
+            # here, when the counter is fed, rather than after every step.
+            self.remainders[j] = eval_workload(workload, self.g) - self.counters[j].peek()
         counter_values = self.counters[j].feed(eval_workload(workload, delta))
         self._spend(f"counter/W={j}", "counter")
         # remainder carries over unchanged on a selected step

@@ -148,33 +148,6 @@ def merge_rows(
     return points[first], np.bincount(inverse, weights=weights, minlength=len(first))
 
 
-def union_rows(
-    schema: DomainSchema, points: np.ndarray, keys: np.ndarray, new_points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """Union of two nonempty sorted sets of distinct in-range rows, given ``points``' ``row_keys``.
-
-    Returns ``(at, kept, union, union_keys)``: each new row's union position, the mask of the
-    positions of ``points`` (None, ``union`` being ``points`` and ``union_keys`` ``keys``, when
-    nothing is added), the F-contiguous union and its ``row_keys``."""
-    new_keys = row_keys(schema, new_points)
-    pos, held = lookup_keys(keys, new_keys)
-    if held.all():
-        return pos, None, points, keys
-    fresh = ~held
-    at = pos + (np.cumsum(fresh) - fresh)  # new rows are sorted: the fresh ones before a row land before it
-    added = at[fresh]
-    kept = np.ones(len(keys) + len(added), dtype=bool)
-    kept[added] = False
-    fresh_points = new_points[fresh]
-    union = np.empty((len(kept), points.shape[1]), dtype=np.int64, order="F")
-    for j in range(union.shape[1]):  # column by column: contiguous on both sides
-        column = union[:, j]
-        column[kept], column[added] = points[:, j], fresh_points[:, j]
-    union_keys = np.empty(len(kept), dtype=keys.dtype)
-    union_keys[kept], union_keys[added] = keys, new_keys[fresh]
-    return at, kept, union, union_keys
-
-
 def _checked_points(schema: DomainSchema, points: np.ndarray, order: str = "C") -> np.ndarray:
     """An int64 copy of ``points`` in ``order``; ValueError unless ``points`` is an ``(n, p)``
     array of in-range integers of an integer dtype (not bool)."""
@@ -383,18 +356,35 @@ def nonzero_mass(weights: np.ndarray) -> float:
 def accumulate(prefix: WeightedDataset, delta: WeightedDataset) -> WeightedDataset:
     """Pointwise sum of two datasets by a sorted merge: a shared point gets ``prefix + delta``,
     the bits of ``WeightedDataset`` over the concatenated entries (whose ``bincount`` adds
-    ``0.0 + prefix + delta``)."""
+    ``0.0 + prefix + delta``). Rows new to ``prefix`` are inserted column by column into an
+    F-contiguous union, whose ``row_keys`` the sum's ``memo`` keeps."""
     if prefix.schema != delta.schema:
         raise ValueError("schema mismatch in accumulate")
     if len(prefix) == 0:
         return delta
     if len(delta) == 0:
         return prefix
-    schema, memo = prefix.schema, prefix.memo
-    keys = memo["keys"] if "keys" in memo else row_keys(schema, prefix.points)
-    at, kept, points, keys = union_rows(schema, prefix.points, keys, delta.points)
+    schema, memo, points = prefix.schema, prefix.memo, prefix.points
+    keys = memo["keys"] if "keys" in memo else row_keys(schema, points)
+    new_keys = row_keys(schema, delta.points)
+    at, held = lookup_keys(keys, new_keys)
+    kept = ...  # every position of the union, when it is the prefix's points
+    if not held.all():
+        fresh = ~held
+        at += np.cumsum(fresh) - fresh  # delta is sorted: its fresh rows before a row land before it
+        added = at[fresh]
+        kept = np.ones(len(keys) + len(added), dtype=bool)
+        kept[added] = False
+        fresh_points = delta.points[fresh]
+        points = np.empty((len(kept), points.shape[1]), dtype=np.int64, order="F")
+        for j in range(points.shape[1]):  # column by column: contiguous on both sides
+            column = points[:, j]
+            column[kept], column[added] = prefix.points[:, j], fresh_points[:, j]
+        union_keys = np.empty(len(kept), dtype=keys.dtype)
+        union_keys[kept], union_keys[added] = keys, new_keys[fresh]
+        keys = union_keys
     weights = np.zeros(len(points))
-    weights[... if kept is None else kept] = prefix.weights
+    weights[kept] = prefix.weights
     weights[at] += delta.weights  # weights are positive, so no sum cancels to zero
     out = WeightedDataset._of(schema, points, weights)
     keys.flags.writeable = False  # kept for the next accumulate onto this sum

@@ -279,9 +279,9 @@ def mw_fit(
 class MultiplicativeWeightsFitter:
     """Multiplicative weights over the working support.
 
-    Called with the measurements selected so far this step (oldest first), it
-    applies the newest one; with ``passes`` > 1 it then replays the whole list
-    ``passes - 1`` more times.
+    Called with the workloads measured so far this step (oldest first), it
+    applies the newest measurement; with ``passes`` > 1 it then replays the
+    whole list ``passes - 1`` more times.
     """
 
     def __init__(self, passes: int = 1):
@@ -290,15 +290,14 @@ class MultiplicativeWeightsFitter:
 
     def fit_weights(
         self,
-        measurements: Sequence[Measurement],
         cells: Sequence[np.ndarray],
+        values: Sequence[np.ndarray],
         weights: np.ndarray,
         target_mass: float,
     ) -> np.ndarray:
-        """``fit`` on a weight vector; ``cells[i]`` holds the i-th measured workload's cells."""
-        if not measurements:
+        """``fit`` on a weight vector: the i-th measured workload's cells and noisy values."""
+        if not cells:
             return _rescaled(weights, target_mass)
-        values = [m.values for m in measurements]
         out = mw_weights(weights, cells[-1:], values[-1:], target_mass, 1, self.stats)
         if self.passes > 1:
             out = mw_weights(out, cells, values, target_mass, self.passes - 1, self.stats)
@@ -311,6 +310,6 @@ class MultiplicativeWeightsFitter:
         target_mass: float,
     ) -> WeightedDataset:
         cells = [m.workload.cell_indices(init) for m in measurements]
-        weights = self.fit_weights(measurements, cells, init.weights, target_mass)
+        weights = self.fit_weights(cells, [m.values for m in measurements], init.weights, target_mass)
         return WeightedDataset(init.schema, init.points, weights)
 

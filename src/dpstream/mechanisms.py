@@ -89,9 +89,14 @@ def exponential_mechanism(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 < sensitivity < math.inf:
         raise ValueError(f"sensitivity must be positive and finite, got {sensitivity}")
+    rate = epsilon / (2.0 * sensitivity)
+    if not 0 < rate < math.inf:
+        raise ValueError(
+            f"epsilon / (2 * sensitivity) must be positive and finite, got {epsilon} / (2 * {sensitivity})"
+        )
     if source.mode == "zero":
         return int(np.argmax(u >= u.max() - 1e-9 * max(1.0, abs(u.max()))))
-    logits = (epsilon / (2.0 * sensitivity)) * u
+    logits = rate * u
     logits -= logits.max()
     probs = np.exp(logits)
     probs /= probs.sum()

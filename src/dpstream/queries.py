@@ -316,6 +316,13 @@ class WorkloadSet:
         object.__setattr__(self, "workloads", tuple(self.workloads))
         if len(self.workloads) == 0:
             raise ValueError("workload set must be nonempty")
+        schema = self.workloads[0].schema
+        for i, w in enumerate(self.workloads):
+            if w.schema != schema:
+                raise ValueError(
+                    f"workload {i} on columns {w.columns} is over the schema {w.schema.attributes}, "
+                    f"not workload 0's schema {schema.attributes}"
+                )
         cols = [w.columns for w in self.workloads]
         if len(set(cols)) != len(cols):
             raise ValueError("workloads must be distinct")

@@ -336,6 +336,27 @@ class TestRemainderBookkeeping:
         np.testing.assert_allclose(synth.last_measurements[0], expected, atol=1e-9)
 
 
+class TestRoundSelection:
+    @pytest.mark.parametrize("algorithm", ["baseline", "main"])
+    def test_last_selected_matches_the_step_ledger(self, algorithm):
+        Q = enumerate_workloads(SCHEMA_234, 2)
+        cfg = RunConfig(epsilon=Fraction(1), k=2, workloads=Q, seed=5)
+        synth = make_synthesizer(algorithm, cfg)
+        assert synth.last_selected == []
+        deltas = random_deltas(SCHEMA_234, 6, seed=2)
+        deltas.insert(3, WeightedDataset.empty(SCHEMA_234))
+        for delta in deltas:
+            spent = len(synth.ledger.entries)
+            synth.step(delta)
+            labels = [e.label for e in synth.ledger.entries[spent:]]
+            if not labels:
+                continue
+            prefix = f"t={synth.t}/{'measure' if algorithm == 'baseline' else 'counter'}/W="
+            measured = [int(label[len(prefix):]) for label in labels if label.startswith(prefix)]
+            assert len(set(synth.last_selected)) == cfg.k
+            assert synth.last_selected == measured
+
+
 class TestFactory:
     def test_names(self):
         Q = enumerate_workloads(SCHEMA_2X2, 1)
@@ -489,9 +510,9 @@ class TestWeightVectorState:
         fit = synth.fitter.fit_weights
         inits = []
 
-        def underflowing(measurements, cells, weights, target):
+        def underflowing(cells, values, weights, target):
             inits.append(weights.copy())
-            out = fit(measurements, cells, weights, target)
+            out = fit(cells, values, weights, target)
             if synth.t == 1:
                 out[victim] = 0.0  # as if the weight had underflowed
             return out
@@ -615,12 +636,20 @@ class TestCoverScoring:
         assert cover.matrix is None and len(cover.joints) < len(synth.workloads)
         built = cover.joint_cells
         fits, fit_weights = [], synth.fitter.fit_weights
+        measured, measure = [], synth._measure
 
-        def recording(measurements, cells, weights, target):
-            fits.append(([m.index for m in measurements], list(cells), synth.support.points))
-            return fit_weights(measurements, cells, weights, target)
+        def recording(cells, values, weights, target):
+            fits.append((list(measured), list(cells), synth.support.points))
+            return fit_weights(cells, values, weights, target)
+
+        def measuring(j, delta):
+            if len(measured) == synth.config.k:  # a new round
+                measured.clear()
+            measured.append(j)
+            return measure(j, delta)
 
         synth.fitter.fit_weights = recording
+        synth._measure = measuring
         for delta in random_deltas(self.SCHEMA, 10, seed=4, max_rows=60):
             synth.step(delta)
         # every scoring read the joint cells the cover built, at the support's points
@@ -628,13 +657,17 @@ class TestCoverScoring:
         for joint, cells in zip(cover.joints, built):
             assert cells.dtype == np.uint16 and not cells.flags.writeable
             assert np.array_equal(cells, joint.point_cells(synth.support.points))
-        assert synth.support._cells == {}
+        cached = set(synth.support._cells)
+        if algorithm == "baseline":
+            assert cached == set()
+        else:  # main's remainders read measured workloads off the releases
+            assert cached <= {synth.workloads[j] for js, _, _ in fits for j in js}
         # evaluating a release adds the cells of exactly the workloads evaluated
         evaluated = synth.workloads[::5]
         assert synth.g.support_cells is not None
         for w in evaluated:
             eval_workload(w, synth.g)
-        assert set(synth.support._cells) == set(evaluated)
+        assert set(synth.support._cells) == cached | set(evaluated)
         # each round fits every workload measured so far on its cells at the support's points
         assert len(fits) == 10 * synth.config.k
         for measured, cells, points in fits:

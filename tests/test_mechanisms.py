@@ -190,6 +190,14 @@ class TestExponentialMechanism:
         with pytest.raises(ValueError, match="sensitivity"):
             exponential_mechanism([0.1, 0.5, 0.2], 1.0, bad, src)
 
+    @pytest.mark.parametrize("epsilon, sensitivity", [(1.0, 1e-320), (1e308, 1e-300), (1e-320, 1e300)])
+    @pytest.mark.parametrize("mode", ["laplace", "zero"])
+    def test_rejects_a_rate_that_is_not_positive_and_finite(self, epsilon, sensitivity, mode):
+        # each value is finite and positive, but epsilon / (2 * sensitivity) overflows or underflows:
+        # the overflows used to return index 0 with a RuntimeWarning
+        with pytest.raises(ValueError, match="epsilon / \\(2 \\* sensitivity\\)"):
+            exponential_mechanism([0.1, 0.5, 0.2], epsilon, sensitivity, NoiseSource(0, mode=mode))
+
     def test_zero_mode_is_argmax_with_lowest_index_ties(self):
         src = NoiseSource(0, mode="zero")
         assert exponential_mechanism([1.0, 3.0, 3.0], 1.0, 1.0, src) == 1

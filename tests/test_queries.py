@@ -601,3 +601,10 @@ class TestEnumerateWorkloads:
         w = Workload(SCHEMA, (0,))
         with pytest.raises(ValueError, match="distinct"):
             WorkloadSet((w, w))
+
+    def test_one_schema_required(self):
+        from dpstream import WorkloadSet
+
+        other = DomainSchema((("a", 2), ("b", 3)))  # SCHEMA but for one cardinality
+        with pytest.raises(ValueError, match="workload 1 on columns \\(1,\\) is over the schema"):
+            WorkloadSet((Workload(SCHEMA, (0,)), Workload(other, (1,))))
