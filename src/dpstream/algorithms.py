@@ -133,8 +133,6 @@ class _StreamSynthesizer:
     def _observe(self, delta: WeightedDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Look ``delta`` up on the fixed support: the support positions of the rows it holds and
         their weights, then the other rows' scoring in the cover's flat layout and their mass."""
-        if delta.schema != self.schema:
-            raise ValueError("differential schema does not match the run schema")
         at, held = self.support.observe(delta)
         if held.all():  # as on every whole-domain support
             return at, delta.weights, np.zeros(len(self._cover.segment)), 0.0
@@ -181,7 +179,8 @@ class _StreamSynthesizer:
             j = int(np.flatnonzero(unselected)[pick])
             selected.append(j)
             unselected[j] = False
-            cells.append(self.workloads[j].point_cells(self.support.points))
+            # widened once per round: the fit's bincount and gather would cast narrow cells each call
+            cells.append(cover.cells(self.workloads[j]).astype(np.intp))
             values.append(self._measure(j, delta))
             h = self.fitter.fit_weights(cells, values, h, target)
             fits.append(h)
@@ -196,8 +195,11 @@ class _StreamSynthesizer:
         raise NotImplementedError
 
     def _release(self, weights: np.ndarray) -> WeightedDataset:
+        """Release ``weights``; a release on all of the support's points reads the cover's cells."""
         self._weights = weights
-        self.g = self.support.release(weights)
+        self.g = WeightedDataset.from_sorted(self.schema, self.support.points, weights)
+        if self.g.points is self.support.points:
+            self.g.support_cells = self._cover.cells
         return self.g
 
     def step(self, delta: WeightedDataset) -> WeightedDataset:

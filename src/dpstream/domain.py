@@ -203,10 +203,10 @@ class WeightedDataset:
     of its sums by ``"keys"``. A stored value is never None and never written to: a
     read-only array or an immutable value.
 
-    ``support_cells`` is None, or, on a dataset that ``WorkingSupport.release``
-    built on all of a working support's points, that support's ``cells``
-    lookup: the read-only cell index of every point per workload, from which
-    ``eval_workload`` sums. Copies and pickles leave it behind.
+    ``support_cells`` is None, or, on a release built on all of a working
+    support's points, the ``cells`` lookup of the run's ``WorkloadCover`` on
+    those points: the read-only cell index of every point per workload, from
+    which ``eval_workload`` sums. Copies and pickles leave it behind.
     """
 
     __slots__ = ("schema", "_points", "_weights", "memo", "support_cells")

@@ -62,7 +62,6 @@ class WorkingSupport:
     vector aligned with ``points`` describes the dataset storing its nonzero
     entries. They are held column-major and read-only, together with their
     sorted ``row_keys``, in which ``observe`` and ``extend`` binary-search.
-    The cell index of every point is cached per workload on first use.
     """
 
     def __init__(self, schema: DomainSchema, seed_size: int = DEFAULT_SEED_SUPPORT, seed: int = 0):
@@ -81,7 +80,6 @@ class WorkingSupport:
         points.flags.writeable = False
         self._points = points
         self._keys = row_keys(schema, points)
-        self._cells: dict[Workload, np.ndarray] = {}
 
     @property
     def points(self) -> np.ndarray:
@@ -90,20 +88,6 @@ class WorkingSupport:
     def __len__(self) -> int:
         return len(self._points)
 
-    def cells(self, workload: Workload) -> np.ndarray:
-        """Read-only cell index of every support point, in the smallest dtype that holds ``workload.size``."""
-        cells = self._cells.get(workload)
-        if cells is None:
-            if workload.schema != self.schema:
-                raise ValueError("workload schema does not match the support schema")
-            dtype = np.min_scalar_type(workload.size)
-            if dtype.itemsize == 8:  # np.bincount cannot take uint64
-                dtype = np.dtype(np.int64)
-            cells = workload.point_cells(self._points).astype(dtype)
-            cells.flags.writeable = False
-            self._cells[workload] = cells
-        return cells
-
     def observe(self, delta: WeightedDataset) -> tuple[np.ndarray, np.ndarray]:
         """Look up the points of a differential on the support, which stays as it is.
 
@@ -111,17 +95,9 @@ class WorkingSupport:
         that the support holds, and the mask of the rows of ``delta`` they are.
         """
         if delta.schema != self.schema:
-            raise ValueError("schema mismatch in observe")
+            raise ValueError("differential schema does not match the support schema")
         at, held = lookup_keys(self._keys, row_keys(self.schema, delta.points))
         return at[held], held
-
-    def release(self, weights: np.ndarray) -> WeightedDataset:
-        """``WeightedDataset.from_sorted`` of ``weights`` at the support's points. When no weight
-        is zero, the dataset shares ``points`` and takes its ``support_cells`` from ``cells``."""
-        out = WeightedDataset.from_sorted(self.schema, self._points, weights)
-        if out.points is self._points:
-            out.support_cells = self.cells
-        return out
 
     def uniform_dataset(self, mass: float) -> WeightedDataset:
         """Uniform weights over the support with the given total mass."""

@@ -43,7 +43,7 @@ def load_schema(path: str | Path) -> tuple[DomainSchema, list[list[str]]]:
     The position of a value in its list defines the integer index used
     everywhere downstream.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         spec = json.load(fh)
     if not isinstance(spec, list) or not spec:
         raise ValueError(f"schema file {path} must be a nonempty list of attributes")
@@ -242,7 +242,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"config file {path} must be a JSON object, got a {type(raw).__name__}")

@@ -78,7 +78,7 @@ def exponential_mechanism(
     High utilities are favored. In zero mode this degenerates to argmax, with
     utilities within 1e-9 * max(1, |max u|) of each other (ties up to float
     rounding) broken toward the lowest index. Computed through a max-shifted
-    softmax so large utilities cannot overflow.
+    softmax whose logits are clamped at -1000, so large utilities cannot overflow.
     """
     u = np.asarray(utilities, dtype=np.float64)
     if u.size == 0:
@@ -96,8 +96,8 @@ def exponential_mechanism(
         )
     if source.mode == "zero":
         return int(np.argmax(u >= u.max() - 1e-9 * max(1.0, abs(u.max()))))
-    logits = rate * u
-    logits -= logits.max()
+    # exp(-1000) is 0.0, so the clamp keeps every probability and no logit overflows at any rate
+    logits = rate * np.maximum(u - u.max(), -1000.0 / rate)
     probs = np.exp(logits)
     probs /= probs.sum()
     r = source.uniform()

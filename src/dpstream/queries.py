@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -83,7 +83,7 @@ class Workload:
         return hash((self.schema, self.columns))
 
     def __hash__(self) -> int:
-        # WorkingSupport caches cells per workload; hash the schema and columns once
+        # WorkloadCover caches cells per workload; hash the schema and columns once
         return self._hash
 
     def __reduce__(self):
@@ -191,9 +191,12 @@ class WorkloadCover:
     cell. ``strides`` is the workloads' ``stride_matrix``: ``stride_cells`` of points with it, plus
     ``offsets``, gives each point's flat cell in every workload. ``matrix`` is the 0/1 matrix
     whose row r marks the points in flat cell r, or None where it would have more than
-    ``DENSE_LIMIT`` entries; then ``joint_cells`` holds the cells at the points of each of the
-    ``joints`` that group the workloads, and flat cell r sums their histograms, laid end to end,
-    at ``gather[starts[r]:starts[r + 1]]``: one ``np.add.reduceat``. Every array is read-only.
+    ``DENSE_LIMIT`` entries; then flat cell r sums the histograms of the ``joints`` that group
+    the workloads, laid end to end, at ``gather[starts[r]:starts[r + 1]]``: one
+    ``np.add.reduceat``. Every array is read-only.
+
+    ``cells`` is the one cache of cells at ``points``: the joints' (built with the cover when
+    there is no matrix), the fit's and those of releases that share ``points``.
     """
 
     points: np.ndarray
@@ -203,9 +206,24 @@ class WorkloadCover:
     strides: np.ndarray
     matrix: np.ndarray | None
     joints: tuple[Workload, ...]
-    joint_cells: tuple[np.ndarray, ...]
     gather: np.ndarray
     starts: np.ndarray
+    _cells: dict = field(default_factory=dict, init=False, repr=False)
+
+    def cells(self, workload: Workload) -> np.ndarray:
+        """Read-only cell index of every point, in the smallest dtype that holds ``workload.size``;
+        computed on first use and kept."""
+        cells = self._cells.get(workload)
+        if cells is None:
+            if workload.schema != self.joints[0].schema:
+                raise ValueError("workload schema does not match the cover schema")
+            dtype = np.min_scalar_type(workload.size)
+            if dtype.itemsize == 8:  # np.bincount cannot take uint64
+                dtype = np.dtype(np.int64)
+            cells = workload.point_cells(self.points).astype(dtype)
+            cells.flags.writeable = False
+            self._cells[workload] = cells
+        return cells
 
     def values(self, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Every workload's values on the in-range int64 rows ``points`` weighted by ``weights``
@@ -229,7 +247,7 @@ class WorkloadCover:
             return self.matrix @ weights if at is None else self.matrix[:, at] @ weights
         if at is not None:
             return self.values(self.points[at], weights)
-        joints = [np.bincount(c, weights, j.size) for j, c in zip(self.joints, self.joint_cells)]
+        joints = [np.bincount(self.cells(j), weights, j.size) for j in self.joints]
         return np.add.reduceat(np.concatenate(joints).take(self.gather), self.starts)
 
     def mean_abs(self, flat: np.ndarray) -> np.ndarray:
@@ -287,23 +305,20 @@ def _cover(workloads: Sequence[Workload], points: np.ndarray, max_cells: int) ->
     assert counts.min() >= 1, "reduceat would copy the next run's first value into an empty run"
     starts = np.cumsum(counts) - counts
     strides = stride_matrix(workloads, schema.num_attributes)
-    matrix, joint_cells = None, ()
+    matrix = None
     if len(segment) * len(points) <= DENSE_LIMIT:
         flat = stride_cells(points, strides, len(segment)) + offsets
         matrix = np.zeros((len(segment), len(points)))
         matrix[flat.ravel(), np.repeat(np.arange(len(points)), len(workloads))] = 1.0
         matrix.flags.writeable = False
-    else:
-        # uint16 where it holds a joint's cells: int64 ones (1.7 MiB on census13's 10,000-point
-        # support) made census13 releases 6% slower, though bincount casts uint16 on every call
-        joint_cells = tuple(
-            j.point_cells(points).astype(np.uint16 if j.size <= 2**16 else np.intp) for j in joints
-        )
-    for array in (sizes, offsets, segment, gather, starts, strides, *joint_cells):
+    for array in (sizes, offsets, segment, gather, starts, strides):
         array.flags.writeable = False
-    return WorkloadCover(
-        points, offsets, sizes, segment, strides, matrix, tuple(joints), joint_cells, gather, starts
-    )
+    cover = WorkloadCover(points, offsets, sizes, segment, strides, matrix, tuple(joints), gather, starts)
+    # every scoring reads the joints' cells. Narrow, though bincount casts them on every call:
+    # int64 ones (1.7 MiB on census13's 10,000-point support) made census13 releases 6% slower
+    for joint in joints if matrix is None else ():
+        cover.cells(joint)
+    return cover
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from dpstream import (
     RunConfig,
     StreamingMwem,
     WeightedDataset,
+    Workload,
     WorkingSupport,
     accumulate,
     dataset_mean,
@@ -384,6 +385,17 @@ class TestFactory:
         assert g.total_mass() > 0
         assert max(synth.ledger.group_total(g) for g in synth.ledger.groups()) == Fraction(1)
 
+    @pytest.mark.parametrize("algorithm", ["baseline", "main"])
+    def test_a_differential_over_another_schema_changes_nothing(self, algorithm):
+        synth = make_synthesizer(algorithm, zero_config(enumerate_workloads(SCHEMA_234, 2), k=2))
+        synth.step(random_deltas(SCHEMA_234, 1, seed=3)[0])
+        t, entries, g = synth.t, list(synth.ledger.entries), synth.g
+        # the same attribute names and a cardinality more in one: still another schema
+        other = DomainSchema((("a", 2), ("b", 3), ("c", 5)))
+        with pytest.raises(ValueError, match="differential schema does not match the support schema"):
+            synth.step(random_deltas(other, 1, seed=3)[0])
+        assert synth.t == t and synth.ledger.entries == entries and synth.g is g
+
 
 def reference_releases(algorithm, config, deltas):
     """Both synthesizers' steps written with WeightedDataset operations only.
@@ -531,7 +543,7 @@ class TestWeightVectorState:
 
 
 class TestReleaseCells:
-    """A release on the whole support evaluates on the support's cached cells."""
+    """A release on the whole support evaluates on the cover's cached cells."""
 
     @staticmethod
     def _check(synth, g):
@@ -541,7 +553,7 @@ class TestReleaseCells:
         want = [cell_values(w.point_cells(g.points), g.weights, w.size).tobytes() for w in synth.workloads]
         assert [eval_workload(w, g).tobytes() for w in synth.workloads] == want
         copy = pickle.loads(pickle.dumps(g))
-        assert copy.support_cells is None  # the lookup stays with the support it came from
+        assert copy.support_cells is None  # the lookup stays with the cover it came from
         assert [eval_workload(w, copy).tobytes() for w in synth.workloads] == want
 
     @settings(max_examples=40, deadline=None)
@@ -634,7 +646,9 @@ class TestCoverScoring:
         synth = self._synth(algorithm, seed=3)
         cover = synth._cover
         assert cover.matrix is None and len(cover.joints) < len(synth.workloads)
-        built = cover.joint_cells
+        # the cover's build caches the cells of its joints, which every scoring reads
+        built = dict(cover._cells)
+        assert set(built) == set(cover.joints)
         fits, fit_weights = [], synth.fitter.fit_weights
         measured, measure = [], synth._measure
 
@@ -652,22 +666,25 @@ class TestCoverScoring:
         synth._measure = measuring
         for delta in random_deltas(self.SCHEMA, 10, seed=4, max_rows=60):
             synth.step(delta)
-        # every scoring read the joint cells the cover built, at the support's points
-        assert synth._cover is cover and cover.joint_cells is built
-        for joint, cells in zip(cover.joints, built):
-            assert cells.dtype == np.uint16 and not cells.flags.writeable
+        # every scoring read the joint cells the cover built, at the support's points, in the
+        # smallest unsigned dtype holding the joint's size: uint8 up to the cap of 250 cells,
+        # uint16 for a lone workload past it
+        assert synth._cover is cover
+        assert {cells.dtype for cells in built.values()} == {np.dtype(np.uint8), np.dtype(np.uint16)}
+        for joint, cells in built.items():
+            assert cover.cells(joint) is cells
+            assert cells.dtype == np.min_scalar_type(joint.size) and not cells.flags.writeable
             assert np.array_equal(cells, joint.point_cells(synth.support.points))
-        cached = set(synth.support._cells)
-        if algorithm == "baseline":
-            assert cached == set()
-        else:  # main's remainders read measured workloads off the releases
-            assert cached <= {synth.workloads[j] for js, _, _ in fits for j in js}
+        # beside them, the cover holds the fitted workloads, which include those main's
+        # remainders read off the releases
+        cached = set(cover._cells)
+        assert cached == set(built) | {synth.workloads[j] for js, _, _ in fits for j in js}
         # evaluating a release adds the cells of exactly the workloads evaluated
         evaluated = synth.workloads[::5]
         assert synth.g.support_cells is not None
         for w in evaluated:
             eval_workload(w, synth.g)
-        assert set(synth.support._cells) == cached | set(evaluated)
+        assert set(cover._cells) == cached | set(evaluated)
         # each round fits every workload measured so far on its cells at the support's points
         assert len(fits) == 10 * synth.config.k
         for measured, cells, points in fits:
@@ -675,6 +692,50 @@ class TestCoverScoring:
             for j, got in zip(measured, cells):
                 want = synth.workloads[j].point_cells(points)
                 assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("passes", [1, 2])
+    @pytest.mark.parametrize("algorithm", ["baseline", "main"])
+    def test_fit_reads_each_workloads_cells_off_the_cover(self, algorithm, passes, monkeypatch):
+        Q = enumerate_workloads(self.SCHEMA, 2)
+        config = RunConfig(
+            epsilon=Fraction(1), k=3, workloads=Q, seed_support_size=2_000, seed=6, passes=passes
+        )
+        synth = make_synthesizer(algorithm, config)
+        cover, points = synth._cover, synth.support.points
+        # every point_cells on the support's points from here on: no workload's twice
+        computed, point_cells = [], Workload.point_cells
+
+        def counting(workload, at):
+            if at is points:
+                computed.append(workload)
+            return point_cells(workload, at)
+
+        monkeypatch.setattr(Workload, "point_cells", counting)
+        fits, fit_weights = [], synth.fitter.fit_weights
+        selected, measure = [], synth._measure
+
+        def recording(cells, values, weights, target):
+            workloads = [synth.workloads[j] for j in selected[-len(cells):]]
+            fits.append([(w, got, w in cover._cells and cover.cells(w)) for w, got in zip(workloads, cells)])
+            return fit_weights(cells, values, weights, target)
+
+        def measuring(j, delta):
+            selected.append(j)
+            return measure(j, delta)
+
+        synth.fitter.fit_weights = recording
+        synth._measure = measuring
+        for delta in random_deltas(self.SCHEMA, 6, seed=9, max_rows=60):
+            synth.step(delta)
+        assert len(fits) == 6 * config.k
+        for fit in fits:
+            for w, got, cached in fit:
+                # the cover held the cells when the fit ran; the fit got them widened, bit for bit
+                assert cached is not False and cached.dtype == np.min_scalar_type(w.size)
+                assert got.dtype == np.intp and got.flags.writeable and not np.shares_memory(got, cached)
+                assert got.tobytes() == point_cells(w, points).astype(np.intp).tobytes()
+                assert got.tobytes() == cached.astype(np.intp).tobytes()
+        assert len(computed) == len(set(computed)) == len(cover._cells) - len(cover.joints)
 
 
 class TestSupportEvent:

@@ -20,6 +20,7 @@ from dpstream import (
     mw_update,
 )
 from dpstream.fitters import FitStats, mw_weights
+from dpstream.queries import cover_workloads
 
 SCHEMA = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_1D = DomainSchema((("x", 2),))
@@ -235,6 +236,7 @@ class TestMwWeights:
         schema = DomainSchema((("a", 6), ("b", 7), ("c", 5)))
         support = WorkingSupport(schema, seed_size=1000, seed=0)
         workloads = enumerate_workloads(schema, 2)
+        cover = cover_workloads(workloads, support.points)  # its cells are narrow: uint8
         rng = np.random.default_rng(9)
         for _ in range(10):
             weights = rng.random(len(support)) * 3
@@ -244,7 +246,7 @@ class TestMwWeights:
             picked = [workloads[i] for i in rng.choice(len(workloads), size=2, replace=False)]
             meas = [Measurement(i, w, rng.uniform(0, target / 4, size=w.size)) for i, w in enumerate(picked)]
             got = mw_weights(
-                weights, [support.cells(w) for w in picked], [m.values for m in meas], target, passes
+                weights, [cover.cells(w) for w in picked], [m.values for m in meas], target, passes
             )
             want = mw_fit(meas, dataset, target, passes=passes)
             assert got.shape == weights.shape and (got[weights == 0] == 0).all()
@@ -415,7 +417,9 @@ class TestWorkingSupport:
         # oracle: membership in the set of support rows, and each row's position in the support
         support = WorkingSupport(schema, seed_size=seed_size, seed=seed % 7)
         workloads = list(enumerate_workloads(schema, min(2, schema.num_attributes)))[:5]
-        cached = [support.cells(w) for w in workloads]
+        # a cover on the support's points keeps its cells: observe moves no point under them
+        cover = cover_workloads(workloads, support.points)
+        cached = [cover.cells(w) for w in workloads]
         points, keys, before = support.points, support._keys, support.points.copy()
         position = {p: i for i, p in enumerate(map(tuple, before.tolist()))}
         rng = np.random.default_rng(seed)
@@ -430,7 +434,8 @@ class TestWorkingSupport:
             assert at.dtype == np.intp and at.tolist() == [i for i in want if i is not None]
             assert support.points is points and not points.flags.writeable
             assert np.array_equal(points, before) and support._keys is keys
-            assert all(support.cells(w) is cells for w, cells in zip(workloads, cached))
+            assert all(cover.cells(w) is cells for w, cells in zip(workloads, cached))
+            assert all(np.array_equal(w.point_cells(support.points), c) for w, c in zip(workloads, cached))
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -544,6 +544,21 @@ class TestRunExperiment:
         assert cli_main(["run", "--config", str(config_path)]) == 0
         assert "2/2 runs completed" in capsys.readouterr().out
 
+    def test_byte_order_mark_is_read_past_in_json_files(self, tmp_path, data_file, schema_file, capsys):
+        # as in the CSV files: editors that save UTF-8 with a BOM write it before the JSON too
+        marked_schema = tmp_path / "marked_schema.json"
+        marked_schema.write_bytes(b"\xef\xbb\xbf" + schema_file.read_bytes())
+        assert load_schema(marked_schema) == load_schema(schema_file)
+        payload = {
+            "dataset": str(data_file), "schema": str(marked_schema), "output_dir": str(tmp_path / "out"),
+            "stream": {"variant": "ordered_batch", "batch_size": 2}, "epsilons": [1], "k": 1, "noise": "zero",
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(payload).encode("utf-8"))
+        assert ExperimentConfig.from_json(config_path).schema == str(marked_schema)
+        assert cli_main(["validate", "--config", str(config_path)]) == 0
+        assert "BOM" not in capsys.readouterr().out
+
     def test_parallel_jobs_match_sequential(self, tmp_path, data_file, schema_file):
         config = experiment_config(tmp_path, data_file, schema_file, seeds=(0, 1))
         run_experiment(config, jobs=2)

@@ -240,6 +240,16 @@ class TestExponentialMechanism:
         )
         assert hits / 10_000 >= 0.999
 
+    def test_a_gap_that_overflows_the_rate_selects_best(self):
+        # rate * u overflows float64 for u = 1e308 and rate 2: the weight of every other index,
+        # below exp(-1000), is exactly 0
+        with np.errstate(over="raise"):
+            for seed in range(5):
+                assert exponential_mechanism([0.0, 1e308], 1.0, 0.25, NoiseSource(seed)) == 1
+                assert exponential_mechanism([1e308, -5e307, 9e307], 1.0, 0.25, NoiseSource(seed)) == 0
+                # a rate of 5e307, which overflows on a gap of 8
+                assert exponential_mechanism([10.0, 2.0], 1e308, 1.0, NoiseSource(seed)) == 0
+
     def test_joint_scaling_leaves_distribution_identical(self):
         # scaling utilities and sensitivity together preserves the softmax ratios,
         # so identical uniform draws give identical choices

@@ -301,7 +301,7 @@ class TestCoverWorkloads:
             # on the joint path a member equal to its joint is the joint's own bincount
             for i, g in enumerate(homes):
                 if workloads[i].columns == cover.joints[g].columns:
-                    direct = cell_values(support.cells(workloads[i]), weights, workloads[i].size)
+                    direct = cell_values(cover.cells(workloads[i]), weights, workloads[i].size)
                     assert part(cover, values, i).tobytes() == direct.tobytes()
 
     def test_census_pairs_share_support_passes(self):
@@ -320,9 +320,10 @@ class TestCoverWorkloads:
         homes, _ = joint_runs(cover)
         starts = np.append(cover.starts, len(cover.gather))
         for g, joint in enumerate(cover.joints):
-            # the joint's cells at the support points, built once, in uint16 and read-only
-            cells = cover.joint_cells[g]
-            assert cells.dtype == np.uint16 and not cells.flags.writeable
+            # the joint's cells at the support points, built with the cover, in the smallest
+            # unsigned dtype that holds the joint's size, and read-only
+            cells = cover.cells(joint)
+            assert cells.dtype == np.min_scalar_type(joint.size) and not cells.flags.writeable
             assert cells.tolist() == joint.point_cells(support.points).tolist()
             members = np.flatnonzero(homes == g)
             assert len(members) > 1
@@ -332,19 +333,38 @@ class TestCoverWorkloads:
                 cells = starts[cover.offsets[i] : cover.offsets[i] + cover.sizes[i] + 1]
                 assert cells[-1] - cells[0] == joint.size and (np.diff(cells) >= 1).all()
 
-    def test_joint_cells_past_uint16_are_intp(self):
+    def test_joint_cells_past_uint16_are_uint32(self):
         # a lone workload of 90,000 cells: its joint's cells do not fit uint16
         schema = DomainSchema((("a", 300), ("b", 300), ("c", 2)))
         workloads = [Workload(schema, (0, 1)), Workload(schema, (2,))]
         support = WorkingSupport(schema, seed_size=500, seed=1)
         cover = build_cover(workloads, support, 8)
         assert [j.size for j in cover.joints] == [90_000, 2]
-        assert [c.dtype for c in cover.joint_cells] == [np.intp, np.uint16]
+        assert [cover.cells(j).dtype for j in cover.joints] == [np.uint32, np.uint8]
         counts = np.random.default_rng(2).integers(1, 9, size=len(support)).astype(np.float64)
         values = cover.score(counts)
         dataset = WeightedDataset(schema, support.points, counts)
         for i, workload in enumerate(workloads):
             assert part(cover, values, i).tobytes() == eval_workload(workload, dataset).tobytes()
+
+    def test_cells_are_cached_once_per_workload_in_the_smallest_dtype(self):
+        # cells of any workload of the schema, not only the cover's: past uint32 they are int64,
+        # which bincount takes, where uint64 it does not
+        schema = DomainSchema((("a", 2**17), ("b", 2**17), ("c", 2)))
+        support = WorkingSupport(schema, seed_size=50, seed=4)
+        cover = build_cover([Workload(schema, (2,))], support, 8)
+        assert cover.matrix is not None and cover._cells == {}
+        for columns, dtype in (((2,), np.uint8), ((0,), np.uint32), ((0, 2), np.uint32), ((0, 1), np.int64)):
+            workload = Workload(schema, columns)
+            cells = cover.cells(workload)
+            assert cells.dtype == dtype and not cells.flags.writeable
+            assert cells.tolist() == workload.point_cells(support.points).tolist()
+            assert cover.cells(Workload(schema, columns)) is cells
+        assert len(cover._cells) == 4
+        other = DomainSchema((("a", 2**17), ("b", 2**17), ("c", 3)))
+        with pytest.raises(ValueError, match="does not match the cover schema"):
+            cover.cells(Workload(other, (2,)))
+        assert len(cover._cells) == 4
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=2, max_size=5), st.data())
@@ -418,7 +438,7 @@ class TestCoverWorkloads:
         support = WorkingSupport(schema, seed_size=min(60, schema.size - 1), seed=data.draw(st.integers(0, 99)))
         assert len(support) < schema.size
         cover = build_cover(workloads, support, data.draw(st.sampled_from([0, 1, 6, 40, 10**9])), 0)
-        assert cover.matrix is None and len(cover.joint_cells) == len(cover.joints)
+        assert cover.matrix is None and set(cover._cells) == set(cover.joints)
         # one nonempty run of joint cells per flat cell: reduceat never reads a neighbour's value
         starts, gather = cover.starts, cover.gather
         assert len(starts) == len(cover.segment) and starts[0] == 0
@@ -457,7 +477,7 @@ class TestDenseScoring:
         support = WorkingSupport(schema, seed_size=schema.size, seed=0)
         cover = build_cover(workloads, support, data.draw(st.sampled_from([1, 6, 40, 10**9])))
         assert len(support) == schema.size and len(cover.segment) * len(support) <= queries.DENSE_LIMIT
-        assert cover.matrix is not None and cover.joint_cells == ()
+        assert cover.matrix is not None and cover._cells == {}
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         weights = rng.random(len(support)) * (rng.random(len(support)) < 0.8)
         values = cover.score(weights)
@@ -512,7 +532,7 @@ class TestDenseScoring:
         assert 160 * len(sampled) > queries.DENSE_LIMIT
         for support in (sampled, whole):
             cover = build_cover(workloads, support, 128)
-            assert cover.matrix is None and len(cover.joint_cells) == len(cover.joints)
+            assert cover.matrix is None and set(cover._cells) == set(cover.joints)
             weights = rng.random(len(support))
             values = cover.score(weights)
             dataset = WeightedDataset(schema, support.points, weights)
@@ -522,7 +542,7 @@ class TestDenseScoring:
         assert build_cover(workloads, whole, 128, entries - 1).matrix is None
         assert build_cover(workloads, sampled, 128, entries - 1).matrix is not None
         dense = build_cover(workloads, whole, 128, entries)
-        assert dense.matrix is not None and dense.joint_cells == ()
+        assert dense.matrix is not None and dense._cells == {}
 
 
 class TestEvalWorkloadMemo:
