@@ -25,17 +25,6 @@ import numpy as np
 from .domain import checked_int
 from .mechanisms import NoiseSource
 
-KINDS = ("simple", "bounded_block", "binary_tree", "unbounded_block")
-
-
-def check_kind(kind: str, block_size: int | None) -> None:
-    """Raise ValueError unless ``make_counter`` accepts ``kind`` with ``block_size``."""
-    if kind == "bounded_block":  # the one kind that needs a block_size
-        checked_int(block_size, 1, "bounded block counter needs an integer block_size >= 1")
-    elif kind not in KINDS:
-        raise ValueError(f"unknown counter kind {kind!r}; expected one of {KINDS}")
-
-
 class Counter:
     """Base continual counter: feed values one per time step, peek for free."""
 
@@ -197,6 +186,20 @@ class BinaryTreeCounter(Counter):
         return out
 
 
+COUNTERS: dict[str, type[Counter]] = {
+    cls.kind: cls for cls in (SimpleCounter, BlockCounter, BinaryTreeCounter, UnboundedBlockCounter)
+}
+KINDS = tuple(COUNTERS)
+
+
+def check_kind(kind: str, block_size: int | None) -> None:
+    """Raise ValueError unless ``make_counter`` accepts ``kind`` with ``block_size``."""
+    if kind == BlockCounter.kind:  # the one kind that needs a block_size
+        checked_int(block_size, 1, "bounded block counter needs an integer block_size >= 1")
+    elif kind not in COUNTERS:
+        raise ValueError(f"unknown counter kind {kind!r}; expected one of {KINDS}")
+
+
 def make_counter(
     kind: str,
     epsilon: float,
@@ -204,13 +207,9 @@ def make_counter(
     block_size: int | None = None,
 ) -> Counter:
     check_kind(kind, block_size)
-    if kind == "simple":
-        return SimpleCounter(epsilon, source)
-    if kind == "bounded_block":
+    if kind == BlockCounter.kind:
         return BlockCounter(epsilon, source, block_size)
-    if kind == "binary_tree":
-        return BinaryTreeCounter(epsilon, source)
-    return UnboundedBlockCounter(epsilon, source)
+    return COUNTERS[kind](epsilon, source)
 
 
 class _CellNoise(NamedTuple):
@@ -241,8 +240,6 @@ class MultiDimCounter:
         block_size: int | None = None,
     ):
         self.num_cells = checked_int(num_cells, 1, "a counter needs an integer number of cells >= 1")
-        self.kind = kind
-        self.epsilon = float(epsilon)
         self.source = source
         self._counter = make_counter(kind, epsilon, _CellNoise(source, self.num_cells), block_size)
 

@@ -73,6 +73,18 @@ def load_schema(path: str | Path) -> tuple[DomainSchema, list[list[str]]]:
     return DomainSchema(tuple(attributes)), value_lists
 
 
+def _check_fields(cls: type, raw: dict[str, Any], what: str) -> None:
+    """Raise ValueError if ``raw`` names a field the dataclass ``cls`` lacks or lacks one without a default."""
+    known = fields(cls)
+    unknown = set(raw) - {f.name for f in known}
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    required = (f.name for f in known if f.default is MISSING and f.default_factory is MISSING)
+    missing = [name for name in required if name not in raw]
+    if missing:
+        raise ValueError(f"missing {what} fields: {missing}")
+
+
 @dataclass(frozen=True)
 class StreamSpec:
     """How to slice a row file into a time-indexed stream."""
@@ -101,9 +113,7 @@ class StreamSpec:
     def from_dict(cls, spec: dict[str, Any]) -> "StreamSpec":
         if not isinstance(spec, dict):
             raise ValueError(f"stream must be an object, got {spec!r}")
-        unknown = set(spec) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown stream spec fields: {sorted(unknown)}")
+        _check_fields(cls, spec, "stream spec")
         return cls(**spec)
 
 
@@ -246,14 +256,7 @@ class ExperimentConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"config file {path} must be a JSON object, got a {type(raw).__name__}")
-        known = fields(cls)
-        unknown = set(raw) - {f.name for f in known}
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        required = [f.name for f in known if f.default is MISSING and f.default_factory is MISSING]
-        missing = [name for name in required if name not in raw]
-        if missing:
-            raise ValueError(f"missing config fields: {missing}")
+        _check_fields(cls, raw, "config")
         raw["stream"] = StreamSpec.from_dict(raw["stream"])
         return cls(**raw)
 

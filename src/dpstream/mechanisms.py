@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,7 +83,8 @@ def exponential_mechanism(
     u = np.asarray(utilities, dtype=np.float64)
     if u.size == 0:
         raise ValueError("utilities must be nonempty")
-    if not np.isfinite(u).all():
+    top, bottom = float(u.max()), float(u.min())
+    if not -math.inf < bottom <= top < math.inf:  # also false when either is NaN
         raise ValueError("utilities must be finite")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -95,9 +96,14 @@ def exponential_mechanism(
             f"epsilon / (2 * sensitivity) must be positive and finite, got {epsilon} / (2 * {sensitivity})"
         )
     if source.mode == "zero":
-        return int(np.argmax(u >= u.max() - 1e-9 * max(1.0, abs(u.max()))))
+        return int(np.argmax(u >= top - 1e-9 * max(1.0, abs(top))))
     # exp(-1000) is 0.0, so the clamp keeps every probability and no logit overflows at any rate
-    logits = rate * np.maximum(u - u.max(), -1000.0 / rate)
+    if top - bottom < math.inf:
+        shifted = u - top
+    else:  # the spread overflows float64: those entries shift to -inf, which the clamp maps to 0
+        with np.errstate(over="ignore"):
+            shifted = u - top
+    logits = rate * np.maximum(shifted, -1000.0 / rate)
     probs = np.exp(logits)
     probs /= probs.sum()
     r = source.uniform()
@@ -115,39 +121,20 @@ class BudgetOverspendError(RuntimeError):
     """Raised when a spend would push a composition group past the total budget."""
 
 
-@dataclass(frozen=True, slots=True)
-class BudgetEntry:
+class BudgetEntry(NamedTuple):
     """One budget spend, stored as an exact fraction numerator/divisor pair.
 
     ``numerator`` is the run's total epsilon and ``divisor`` the share split
     (e.g. 2k), so sums over entries are exact rationals with no float drift.
-    ``epsilon`` is their quotient.
+    ``epsilon`` is their quotient, which ``BudgetLedger.spend`` derives and fills in.
     """
 
     label: str
     numerator: Fraction
     divisor: int
-    group: str | None = None
-    category: str = ""
-    epsilon: Fraction = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", self.numerator / self.divisor)
-
-    @classmethod
-    def _of(
-        cls, label: str, numerator: Fraction, divisor: int, group: str | None, category: str,
-        epsilon: Fraction,
-    ) -> "BudgetEntry":
-        """The entry of these fields, ``epsilon`` being ``numerator / divisor``; nothing is checked."""
-        entry, put = object.__new__(cls), object.__setattr__
-        put(entry, "label", label)
-        put(entry, "numerator", numerator)
-        put(entry, "divisor", divisor)
-        put(entry, "group", group)
-        put(entry, "category", category)
-        put(entry, "epsilon", epsilon)
-        return entry
+    group: str | None
+    category: str
+    epsilon: Fraction
 
 
 @dataclass
@@ -213,7 +200,7 @@ class BudgetLedger:
             epsilon = num / divisor
             share = self._share = numerator, divisor, num, epsilon, self._units_of(epsilon)
         _, divisor, num, epsilon, units = share
-        entry = BudgetEntry._of(label, num, divisor, group, category, epsilon)
+        entry = BudgetEntry(label, num, divisor, group, category, epsilon)
         total = self._group_totals.get(group, 0) + units
         if total > self._limit:
             raise BudgetOverspendError(

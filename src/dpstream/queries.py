@@ -166,14 +166,12 @@ def stride_matrix(workloads: Sequence[Workload], num_attributes: int) -> np.ndar
     return strides
 
 
-def stride_cells(points: np.ndarray, strides: np.ndarray, limit: int) -> np.ndarray:
+def stride_cells(points: np.ndarray, strides: np.ndarray) -> np.ndarray:
     """``points @ strides`` in int64, for in-range int64 points and ``stride_matrix`` columns whose
-    cells are all below ``limit``. numpy multiplies int64 matrices without BLAS (69 µs for
-    200 × 13 × 22 on 2 vCPUs, against 13 µs in float64), so up to ``limit`` 2**53 the product is
-    one float64 product cast back. It is exact: every partial sum is a nonnegative integer below
-    ``limit``, and float64 holds every integer up to 2**53."""
-    if limit > 2**53:
-        return points @ strides
+    cells are all below 2**53. numpy multiplies int64 matrices without BLAS (69 µs for
+    200 × 13 × 22 on 2 vCPUs, against 13 µs in float64), so the product is one float64 product
+    cast back. It is exact: every partial sum is a nonnegative integer below 2**53, and float64
+    holds every such integer."""
     return (points.astype(np.float64) @ strides.astype(np.float64)).astype(np.int64)
 
 
@@ -229,9 +227,8 @@ class WorkloadCover:
         """Every workload's values on the in-range int64 rows ``points`` weighted by ``weights``
         (repeats add), as one flat vector in this layout: every row's flat cell in every workload
         and one ``bincount``, summed in row order."""
-        # exact in float64: every partial sum is a nonnegative integer below
-        # len(self.segment), the length of an array, so far below 2**53
-        flat = stride_cells(points, self.strides, len(self.segment))
+        # every cell is below len(self.segment), the length of an array, so far below 2**53
+        flat = stride_cells(points, self.strides)
         flat += self.offsets
         values = np.bincount(flat.ravel(), np.repeat(weights, len(self.sizes)), len(self.segment))
         return values.astype(np.float64, copy=False)  # no rows give int64 zeros
@@ -307,7 +304,7 @@ def _cover(workloads: Sequence[Workload], points: np.ndarray, max_cells: int) ->
     strides = stride_matrix(workloads, schema.num_attributes)
     matrix = None
     if len(segment) * len(points) <= DENSE_LIMIT:
-        flat = stride_cells(points, strides, len(segment)) + offsets
+        flat = stride_cells(points, strides) + offsets
         matrix = np.zeros((len(segment), len(points)))
         matrix[flat.ravel(), np.repeat(np.arange(len(points)), len(workloads))] = 1.0
         matrix.flags.writeable = False

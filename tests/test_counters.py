@@ -14,7 +14,7 @@ from dpstream import (
     eval_workload,
     make_counter,
 )
-from dpstream.counters import KINDS
+from dpstream.counters import COUNTERS, KINDS
 from dpstream.domain import DomainSchema
 
 
@@ -67,6 +67,19 @@ class ScriptedSource:
         assert scale == recorded_scale
         self.used += 1
         return float(values[self.cell])
+
+
+class TestKindTable:
+    def test_kinds_come_from_the_table_in_order(self):
+        assert KINDS == tuple(COUNTERS) == ("simple", "bounded_block", "binary_tree", "unbounded_block")
+        assert all(cls.kind == kind for kind, cls in COUNTERS.items())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_make_counter_builds_the_class_of_its_kind(self, kind):
+        c = make_counter(kind, 1.0, NoiseSource(0), block_size=4)
+        assert type(c) is COUNTERS[kind]
+        # only the bounded block counter takes the block size; the unbounded one starts at 2
+        assert getattr(c, "block_size", None) == {"bounded_block": 4, "unbounded_block": 2}.get(kind)
 
 
 class TestZeroNoisePrefixSums:

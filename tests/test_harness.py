@@ -1080,6 +1080,11 @@ class TestSettingChecks:
         path = write_config(tmp_path, data_file, schema_file, **{name: 1})
         assert_rejected_by_validate_and_run(path, tmp_path, capsys, f"unknown config fields: ['{name}']")
 
+    def test_a_stream_without_variant_names_the_missing_field(self, tmp_path, data_file, schema_file, capsys):
+        # the stream object is checked for missing fields as the config is, not left to a TypeError
+        path = write_config(tmp_path, data_file, schema_file, stream={"batch_size": 5})
+        assert_rejected_by_validate_and_run(path, tmp_path, capsys, "missing stream spec fields: ['variant']")
+
     @pytest.mark.parametrize("extra, message", SETTING_ERRORS, ids=lambda o: json.dumps(o))
     def test_setting_of_the_wrong_type_names_its_field(
         self, tmp_path, data_file, schema_file, capsys, extra, message

@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 from fractions import Fraction
 from unittest import mock
 
@@ -250,6 +249,12 @@ class TestExponentialMechanism:
                 # a rate of 5e307, which overflows on a gap of 8
                 assert exponential_mechanism([10.0, 2.0], 1e308, 1.0, NoiseSource(seed)) == 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_spread_past_the_float64_range_selects_best_without_warning(self, seed):
+        # 1e308 - (-1e308) overflows: the shift used to warn "overflow encountered in subtract"
+        assert exponential_mechanism([-1e308, 1e308, 0.0], 1.0, 1.0, NoiseSource(seed)) == 1
+
     def test_joint_scaling_leaves_distribution_identical(self):
         # scaling utilities and sensitivity together preserves the softmax ratios,
         # so identical uniform draws give identical choices
@@ -319,9 +324,10 @@ class TestBudgetLedger:
         assert entry.epsilon == Fraction(1, 12)
 
     def test_entry_epsilon_is_a_field_divided_once(self):
-        entry = BudgetEntry("sel", Fraction(3, 4), 6, group="t=1")
-        assert "epsilon" in {f.name for f in fields(BudgetEntry)}
-        assert entry.epsilon == Fraction(1, 8)
+        entry = BudgetLedger(Fraction(1)).spend("sel", Fraction(3, 4), 6, group="t=1")
+        assert type(entry) is BudgetEntry and "epsilon" in BudgetEntry._fields
+        assert entry == ("sel", Fraction(3, 4), 6, "t=1", "", Fraction(1, 8))
+        assert entry.epsilon == entry.numerator / entry.divisor
         assert entry.epsilon is entry.epsilon  # stored, not a fresh quotient per read
 
     def test_groups_compose_in_parallel(self):
