@@ -2,19 +2,22 @@
 counter-backed select-measure-fit algorithm.
 
 Both consume one insert-only differential per time step and release one
-synthetic dataset per step; neither ever reads the accumulated true dataset.
-Per step, half the budget goes to exponential-mechanism selections and half to
-the measurements (fresh Laplace noise for the baseline, continual counters for
-the main algorithm). Distinct steps hold disjoint records, so the per-step
+synthetic dataset per step; neither reads the accumulated true dataset, and
+each reads the differential only through ``_Differential``'s mechanisms. Per
+step, half the budget goes to exponential-mechanism selections and half to the
+measurements (fresh Laplace noise for the baseline, continual counters for the
+main algorithm). Distinct steps hold disjoint records, so the per-step
 budget is the whole-stream guarantee.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +98,72 @@ class RunConfig:
         return max(default, 1.0 / min(w.size for w in self.workloads))
 
 
+class _Differential:
+    """One step's differential δ behind the mechanisms that read it, the only code that reads δ:
+    each draws its noise and writes its eps/2k ledger entry in one call. Built from δ and a public
+    ``base`` on the support (the previous release for ``main``, none for the baseline), to which
+    selection's reference adds δ's rows on the support, and the scoring of those off it."""
+
+    def __init__(self, synth: _StreamSynthesizer, delta: WeightedDataset, base: np.ndarray | None = None):
+        self._synth, self._delta, self._base = synth, delta, base
+        self._at, held = synth.support.observe(delta)
+        if held.all():  # as on every whole-domain support
+            self._held, self._off, self._off_mass = delta.weights, np.zeros(len(synth._cover.segment)), 0.0
+        else:
+            self._held, points, weights = delta.weights[held], delta.points[~held], delta.weights[~held]
+            self._off, self._off_mass = synth._cover.values(points, weights), float(weights.sum())
+        self._reference = np.zeros(len(synth.support)) if base is None else base.copy()
+        self._reference[self._at] += self._held
+
+    @cached_property
+    def target(self) -> float:
+        """The mass every fit of the step goes to: δ's without a base, else the base's nonzero mass
+        plus δ's. Read exactly, with no noise and no ledger entry, it is the known leak of the
+        release mass (ROADMAP.md, N1), whose fix changes only this property."""
+        if self._base is None:
+            return self._delta.total_mass()
+        return nonzero_mass(self._reference) + self._off_mass
+
+    def select(self, h: np.ndarray, unselected: np.ndarray, l: int, zeros: np.ndarray | None = None) -> int:
+        """The exponential mechanism's pick of an ``unselected`` workload, and its ``selection``
+        entry for round ``l``. A workload scores the L1 distance between its histograms of the
+        reference and of the fit ``h`` over its cell count, less ``_cell_bias`` per cell, read off
+        one scoring of ``reference - h``, plus the rows off the support. With ``zeros``, ``h`` is
+        the base at 1 where ``zeros`` marks it 0: that difference is δ's held weights and -1 at
+        the zeros (one point can carry both), scored only there, in integers."""
+        synth, cover = self._synth, self._synth._cover
+        if zeros is None:
+            difference = cover.score(self._reference - h)
+        else:
+            weights = np.concatenate([self._held, np.full(len(zeros), -1.0)])
+            difference = cover.score(weights, np.concatenate([self._at, zeros]))
+        difference += self._off
+        utilities = (cover.mean_abs(difference) - synth._bias)[unselected]
+        pick = exponential_mechanism(utilities, synth._eps_step, synth._sensitivity, synth._select_source)
+        self._spend(f"select/l={l}", "selection")
+        return int(np.flatnonzero(unselected)[pick])
+
+    def laplace(self, j: int) -> np.ndarray:
+        """Workload ``j``'s histogram of δ plus Laplace noise at eps/2k, and its ``measurement`` entry."""
+        synth = self._synth
+        noise = synth._measure_source.laplace_vector(1.0 / synth._eps_step, synth.workloads[j].size)
+        noisy = eval_workload(synth.workloads[j], self._delta) + noise
+        self._spend(f"measure/W={j}", "measurement")
+        return noisy
+
+    def feed(self, j: int, counter: MultiDimCounter) -> np.ndarray:
+        """``counter``'s release once fed workload ``j``'s histogram of δ, and its ``counter`` entry."""
+        values = counter.feed(eval_workload(self._synth.workloads[j], self._delta))
+        self._spend(f"counter/W={j}", "counter")
+        return values
+
+    def _spend(self, label: str, category: str) -> None:
+        """Record one eps/2k share of step ``t`` in the synthesizer's ledger."""
+        synth, cfg = self._synth, self._synth.config
+        group = f"t={synth.t}"
+        synth.ledger.spend(f"{group}/{label}", cfg.epsilon, 2 * cfg.k, group=group, category=category)
+
+
 class _StreamSynthesizer:
     """Shared state and the select → measure → fit round of both synthesizers.
 
@@ -130,69 +199,27 @@ class _StreamSynthesizer:
         self.last_selected: list[int] = []
         self._release(np.ones(len(self.support)))
 
-    def _observe(self, delta: WeightedDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Look ``delta`` up on the fixed support: the support positions of the rows it holds and
-        their weights, then the other rows' scoring in the cover's flat layout and their mass."""
-        at, held = self.support.observe(delta)
-        if held.all():  # as on every whole-domain support
-            return at, delta.weights, np.zeros(len(self._cover.segment)), 0.0
-        points, weights = delta.points[~held], delta.weights[~held]
-        return at, delta.weights[held], self._cover.values(points, weights), float(weights.sum())
-
-    def _spend(self, label: str, category: str) -> None:
-        """Record one eps/2k share of step ``t`` in the ledger."""
-        cfg = self.config
-        group = f"t={self.t}"
-        self.ledger.spend(f"{group}/{label}", cfg.epsilon, 2 * cfg.k, group=group, category=category)
-
     def _round(
-        self,
-        delta: WeightedDataset,
-        reference: np.ndarray,
-        h: np.ndarray,
-        off: np.ndarray,
-        difference: np.ndarray,
-        target: float,
+        self, d: _Differential, h: np.ndarray, measure: Callable[[int], np.ndarray], zeros: np.ndarray | None = None
     ) -> np.ndarray:
-        """k select → measure → fit iterations starting from the fit ``h``, where ``reference``
-        is a weight vector on the support, ``off`` the scoring of the rows of ``delta`` off the
-        support, and ``difference`` the scoring of ``reference - h`` plus ``off``.
-
-        Each iteration scores every unselected workload by the L1 distance
-        between its histogram of ``reference`` and the rows off the support and
-        that of the current fit, over its cell count, less ``_cell_bias`` per
-        cell; picks one with the exponential mechanism, measures it and refits
-        to ``target`` mass. Scoring is linear, so each distance is read off one
-        scoring of the difference of the two weight vectors, plus ``off``.
-        Returns the mean of the k fits; ``last_selected`` holds the selection.
-        """
-        cover, k = self._cover, self.config.k
-        fits: list[np.ndarray] = []
-        cells: list[np.ndarray] = []
-        values: list[np.ndarray] = []
-        selected: list[int] = []
+        """k select → measure → refit iterations on ``d`` from the fit ``h`` (``zeros`` goes to round
+        1's ``select``, ``measure(j)`` gives workload j's values), each fit to ``d.target`` mass.
+        Returns the mean of the k fits; ``last_selected`` holds the selection."""
+        cover = self._cover
+        fits, cells, values, selected = [], [], [], []
         unselected = np.ones(len(cover.sizes), dtype=bool)
-        for l in range(1, k + 1):
-            utilities = (cover.mean_abs(difference) - self._bias)[unselected]
-            pick = exponential_mechanism(utilities, self._eps_step, self._sensitivity, self._select_source)
-            self._spend(f"select/l={l}", "selection")
-            j = int(np.flatnonzero(unselected)[pick])
+        for l in range(1, self.config.k + 1):
+            j = d.select(h, unselected, l, zeros if l == 1 else None)
             selected.append(j)
             unselected[j] = False
             # widened once per round: the fit's bincount and gather would cast narrow cells each call
             cells.append(cover.cells(self.workloads[j]).astype(np.intp))
-            values.append(self._measure(j, delta))
-            h = self.fitter.fit_weights(cells, values, h, target)
+            values.append(measure(j))
+            h = self.fitter.fit_weights(cells, values, h, d.target)
             fits.append(h)
-            if l < k:
-                difference = cover.score(reference - h) + off
         self.last_selected = selected  # only now: main's ``_measure`` reads the previous round's
         # dataset_mean of the fits: summed in list order, then scaled by 1/k
         return sum(fits[1:], fits[0]) * (1.0 / len(fits))
-
-    def _measure(self, j: int, delta: WeightedDataset) -> np.ndarray:
-        """Noisy cell values of workload ``j`` at step t, spending its share."""
-        raise NotImplementedError
 
     def _release(self, weights: np.ndarray) -> WeightedDataset:
         """Release ``weights``; a release on all of the support's points reads the cover's cells."""
@@ -201,9 +228,6 @@ class _StreamSynthesizer:
         if self.g.points is self.support.points:
             self.g.support_cells = self._cover.cells
         return self.g
-
-    def step(self, delta: WeightedDataset) -> WeightedDataset:
-        raise NotImplementedError
 
 
 class StreamingMwem(_StreamSynthesizer):
@@ -218,24 +242,13 @@ class StreamingMwem(_StreamSynthesizer):
     algorithm = "baseline"
 
     def step(self, delta: WeightedDataset) -> WeightedDataset:
-        at, held_weights, off, _ = self._observe(delta)
+        d = _Differential(self, delta)
         self.t += 1
-        target = delta.total_mass()
+        target = d.target
         if target == 0:
             return self.g  # nothing arrived: no spend, synthetic stream holds
         h = np.full(len(self.support), target / len(self.support))
-        reference = np.zeros(len(self.support))
-        reference[at] = held_weights
-        difference = self._cover.score(reference - h) + off
-        mean = self._round(delta, reference, h, off, difference, target)
-        return self._release(self._weights + mean)
-
-    def _measure(self, j: int, delta: WeightedDataset) -> np.ndarray:
-        scale = 1.0 / self._eps_step  # sensitivity-1 histogram at eps/2k
-        noise = self._measure_source.laplace_vector(scale, self.workloads[j].size)
-        noisy = eval_workload(self.workloads[j], delta) + noise
-        self._spend(f"measure/W={j}", "measurement")
-        return noisy
+        return self._release(self._weights + self._round(d, h, d.laplace))
 
 
 class CounterSynthesizer(_StreamSynthesizer):
@@ -259,32 +272,20 @@ class CounterSynthesizer(_StreamSynthesizer):
         self.last_measurements: dict[int, np.ndarray] = {}
 
     def step(self, delta: WeightedDataset) -> WeightedDataset:
-        at, held_weights, off, off_mass = self._observe(delta)
+        d = _Differential(self, delta, self._weights)
         self.t += 1
-        surrogate = self._weights.copy()
-        surrogate[at] += held_weights
-        target = nonzero_mass(surrogate) + off_mass
-        if target == 0:
+        if d.target == 0:
             return self.g  # no data and no synthetic mass: skip, no spend
         h = self._weights.copy()
         zeros = np.flatnonzero(h == 0)
         h[zeros] = 1.0  # underflowed points re-enter at unit weight
-        # surrogate - h is +delta at delta's held points and -1 at the zeros (one point can carry
-        # both): score only those positions, in integers
-        weights = np.concatenate([held_weights, np.full(len(zeros), -1.0)])
-        difference = self._cover.score(weights, np.concatenate([at, zeros]))
-        difference += off
-        return self._release(self._round(delta, surrogate, h, off, difference, target))
+        return self._release(self._round(d, h, lambda j: self._measure(j, d), zeros))
 
-    def _measure(self, j: int, delta: WeightedDataset) -> np.ndarray:
-        workload = self.workloads[j]
+    def _measure(self, j: int, d: _Differential) -> np.ndarray:
+        workload, cfg = self.workloads[j], self.config
         if j not in self.counters:
             self.counters[j] = MultiDimCounter(
-                self.config.counter_kind,
-                workload.size,
-                self._eps_step,
-                self._counter_root.child(j),
-                block_size=self.config.block_size,
+                cfg.counter_kind, workload.size, self._eps_step, self._counter_root.child(j), block_size=cfg.block_size
             )
             self.remainders[j] = np.zeros(workload.size)  # no synthetic dataset before t = 1
         if self.t > 1 and j not in self.last_selected:
@@ -293,10 +294,8 @@ class CounterSynthesizer(_StreamSynthesizer):
             # (the counter was not fed, ``g`` is that release), so it is computed
             # here, when the counter is fed, rather than after every step.
             self.remainders[j] = eval_workload(workload, self.g) - self.counters[j].peek()
-        counter_values = self.counters[j].feed(eval_workload(workload, delta))
-        self._spend(f"counter/W={j}", "counter")
         # remainder carries over unchanged on a selected step
-        self.last_measurements[j] = counter_values + self.remainders[j]
+        self.last_measurements[j] = d.feed(j, self.counters[j]) + self.remainders[j]
         return self.last_measurements[j]
 
 

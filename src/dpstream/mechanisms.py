@@ -60,6 +60,7 @@ class NoiseSource:
         formula on arrays: equal up to the last bit, where ``np.log1p`` rounds apart from ``math.log1p``."""
         if not 0 < scale < math.inf:
             raise ValueError(f"laplace scale must be positive and finite, got {scale}")
+        n = checked_int(n, 0, "laplace draw count must be an integer >= 0")
         self.laplace_draws += n
         if self.mode == "zero":
             return np.zeros(n)
@@ -73,7 +74,7 @@ def exponential_mechanism(
     sensitivity: float,
     source: NoiseSource,
 ) -> int:
-    """Sample an index with probability proportional to exp(eps * u / (2 * sensitivity)).
+    """Sample an index of the 1-D ``utilities`` with probability proportional to exp(eps * u / (2 * sensitivity)).
 
     High utilities are favored. In zero mode this degenerates to argmax, with
     utilities within 1e-9 * max(1, |max u|) of each other (ties up to float
@@ -81,6 +82,8 @@ def exponential_mechanism(
     softmax whose logits are clamped at -1000, so large utilities cannot overflow.
     """
     u = np.asarray(utilities, dtype=np.float64)
+    if u.ndim != 1:
+        raise ValueError(f"utilities must be one-dimensional, got shape {u.shape}")
     if u.size == 0:
         raise ValueError("utilities must be nonempty")
     top, bottom = float(u.max()), float(u.min())

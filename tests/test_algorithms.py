@@ -1,6 +1,8 @@
 import math
 import pickle
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from dpstream import (
 )
 from dpstream import algorithms, surrogate
 from dpstream.counters import KINDS
-from dpstream.queries import cell_values
+from dpstream.queries import WorkloadCover, cell_values
 
 SCHEMA_2X2 = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_234 = DomainSchema((("a", 2), ("b", 3), ("c", 4)))
@@ -592,29 +594,35 @@ class TestCoverScoring:
         config = RunConfig(epsilon=Fraction(1), k=3, workloads=Q, seed_support_size=2_000, seed=seed)
         return make_synthesizer(algorithm, config)
 
-    def _first_round(self, synth, delta):
-        """Step ``synth`` on ``delta``; return the reference, fit and difference scoring ``_round``
-        started from, the exact change vector (delta's weights at its points on the support, -1 at
-        the zeros) and the direct scoring of delta's rows off the support."""
-        seen = []
-        run = synth._round
+    def _first_round(self, synth, delta, monkeypatch):
+        """Step ``synth`` on ``delta``; return the reference, fit, zeros and difference scoring
+        round 1's ``select`` started from, the exact change vector (delta's weights at its points
+        on the support, -1 at the zeros) and the direct scoring of delta's rows off the support."""
+        seen, select, mean_abs = [], algorithms._Differential.select, WorkloadCover.mean_abs
 
-        def recording(delta, reference, h, off, difference, target):
-            at, held = synth.support.observe(delta)
-            change = np.zeros(len(h))
-            np.add.at(change, at, delta.weights[held])
-            change[synth._weights == 0] -= 1.0  # the previous release's zero entries
-            missed = WeightedDataset(delta.schema, delta.points[~held], delta.weights[~held])
-            direct = np.concatenate([eval_workload(w, missed) for w in synth.workloads])
-            seen.append((reference.copy(), h.copy(), difference.copy(), change, direct))
-            return run(delta, reference, h, off, difference, target)
+        def selecting(d, h, unselected, l, zeros=None):
+            if l == 1:
+                at, held = synth.support.observe(delta)
+                change = np.zeros(len(h))
+                np.add.at(change, at, delta.weights[held])
+                change[synth._weights == 0] -= 1.0  # the previous release's zero entries
+                missed = WeightedDataset(delta.schema, delta.points[~held], delta.weights[~held])
+                direct = np.concatenate([eval_workload(w, missed) for w in synth.workloads])
+                seen.append([d._reference.copy(), h.copy(), zeros, None, change, direct])
+            return select(d, h, unselected, l, zeros)
 
-        synth._round = recording
-        synth.step(delta)
-        del synth._round
+        def scoring(cover, flat):
+            if seen[-1][3] is None:  # round 1's difference, the first scored
+                seen[-1][3] = flat.copy()
+            return mean_abs(cover, flat)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(algorithms._Differential, "select", selecting)
+            patch.setattr(WorkloadCover, "mean_abs", scoring)
+            synth.step(delta)
         return seen[0]
 
-    def test_round_one_from_surrogate_matches_direct_scoring(self):
+    def test_round_one_from_surrogate_matches_direct_scoring(self, monkeypatch):
         synth = self._synth("main")
         cover, support = synth._cover, synth.support
         points = support.points
@@ -626,7 +634,9 @@ class TestCoverScoring:
             if t == 5:  # some rows of this differential lie on the support
                 held = points[:: len(points) // 30]
                 delta = accumulate(delta, WeightedDataset(self.SCHEMA, held, np.ones(len(held))))
-            reference, h, difference, change, direct = self._first_round(synth, delta)
+            zeros_before = np.flatnonzero(synth._weights == 0)
+            reference, h, zeros, difference, change, direct = self._first_round(synth, delta, monkeypatch)
+            assert np.array_equal(zeros, zeros_before)  # round 1 scored in integers at the zeros
             assert support.points is points  # the support never grows
             # each workload counts every row off the support once
             off_mass = direct.sum() / len(synth.workloads)
@@ -642,7 +652,7 @@ class TestCoverScoring:
             )
 
     @pytest.mark.parametrize("algorithm", ["baseline", "main"])
-    def test_support_caches_only_workloads_evaluated_on_releases(self, algorithm):
+    def test_support_caches_only_workloads_evaluated_on_releases(self, algorithm, monkeypatch):
         synth = self._synth(algorithm, seed=3)
         cover = synth._cover
         assert cover.matrix is None and len(cover.joints) < len(synth.workloads)
@@ -650,20 +660,21 @@ class TestCoverScoring:
         built = dict(cover._cells)
         assert set(built) == set(cover.joints)
         fits, fit_weights = [], synth.fitter.fit_weights
-        measured, measure = [], synth._measure
+        measured, select = [], algorithms._Differential.select
 
         def recording(cells, values, weights, target):
             fits.append((list(measured), list(cells), synth.support.points))
             return fit_weights(cells, values, weights, target)
 
-        def measuring(j, delta):
+        def selecting(*args):  # each selected workload is measured before the fit
+            j = select(*args)
             if len(measured) == synth.config.k:  # a new round
                 measured.clear()
             measured.append(j)
-            return measure(j, delta)
+            return j
 
         synth.fitter.fit_weights = recording
-        synth._measure = measuring
+        monkeypatch.setattr(algorithms._Differential, "select", selecting)
         for delta in random_deltas(self.SCHEMA, 10, seed=4, max_rows=60):
             synth.step(delta)
         # every scoring read the joint cells the cover built, at the support's points, in the
@@ -712,19 +723,19 @@ class TestCoverScoring:
 
         monkeypatch.setattr(Workload, "point_cells", counting)
         fits, fit_weights = [], synth.fitter.fit_weights
-        selected, measure = [], synth._measure
+        selected, select = [], algorithms._Differential.select
 
         def recording(cells, values, weights, target):
             workloads = [synth.workloads[j] for j in selected[-len(cells):]]
             fits.append([(w, got, w in cover._cells and cover.cells(w)) for w, got in zip(workloads, cells)])
             return fit_weights(cells, values, weights, target)
 
-        def measuring(j, delta):
-            selected.append(j)
-            return measure(j, delta)
+        def selecting(*args):  # each selected workload is measured before the fit
+            selected.append(select(*args))
+            return selected[-1]
 
         synth.fitter.fit_weights = recording
-        synth._measure = measuring
+        monkeypatch.setattr(algorithms._Differential, "select", selecting)
         for delta in random_deltas(self.SCHEMA, 6, seed=9, max_rows=60):
             synth.step(delta)
         assert len(fits) == 6 * config.k
@@ -763,3 +774,144 @@ class TestSupportEvent:
                     released = synth.step(delta)
                     assert not (released.points == record).all(axis=1).any(), (seed, algorithm, t)
                     assert synth.support.points is points and len(synth.support) == size
+
+
+class RecordedDelta(WeightedDataset):
+    """A differential that records, at every read of its points, weights, mass or memo, the
+    innermost ``dpstream.algorithms`` frame that made it as ``<class of its self>.<function>``."""
+
+    __slots__ = ("reads",)
+
+    @classmethod
+    def of(cls, delta):
+        out = cls._of(delta.schema, delta.points.copy(order="F"), delta.weights.copy())
+        out.reads = []
+        return out
+
+    def _record(self, name):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_globals["__name__"] != algorithms.__name__:
+            frame = frame.f_back
+        where = frame and f"{type(frame.f_locals.get('self')).__name__}.{frame.f_code.co_name}"
+        self.reads.append((name, where))
+
+    @property
+    def points(self):
+        self._record("points")
+        return self._points
+
+    @property
+    def weights(self):
+        self._record("weights")
+        return self._weights
+
+    def total_mass(self):
+        self._record("total_mass")
+        return super().total_mass()
+
+    @property
+    def memo(self):
+        self._record("memo")
+        return WeightedDataset.memo.__get__(self)  # the base class's slot
+
+    @memo.setter
+    def memo(self, value):
+        WeightedDataset.memo.__set__(self, value)
+
+
+class TestPrivacyBoundary:
+    """Only the differential's charged mechanisms read it."""
+
+    SCHEMA = DomainSchema((("a", 3), ("b", 4), ("c", 5), ("d", 3), ("e", 2)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("algorithm", ["baseline", "main"])
+    def test_every_read_of_the_differential_is_inside_a_boundary_method(self, algorithm, seed):
+        Q = enumerate_workloads(self.SCHEMA, 2)
+        config = RunConfig(epsilon=Fraction(1), k=3, workloads=Q, seed_support_size=40, seed=seed)
+        synth, twin = make_synthesizer(algorithm, config), make_synthesizer(algorithm, config)
+        points = synth.support.points
+        deltas = random_deltas(self.SCHEMA, 6, seed=seed, max_rows=25)
+        deltas[2] = accumulate(deltas[2], WeightedDataset(self.SCHEMA, points[::7], np.ones(len(points[::7]))))
+        deltas[4] = WeightedDataset.empty(self.SCHEMA)
+        boundary = "_Differential."  # a boundary method's frame, by the class of its self
+        names, held = set(), set()
+        for delta in deltas:
+            held.update(synth.support.observe(delta)[1].tolist())
+            recorded = RecordedDelta.of(delta)
+            released = synth.step(recorded)
+            outside = [(name, where) for name, where in recorded.reads if not (where or "").startswith(boundary)]
+            assert outside == [], (algorithm, seed, synth.t)
+            names.update(name for name, _ in recorded.reads)
+            # recording changes nothing: the twin steps the plain differential
+            assert released.weights.tobytes() == twin.step(delta).weights.tobytes()
+        assert held == {False, True}  # rows on and off the support
+        assert {"points", "weights", "memo"} <= names
+        assert ("total_mass" in names) == (algorithm == "baseline")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=3, max_size=4).filter(lambda cards: math.prod(cards) > 1),
+        st.sampled_from(["baseline", "main"]),
+        st.sampled_from(KINDS),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_one_record_moves_each_utility_within_the_sensitivity_and_each_histogram_by_one(
+        self, cards, algorithm, kind, on_support, seed
+    ):
+        # cardinality-1 attributes included; the seed support holds at most half the domain
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        Q = enumerate_workloads(schema, 2)
+        config = RunConfig(
+            epsilon=Fraction(1), k=1, workloads=Q, seed_support_size=max(1, schema.size // 2),
+            seed=seed % 7, noise_mode="zero", counter_kind=kind, block_size=4,
+        )
+        synths = [make_synthesizer(algorithm, config) for _ in range(2)]
+        support = synths[0].support
+        rng = np.random.default_rng(seed)
+        domain = np.indices(cards).reshape(len(cards), -1).T
+        off = domain[~(domain[:, None, :] == support.points[None, :, :]).all(axis=2).any(axis=1)]
+        assert len(off) and len(support) < schema.size
+        rows = np.concatenate([support.points[rng.integers(0, len(support), 3)], off[rng.integers(0, len(off), 3)]])
+        delta = WeightedDataset.from_rows(schema, rows.tolist())
+        pool = support.points if on_support else off
+        record = WeightedDataset.from_rows(schema, [pool[rng.integers(0, len(pool))].tolist()])
+        assert support.observe(record)[1][0] == on_support
+        neighbour = accumulate(delta, record)
+        # a public base with zero entries for main, none for the baseline, and fits held fixed
+        base = None
+        if algorithm == "main":
+            base = rng.random(len(support)) * (rng.random(len(support)) < 0.7)
+            zeros = np.flatnonzero(base == 0)
+            round_one = base.copy()
+            round_one[zeros] = 1.0
+        h = rng.random(len(support)) + 0.1
+        unselected = rng.random(len(Q)) < 0.8
+        unselected[0] = True
+        scored, measured = [], []
+
+        def recording(utilities, *args):
+            scored[-1].append(np.array(utilities))
+            return 0
+
+        with mock.patch.object(algorithms, "exponential_mechanism", recording):
+            for synth, data in zip(synths, (delta, neighbour)):
+                d = algorithms._Differential(synth, data, base)
+                scored.append([])
+                d.select(h, unselected, 1)
+                if base is not None:
+                    d.select(round_one, unselected, 1, zeros)  # main's sparse round 1
+                counter_root = NoiseSource(seed, mode="zero")
+                measured.append([])
+                for j, w in enumerate(Q):
+                    synth.t = j + 1  # each workload's two measurements charge a step of their own
+                    counter = MultiDimCounter(kind, w.size, 1.0, counter_root.child(j), block_size=4)
+                    measured[-1].append((d.laplace(j), d.feed(j, counter)))
+        sensitivity = config.resolved_sensitivity()
+        for before, after in zip(*scored):
+            assert before.shape == after.shape == (unselected.sum(),)
+            assert np.abs(after - before).max() <= sensitivity + 1e-12
+        for before, after in zip(*measured):
+            for b, a in zip(before, after):
+                assert np.abs(a - b).sum() == 1.0

@@ -125,6 +125,16 @@ class TestNoiseSource:
         with pytest.raises(ValueError):
             source.laplace_vector(0.0, 3)
 
+    @pytest.mark.parametrize("mode", ["laplace", "zero"])
+    @pytest.mark.parametrize("n", [-3, 2.5, True, "4"])
+    def test_laplace_vector_rejects_a_bad_count_before_counting_it(self, mode, n):
+        source = NoiseSource(3, mode=mode)
+        source.laplace_vector(2.0, 4)
+        with pytest.raises(ValueError, match="draw count"):
+            source.laplace_vector(1.0, n)
+        assert source.laplace_draws == 4
+        assert source.laplace_vector(1.0, np.int64(0)).shape == (0,) and source.laplace_draws == 4
+
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             NoiseSource(0, mode="gaussian")
@@ -178,6 +188,14 @@ class TestExponentialMechanism:
             exponential_mechanism([0.0], 0.0, 1.0, src)
         with pytest.raises(ValueError, match="sensitivity"):
             exponential_mechanism([0.0], 1.0, 0.0, src)
+
+    @pytest.mark.parametrize("mode", ["laplace", "zero"])
+    @pytest.mark.parametrize("utilities", [[[0.0, 5.0], [1.0, 2.0]], [[3.0]], 4.0, np.zeros((2, 0))])
+    def test_rejects_utilities_that_are_not_one_dimensional(self, mode, utilities):
+        source = NoiseSource(0, mode=mode)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            exponential_mechanism(utilities, 1.0, 1.0, source)
+        assert source.uniform() == NoiseSource(0).uniform()  # nothing was drawn
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("mode", ["laplace", "zero"])

@@ -2,11 +2,13 @@ import importlib.util
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from dpstream import DomainSchema, WeightedDataset
+from dpstream import DomainSchema, RunConfig, WeightedDataset, enumerate_workloads, make_synthesizer
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -116,6 +118,50 @@ class TestSameMetrics:
         assert not steptime.same_metrics(((0.0,) * 4, 0), ((0.0, 0.0, 0.0, -0.0), 0))
 
 
+class TestSameLedger:
+    SCHEMA = DomainSchema((("a", 2), ("b", 3), ("c", 4)))
+
+    def synthesizers(self):
+        config = RunConfig(epsilon="1/2", k=2, workloads=enumerate_workloads(self.SCHEMA, 2), seed=3)
+        a, b = (make_synthesizer("main", config) for _ in range(2))
+        delta = WeightedDataset.from_rows(self.SCHEMA, [(0, 1, 2), (1, 2, 3), (1, 2, 3)])
+        a.step(delta)
+        b.step(delta)
+        return a, b
+
+    def test_equal_entries_and_selections_match_from_each_start(self):
+        a, b = self.synthesizers()
+        assert len(a.ledger.entries) == 4 and steptime.same_ledger(a, b)
+        assert steptime.same_ledger(a, b, (2, 2))
+        # another entry type with the same fields matches
+        b.ledger.entries = [SimpleNamespace(**e._asdict()) for e in b.ledger.entries]
+        assert steptime.same_ledger(a, b)
+        # entries before each side's start are not compared
+        del b.ledger.entries[0]
+        assert not steptime.same_ledger(a, b) and steptime.same_ledger(a, b, (1, 0))
+
+    CHANGED = {
+        "label": "t=1/other", "group": "t=2", "category": "other",
+        "numerator": Fraction(1), "divisor": 5, "epsilon": Fraction(1, 5),
+    }
+
+    @pytest.mark.parametrize("field", steptime.LEDGER_FIELDS)
+    def test_any_field_of_any_entry_differs(self, field):
+        a, b = self.synthesizers()
+        entry = b.ledger.entries[1]
+        assert getattr(entry, field) != self.CHANGED[field]
+        b.ledger.entries[1] = entry._replace(**{field: self.CHANGED[field]})
+        assert not steptime.same_ledger(a, b)
+
+    def test_a_missing_entry_or_another_selection_differs(self):
+        a, b = self.synthesizers()
+        b.ledger.entries.pop()
+        assert not steptime.same_ledger(a, b)
+        a, b = self.synthesizers()
+        b.last_selected = b.last_selected[::-1]
+        assert not steptime.same_ledger(a, b)
+
+
 class TestFirstDifferingStep:
     SCHEMA = DomainSchema((("a", 3),))
 
@@ -155,6 +201,7 @@ class TestStepTimeRun:
         done = subprocess.run(command, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
         assert "releases: identical at every step" in done.stdout.splitlines()
+        assert "ledger: identical at every step" in done.stdout.splitlines()
 
 
 identity = load_tool("identity")

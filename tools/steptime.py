@@ -24,8 +24,9 @@ are printed and the script exits 1 without stepping.
 Printed: the median over all steps of each of the three fastest times for A
 and for B, B's change against A for each, each side's median `build_stream`
 time over every pass and rep, and the first pass and step whose releases
-differ in their points or weight bits, or whose metric aggregates differ in
-any bit, if any (exit status 1 then).
+differ in their points or weight bits, whose metric aggregates differ in any
+bit, or whose ledger entries (each entry's `LEDGER_FIELDS`) or
+`last_selected` differ, if any (exit status 1 then).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PHASES = ("step", "accumulate", "evaluate_step")
+LEDGER_FIELDS = ("label", "group", "category", "numerator", "divisor", "epsilon")
 
 
 def load_module(name: str, path: Path, package: bool = False):
@@ -121,6 +123,15 @@ def same_metrics(a, b) -> bool:
     return excluded_a == excluded_b and struct.pack("4d", *agg_a) == struct.pack("4d", *agg_b)
 
 
+def same_ledger(a, b, since: tuple[int, int] = (0, 0)) -> bool:
+    """Whether two synthesizers agree in ``last_selected`` and in the ``LEDGER_FIELDS`` of every
+    ledger entry from index ``since[0]`` of ``a``'s entries and ``since[1]`` of ``b``'s on."""
+    def fields(synth, start: int) -> list[tuple]:
+        return [tuple(getattr(e, name) for name in LEDGER_FIELDS) for e in synth.ledger.entries[start:]]
+
+    return list(a.last_selected) == list(b.last_selected) and fields(a, since[0]) == fields(b, since[1])
+
+
 def change(medians: list[float]) -> str:
     return f"{100 * (medians[1] / medians[0] - 1):+.1f}%"
 
@@ -163,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     # per phase, then per side, one entry per (pass, step)
     fastest: dict[str, list[list[float]]] = {phase: [[], []] for phase in PHASES}
     builds: list[list[float]] = [[], []]  # per side, every build_stream time
-    first_difference = first_metric_difference = None
+    first_difference = first_metric_difference = first_ledger_difference = None
     heading = (
         f"{args.workload} {args.algorithm}, seed {args.seed}: {workload.passes} passes x "
         f"{workload.steps} steps, fastest of {args.reps} reps per step"
@@ -192,6 +203,7 @@ def main(argv: list[str] | None = None) -> int:
             true = [side.dp.WeightedDataset.empty(side.schema) for side in sides]
             for t in range(len(deltas[0])):
                 released, metrics = [None, None], [None, None]
+                spent = tuple(len(synth.ledger.entries) for synth in synths)
                 order = (0, 1) if (rep + t) % 2 == 0 else (1, 0)
                 for s in order:
                     start = time.perf_counter()
@@ -210,6 +222,8 @@ def main(argv: list[str] | None = None) -> int:
                     first_difference = (i, t + 1)
                 if first_metric_difference is None and not same_metrics(*metrics):
                     first_metric_difference = (i, t + 1)
+                if first_ledger_difference is None and not same_ledger(*synths, spent):
+                    first_ledger_difference = (i, t + 1)
                 slot += 1
 
     print(heading)
@@ -222,7 +236,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     print("differentials: identical at every step")
     failed = False
-    for what, where in (("releases", first_difference), ("metrics", first_metric_difference)):
+    checks = (("releases", first_difference), ("metrics", first_metric_difference), ("ledger", first_ledger_difference))
+    for what, where in checks:
         if where is None:
             print(f"{what}: identical at every step")
         else:
