@@ -74,6 +74,8 @@ class RunConfig:
     noise_mode: str = "laplace"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.workloads, WorkloadSet):
+            self.workloads = WorkloadSet(self.workloads)
         self.k = checked_int(self.k, 1, "k must be an integer >= 1")
         self.epsilon = checked_epsilon(self.epsilon, self.k)
         self.seed = checked_int(self.seed, 0, "seed must be a non-negative integer")
@@ -222,11 +224,16 @@ class _StreamSynthesizer:
         return sum(fits[1:], fits[0]) * (1.0 / len(fits))
 
     def _release(self, weights: np.ndarray) -> WeightedDataset:
-        """Release ``weights``; a release on all of the support's points reads the cover's cells."""
-        self._weights = weights
-        self.g = WeightedDataset.from_sorted(self.schema, self.support.points, weights)
-        if self.g.points is self.support.points:
+        """Release the dataset storing the nonzero entries of ``weights``, kept writable as
+        ``_weights``; a release on all of the support's points shares them and reads the cover's cells."""
+        if (weights < 0).any():
+            raise ValueError("negative weight; datasets are insert-only")
+        self._weights, keep, points = weights, weights > 0, self.support.points
+        if keep.all():
+            self.g = WeightedDataset._from_sorted(self.schema, points, weights.copy())
             self.g.support_cells = self._cover.cells
+        else:
+            self.g = WeightedDataset._from_sorted(self.schema, np.asfortranarray(points[keep]), weights[keep])
         return self.g
 
 

@@ -222,9 +222,10 @@ class WeightedDataset:
         self.support_cells: Callable[..., np.ndarray] | None = None
 
     @classmethod
-    def _of(cls, schema: DomainSchema, points: np.ndarray, weights: np.ndarray) -> "WeightedDataset":
-        """The dataset storing ``points`` and ``weights``, already in canonical form, which
-        it makes read-only; nothing is checked."""
+    def _from_sorted(cls, schema: DomainSchema, points: np.ndarray, weights: np.ndarray) -> "WeightedDataset":
+        """The dataset storing ``points`` and ``weights`` as given, made read-only; nothing is checked,
+        so only the package calls it and ``WeightedDataset(...)`` is the public route. ``points`` must be an F-contiguous int64 ``(n, p)`` array of canonical rows (in range, strictly
+        increasing), such as ``WorkingSupport.points``, and ``weights`` one positive float64 per row."""
         points.flags.writeable = False
         weights.flags.writeable = False
         out = cls.__new__(cls)
@@ -235,28 +236,7 @@ class WeightedDataset:
     def __reduce__(self):
         # unpickled arrays come back writeable, so the copy is rebuilt read-only; the memo and
         # support_cells stay here
-        return type(self)._of, (self.schema, self._points, self._weights)
-
-    @classmethod
-    def from_sorted(
-        cls, schema: DomainSchema, points: np.ndarray, weights: np.ndarray
-    ) -> "WeightedDataset":
-        """``WeightedDataset(schema, points, weights)`` for points already in canonical form.
-
-        ``points`` must be a read-only, F-contiguous int64 ``(n, p)`` array of
-        in-range, strictly increasing, distinct rows, such as
-        ``WorkingSupport.points``; none of that is checked. The dataset shares
-        ``points`` when no weight is zero, and copies the weights.
-        """
-        weights = np.array(weights, dtype=np.float64).reshape(-1)
-        if len(points) != len(weights):
-            raise ValueError("points and weights length mismatch")
-        if (weights < 0).any():
-            raise ValueError("negative weight; datasets are insert-only")
-        keep = weights > 0
-        if not keep.all():
-            points, weights = np.asfortranarray(points[keep]), weights[keep]
-        return cls._of(schema, points, weights)
+        return type(self)._from_sorted, (self.schema, self._points, self._weights)
 
     @classmethod
     def empty(cls, schema: DomainSchema) -> "WeightedDataset":
@@ -268,21 +248,16 @@ class WeightedDataset:
             return cls.empty(schema)
         points = np.array([schema.validate_point(p) for p in mapping], dtype=np.int64)
         weights = np.array([float(w) for w in mapping.values()], dtype=np.float64)
-        if (weights < 0).any():
-            raise ValueError("weights must be nonnegative")
         return cls(schema, points, weights)
 
     @classmethod
     def from_rows(cls, schema: DomainSchema, rows: Iterable[Iterable[int]]) -> "WeightedDataset":
-        """Build a unit-weight dataset from raw rows (duplicates accumulate); a bool anywhere in
-        them is rejected, as numpy would read it as an integer among ints."""
+        """The one step of ``step_datasets`` over raw rows (duplicates accumulate); a bool anywhere
+        in them is rejected, as numpy would read it as an integer among ints."""
         rows = [tuple(r) for r in rows]
         if any(isinstance(v, (bool, np.bool_)) for row in rows for v in row):
             raise ValueError("point coordinates must be integers, got a bool")
-        pts = np.array(rows)
-        if pts.size == 0:
-            return cls.empty(schema)
-        return cls(schema, pts, np.ones(len(pts)))
+        return step_datasets(schema, rows, np.zeros(len(rows), dtype=np.int64), 1)[0]
 
     @property
     def points(self) -> np.ndarray:
@@ -300,7 +275,7 @@ class WeightedDataset:
         return mass
 
     def as_mapping(self) -> dict[DataPoint, float]:
-        return {tuple(int(v) for v in p): float(w) for p, w in zip(self._points, self._weights)}
+        return dict(self.items())
 
     def items(self) -> Iterator[tuple[DataPoint, float]]:
         for p, w in zip(self._points, self._weights):
@@ -316,8 +291,8 @@ class WeightedDataset:
 def step_datasets(
     schema: DomainSchema, rows: list[Iterable[int]], steps: np.ndarray, num_steps: int
 ) -> list[WeightedDataset]:
-    """``WeightedDataset.from_rows`` over the rows of each step in ``range(num_steps)``, in
-    one sorted pass; ``steps[i]``, in that range, is the step of ``rows[i]``.
+    """The unit-weight dataset of the rows of each step in ``range(num_steps)``, built in one
+    sorted pass; ``steps[i]``, in that range, is the step of ``rows[i]``.
 
     The rows are converted and checked together as one array, with the errors of
     ``WeightedDataset(...)``, then sorted by (step, point); equal rows of a step merge into
@@ -338,7 +313,7 @@ def step_datasets(
     distinct = points[order[starts]]
     bounds = np.searchsorted(steps[starts], np.arange(num_steps + 1)).tolist()
     return [
-        WeightedDataset._of(schema, np.asfortranarray(distinct[a:b]), counts[a:b])
+        WeightedDataset._from_sorted(schema, np.asfortranarray(distinct[a:b]), counts[a:b])
         for a, b in zip(bounds, bounds[1:])
     ]
 
@@ -386,7 +361,7 @@ def accumulate(prefix: WeightedDataset, delta: WeightedDataset) -> WeightedDatas
     weights = np.zeros(len(points))
     weights[kept] = prefix.weights
     weights[at] += delta.weights  # weights are positive, so no sum cancels to zero
-    out = WeightedDataset._of(schema, points, weights)
+    out = WeightedDataset._from_sorted(schema, points, weights)
     keys.flags.writeable = False  # kept for the next accumulate onto this sum
     out.memo["keys"] = keys
     return out
@@ -424,8 +399,9 @@ class DatasetStream:
 
     def prefix(self, t: int) -> WeightedDataset:
         """The accumulated dataset after the first t differentials: ``accumulate`` folded over them."""
-        if not 0 <= t <= self.num_steps:
-            raise ValueError(f"prefix time {t} out of range [0, {self.num_steps}]")
+        rule = f"prefix time must be an integer in [0, {self.num_steps}]"
+        if checked_int(t, 0, rule) > self.num_steps:
+            raise ValueError(f"{rule}, got {t!r}")
         return reduce(accumulate, self.differentials[:t], WeightedDataset.empty(self.schema))
 
 

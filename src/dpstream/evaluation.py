@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .domain import WeightedDataset
+from .domain import WeightedDataset, checked_int
 from .queries import Workload, WorkloadSet, eval_workload
 
 
@@ -84,8 +84,7 @@ def evaluate_step(
 
 def summarize_tail(rows: Sequence[MetricAggregate], window: int) -> dict[str, float]:
     """Per-metric means over the final ``window`` rows, keyed by ``METRIC_NAMES``."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    window = checked_int(window, 1, "window must be an integer >= 1")
     if len(rows) < window:
         raise ValueError(f"need at least {window} rows, got {len(rows)}")
     # one np.mean per metric: a mean over axis 0 of the 2-D tail sums in another order

@@ -231,6 +231,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         if not isinstance(self.fitter, dict):
             raise ValueError(f"fitter must be an object, got {self.fitter!r}")
+        if not isinstance(self.stream, StreamSpec):
+            self.stream = StreamSpec.from_dict(self.stream)
         self.algorithms = tuple(self.algorithms)
         self.seeds = tuple(checked_int(s, 0, "seeds must be non-negative integers") for s in self.seeds)
         self.epsilons = tuple(checked_epsilon(e, name="each of epsilons") for e in self.epsilons)
@@ -257,7 +259,6 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ValueError(f"config file {path} must be a JSON object, got a {type(raw).__name__}")
         _check_fields(cls, raw, "config")
-        raw["stream"] = StreamSpec.from_dict(raw["stream"])
         return cls(**raw)
 
     def triples(self) -> list[tuple[str, Fraction, int]]:
@@ -459,7 +460,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict[str, An
 def validate_config(config: ExperimentConfig) -> list[str]:
     """Dry-run checks; returns a list of problems (empty means good to go).
 
-    Reports file problems, then at most one setting problem: the error every
+    Reports file problems, then at most one setting problem: the first error a
     triple would fail with, from the same ``run_config`` that ``run_triple`` calls.
     """
     try:
@@ -477,11 +478,12 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     spec = config.stream
     if spec.variant == "timestamp_bucketed" and spec.timestamp_column not in header:
         problems.append(f"dataset is missing timestamp column {spec.timestamp_column!r}")
-    # triples differ only in epsilon and seed, which the config already checked;
-    # the ceil-sqrt block size is >= 1 for any stream length, so one step stands for all
-    for _, epsilon, seed in config.triples()[:1]:
-        try:
-            run_config(config, enumerate_workloads(schema, config.k_way), epsilon, seed, steps=1)
-        except (TypeError, ValueError) as exc:
-            problems.append(str(exc))
+    # the config checked each epsilon with k = 1 only, so each meets k here; no check reads the
+    # seed, and the ceil-sqrt block size is >= 1 for any stream length, so one seed and step stand for all
+    try:
+        workloads = enumerate_workloads(schema, config.k_way)
+        for epsilon in config.epsilons:
+            run_config(config, workloads, epsilon, config.seeds[0], steps=1)
+    except (TypeError, ValueError) as exc:
+        problems.append(str(exc))
     return problems

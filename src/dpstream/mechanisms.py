@@ -29,8 +29,11 @@ class NoiseSource:
         if mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {mode!r}; expected one of {NOISE_MODES}")
         self.mode = mode
-        self.entropy = int(seed) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
-        self.spawn_key = tuple(int(k) for k in spawn_key)
+        if isinstance(seed, (tuple, list)):
+            self.entropy = tuple(checked_int(s, 0, "noise seed words must be non-negative integers") for s in seed)
+        else:
+            self.entropy = checked_int(seed, 0, "noise seed must be a non-negative integer")
+        self.spawn_key = tuple(checked_int(k, 0, "spawn keys must be non-negative integers") for k in spawn_key)
         self._rng = np.random.default_rng(np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key))
         self.laplace_draws = 0
 
@@ -38,7 +41,7 @@ class NoiseSource:
         """The source whose spawn key is this one's plus ``key``. ``SeedSequence`` pads the entropy
         to four words before a spawn key, so no child draws what its parent, another key or a
         ``SeedSequence`` of at most four words (such as the seed, or ``(seed, 3)``) draws."""
-        return NoiseSource(self.entropy, self.mode, self.spawn_key + tuple(int(k) for k in key))
+        return NoiseSource(self.entropy, self.mode, self.spawn_key + key)
 
     def uniform(self) -> float:
         return self._rng.random()

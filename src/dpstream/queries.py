@@ -352,6 +352,8 @@ class WorkloadSet:
 def enumerate_workloads(schema: DomainSchema, k: int) -> WorkloadSet:
     """All C(p, k) k-way workloads in lexicographic column order."""
     p = schema.num_attributes
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):  # type first: range has its own message
+        raise ValueError(f"workload arity must be an integer, got {k!r}")
     if not 1 <= k <= p:
         raise ValueError(f"workload arity {k} out of range [1, {p}]")
     workloads = tuple(Workload(schema, cols) for cols in itertools.combinations(range(p), k))

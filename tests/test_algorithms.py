@@ -21,6 +21,7 @@ from dpstream import (
     WeightedDataset,
     Workload,
     WorkingSupport,
+    WorkloadSet,
     accumulate,
     dataset_mean,
     enumerate_workloads,
@@ -59,6 +60,16 @@ def random_deltas(schema, steps, seed, max_rows=6):
 
 
 class TestRunConfig:
+    def test_workloads_are_read_as_a_workload_set(self):
+        Q = enumerate_workloads(SCHEMA_234, 2)
+        assert RunConfig(epsilon=Fraction(1), k=1, workloads=Q).workloads is Q
+        config = RunConfig(epsilon=Fraction(1), k=1, workloads=list(Q))
+        assert isinstance(config.workloads, WorkloadSet) and tuple(config.workloads) == tuple(Q)
+        with pytest.raises(ValueError, match="not workload 0's schema"):
+            RunConfig(epsilon=Fraction(1), k=1, workloads=[Q[0], *enumerate_workloads(SCHEMA_2X2, 2)])
+        with pytest.raises(ValueError, match="distinct"):
+            RunConfig(epsilon=Fraction(1), k=1, workloads=[Q[0], Q[1], Q[0]])
+
     def test_k_cannot_exceed_workload_count(self):
         Q = enumerate_workloads(SCHEMA_2X2, 1)
         with pytest.raises(ValueError, match="distinct workloads"):
@@ -585,6 +596,42 @@ class TestReleaseCells:
         self._check(synth, g)
 
 
+class TestRelease:
+    """``_release`` turns a weight vector on the support into the release."""
+
+    @pytest.fixture
+    def synth(self):
+        return make_synthesizer("main", zero_config(enumerate_workloads(SCHEMA_234, 2), k=1))
+
+    @staticmethod
+    def _check(synth, weights):
+        g = synth._release(weights)
+        want = WeightedDataset(SCHEMA_234, synth.support.points, weights)
+        assert g is synth.g and g.points.tobytes() == want.points.tobytes()
+        assert g.weights.tobytes() == want.weights.tobytes() and not np.shares_memory(g.weights, weights)
+        assert g.points.flags.f_contiguous and not g.points.flags.writeable and not g.weights.flags.writeable
+        assert synth._weights is weights and weights.flags.writeable
+        return g
+
+    def test_positive_weights_share_the_support_points(self, synth):
+        g = self._check(synth, np.random.default_rng(22).random(len(synth.support)) + 0.1)
+        assert g.points is synth.support.points and g.support_cells is not None
+
+    def test_zero_weights_dropped(self, synth):
+        rng = np.random.default_rng(24)
+        weights = rng.random(len(synth.support)) * rng.integers(0, 2, size=len(synth.support))
+        assert (weights == 0).any() and (weights > 0).any()
+        g = self._check(synth, weights)
+        assert not np.shares_memory(g.points, synth.support.points) and g.support_cells is None
+        assert len(self._check(synth, np.zeros(len(synth.support)))) == 0
+
+    def test_negative_weight_rejected(self, synth):
+        weights = np.ones(len(synth.support))
+        weights[2] = -1.0
+        with pytest.raises(ValueError, match="negative"):
+            synth._release(weights)
+
+
 class TestCoverScoring:
     # the surrogate census schema's cardinalities: 78 two-way workloads in fewer groups
     SCHEMA = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate((9, 8, 16, 7, 14, 6, 5, 2, 3, 3, 6, 20, 2))))
@@ -784,7 +831,7 @@ class RecordedDelta(WeightedDataset):
 
     @classmethod
     def of(cls, delta):
-        out = cls._of(delta.schema, delta.points.copy(order="F"), delta.weights.copy())
+        out = cls._from_sorted(delta.schema, delta.points.copy(order="F"), delta.weights.copy())
         out.reads = []
         return out
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -286,49 +287,19 @@ class TestCanonicalOrder:
 
 @pytest.mark.parametrize("schema", [SCHEMA_234, SCHEMA_HUGE], ids=["keys", "rows"])
 class TestFromSorted:
-    """The constructor for points already in canonical form, against ``__init__``."""
+    """The trusted constructor: it stores the arrays it is given, read-only, and checks nothing."""
 
-    def check(self, schema, points, weights):
-        got = WeightedDataset.from_sorted(schema, points, weights)
+    def test_stores_both_arrays_as_given(self, schema):
+        rng = np.random.default_rng(21)
+        points = WeightedDataset(schema, random_rows(schema, 60, rng), np.ones(60)).points.copy(order="F")
+        weights = rng.random(len(points)) + 0.1
+        got = WeightedDataset._from_sorted(schema, points, weights)
+        assert got.schema == schema and got.points is points and got.weights is weights
+        assert got.points.flags.f_contiguous
+        assert not points.flags.writeable and not weights.flags.writeable
         want = WeightedDataset(schema, points, weights)
-        assert got.schema == want.schema
-        assert got.points.shape == want.points.shape
         assert got.points.tobytes() == want.points.tobytes()
         assert got.weights.tobytes() == want.weights.tobytes()
-        for a in (got.points, got.weights, want.points, want.weights):
-            assert not a.flags.writeable
-        assert got.points.flags.f_contiguous and want.points.flags.f_contiguous
-        assert not np.shares_memory(got.weights, weights)
-        return got
-
-    def sorted_points(self, schema, n, seed):
-        rng = np.random.default_rng(seed)
-        return WeightedDataset(schema, random_rows(schema, n, rng), np.ones(n)).points
-
-    def test_positive_weights_share_the_points(self, schema):
-        points = self.sorted_points(schema, 60, 21)
-        weights = np.random.default_rng(22).random(len(points)) + 0.1
-        got = self.check(schema, points, weights)
-        assert got.points is points
-        assert weights.flags.writeable
-
-    def test_zero_weights_dropped(self, schema):
-        points = self.sorted_points(schema, 60, 23)
-        rng = np.random.default_rng(24)
-        weights = rng.random(len(points)) * rng.integers(0, 2, size=len(points))
-        assert (weights == 0).any() and (weights > 0).any()
-        got = self.check(schema, points, weights)
-        assert not np.shares_memory(got.points, points)
-        assert len(self.check(schema, points, np.zeros(len(points)))) == 0
-
-    def test_negative_weight_rejected(self, schema):
-        points = self.sorted_points(schema, 5, 25)
-        weights = np.ones(len(points))
-        weights[2] = -1.0
-        with pytest.raises(ValueError, match="negative"):
-            WeightedDataset.from_sorted(schema, points, weights)
-        with pytest.raises(ValueError, match="length"):
-            WeightedDataset.from_sorted(schema, points, np.ones(len(points) + 1))
 
 
 def test_points_are_column_major_on_every_constructor_path():
@@ -347,7 +318,7 @@ def test_points_are_column_major_on_every_constructor_path():
         "accumulate": accumulate(a, b),
         "prefix": stream.prefix(2),
         "dataset_mean": dataset_mean([a, b]),
-        "from_sorted": WeightedDataset.from_sorted(SCHEMA_234, a.points, np.arange(len(a), dtype=float)),
+        "_from_sorted": WeightedDataset._from_sorted(SCHEMA_234, a.points, np.arange(1.0, len(a) + 1)),
     }
     for name, dataset in built.items():
         assert dataset.points.flags.f_contiguous, name
@@ -557,6 +528,13 @@ class TestStream:
         stream = DatasetStream(SCHEMA_2X2, deltas)
         assert stream_norm(stream) == 5.0
 
+    @pytest.mark.parametrize("t", [True, 1.0, 2.0, -1, 3])
+    def test_prefix_time_must_be_an_integer_in_range(self, t):
+        stream = DatasetStream(SCHEMA_2X2, (WeightedDataset.empty(SCHEMA_2X2),) * 2)
+        with pytest.raises(ValueError, match=re.escape(f"prefix time must be an integer in [0, 2], got {t!r}")):
+            stream.prefix(t)
+        assert stream.prefix(np.int64(2)).total_mass() == 0.0
+
     def test_empty_differential_is_legal(self):
         stream = DatasetStream(SCHEMA_2X2, (WeightedDataset.empty(SCHEMA_2X2),))
         assert stream.num_steps == 1
@@ -581,8 +559,8 @@ class TestStream:
                 folded = accumulate(folded, deltas[t])
 
     @pytest.mark.parametrize("schema", [SCHEMA_234, SCHEMA_HUGE], ids=["keys", "rows"])
-    def test_step_datasets_match_from_rows_per_step(self, schema):
-        # one (step, point) sort over either key kind, against one from_rows per step
+    def test_step_datasets_match_the_checking_constructor_per_step(self, schema):
+        # one (step, point) sort over either key kind, against one WeightedDataset(...) per step
         rng = np.random.default_rng(23)
         rows = random_rows(schema, 50, rng)
         rows = np.concatenate([rows, rows[rng.integers(0, 50, size=30)]])
@@ -590,7 +568,7 @@ class TestStream:
         got = step_datasets(schema, [tuple(r) for r in rows.tolist()], steps, 5)
         assert len(got) == 5
         for t, d in enumerate(got):
-            want = WeightedDataset.from_rows(schema, rows[steps == t].tolist())
+            want = WeightedDataset(schema, rows[steps == t], np.ones(np.count_nonzero(steps == t)))
             assert d.points.shape == want.points.shape and d.points.flags.f_contiguous
             assert d.points.tobytes() == want.points.tobytes()
             assert d.weights.tobytes() == want.weights.tobytes()

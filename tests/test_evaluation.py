@@ -170,7 +170,7 @@ class TestEvaluateStepMemo:
         rows = np.column_stack([rng.integers(0, c, size=n) for c in cards])
         points = WeightedDataset(schema, rows, np.ones(n)).points
         a, b = (
-            WeightedDataset.from_sorted(schema, points, rng.random(len(points)) * 4 + 0.25)
+            WeightedDataset._from_sorted(schema, points, rng.random(len(points)) * 4 + 0.25)
             for _ in range(2)
         )
         assert a.points is b.points and a.weights.tobytes() != b.weights.tobytes()
@@ -218,3 +218,8 @@ class TestSummarizeTail:
             summarize_tail(rows_from([1.0, 2.0]), window=10)
         with pytest.raises(ValueError):
             summarize_tail(rows_from([1.0]), window=0)
+
+    @pytest.mark.parametrize("window", [True, 1.0, 2.5, "1"])
+    def test_window_must_be_an_integer(self, window):
+        with pytest.raises(ValueError, match=f"window must be an integer >= 1, got {window!r}"):
+            summarize_tail(rows_from([1.0, 2.0]), window=window)

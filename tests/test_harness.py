@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from datetime import date, timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -326,7 +329,7 @@ class TestBuildStream:
 
 
 def oracle_stream(rows, spec, schema):
-    """The differentials of ``build_stream``, built one ``WeightedDataset.from_rows`` call per step."""
+    """The differentials of ``build_stream``, each step built by the checking ``WeightedDataset(...)``."""
     if spec.variant == "timestamp_bucketed":
         start = min((stamp for _, stamp in rows), default=None)
         buckets = {}
@@ -340,7 +343,11 @@ def oracle_stream(rows, spec, schema):
             ordered = [ordered[i] for i in rng.permutation(len(ordered))]
         batch = spec.batch_size
         slices = (ordered[i : i + batch] for i in range(0, len(ordered), batch))
-    return [WeightedDataset.from_rows(schema, chunk) for chunk in itertools.islice(slices, spec.max_steps)]
+    p = schema.num_attributes
+    return [
+        WeightedDataset(schema, np.array(chunk, dtype=np.int64).reshape(-1, p), np.ones(len(chunk)))
+        for chunk in itertools.islice(slices, spec.max_steps)
+    ]
 
 
 SCHEMA_HUGE = DomainSchema(tuple((f"x{i}", 8) for i in range(22)))  # 2**66 points: no key strides
@@ -375,7 +382,7 @@ class TestBuildStreamOracle:
     @pytest.mark.parametrize("variant", STREAM_VARIANTS)
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_matches_one_from_rows_call_per_step(self, variant, data):
+    def test_matches_one_checked_dataset_per_step(self, variant, data):
         schema, rows, spec = data.draw(streams(variant))
         got = build_stream(rows, spec, schema)
         want = oracle_stream(rows, spec, schema)
@@ -659,6 +666,24 @@ class TestConfigFile:
         assert all(r["error"].startswith(f"IngestError: {data}: ") for r in run_experiment(config))
         path = write_config(tmp_path, data, schema_file, stream=stream)
         assert_rejected_by_validate_and_run(path, tmp_path, capsys, problem)
+
+    def test_validate_checks_every_epsilon_against_k(self, tmp_path, data_file, schema_file, capsys):
+        # the config reads 1e-323 with k = 1; with k = 2 its share float(epsilon) / 4 is 0
+        message = (
+            "epsilon 1e-323 must be a positive, finite float64, and so must its per-share value "
+            "float(epsilon) / (2k)"
+        )
+        config = experiment_config(tmp_path, data_file, schema_file, k_way=1, k=2, epsilons=(1, "1e-323"))
+        assert validate_config(config) == [message]
+        path = write_config(tmp_path, data_file, schema_file, k_way=1, k=2, epsilons=[1, "1e-323"])
+        assert_rejected_by_validate_and_run(path, tmp_path, capsys, message)
+
+    def test_config_reads_its_own_stream(self, tmp_path, data_file, schema_file):
+        config = experiment_config(tmp_path, data_file, schema_file, stream=dict(BATCHED))
+        assert config.stream == StreamSpec(variant="ordered_batch", batch_size=2)
+        assert validate_config(config) == []
+        with pytest.raises(ValueError, match="stream must be an object, got None"):
+            experiment_config(tmp_path, data_file, schema_file, stream=None)
 
     def test_validate_accepts_mw_fitter(self, tmp_path, data_file, schema_file):
         for fitter in ({"name": "mw"}, {"name": "mw", "seed_support_size": 4, "passes": 2}, {}):
@@ -1182,6 +1207,19 @@ class TestReadme:
         (line,) = [l for l in lines if l.lstrip().startswith("metrics.csv")]
         listed = line.split("#", 1)[1].removesuffix(" per step").split(", ")
         assert tuple(c.strip() for c in listed) == harness.METRIC_COLUMNS
+
+    def test_library_example_runs(self):
+        text = README.read_text(encoding="utf-8")
+        section = text[text.index("## Library use") :]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", block], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        )
+        assert done.returncode == 0, done.stderr
+        (line,) = done.stdout.splitlines()
+        assert len(line.strip("[]").split()) == 6, line
 
     def test_example_config_validates_on_a_surrogate(self, tmp_path):
         example = json.loads(readme_config_section().split("```json\n", 1)[1].split("```", 1)[0])

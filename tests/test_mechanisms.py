@@ -46,6 +46,17 @@ class TestNoiseSource:
         assert seq_a == [b.laplace(1.0) for _ in range(10)]
         assert seq_a != [c.laplace(1.0) for _ in range(10)]
 
+    @pytest.mark.parametrize("bad", [True, 1.5, 1.0, "1", -1])
+    def test_seeds_and_keys_must_be_non_negative_integers(self, bad):
+        # int() would read True, 1.5 and 1.0 as 1: the stream of another seed or key
+        with pytest.raises(ValueError, match=f"noise seed must be a non-negative integer, got {bad!r}"):
+            NoiseSource(bad)
+        with pytest.raises(ValueError, match=f"noise seed words must be non-negative integers, got {bad!r}"):
+            NoiseSource((0, bad))
+        with pytest.raises(ValueError, match=f"spawn keys must be non-negative integers, got {bad!r}"):
+            NoiseSource(0).child(bad)
+        assert NoiseSource(np.int64(3)).child(np.int32(1)).uniform() == NoiseSource(3).child(1).uniform()
+
     @pytest.mark.parametrize("seed", [0, 5, 2**40])
     def test_children_never_alias(self, seed):
         def first(source):

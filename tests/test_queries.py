@@ -1,4 +1,5 @@
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -606,6 +607,12 @@ class TestEnumerateWorkloads:
             enumerate_workloads(SCHEMA, 0)
         with pytest.raises(ValueError):
             enumerate_workloads(SCHEMA, 3)
+
+    @pytest.mark.parametrize("k", [True, 1.0, 2.0, "1", None])
+    def test_arity_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match=f"workload arity must be an integer, got {re.escape(repr(k))}"):
+            enumerate_workloads(SCHEMA, k)
+        assert [w.columns for w in enumerate_workloads(SCHEMA, np.int64(1))] == [(0,), (1,)]
 
     def test_distinct_workloads_required(self):
         from dpstream import WorkloadSet
