@@ -110,7 +110,7 @@ class _Differential:
         self._synth, self._delta, self._base = synth, delta, base
         self._at, held = synth.support.observe(delta)
         if held.all():  # as on every whole-domain support
-            self._held, self._off, self._off_mass = delta.weights, np.zeros(len(synth._cover.segment)), 0.0
+            self._held, self._off, self._off_mass = delta.weights, np.zeros(len(synth._cover.starts)), 0.0
         else:
             self._held, points, weights = delta.weights[held], delta.points[~held], delta.weights[~held]
             self._off, self._off_mass = synth._cover.values(points, weights), float(weights.sum())
@@ -275,6 +275,8 @@ class CounterSynthesizer(_StreamSynthesizer):
     def __init__(self, config: RunConfig):
         super().__init__(config)
         self.counters: dict[int, MultiDimCounter] = {}
+        # each counter's release at its last feed, the only counter state the remainders read
+        self.counted: dict[int, np.ndarray] = {}
         self.remainders: dict[int, np.ndarray] = {}
         self.last_measurements: dict[int, np.ndarray] = {}
 
@@ -294,15 +296,17 @@ class CounterSynthesizer(_StreamSynthesizer):
             self.counters[j] = MultiDimCounter(
                 cfg.counter_kind, workload.size, self._eps_step, self._counter_root.child(j), block_size=cfg.block_size
             )
+            self.counted[j] = np.zeros(workload.size)  # a counter releases 0 before its first feed
             self.remainders[j] = np.zeros(workload.size)  # no synthetic dataset before t = 1
         if self.t > 1 and j not in self.last_selected:
             # Unselected at the previous round, the remainder is the workload's value
             # on that round's release less the counter. Neither has changed since
             # (the counter was not fed, ``g`` is that release), so it is computed
             # here, when the counter is fed, rather than after every step.
-            self.remainders[j] = eval_workload(workload, self.g) - self.counters[j].peek()
+            self.remainders[j] = eval_workload(workload, self.g) - self.counted[j]
         # remainder carries over unchanged on a selected step
-        self.last_measurements[j] = d.feed(j, self.counters[j]) + self.remainders[j]
+        self.counted[j] = d.feed(j, self.counters[j])
+        self.last_measurements[j] = self.counted[j] + self.remainders[j]
         return self.last_measurements[j]
 
 

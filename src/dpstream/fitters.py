@@ -17,9 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import (
-    DomainSchema, WeightedDataset, checked_int, lookup_keys, merge_rows, nonzero_mass, row_keys
-)
+from .domain import DomainSchema, WeightedDataset, checked_int, lookup_keys, nonzero_mass, row_keys
 from .queries import MarginalQuery, Workload, query_mask
 
 logger = logging.getLogger(__name__)
@@ -75,7 +73,7 @@ class WorkingSupport:
         else:
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 3))))
             draws = np.column_stack([rng.integers(0, c, size=seed_size) for c in cards])
-            points, _ = merge_rows(schema, draws.astype(np.int64), np.ones(seed_size))
+            points = draws[np.unique(row_keys(schema, draws), return_index=True)[1]]  # sorted, distinct
         points = np.asfortranarray(points)
         points.flags.writeable = False
         self._points = points

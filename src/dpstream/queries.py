@@ -185,8 +185,8 @@ class WorkloadCover:
     """Every workload's scoring on one fixed point set, ``points``, built once by ``cover_workloads``.
 
     A scoring is one flat float64 vector: workload ``i``'s values are
-    ``flat[offsets[i]:offsets[i] + sizes[i]]``, and ``segment`` holds the workload of each flat
-    cell. ``strides`` is the workloads' ``stride_matrix``: ``stride_cells`` of points with it, plus
+    ``flat[offsets[i]:offsets[i] + sizes[i]]``, and ``starts`` has one entry per flat cell.
+    ``strides`` is the workloads' ``stride_matrix``: ``stride_cells`` of points with it, plus
     ``offsets``, gives each point's flat cell in every workload. ``matrix`` is the 0/1 matrix
     whose row r marks the points in flat cell r, or None where it would have more than
     ``DENSE_LIMIT`` entries; then flat cell r sums the histograms of the ``joints`` that group
@@ -200,7 +200,6 @@ class WorkloadCover:
     points: np.ndarray
     offsets: np.ndarray
     sizes: np.ndarray
-    segment: np.ndarray
     strides: np.ndarray
     matrix: np.ndarray | None
     joints: tuple[Workload, ...]
@@ -227,10 +226,10 @@ class WorkloadCover:
         """Every workload's values on the in-range int64 rows ``points`` weighted by ``weights``
         (repeats add), as one flat vector in this layout: every row's flat cell in every workload
         and one ``bincount``, summed in row order."""
-        # every cell is below len(self.segment), the length of an array, so far below 2**53
+        # every cell is below len(self.starts), the length of an array, so far below 2**53
         flat = stride_cells(points, self.strides)
         flat += self.offsets
-        values = np.bincount(flat.ravel(), np.repeat(weights, len(self.sizes)), len(self.segment))
+        values = np.bincount(flat.ravel(), np.repeat(weights, len(self.sizes)), len(self.starts))
         return values.astype(np.float64, copy=False)  # no rows give int64 zeros
 
     def score(self, weights: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
@@ -248,8 +247,8 @@ class WorkloadCover:
         return np.add.reduceat(np.concatenate(joints).take(self.gather), self.starts)
 
     def mean_abs(self, flat: np.ndarray) -> np.ndarray:
-        """Each workload's L1 norm in the flat vector ``flat`` over its cell count, by one segment sum."""
-        return np.bincount(self.segment, np.abs(flat), len(self.sizes)) / self.sizes
+        """Each workload's L1 norm in the flat vector ``flat`` over its cell count, by one range sum."""
+        return np.add.reduceat(np.abs(flat), self.offsets) / self.sizes
 
 
 def cover_workloads(workloads: Sequence[Workload], points: np.ndarray) -> WorkloadCover:
@@ -283,34 +282,30 @@ def _cover(workloads: Sequence[Workload], points: np.ndarray, max_cells: int) ->
             best[:] = best[0] | mask, best_size, best[2] + [i]
     joints, runs, base = [], [None] * len(workloads), 0
     for mask, _, members in groups:
-        columns = tuple(c for c in range(schema.num_attributes) if mask >> c & 1)
-        joint = Workload(schema, columns)
-        # the joint's cells as points, first column slowest; a lone member is its joint
-        shape = [card if mask & bit else 1 for bit, card in cards.items()]
-        grid = np.indices(shape).reshape(len(shape), -1).T if len(members) > 1 else None
-        for i in members:  # each member's cell at every joint cell
-            runs[i] = base, np.arange(joint.size) if grid is None else workloads[i].point_cells(grid)
+        joint = Workload(schema, tuple(c for c in range(schema.num_attributes) if mask >> c & 1))
+        # the joint's positions in the concatenated histograms, on the joint's cell grid
+        grid = base + np.arange(joint.size).reshape(joint.cell_shape)
+        for i in members:  # the member's axes first: its cells in order, each a run in joint order
+            axes = np.searchsorted(joint.columns, workloads[i].columns)
+            runs[i] = np.moveaxis(grid, axes, range(len(axes))).ravel()
         joints.append(joint)
         base += joint.size
     sizes = np.array([w.size for w in workloads], dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
-    segment = np.repeat(np.arange(len(workloads)), sizes)
-    # each member's joint positions sorted by member cell, in layout order; stable: in joint order.
-    # Kept in argsort's intp: a narrower index array is cast on every read, tripling the gather's cost
-    gather = np.concatenate([start + np.argsort(cells, kind="stable") for start, cells in runs])
-    counts = np.concatenate([np.bincount(cells, minlength=w.size) for (_, cells), w in zip(runs, workloads)])
-    assert counts.min() >= 1, "reduceat would copy the next run's first value into an empty run"
+    # Kept in intp: a narrower index array is cast on every read, tripling the gather's cost
+    gather = np.concatenate(runs)
+    counts = np.repeat([len(run) for run in runs] // sizes, sizes)  # joint.size // w.size per member cell
     starts = np.cumsum(counts) - counts
     strides = stride_matrix(workloads, schema.num_attributes)
     matrix = None
-    if len(segment) * len(points) <= DENSE_LIMIT:
+    if len(starts) * len(points) <= DENSE_LIMIT:
         flat = stride_cells(points, strides) + offsets
-        matrix = np.zeros((len(segment), len(points)))
+        matrix = np.zeros((len(starts), len(points)))
         matrix[flat.ravel(), np.repeat(np.arange(len(points)), len(workloads))] = 1.0
         matrix.flags.writeable = False
-    for array in (sizes, offsets, segment, gather, starts, strides):
+    for array in (sizes, offsets, gather, starts, strides):
         array.flags.writeable = False
-    cover = WorkloadCover(points, offsets, sizes, segment, strides, matrix, tuple(joints), gather, starts)
+    cover = WorkloadCover(points, offsets, sizes, strides, matrix, tuple(joints), gather, starts)
     # every scoring reads the joints' cells. Narrow, though bincount casts them on every call:
     # int64 ones (1.7 MiB on census13's 10,000-point support) made census13 releases 6% slower
     for joint in joints if matrix is None else ():

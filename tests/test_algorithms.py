@@ -896,6 +896,29 @@ class TestPrivacyBoundary:
         assert {"points", "weights", "memo"} <= names
         assert ("total_mass" in names) == (algorithm == "baseline")
 
+    def test_remainders_read_no_counter_state_outside_its_feed(self, monkeypatch):
+        # k below the workload count: workloads leave the selection and come back, and each
+        # return subtracts the release its counter's last feed returned, with peek unread
+        Q = enumerate_workloads(self.SCHEMA, 2)
+        config = RunConfig(epsilon=Fraction(1), k=2, workloads=Q, seed_support_size=40, seed=3)
+        deltas = random_deltas(self.SCHEMA, 12, seed=3, max_rows=25)
+        plain, releases, returns = make_synthesizer("main", config), [], 0
+        for delta in deltas:
+            fed, previous = set(plain.counters), set(plain.last_selected)
+            released = plain.step(delta)
+            releases.append((released.points.tobytes(), released.weights.tobytes()))
+            returns += len((set(plain.last_selected) & fed) - previous)
+        assert returns > 0
+
+        def unreadable(counter):
+            raise AssertionError("counter state read outside _Differential.feed")
+
+        monkeypatch.setattr(MultiDimCounter, "peek", unreadable)
+        synth = make_synthesizer("main", config)
+        for delta, (points, weights) in zip(deltas, releases):
+            released = synth.step(delta)
+            assert released.points.tobytes() == points and released.weights.tobytes() == weights
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.integers(1, 4), min_size=3, max_size=4).filter(lambda cards: math.prod(cards) > 1),

@@ -372,6 +372,28 @@ class TestWorkingSupport:
         assert not np.array_equal(a.points, c.points)
         assert len(a) <= 500
 
+    # keyed schemas of 1,024 and 4**10 points, where 500 draws repeat, and schemas of 2**66 and
+    # exactly 2**63 points, which have no int64 keys
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            DomainSchema(tuple((f"x{i}", 2) for i in range(10))),
+            SCHEMA_WIDE,
+            SCHEMA_HUGE,
+            DomainSchema((("a", 2**62), ("b", 1), ("c", 2))),
+        ],
+        ids=["keys-small", "keys", "rows", "rows-at-the-limit"],
+    )
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_sample_is_the_sorted_distinct_seed_draws(self, schema, seed):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 3))))
+        draws = np.column_stack([rng.integers(0, c, size=500) for c in schema.cardinalities])
+        support = WorkingSupport(schema, seed_size=500, seed=seed)
+        distinct = sorted(set(map(tuple, draws.tolist())))
+        assert [tuple(p) for p in support.points.tolist()] == distinct
+        assert support.points.dtype == np.int64 and support.points.flags.f_contiguous
+        assert (len(distinct) < 500) == (schema.size == 2**10)
+
     def test_extend_fills_new_points_with_unit_weight(self):
         support = WorkingSupport(SCHEMA, seed_size=100, seed=0)
         partial = WeightedDataset.from_mapping(SCHEMA, {(0, 0): 5.0})

@@ -236,7 +236,59 @@ def build_cover(workloads, support, cap, limit=queries.DENSE_LIMIT):
         return queries._cover(workloads, support.points, cap)
 
 
+def searched_layout(workloads, max_cells):
+    """Oracle: ``_cover``'s joints, gather and starts as an earlier construction searched for them.
+    The same greedy grouping, then each member's joint positions ordered by a stable argsort of
+    its cells at every joint cell, with its run lengths counted by bincount."""
+    schema = workloads[0].schema
+    groups = []  # [column set, joint size, member indices]
+    for i in sorted(range(len(workloads)), key=lambda i: -workloads[i].size):
+        best, best_size = None, max_cells + 1
+        for group in groups:
+            union = group[0] | set(workloads[i].columns)
+            size = Workload(schema, tuple(sorted(union))).size
+            if size < best_size:
+                best, best_size = group, size
+        if best is None:
+            groups.append([set(workloads[i].columns), workloads[i].size, [i]])
+        else:
+            best[:] = best[0] | set(workloads[i].columns), best_size, best[2] + [i]
+    joints, runs, base = [], [None] * len(workloads), 0
+    for columns, _, members in groups:
+        joint = Workload(schema, tuple(sorted(columns)))
+        shape = [card if c in columns else 1 for c, card in enumerate(schema.cardinalities)]
+        grid = np.indices(shape).reshape(len(shape), -1).T
+        for i in members:
+            runs[i] = base, workloads[i].point_cells(grid)
+        joints.append(joint)
+        base += joint.size
+    gather = np.concatenate([start + np.argsort(cells, kind="stable") for start, cells in runs])
+    counts = np.concatenate([np.bincount(cells, minlength=w.size) for (_, cells), w in zip(runs, workloads)])
+    return joints, gather, np.cumsum(counts) - counts
+
+
 class TestCoverWorkloads:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from([1, 1, 2, 3, 5]), min_size=1, max_size=6), st.data())
+    def test_layout_is_the_searched_one_and_mean_abs_its_workload_means(self, cards, data):
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        tuples = [cols for k in (1, 2, 3) for cols in itertools.combinations(range(len(cards)), k)]
+        picked = data.draw(st.lists(st.sampled_from(tuples), min_size=1, unique=True))
+        workloads = [Workload(schema, cols) for cols in picked]
+        cap = data.draw(st.sampled_from([0, 1, 6, 40, 10**9]))
+        support = WorkingSupport(schema, seed_size=60, seed=data.draw(st.integers(0, 99)))
+        cover = queries._cover(workloads, support.points, cap)
+        joints, gather, starts = searched_layout(workloads, cap)
+        assert cover.joints == tuple(joints)
+        assert cover.gather.dtype == gather.dtype == np.intp and cover.gather.tobytes() == gather.tobytes()
+        assert cover.starts.dtype == starts.dtype and cover.starts.tobytes() == starts.tobytes()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        flat = rng.normal(size=len(cover.starts)) * (rng.random(len(cover.starts)) < 0.7)
+        got = cover.mean_abs(flat)
+        assert got.shape == (len(workloads),)
+        for i in range(len(workloads)):
+            np.testing.assert_allclose(got[i], np.abs(part(cover, flat, i)).mean(), rtol=1e-12, atol=0)
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.sampled_from([1, 1, 2, 3, 5]), min_size=1, max_size=6), st.data())
     def test_groups_partition_workloads_and_marginals_match(self, cards, data):
@@ -278,7 +330,6 @@ class TestCoverWorkloads:
         sizes = [w.size for w in workloads]
         assert cover.sizes.tolist() == sizes
         assert cover.offsets.tolist() == np.concatenate([[0], np.cumsum(sizes)[:-1]]).tolist()
-        assert cover.segment.tolist() == [i for i, size in enumerate(sizes) for _ in range(size)]
 
         for support, cover in covers:
             assert cover.points is support.points
@@ -391,7 +442,7 @@ class TestCoverWorkloads:
             dense = np.zeros(len(support))
             np.add.at(dense, at, weights)  # repeated positions add
             got, want = cover.score(weights, at), cover.score(dense)
-            assert got.dtype == np.float64 and got.shape == want.shape == (len(cover.segment),)
+            assert got.dtype == np.float64 and got.shape == want.shape == (len(cover.starts),)
             if weights is counts:  # integer sums are exact in any order
                 assert got.tobytes() == want.tobytes()
             else:
@@ -434,7 +485,7 @@ class TestCoverWorkloads:
         assert cover.matrix is None and set(cover._cells) == set(cover.joints)
         # one nonempty run of joint cells per flat cell: reduceat never reads a neighbour's value
         starts, gather = cover.starts, cover.gather
-        assert len(starts) == len(cover.segment) and starts[0] == 0
+        assert len(starts) == len(cover.starts) and starts[0] == 0
         assert (np.diff(starts) >= 1).all() and starts[-1] < len(gather)
         assert len(gather) == sum(cover.joints[g].size for g in joint_runs(cover)[0])
         at = np.array(data.draw(st.lists(st.integers(0, len(support) - 1), max_size=30)), dtype=np.intp)
@@ -444,7 +495,7 @@ class TestCoverWorkloads:
         got_floats, got_counts = (cover.score(w, at) for w in (floats, counts))
         if len(at) == 0:
             for got in (got_floats, got_counts):
-                assert got.dtype == np.float64 and got.tobytes() == np.zeros(len(cover.segment)).tobytes()
+                assert got.dtype == np.float64 and got.tobytes() == np.zeros(len(cover.starts)).tobytes()
             return
         # repeated positions add, as the dataset merges repeated points
         as_floats = WeightedDataset(schema, support.points[at], floats)
@@ -469,12 +520,12 @@ class TestDenseScoring:
             workloads += list(enumerate_workloads(schema, 2))
         support = WorkingSupport(schema, seed_size=schema.size, seed=0)
         cover = build_cover(workloads, support, data.draw(st.sampled_from([1, 6, 40, 10**9])))
-        assert len(support) == schema.size and len(cover.segment) * len(support) <= queries.DENSE_LIMIT
+        assert len(support) == schema.size and len(cover.starts) * len(support) <= queries.DENSE_LIMIT
         assert cover.matrix is not None and cover._cells == {}
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         weights = rng.random(len(support)) * (rng.random(len(support)) < 0.8)
         values = cover.score(weights)
-        assert values.dtype == np.float64 and values.shape == (len(cover.segment),)
+        assert values.dtype == np.float64 and values.shape == (len(cover.starts),)
         dataset = WeightedDataset(schema, support.points, weights)
         for i, workload in enumerate(workloads):
             np.testing.assert_allclose(part(cover, values, i), eval_workload(workload, dataset), rtol=1e-12, atol=0)
@@ -495,7 +546,7 @@ class TestDenseScoring:
         cover = build_cover(workloads, support, 3)
         assert cover.matrix is not None
         values = cover.score(np.empty(0), np.empty(0, dtype=np.intp))
-        assert values.dtype == np.float64 and values.tobytes() == np.zeros(len(cover.segment)).tobytes()
+        assert values.dtype == np.float64 and values.tobytes() == np.zeros(len(cover.starts)).tobytes()
 
     def test_matrix_built_once_per_cover(self):
         workloads = list(enumerate_workloads(SCHEMA_243, 2))
@@ -503,7 +554,7 @@ class TestDenseScoring:
         cover, other = build_cover(workloads, support, 3), build_cover(workloads, support, 100)
         weights = np.arange(len(support), dtype=np.float64)
         matrix = cover.matrix
-        assert matrix.shape == (len(cover.segment), len(support)) and not matrix.flags.writeable
+        assert matrix.shape == (len(cover.starts), len(support)) and not matrix.flags.writeable
         # every point lies in exactly one cell of each workload
         assert set(np.unique(matrix)) == {0.0, 1.0}
         assert (matrix.sum(axis=0) == len(workloads)).all()

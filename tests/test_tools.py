@@ -193,6 +193,14 @@ class TestReport:
         ]
 
 
+class TestMedianLine:
+    def test_each_side_median_in_ms_and_the_change(self):
+        times = [[0.004, 0.002, 0.003], [0.0015, 0.0030, 0.0009, 0.0021]]
+        assert steptime.median_line("synthesizer", times) == (
+            "median synthesizer: A 3.000 ms, B 1.800 ms, B against A -40.0%"
+        )
+
+
 class TestStepTimeRun:
     def test_one_rep_of_a_checkout_against_itself_is_identical(self):
         # the whole script end to end: the benchmark's inputs, both sides' streams and every step
@@ -202,6 +210,8 @@ class TestStepTimeRun:
         assert done.returncode == 0, done.stdout + done.stderr
         assert "releases: identical at every step" in done.stdout.splitlines()
         assert "ledger: identical at every step" in done.stdout.splitlines()
+        lines = [line for line in done.stdout.splitlines() if line.startswith("median ")]
+        assert [line.split(":")[0] for line in lines] == ["median build_stream", "median synthesizer"]
 
 
 identity = load_tool("identity")

@@ -21,9 +21,13 @@ Before stepping a pass, each side builds its differentials with its own
 points or weight bits, or in their number, the first pass and step that differ
 are printed and the script exits 1 without stepping.
 
+Each side then builds its synthesizer (the workload cover and the support
+sample), timed, again alternating which goes first.
+
 Printed: the median over all steps of each of the three fastest times for A
 and for B, B's change against A for each, each side's median `build_stream`
-time over every pass and rep, and the first pass and step whose releases
+time and median synthesizer construction time over every pass and rep, each
+with B's change against A, and the first pass and step whose releases
 differ in their points or weight bits, whose metric aggregates differ in any
 bit, or whose ledger entries (each entry's `LEDGER_FIELDS`) or
 `last_selected` differ, if any (exit status 1 then).
@@ -136,6 +140,13 @@ def change(medians: list[float]) -> str:
     return f"{100 * (medians[1] / medians[0] - 1):+.1f}%"
 
 
+def median_line(what: str, times: list[list[float]]) -> str:
+    """The line of each side's median of ``times`` (per side, in seconds, shown in ms) for
+    ``what``, and B's change against A."""
+    medians = [statistics.median(side) * 1e3 for side in times]
+    return f"median {what}: A {medians[0]:.3f} ms, B {medians[1]:.3f} ms, B against A {change(medians)}"
+
+
 def report(checkouts: list[Path], fastest: dict[str, list[list[float]]]) -> list[str]:
     """A line per checkout with the median of each phase's per-step fastest times (given in
     seconds, shown in ms), then a line with B's change against A in each phase."""
@@ -174,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     # per phase, then per side, one entry per (pass, step)
     fastest: dict[str, list[list[float]]] = {phase: [[], []] for phase in PHASES}
     builds: list[list[float]] = [[], []]  # per side, every build_stream time
+    constructions: list[list[float]] = [[], []]  # per side, every synthesizer construction time
     first_difference = first_metric_difference = first_ledger_difference = None
     heading = (
         f"{args.workload} {args.algorithm}, seed {args.seed}: {workload.passes} passes x "
@@ -199,7 +211,11 @@ def main(argv: list[str] | None = None) -> int:
                 print(heading)
                 print(f"differentials: first differ at pass {i} step {differing}")
                 return 1
-            synths = [side.synthesizer(args.algorithm, run_seed) for side in sides]
+            synths: list = [None, None]
+            for s in (0, 1) if (rep + i) % 2 == 0 else (1, 0):
+                start = time.perf_counter()
+                synths[s] = sides[s].synthesizer(args.algorithm, run_seed)
+                constructions[s].append(time.perf_counter() - start)
             true = [side.dp.WeightedDataset.empty(side.schema) for side in sides]
             for t in range(len(deltas[0])):
                 released, metrics = [None, None], [None, None]
@@ -229,11 +245,8 @@ def main(argv: list[str] | None = None) -> int:
     print(heading)
     for line in report(args.checkouts, fastest):
         print(line)
-    build_medians = [statistics.median(times) * 1e3 for times in builds]
-    print(
-        f"median build_stream: A {build_medians[0]:.3f} ms, B {build_medians[1]:.3f} ms, "
-        f"B against A {change(build_medians)}"
-    )
+    print(median_line("build_stream", builds))
+    print(median_line("synthesizer", constructions))
     print("differentials: identical at every step")
     failed = False
     checks = (("releases", first_difference), ("metrics", first_metric_difference), ("ledger", first_ledger_difference))
