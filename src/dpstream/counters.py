@@ -39,8 +39,13 @@ class Counter:
         self._last = 0.0
 
     def feed(self, value: float) -> float:
+        """The release after ``value``; ValueError, with nothing moved, if it is NaN or infinite."""
+        cells = isinstance(value, np.ndarray)  # a MultiDimCounter's cell values
+        value = value if cells else float(value)
+        if not (np.isfinite(value).all() if cells else math.isfinite(value)):
+            raise ValueError(f"counter values must be finite, got {value!r}")
         self.t += 1
-        self._last = self._release(value if isinstance(value, np.ndarray) else float(value))
+        self._last = self._release(value)
         return self._last
 
     def peek(self) -> float:

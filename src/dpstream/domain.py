@@ -99,19 +99,6 @@ class DomainSchema:
         # rebuilt from its fields: a cached string hash is only valid in the process that made it
         return type(self), (self.attributes,)
 
-    def validate_point(self, point: Iterable[int]) -> DataPoint:
-        """``point`` as a tuple of ints; ValueError unless it holds one in-range Python or numpy
-        integer, not a bool, per attribute."""
-        pt = tuple(point)
-        if len(pt) != self.num_attributes:
-            raise ValueError(f"point has {len(pt)} coordinates, schema has {self.num_attributes}")
-        for (name, card), v in zip(self.attributes, pt):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"value {v!r} for attribute {name!r} is not an integer")
-            if not 0 <= v < card:
-                raise ValueError(f"value {v} out of range [0, {card}) for attribute {name!r}")
-        return tuple(int(v) for v in pt)
-
 
 def row_keys(schema: DomainSchema, points: np.ndarray) -> np.ndarray:
     """One key per row of an in-range ``(n, p)`` array, ordered as the rows are lexicographically
@@ -139,41 +126,55 @@ def merge_rows(
     """Distinct rows of an in-range ``(n, p)`` array in lexicographic order, with the
     weights of equal rows summed.
 
-    Sums run in input order, so equal inputs always merge to identical bits. When the
-    rows are already strictly increasing, the input arrays themselves come back.
+    Sums run in input order, so equal inputs always merge to identical bits.
     """
     _, first, inverse = np.unique(row_keys(schema, points), return_index=True, return_inverse=True)
-    if len(first) == len(points) and (first == np.arange(len(first))).all():
-        return points, weights
     return points[first], np.bincount(inverse, weights=weights, minlength=len(first))
 
 
 def _checked_points(schema: DomainSchema, points: np.ndarray, order: str = "C") -> np.ndarray:
-    """An int64 copy of ``points`` in ``order``; ValueError unless ``points`` is an ``(n, p)``
-    array of in-range integers of an integer dtype (not bool)."""
+    """An int64 copy of ``points`` in ``order``; ValueError unless ``points`` is an empty list or
+    tuple (zero rows) or an ``(n, p)`` array of in-range integers of an integer dtype (not bool).
+    A bool among ints in Python rows reads as an integer here; ``_reject_bools`` finds it."""
     array = np.asarray(points)
+    p = schema.num_attributes
+    if isinstance(points, (list, tuple)) and not points:
+        array = np.empty((0, p), dtype=np.int64)
     if not np.issubdtype(array.dtype, np.integer):
         raise ValueError(f"point coordinates must be integers, got dtype {array.dtype}")
     points = array.astype(np.int64, order=order, copy=isinstance(points, np.ndarray))
-    p = schema.num_attributes
     if points.ndim != 2 or points.shape[1] != p:
         raise ValueError(
             f"points must be an (n, {p}) array for a {p}-attribute schema, got shape {points.shape}"
         )
-    cards = np.asarray(schema.cardinalities, dtype=np.int64)
-    if (points < 0).any() or (points >= cards).any():
-        raise ValueError("point coordinate out of range for schema")
+    outside = (points < 0) | (points >= np.asarray(schema.cardinalities, dtype=np.int64))
+    if outside.any():
+        row, column = np.argwhere(outside)[0]
+        name, card = schema.attributes[column]
+        raise ValueError(
+            f"point coordinate out of range for schema: value {points[row, column]} for attribute "
+            f"{name!r} is outside [0, {card})"
+        )
     return points
 
 
+def _reject_bools(rows: Iterable[Iterable[object]]) -> None:
+    """ValueError if a coordinate of the Python ``rows`` is a bool, which numpy would read as an
+    integer among ints."""
+    if any(isinstance(v, (bool, np.bool_)) for row in rows for v in row):
+        raise ValueError("point coordinates must be integers, got a bool")
+
+
 def _canonicalize(
-    schema: DomainSchema, points: np.ndarray, weights: np.ndarray
+    schema: DomainSchema, rows: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Copy, merge duplicate rows, drop zero weights, and sort rows lexicographically.
+    """Check, copy, merge duplicate rows, drop zero weights, and sort rows lexicographically.
 
     The points come back column-major (F-contiguous).
     """
-    points = _checked_points(schema, points, order="F")
+    points = _checked_points(schema, rows, order="F")
+    if not isinstance(rows, np.ndarray):
+        _reject_bools(rows)  # after the shape check, so every row holds p values
     weights = np.array(weights, dtype=np.float64).reshape(-1)
     if len(points) != len(weights):
         raise ValueError("points and weights length mismatch")
@@ -212,13 +213,13 @@ class WeightedDataset:
     __slots__ = ("schema", "_points", "_weights", "memo", "support_cells")
 
     def __init__(self, schema: DomainSchema, points: np.ndarray, weights: np.ndarray):
-        pts, w = _canonicalize(schema, points, weights)
-        pts.flags.writeable = False
-        w.flags.writeable = False
-        self.schema = schema
-        self._points = pts
-        self._weights = w
-        self.memo: dict = {}
+        self._hold(schema, *_canonicalize(schema, points, weights))
+
+    def _hold(self, schema: DomainSchema, points: np.ndarray, weights: np.ndarray) -> None:
+        """Store ``points`` and ``weights`` as given, made read-only, with an empty memo."""
+        points.flags.writeable = False
+        weights.flags.writeable = False
+        self.schema, self._points, self._weights, self.memo = schema, points, weights, {}
         self.support_cells: Callable[..., np.ndarray] | None = None
 
     @classmethod
@@ -226,11 +227,8 @@ class WeightedDataset:
         """The dataset storing ``points`` and ``weights`` as given, made read-only; nothing is checked,
         so only the package calls it and ``WeightedDataset(...)`` is the public route. ``points`` must be an F-contiguous int64 ``(n, p)`` array of canonical rows (in range, strictly
         increasing), such as ``WorkingSupport.points``, and ``weights`` one positive float64 per row."""
-        points.flags.writeable = False
-        weights.flags.writeable = False
         out = cls.__new__(cls)
-        out.schema, out._points, out._weights, out.memo = schema, points, weights, {}
-        out.support_cells = None
+        out._hold(schema, points, weights)
         return out
 
     def __reduce__(self):
@@ -240,23 +238,19 @@ class WeightedDataset:
 
     @classmethod
     def empty(cls, schema: DomainSchema) -> "WeightedDataset":
-        return cls(schema, np.empty((0, schema.num_attributes), dtype=np.int64), np.empty(0))
+        return cls(schema, [], [])
 
     @classmethod
     def from_mapping(cls, schema: DomainSchema, mapping: Mapping[DataPoint, float]) -> "WeightedDataset":
-        if not mapping:
-            return cls.empty(schema)
-        points = np.array([schema.validate_point(p) for p in mapping], dtype=np.int64)
-        weights = np.array([float(w) for w in mapping.values()], dtype=np.float64)
-        return cls(schema, points, weights)
+        """``WeightedDataset(...)`` of the mapping's points and their weights."""
+        return cls(schema, list(mapping), list(mapping.values()))
 
     @classmethod
     def from_rows(cls, schema: DomainSchema, rows: Iterable[Iterable[int]]) -> "WeightedDataset":
-        """The one step of ``step_datasets`` over raw rows (duplicates accumulate); a bool anywhere
-        in them is rejected, as numpy would read it as an integer among ints."""
+        """The one step of ``step_datasets`` over raw rows (duplicates accumulate), which
+        ``_reject_bools`` checks first, as ``WeightedDataset(...)`` checks Python rows."""
         rows = [tuple(r) for r in rows]
-        if any(isinstance(v, (bool, np.bool_)) for row in rows for v in row):
-            raise ValueError("point coordinates must be integers, got a bool")
+        _reject_bools(rows)
         return step_datasets(schema, rows, np.zeros(len(rows), dtype=np.int64), 1)[0]
 
     @property
@@ -296,12 +290,10 @@ def step_datasets(
 
     The rows are converted and checked together as one array, with the errors of
     ``WeightedDataset(...)``, then sorted by (step, point); equal rows of a step merge into
-    their count, and each step's dataset is a slice of the result. A step without rows gets
-    an empty dataset. Unlike ``from_rows`` it checks no value on its own, so a bool among
-    ints reads as an integer: callers give it ints.
+    their count, and each step's dataset is a slice of the result. A step without rows, as
+    every step of ``[]``, gets an empty dataset. Unlike ``from_rows`` it runs no
+    ``_reject_bools`` scan, so a bool among ints reads as an integer: callers give it ints.
     """
-    if not rows:
-        return [WeightedDataset.empty(schema) for _ in range(num_steps)]
     points = _checked_points(schema, rows)
     keys = row_keys(schema, points)
     order = np.lexsort((keys, steps))
@@ -425,8 +417,6 @@ def stream_difference_norm(a: DatasetStream, b: DatasetStream) -> float:
     for t in range(steps):
         da = a.differentials[t] if t < a.num_steps else empty
         db = b.differentials[t] if t < b.num_steps else empty
-        if len(da) == 0 and len(db) == 0:
-            continue
         points = np.concatenate([da.points, db.points])
         signed = np.concatenate([da.weights, -db.weights])
         _, merged = merge_rows(a.schema, points, signed)

@@ -101,8 +101,6 @@ class WorkingSupport:
         """Uniform weights over the support with the given total mass."""
         if mass < 0:
             raise ValueError("mass must be nonnegative")
-        if mass == 0:
-            return WeightedDataset.empty(self.schema)
         n = len(self._points)
         return WeightedDataset(self.schema, self._points, np.full(n, mass / n))
 

@@ -181,7 +181,8 @@ def build_stream(
     Each row gets a step: its timestamp's bucket counted from the earliest one, or
     its batch in file or shuffled order. Only the rows of the first ``max_steps``
     steps are read, and ``step_datasets`` builds every step from them in one sorted
-    pass. An empty bucket is an empty step; zero rows make a 0-step stream.
+    pass. An empty bucket is an empty step; zero rows make a 0-step stream. The points
+    must be ints, as ``ingest_csv`` gives them: no bool scan runs on them.
     """
     if spec.variant == "timestamp_bucketed":
         if any(stamp is None for _, stamp in rows):

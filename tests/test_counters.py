@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -250,6 +251,26 @@ class TestParameterChecks:
             MultiDimCounter("simple", bad, 1.0, NoiseSource(0))
         assert BlockCounter(1.0, NoiseSource(0), np.int64(3)).block_size == 3
         assert len(MultiDimCounter("simple", np.int32(3), 1.0, NoiseSource(0))) == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_values_are_rejected_before_anything_moves(self, kind, bad):
+        # a NaN or infinite value used to be stored and released at every later feed
+        counters = [
+            (make_counter(kind, 1.0, NoiseSource(5), block_size=3), 1.0, bad),
+            (MultiDimCounter(kind, 2, 1.0, NoiseSource(5), block_size=3), [1.0, 2.0], [1.0, bad]),
+        ]
+        for counter, good, value in counters:
+            twin = copy.deepcopy(counter)
+            for c in (counter, twin):
+                c.feed(good)
+            draws, last = counter.source.laplace_draws, np.copy(counter.peek())
+            with pytest.raises(ValueError, match="finite"):
+                counter.feed(value)
+            assert counter.source.laplace_draws == draws and np.array_equal(counter.peek(), last)
+            # nothing moved: the next feeds release what the twin's do
+            for _ in range(4):
+                assert np.array_equal(counter.feed(good), twin.feed(good))
 
 
 class TestMultiDimCounter:

@@ -117,20 +117,6 @@ class TestSchema:
         assert vars(copy.schema) == {"attributes": schema.attributes}
         assert hash(copy) == hash(workload)
 
-    def test_validate_point(self):
-        schema = DomainSchema((("a", 2), ("b", 3)))
-        assert schema.validate_point((1, 2)) == (1, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            schema.validate_point((1, 3))
-        with pytest.raises(ValueError, match="coordinates"):
-            schema.validate_point((1,))
-        # checked, not cast: (1.7, 0) used to come back as (1, 0) and (True, 1) as (1, 1)
-        for point in [(1.7, 0), (True, 1), (1, False), (np.float64(1.0), 0), ("1", 0), (None, 0)]:
-            with pytest.raises(ValueError, match="not an integer"):
-                schema.validate_point(point)
-        got = schema.validate_point((np.int64(1), np.uint8(2)))
-        assert got == (1, 2) and all(type(v) is int for v in got)
-
 
 class TestWeightedDataset:
     def test_empty_total_mass_is_zero(self):
@@ -163,6 +149,21 @@ class TestWeightedDataset:
     def test_out_of_range_point_rejected(self):
         with pytest.raises(ValueError):
             WeightedDataset.from_mapping(SCHEMA_2X2, {(0, 2): 1.0})
+
+    def test_from_mapping_checks_its_points_as_the_constructor_does(self):
+        schema = DomainSchema((("a", 2), ("b", 3)))
+        assert WeightedDataset.from_mapping(schema, {(1, 2): 1.0}).as_mapping() == {(1, 2): 1.0}
+        with pytest.raises(ValueError, match=r"out of range for schema: value 3 for attribute 'b' is outside \[0, 3\)"):
+            WeightedDataset.from_mapping(schema, {(1, 2): 1.0, (1, 3): 1.0})
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            WeightedDataset.from_mapping(schema, {(1,): 1.0})
+        # checked, not cast: (1.7, 0) used to come back as (1, 0) and (True, 1) as (1, 1)
+        for point in [(1.7, 0), (True, 1), (1, False), (np.float64(1.0), 0), ("1", 0), (None, 0)]:
+            with pytest.raises(ValueError, match="integers"):
+                WeightedDataset.from_mapping(schema, {point: 1.0})
+        got = WeightedDataset.from_mapping(schema, {(np.int64(1), np.uint8(2)): 1.0}).as_mapping()
+        assert got == {(1, 2): 1.0} and all(type(v) is int for v in next(iter(got)))
+        assert len(WeightedDataset.from_mapping(schema, {})) == 0
 
     def test_arrays_are_immutable(self):
         d = WeightedDataset.from_mapping(SCHEMA_2X2, {(0, 0): 1.0})
@@ -218,7 +219,7 @@ class TestWeightedDataset:
             with pytest.raises(ValueError, match="integers"):
                 WeightedDataset.from_rows(SCHEMA_2X2, rows)
         for point in [(1.7, 0), (True, 1), (0, np.float64(1.0)), ("1", 0)]:
-            with pytest.raises(ValueError, match="not an integer"):
+            with pytest.raises(ValueError, match="integers"):
                 WeightedDataset.from_mapping(SCHEMA_2X2, {point: 1.0})
         # integers of any integer dtype still go through
         got = WeightedDataset(SCHEMA_2X2, np.array([[1, 0], [0, 1]], dtype=np.uint8), [2.0, 3.0])
@@ -232,6 +233,66 @@ class TestWeightedDataset:
             WeightedDataset.from_mapping(SCHEMA_2X2, {(0, 1): bad})
         with pytest.raises(ValueError, match="finite"):
             WeightedDataset(SCHEMA_2X2, np.array([[0, 1], [1, 1]]), [1.0, bad])
+
+
+INTEGER_TYPES = [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+# one coordinate or row changed per fault; "huge" is past int64, "width" drops or adds a value
+RAW_FAULTS = {
+    "bool": lambda card: True,
+    "numpy bool": lambda card: np.True_,
+    "float": lambda card: 1.0,
+    "numpy float": lambda card: np.float64(0.0),
+    "string": lambda card: "1",
+    "below": lambda card: -1,
+    "above": lambda card: card,
+    "huge": lambda card: 2**70,
+}
+
+
+@st.composite
+def raw_rows(draw, schema=SCHEMA_234):
+    """Python rows of Python and numpy integers, ``[]`` among them, with at most one fault.
+    The integer types are drawn per example: numpy reads ``np.uint64`` among signed ones as float64."""
+    types = st.sampled_from(draw(st.lists(st.sampled_from(INTEGER_TYPES), min_size=1, max_size=3)))
+    rows = [
+        [draw(types)(draw(st.integers(0, card - 1))) for card in schema.cardinalities]
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    fault = draw(st.sampled_from([None, None, "width", *RAW_FAULTS]))
+    if rows and fault is not None:
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, schema.num_attributes - 1))
+        if fault == "width":
+            rows[i] = rows[i][:j] if draw(st.booleans()) else rows[i] + [0]
+        else:
+            rows[i][j] = RAW_FAULTS[fault](schema.cardinalities[j])
+    return [tuple(row) for row in rows]
+
+
+def built_or_none(build, *args):
+    """The dataset ``build(*args)`` makes, or None where it raises ValueError."""
+    try:
+        return build(*args)
+    except ValueError:
+        return None
+
+
+class TestRawRows:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_rows())
+    def test_every_constructor_accepts_and_rejects_the_same_rows(self, rows):
+        # [] used to be rejected by WeightedDataset(...), and (1, np.True_) stored as (1, 1) by it
+        checked = built_or_none(WeightedDataset, SCHEMA_234, rows, np.ones(len(rows)))
+        counted = built_or_none(WeightedDataset.from_rows, SCHEMA_234, rows)
+        assert (checked is None) == (counted is None), rows
+        # equal rows key one entry, such as (1, 0) and (np.uint8(1), 0), or (1, 0) and (True, 0)
+        mapping = dict.fromkeys(rows, 1.0)
+        mapped = built_or_none(WeightedDataset.from_mapping, SCHEMA_234, mapping)
+        keyed = built_or_none(WeightedDataset, SCHEMA_234, list(mapping), np.ones(len(mapping)))
+        assert (mapped is None) == (keyed is None), rows
+        if checked is not None:
+            assert checked.points.tobytes() == counted.points.tobytes() == mapped.points.tobytes()
+            assert checked.weights.tobytes() == counted.weights.tobytes()
+            assert mapped.weights.tobytes() == np.ones(len(checked)).tobytes()
 
 
 @pytest.mark.parametrize("schema", [SCHEMA_234, SCHEMA_HUGE], ids=["keys", "rows"])
@@ -420,8 +481,8 @@ class TestMergeRows:
         for row, w in zip(map(tuple, points.tolist()), weights.tolist()):
             totals[row] = totals.get(row, 0.0) + w
         assert sums.tobytes() == np.array([totals[row] for row in map(tuple, rows.tolist())]).tobytes()
-        if np.array_equal(points, want_rows):
-            assert rows is points and sums is weights
+        # strictly increasing rows too come back as new arrays
+        assert not np.shares_memory(rows, points) and not np.shares_memory(sums, weights)
 
 
 # keyed schemas of up to 5 values an attribute, and schemas of 2**63 points or more, which have no
