@@ -175,7 +175,6 @@ class _StreamSynthesizer:
     ``g`` is the only ``WeightedDataset`` a step builds.
     """
 
-    algorithm = "base"
     # subtracted per cell from a workload's selection utility
     _cell_bias = 0
 

@@ -28,8 +28,6 @@ from .mechanisms import NoiseSource
 class Counter:
     """Base continual counter: feed values one per time step, peek for free."""
 
-    kind = "base"
-
     def __init__(self, epsilon: float, source: NoiseSource):
         if not 0 < epsilon < math.inf:
             raise ValueError(f"counter epsilon must be positive and finite, got {epsilon}")
@@ -174,10 +172,8 @@ class BinaryTreeCounter(Counter):
         i = self._i
         low = (i & -i).bit_length() - 1  # level of the node completed at this step
         merged = value
-        for level in range(low):
+        for level in range(low):  # merged levels stay as they are: each completes again before it is read
             merged = merged + self._alpha[level]
-            self._alpha[level] = 0.0
-            self._alpha_hat[level] = 0.0
         self._alpha[low] = merged
         self._alpha_hat[low] = merged + self.source.laplace(self.levels / self.epsilon)
         out = self._base

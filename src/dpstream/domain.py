@@ -67,8 +67,9 @@ class DomainSchema:
         return out
 
     @cached_property
-    def key_strides(self) -> tuple[int, ...] | None:
-        """Mixed-radix strides, last attribute fastest; None when ``size >= KEY_LIMIT``.
+    def key_strides(self) -> np.ndarray | None:
+        """Mixed-radix strides, last attribute fastest, as a read-only int64 array; None when
+        ``size >= KEY_LIMIT``.
 
         ``points @ key_strides`` maps each in-range row to a distinct int64 key,
         and key order is lexicographic row order.
@@ -78,14 +79,9 @@ class DomainSchema:
         strides = [1]
         for c in reversed(self.cardinalities[1:]):
             strides.append(strides[-1] * c)
-        return tuple(reversed(strides))
-
-    @cached_property
-    def stride_array(self) -> np.ndarray:
-        """``key_strides`` (which must not be None) as a read-only int64 array, built once."""
-        strides = np.array(self.key_strides, dtype=np.int64)
-        strides.flags.writeable = False
-        return strides
+        out = np.array(strides[::-1], dtype=np.int64)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def _hash(self) -> int:
@@ -105,8 +101,9 @@ def row_keys(schema: DomainSchema, points: np.ndarray) -> np.ndarray:
     and equal for equal rows, in any array keyed alike: the int64 point keys, or, when the schema
     has none, the rows themselves as a 1-D C-contiguous array of p int64 fields, which sorting,
     ``np.unique``, ``np.searchsorted`` and ``==`` compare field by field."""
-    if schema.key_strides is not None:
-        return points @ schema.stride_array
+    strides = schema.key_strides
+    if strides is not None:
+        return points @ strides
     fields = np.dtype([(f"f{i}", np.int64) for i in range(points.shape[1])])
     return np.ascontiguousarray(points, dtype=np.int64).view(fields).reshape(-1)
 
@@ -132,37 +129,40 @@ def merge_rows(
     return points[first], np.bincount(inverse, weights=weights, minlength=len(first))
 
 
-def _checked_points(schema: DomainSchema, points: np.ndarray, order: str = "C") -> np.ndarray:
+def _checked_points(
+    schema: DomainSchema, points: np.ndarray, order: str = "C", exact: bool = False
+) -> np.ndarray:
     """An int64 copy of ``points`` in ``order``; ValueError unless ``points`` is an empty list or
     tuple (zero rows) or an ``(n, p)`` array of in-range integers of an integer dtype (not bool).
-    A bool among ints in Python rows reads as an integer here; ``_reject_bools`` finds it."""
+    With ``exact``, ``points`` are Python rows: a bool among them is rejected, and rows of Python or
+    numpy integers are read as their exact values, whatever dtype numpy would promote them to."""
     array = np.asarray(points)
     p = schema.num_attributes
+    integer = np.issubdtype(array.dtype, np.integer)
     if isinstance(points, (list, tuple)) and not points:
-        array = np.empty((0, p), dtype=np.int64)
-    if not np.issubdtype(array.dtype, np.integer):
+        array, integer = np.empty((0, p), dtype=np.int64), True
+    elif exact:
+        given = np.array(points, dtype=object)  # each coordinate as given, before numpy promotes it
+        types = set(map(type, given.flat))
+        if types & {bool, np.bool_}:
+            raise ValueError("point coordinates must be integers, got a bool")
+        if not integer and all(issubclass(t, (int, np.integer)) for t in types):
+            array, integer = np.frompyfunc(int, 1, 1)(given), True
+    if not integer:
         raise ValueError(f"point coordinates must be integers, got dtype {array.dtype}")
-    points = array.astype(np.int64, order=order, copy=isinstance(points, np.ndarray))
-    if points.ndim != 2 or points.shape[1] != p:
+    if array.ndim != 2 or array.shape[1] != p:
         raise ValueError(
-            f"points must be an (n, {p}) array for a {p}-attribute schema, got shape {points.shape}"
+            f"points must be an (n, {p}) array for a {p}-attribute schema, got shape {array.shape}"
         )
-    outside = (points < 0) | (points >= np.asarray(schema.cardinalities, dtype=np.int64))
+    outside = (array < 0) | (array >= np.asarray(schema.cardinalities, dtype=np.int64))
     if outside.any():
         row, column = np.argwhere(outside)[0]
         name, card = schema.attributes[column]
         raise ValueError(
-            f"point coordinate out of range for schema: value {points[row, column]} for attribute "
+            f"point coordinate out of range for schema: value {array[row, column]} for attribute "
             f"{name!r} is outside [0, {card})"
         )
-    return points
-
-
-def _reject_bools(rows: Iterable[Iterable[object]]) -> None:
-    """ValueError if a coordinate of the Python ``rows`` is a bool, which numpy would read as an
-    integer among ints."""
-    if any(isinstance(v, (bool, np.bool_)) for row in rows for v in row):
-        raise ValueError("point coordinates must be integers, got a bool")
+    return array.astype(np.int64, order=order, copy=isinstance(points, np.ndarray))
 
 
 def _canonicalize(
@@ -172,9 +172,7 @@ def _canonicalize(
 
     The points come back column-major (F-contiguous).
     """
-    points = _checked_points(schema, rows, order="F")
-    if not isinstance(rows, np.ndarray):
-        _reject_bools(rows)  # after the shape check, so every row holds p values
+    points = _checked_points(schema, rows, order="F", exact=not isinstance(rows, np.ndarray))
     weights = np.array(weights, dtype=np.float64).reshape(-1)
     if len(points) != len(weights):
         raise ValueError("points and weights length mismatch")
@@ -247,10 +245,10 @@ class WeightedDataset:
 
     @classmethod
     def from_rows(cls, schema: DomainSchema, rows: Iterable[Iterable[int]]) -> "WeightedDataset":
-        """The one step of ``step_datasets`` over raw rows (duplicates accumulate), which
-        ``_reject_bools`` checks first, as ``WeightedDataset(...)`` checks Python rows."""
-        rows = [tuple(r) for r in rows]
-        _reject_bools(rows)
+        """The one step of ``step_datasets`` over raw rows (duplicates accumulate), read exactly
+        as ``WeightedDataset(...)`` reads Python rows."""
+        rows = [tuple(r) if hasattr(r, "__iter__") else r for r in rows]  # a scalar row is left for the check
+        rows = _checked_points(schema, rows, exact=True)
         return step_datasets(schema, rows, np.zeros(len(rows), dtype=np.int64), 1)[0]
 
     @property
@@ -291,8 +289,8 @@ def step_datasets(
     The rows are converted and checked together as one array, with the errors of
     ``WeightedDataset(...)``, then sorted by (step, point); equal rows of a step merge into
     their count, and each step's dataset is a slice of the result. A step without rows, as
-    every step of ``[]``, gets an empty dataset. Unlike ``from_rows`` it runs no
-    ``_reject_bools`` scan, so a bool among ints reads as an integer: callers give it ints.
+    every step of ``[]``, gets an empty dataset. Unlike ``from_rows`` it does not read Python rows
+    exactly, so a bool among ints reads as an integer: callers give it ints.
     """
     points = _checked_points(schema, rows)
     keys = row_keys(schema, points)

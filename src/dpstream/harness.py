@@ -325,19 +325,10 @@ def run_config(
 
 
 def run_triple(
-    config: ExperimentConfig,
-    algorithm: str,
-    epsilon: Fraction,
-    seed: int,
-    stream: DatasetStream | None = None,
+    config: ExperimentConfig, algorithm: str, epsilon: Fraction, seed: int, stream: DatasetStream
 ) -> dict[str, Any]:
-    """Run one (algorithm, epsilon, seed) cell of the grid and write its files.
-
-    ``stream`` is ``load_stream(config)``, loaded here when not given.
-    """
+    """Run one (algorithm, epsilon, seed) cell of the grid on ``load_stream(config)`` and write its files."""
     started = time.monotonic()
-    if stream is None:
-        stream = load_stream(config)
     schema = stream.schema
     workloads = enumerate_workloads(schema, config.k_way)
     settings = run_config(config, workloads, epsilon, seed, stream.num_steps)
@@ -378,7 +369,7 @@ def run_triple(
         fh.write("\n")
 
     ledger = synthesizer.ledger
-    spent_groups = [g for g in ledger.groups() if ledger.group_total(g) > 0]
+    spent_groups = ledger.groups()  # a group exists only after a positive spend
     step_totals = {str(ledger.group_total(g)) for g in spent_groups}
     selection_totals = {str(ledger.category_total(g, "selection")) for g in spent_groups}
     measure_totals = {

@@ -133,11 +133,6 @@ class Workload:
         return cells
 
 
-def cell_values(cells: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Per-cell sums of ``weights`` over ``size`` cells, added in input order."""
-    return np.bincount(cells, weights=weights, minlength=size).astype(np.float64, copy=False)
-
-
 def eval_workload(workload: Workload, dataset: WeightedDataset) -> np.ndarray:
     """Read-only vector of all cell values in lexicographic order; sums to the dataset mass.
 
@@ -151,7 +146,7 @@ def eval_workload(workload: Workload, dataset: WeightedDataset) -> np.ndarray:
     if values is None:
         lookup = dataset.support_cells
         cells = workload.cell_indices(dataset) if lookup is None else lookup(workload)
-        values = cell_values(cells, dataset.weights, workload.size)
+        values = np.bincount(cells, weights=dataset.weights, minlength=workload.size)
         values.flags.writeable = False
         memo[workload] = values
     return values

@@ -34,7 +34,7 @@ from dpstream import (
 )
 from dpstream import algorithms, surrogate
 from dpstream.counters import KINDS
-from dpstream.queries import WorkloadCover, cell_values
+from dpstream.queries import WorkloadCover
 
 SCHEMA_2X2 = DomainSchema((("a", 2), ("b", 2)))
 SCHEMA_234 = DomainSchema((("a", 2), ("b", 3), ("c", 4)))
@@ -563,7 +563,7 @@ class TestReleaseCells:
         whole = g.points is synth.support.points
         assert whole == (len(g) == len(synth.support))
         assert (g.support_cells is not None) == whole
-        want = [cell_values(w.point_cells(g.points), g.weights, w.size).tobytes() for w in synth.workloads]
+        want = [np.bincount(w.point_cells(g.points), g.weights, w.size).tobytes() for w in synth.workloads]
         assert [eval_workload(w, g).tobytes() for w in synth.workloads] == want
         copy = pickle.loads(pickle.dumps(g))
         assert copy.support_cells is None  # the lookup stays with the cover it came from
@@ -925,66 +925,96 @@ class TestPrivacyBoundary:
 
     REPLAY_SCHEMA = DomainSchema((("a", 2), ("b", 3), ("c", 2), ("d", 4)))
 
-    def replayed_runs(self, monkeypatch, replay_target):
-        """Per case (both algorithms on the whole 48-point domain and on a 20-point sample) whether
-        a seeded-Laplace run, rerun with every differential empty and the boundary answering from
-        the first run's outputs of ``select``, ``laplace`` and ``feed`` (and of ``target`` when
-        ``replay_target``), releases the same bits and writes the same ledger."""
-        schema, D = self.REPLAY_SCHEMA, algorithms._Differential
+    @staticmethod
+    def replays(algorithm, config, deltas, replay_target):
+        """Whether a seeded-Laplace run of ``algorithm`` on ``deltas``, rerun with every differential
+        empty and the boundary answering from the first run's outputs of ``select``, ``laplace`` and
+        ``feed`` (and of ``target`` when ``replay_target``), releases the same bits, writes the same
+        ledger and uses up the transcript."""
+        D = algorithms._Differential
+        empty = WeightedDataset.empty(config.workloads[0].schema)
+        real = {name: getattr(D, name) for name in ("select", "laplace", "feed")}
+        real["target"] = D.target.func
+        transcript, runs = [], []
+        for replay in (False, True):
+
+            def boundary(name, replay=replay):
+                def method(d, *args):
+                    out = real[name](d, *args)  # on replay, only for its ledger entry
+                    call = (name, [a for a in args if isinstance(a, int)])
+                    if not replay:
+                        transcript.append((call, np.copy(out)))
+                        return out
+                    logged, out = transcript.pop(0)
+                    if call != logged:
+                        raise Diverged(call, logged)
+                    return out if name != "select" else int(out)
+
+                return method
+
+            with pytest.MonkeyPatch.context() as m:
+                for name in real:
+                    if name != "target" or replay_target:
+                        m.setattr(D, name, property(boundary(name)) if name == "target" else boundary(name))
+                synth = make_synthesizer(algorithm, config)
+                try:
+                    releases = [synth.step(empty if replay else delta) for delta in deltas]
+                except Diverged:  # the replay called the boundary otherwise
+                    releases = []
+            runs.append(([(g.points.tobytes(), g.weights.tobytes()) for g in releases], synth.ledger.entries))
+        return runs[0] == runs[1] and not transcript
+
+    def replayed_runs(self, replay_target):
+        """``replays`` per case: both algorithms on the whole 48-point domain and on a 20-point sample."""
+        schema = self.REPLAY_SCHEMA
         Q = enumerate_workloads(schema, 2)
         rng = np.random.default_rng(17)
         sizes = [0 if t in (2, 7) else int(rng.integers(0, 15)) for t in range(12)]  # empty steps too
         deltas = [WeightedDataset(schema, rng.integers(0, schema.cardinalities, (n, 4)), np.ones(n)) for n in sizes]
-        empty = WeightedDataset.empty(schema)
-        real = {name: getattr(D, name) for name in ("select", "laplace", "feed")}
-        real["target"] = D.target.func
         outcomes = {}
         for algorithm in ("baseline", "main"):
             for size in (48, 24):
                 config = RunConfig(epsilon=Fraction(1), k=2, workloads=Q, seed_support_size=size, seed=3)
-                transcript, runs = [], []
-                for replay in (False, True):
-
-                    def boundary(name, replay=replay):
-                        def method(d, *args):
-                            out = real[name](d, *args)  # on replay, only for its ledger entry
-                            call = (name, [a for a in args if isinstance(a, int)])
-                            if not replay:
-                                transcript.append((call, np.copy(out)))
-                                return out
-                            logged, out = transcript.pop(0)
-                            if call != logged:
-                                raise Diverged(call, logged)
-                            return out if name != "select" else int(out)
-
-                        return method
-
-                    with monkeypatch.context() as m:
-                        for name in real:
-                            if name != "target" or replay_target:
-                                m.setattr(D, name, property(boundary(name)) if name == "target" else boundary(name))
-                        synth = make_synthesizer(algorithm, config)
-                        try:
-                            releases = [synth.step(empty if replay else delta) for delta in deltas]
-                        except Diverged:  # the replay called the boundary otherwise
-                            releases = []
-                    runs.append(([(g.points.tobytes(), g.weights.tobytes()) for g in releases], synth.ledger.entries))
-                    if not replay:
-                        off = [delta for delta in deltas if not synth.support.observe(delta)[1].all()]
-                        assert len(synth.support) == (20 if size == 24 else schema.size)
-                        assert (len(off) > 0) == (size == 24)
-                outcomes[algorithm, len(synth.support)] = runs[0] == runs[1] and not transcript
+                support = WorkingSupport(schema, seed_size=size, seed=3)
+                off = [delta for delta in deltas if not support.observe(delta)[1].all()]
+                assert len(support) == (20 if size == 24 else schema.size)
+                assert (len(off) > 0) == (size == 24)
+                outcomes[algorithm, len(support)] = self.replays(algorithm, config, deltas, replay_target)
         return outcomes
 
-    def test_releases_replay_from_the_boundary_outputs(self, monkeypatch):
+    def test_releases_replay_from_the_boundary_outputs(self):
         # target is replayed: it is the one read of the differential outside the mechanisms (N1)
-        outcomes = self.replayed_runs(monkeypatch, replay_target=True)
+        outcomes = self.replayed_runs(replay_target=True)
         assert outcomes == dict.fromkeys(outcomes, True) and len(outcomes) == 4
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP N1: target reads the differential's exact mass")
-    def test_releases_replay_from_the_boundary_outputs_without_target(self, monkeypatch):
-        outcomes = self.replayed_runs(monkeypatch, replay_target=False)
+    def test_releases_replay_from_the_boundary_outputs_without_target(self):
+        outcomes = self.replayed_runs(replay_target=False)
         assert outcomes == dict.fromkeys(outcomes, True) and len(outcomes) == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=3, max_size=4).filter(lambda cards: math.prod(cards) > 1),
+        st.sampled_from(["baseline", "main"]),
+        st.sampled_from(KINDS),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_releases_replay_from_the_boundary_outputs_on_random_runs(
+        self, cards, algorithm, kind, whole, seed, data
+    ):
+        # target replayed, as in the fixed cases; 8 steps of 0-8 rows anywhere in the domain
+        schema = DomainSchema(tuple((f"x{i}", c) for i, c in enumerate(cards)))
+        config = RunConfig(
+            epsilon=Fraction(1), k=2, workloads=enumerate_workloads(schema, 2), seed=seed % 7,
+            seed_support_size=schema.size if whole else max(1, schema.size // 2),
+            counter_kind=kind, block_size=3,
+        )
+        row = st.tuples(*(st.integers(0, c - 1) for c in cards))
+        steps = data.draw(st.lists(st.lists(row, max_size=8), min_size=8, max_size=8))
+        deltas = [WeightedDataset.from_rows(schema, rows) for rows in steps]
+        assert self.replays(algorithm, config, deltas, replay_target=True)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -81,8 +81,9 @@ class TestSchema:
         assert all(type(c) is int for c in schema.cardinalities)
 
     def test_key_strides_last_attribute_fastest(self):
-        assert SCHEMA_234.key_strides == (12, 4, 1)
-        assert DomainSchema((("a", 5),)).key_strides == (1,)
+        assert SCHEMA_234.key_strides.tolist() == [12, 4, 1]
+        assert DomainSchema((("a", 5),)).key_strides.tolist() == [1]
+        assert SCHEMA_234.key_strides.dtype == np.int64 and not SCHEMA_234.key_strides.flags.writeable
         assert SCHEMA_HUGE.size == 2**66
         assert SCHEMA_HUGE.key_strides is None
 
@@ -226,6 +227,20 @@ class TestWeightedDataset:
         assert got.as_mapping() == {(0, 1): 3.0, (1, 0): 2.0}
         assert WeightedDataset.from_mapping(SCHEMA_2X2, {(np.int16(1), 1): 1.0}).as_mapping() == {(1, 1): 1.0}
 
+    def test_python_rows_of_integers_are_read_exactly(self):
+        # numpy reads (0, np.uint64(1)) as float64 and (0, 2**70) as objects
+        builds = (
+            lambda rows: WeightedDataset(SCHEMA_2X2, rows, np.ones(len(rows))),
+            lambda rows: WeightedDataset.from_rows(SCHEMA_2X2, rows),
+        )
+        for build in builds:
+            assert build([(0, np.uint64(1)), (np.int8(1), 0)]).as_mapping() == {(0, 1): 1.0, (1, 0): 1.0}
+            for huge in (2**63, np.uint64(2**64 - 1), 2**70, -(2**70)):
+                with pytest.raises(ValueError, match=f"out of range for schema: value {int(huge)} for attribute 'b'"):
+                    build([(0, huge)])
+            with pytest.raises(ValueError, match=r"\(n, 2\)"):
+                build([0, 1])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weights_rejected(self, bad):
         # a NaN weight used to drop its point and an infinite one to be stored
@@ -236,7 +251,8 @@ class TestWeightedDataset:
 
 
 INTEGER_TYPES = [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
-# one coordinate or row changed per fault; "huge" is past int64, "width" drops or adds a value
+# one coordinate or row changed per fault; "huge" is past int64, "width" drops or adds a value,
+# "scalar row" replaces a row by an int
 RAW_FAULTS = {
     "bool": lambda card: True,
     "numpy bool": lambda card: np.True_,
@@ -251,21 +267,25 @@ RAW_FAULTS = {
 
 @st.composite
 def raw_rows(draw, schema=SCHEMA_234):
-    """Python rows of Python and numpy integers, ``[]`` among them, with at most one fault.
-    The integer types are drawn per example: numpy reads ``np.uint64`` among signed ones as float64."""
+    """Python rows of Python and numpy integers, ``[]`` among them, with at most one fault, and the
+    fault applied (None for none). The integer types are drawn per example: numpy reads ``np.uint64``
+    among signed ones as float64."""
     types = st.sampled_from(draw(st.lists(st.sampled_from(INTEGER_TYPES), min_size=1, max_size=3)))
     rows = [
         [draw(types)(draw(st.integers(0, card - 1))) for card in schema.cardinalities]
         for _ in range(draw(st.integers(0, 8)))
     ]
-    fault = draw(st.sampled_from([None, None, "width", *RAW_FAULTS]))
-    if rows and fault is not None:
+    fault = draw(st.sampled_from([None, None, "width", "scalar row", *RAW_FAULTS])) if rows else None
+    if fault is not None:
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, schema.num_attributes - 1))
         if fault == "width":
             rows[i] = rows[i][:j] if draw(st.booleans()) else rows[i] + [0]
-        else:
+        elif fault != "scalar row":
             rows[i][j] = RAW_FAULTS[fault](schema.cardinalities[j])
-    return [tuple(row) for row in rows]
+    rows = [tuple(row) for row in rows]
+    if fault == "scalar row":
+        rows[i] = draw(types)(draw(st.integers(0, 3)))
+    return rows, fault
 
 
 def built_or_none(build, *args):
@@ -279,8 +299,10 @@ def built_or_none(build, *args):
 class TestRawRows:
     @settings(max_examples=300, deadline=None)
     @given(raw_rows())
-    def test_every_constructor_accepts_and_rejects_the_same_rows(self, rows):
-        # [] used to be rejected by WeightedDataset(...), and (1, np.True_) stored as (1, 1) by it
+    def test_every_constructor_accepts_and_rejects_the_same_rows(self, drawn):
+        # [] used to be rejected by WeightedDataset(...), and (1, np.True_) stored as (1, 1) by it;
+        # rows of integers that numpy promotes to float64, such as (0, np.uint64(1)), by all of them
+        rows, fault = drawn
         checked = built_or_none(WeightedDataset, SCHEMA_234, rows, np.ones(len(rows)))
         counted = built_or_none(WeightedDataset.from_rows, SCHEMA_234, rows)
         assert (checked is None) == (counted is None), rows
@@ -289,6 +311,8 @@ class TestRawRows:
         mapped = built_or_none(WeightedDataset.from_mapping, SCHEMA_234, mapping)
         keyed = built_or_none(WeightedDataset, SCHEMA_234, list(mapping), np.ones(len(mapping)))
         assert (mapped is None) == (keyed is None), rows
+        if fault is None:
+            assert None not in (checked, counted, mapped, keyed), rows
         if checked is not None:
             assert checked.points.tobytes() == counted.points.tobytes() == mapped.points.tobytes()
             assert checked.weights.tobytes() == counted.weights.tobytes()

@@ -30,7 +30,9 @@ from dpstream import (
 )
 from dpstream.cli import main as cli_main
 from dpstream import harness
-from dpstream.harness import STREAM_VARIANTS, IngestError, run_experiment, run_triple, validate_config
+from dpstream.harness import (
+    STREAM_VARIANTS, IngestError, load_stream, run_experiment, run_triple, validate_config
+)
 from dpstream.surrogate import write_surrogate
 
 SCHEMA_SPEC = [
@@ -446,7 +448,7 @@ class TestRunExperiment:
         long_file = write_csv(tmp_path / "long.csv", data_rows + data_rows[:2])
         stream = StreamSpec(variant="ordered_batch", batch_size=batch_size)
         config = experiment_config(tmp_path, long_file, schema_file, stream=stream)
-        run_triple(config, "main", Fraction(1), 0)
+        run_triple(config, "main", Fraction(1), 0, load_stream(config))
         run_dir = config.run_dir(Path(config.output_dir), "main", Fraction(1), 0)
         with open(run_dir / "metrics.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -458,7 +460,7 @@ class TestRunExperiment:
 
     def test_meta_reports_full_budget_spend(self, tmp_path, data_file, schema_file):
         config = experiment_config(tmp_path, data_file, schema_file, epsilons=(Fraction(1, 2),))
-        run_triple(config, "main", Fraction(1, 2), 0)
+        run_triple(config, "main", Fraction(1, 2), 0, load_stream(config))
         run_dir = config.run_dir(Path(config.output_dir), "main", Fraction(1, 2), 0)
         meta = json.loads((run_dir / "meta.json").read_text())
         assert meta["ledger"]["per_step_totals"] == ["1/2"]
@@ -500,8 +502,6 @@ class TestRunExperiment:
         results = run_experiment(config, jobs=1)
         assert len(results) == 6 and all(r["ok"] for r in results)
         assert len(calls) == 1
-        run_triple(config, "main", Fraction(1), 0)  # on its own, a triple loads its stream
-        assert len(calls) == 2
 
     def test_ingest_failure_reported_per_triple(self, tmp_path, schema_file):
         bad = write_csv(tmp_path / "bad.csv", [["red", "small"], ["purple", "large"]])
@@ -748,7 +748,7 @@ class TestConfigFile:
     def test_negative_run_seed_rejected_before_any_output(self, tmp_path, data_file, schema_file):
         config = experiment_config(tmp_path, data_file, schema_file)
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
-            run_triple(config, "main", Fraction(1), -1)
+            run_triple(config, "main", Fraction(1), -1, load_stream(config))
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field", ["algorithms", "epsilons", "seeds"])
