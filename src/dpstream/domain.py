@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -248,8 +249,7 @@ class WeightedDataset:
         """The one step of ``step_datasets`` over raw rows (duplicates accumulate), read exactly
         as ``WeightedDataset(...)`` reads Python rows."""
         rows = [tuple(r) if hasattr(r, "__iter__") else r for r in rows]  # a scalar row is left for the check
-        rows = _checked_points(schema, rows, exact=True)
-        return step_datasets(schema, rows, np.zeros(len(rows), dtype=np.int64), 1)[0]
+        return step_datasets(schema, rows, np.zeros(len(rows), dtype=np.int64), 1, exact=True)[0]
 
     @property
     def points(self) -> np.ndarray:
@@ -281,7 +281,7 @@ class WeightedDataset:
 
 
 def step_datasets(
-    schema: DomainSchema, rows: list[Iterable[int]], steps: np.ndarray, num_steps: int
+    schema: DomainSchema, rows: list[Iterable[int]], steps: np.ndarray, num_steps: int, exact: bool = False
 ) -> list[WeightedDataset]:
     """The unit-weight dataset of the rows of each step in ``range(num_steps)``, built in one
     sorted pass; ``steps[i]``, in that range, is the step of ``rows[i]``.
@@ -289,10 +289,10 @@ def step_datasets(
     The rows are converted and checked together as one array, with the errors of
     ``WeightedDataset(...)``, then sorted by (step, point); equal rows of a step merge into
     their count, and each step's dataset is a slice of the result. A step without rows, as
-    every step of ``[]``, gets an empty dataset. Unlike ``from_rows`` it does not read Python rows
-    exactly, so a bool among ints reads as an integer: callers give it ints.
+    every step of ``[]``, gets an empty dataset. Unless ``exact``, as ``from_rows`` sets it, it
+    does not read Python rows exactly, so a bool among ints reads as an integer: callers give it ints.
     """
-    points = _checked_points(schema, rows)
+    points = _checked_points(schema, rows, exact=exact)
     keys = row_keys(schema, points)
     order = np.lexsort((keys, steps))
     keys, steps = keys[order], steps[order]
@@ -387,12 +387,22 @@ class DatasetStream:
     def num_steps(self) -> int:
         return len(self.differentials)
 
+    def prefixes(self) -> Iterator[WeightedDataset]:
+        """The accumulated dataset after each differential in turn: ``accumulate`` folded over
+        them from the empty dataset, one call per step. Only the latest prefix is held."""
+        prefix = WeightedDataset.empty(self.schema)
+        for delta in self.differentials:
+            prefix = accumulate(prefix, delta)
+            yield prefix
+
     def prefix(self, t: int) -> WeightedDataset:
-        """The accumulated dataset after the first t differentials: ``accumulate`` folded over them."""
+        """The accumulated dataset after the first t differentials: item t of ``prefixes()``,
+        or the empty dataset at t = 0."""
         rule = f"prefix time must be an integer in [0, {self.num_steps}]"
-        if checked_int(t, 0, rule) > self.num_steps:
+        steps = checked_int(t, 0, rule)
+        if steps > self.num_steps:
             raise ValueError(f"{rule}, got {t!r}")
-        return reduce(accumulate, self.differentials[:t], WeightedDataset.empty(self.schema))
+        return next(islice(self.prefixes(), steps - 1, None)) if steps else WeightedDataset.empty(self.schema)
 
 
 def stream_norm(stream: DatasetStream) -> float:

@@ -8,6 +8,7 @@ JSON. Algorithms only ever see differentials, never the accumulated dataset.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -17,12 +18,12 @@ from datetime import date
 from fractions import Fraction
 from os import PathLike
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
 from .algorithms import ALGORITHMS, RunConfig, checked_epsilon, make_synthesizer
-from .domain import DatasetStream, DomainSchema, WeightedDataset, accumulate, checked_int, step_datasets
+from .domain import DatasetStream, DomainSchema, WeightedDataset, checked_int, step_datasets
 from .evaluation import METRIC_NAMES, MetricAggregate, evaluate_step, summarize_tail
 from .fitters import DEFAULT_SEED_SUPPORT
 from .queries import WorkloadSet, enumerate_workloads
@@ -325,12 +326,19 @@ def run_config(
 
 
 def run_triple(
-    config: ExperimentConfig, algorithm: str, epsilon: Fraction, seed: int, stream: DatasetStream
+    config: ExperimentConfig, algorithm: str, epsilon: Fraction, seed: int, stream: DatasetStream,
+    workloads: WorkloadSet | None = None, prefixes: Iterable[WeightedDataset] | None = None,
 ) -> dict[str, Any]:
-    """Run one (algorithm, epsilon, seed) cell of the grid on ``load_stream(config)`` and write its files."""
+    """Run one (algorithm, epsilon, seed) cell of the grid on ``load_stream(config)`` and write its files.
+
+    ``workloads`` defaults to the config's ``enumerate_workloads``, and ``prefixes``, the true
+    dataset after each step, to ``stream.prefixes()``. ``run_experiment(jobs=1)`` hands every
+    triple the same ones, so each prefix is accumulated once and its true workload vectors
+    are counted once.
+    """
     started = time.monotonic()
-    schema = stream.schema
-    workloads = enumerate_workloads(schema, config.k_way)
+    if workloads is None:
+        workloads = enumerate_workloads(stream.schema, config.k_way)
     settings = run_config(config, workloads, epsilon, seed, stream.num_steps)
     synthesizer = make_synthesizer(algorithm, settings)
 
@@ -339,10 +347,9 @@ def run_triple(
 
     rows_out: list[MetricAggregate] = []  # step t's metrics at position t - 1
     excluded_cells = 0
-    true_data = WeightedDataset.empty(schema)
-    for delta in stream.differentials:
+    truth = stream.prefixes() if prefixes is None else prefixes
+    for delta, true_data in zip(stream.differentials, truth, strict=True):
         synthetic = synthesizer.step(delta)
-        true_data = accumulate(true_data, delta)
         agg = MetricAggregate._make((math.nan,) * 4)  # no metrics while the true data is empty
         if true_data.total_mass() != 0:
             agg, skipped = evaluate_step(workloads, true_data, synthetic)
@@ -420,10 +427,10 @@ def _failure(algorithm: str, epsilon: Fraction, seed: int, exc: Exception) -> di
 
 
 def _run_triple_guarded(
-    config: ExperimentConfig, stream: DatasetStream, algorithm: str, epsilon: Fraction, seed: int
+    config: ExperimentConfig, algorithm: str, epsilon: Fraction, seed: int, *data: Any
 ) -> dict[str, Any]:
     try:
-        return run_triple(config, algorithm, epsilon, seed, stream)
+        return run_triple(config, algorithm, epsilon, seed, *data)
     except Exception as exc:  # an aborted triple must not sink the others
         return _failure(algorithm, epsilon, seed, exc)
 
@@ -431,22 +438,32 @@ def _run_triple_guarded(
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict[str, Any]]:
     """Run the whole grid; each triple writes its own files and reports status.
 
-    The stream is loaded once for the grid. If loading fails, every triple
-    reports that failure.
+    The stream is loaded and the workloads are enumerated once for the grid. If
+    either fails, every triple reports that failure. With ``jobs=1`` the triples
+    share one pass of ``stream.prefixes()``, whose true workload vectors the first
+    triple memoizes for the others, so a grid of two or more holds every prefix and
+    its vectors until the last triple has read it. One triple, and each task of
+    ``jobs > 1``, folds its own prefixes and holds only the latest.
     """
     triples = config.triples()
     try:
         stream = load_stream(config)
+        workloads = enumerate_workloads(stream.schema, config.k_way)
     except Exception as exc:  # reported per triple, as each triple would have failed on it
         return [_failure(alg, eps, seed, exc) for alg, eps, seed in triples]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_run_triple_guarded, config, stream, alg, eps, seed)
+                pool.submit(_run_triple_guarded, config, alg, eps, seed, stream, workloads)
                 for alg, eps, seed in triples
             ]
             return [f.result() for f in futures]
-    return [_run_triple_guarded(config, stream, alg, eps, seed) for alg, eps, seed in triples]
+    # tee buffers every prefix its slowest copy has not read; one triple needs no copy
+    shared = itertools.tee(stream.prefixes(), len(triples)) if len(triples) > 1 else [None]
+    return [
+        _run_triple_guarded(config, alg, eps, seed, stream, workloads, prefixes)
+        for (alg, eps, seed), prefixes in zip(triples, shared)
+    ]
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:

@@ -1,3 +1,4 @@
+import functools
 import math
 import pickle
 import re
@@ -642,6 +643,36 @@ class TestStream:
             assert got.weights.tobytes() == folded.weights.tobytes()
             if t < len(deltas):
                 folded = accumulate(folded, deltas[t])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(  # one step: (row, weight) entries; rows repeat within and across steps
+                st.tuples(
+                    st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 3)),
+                    st.floats(min_value=0.01, max_value=100.0),
+                ),
+                max_size=6,
+            ),
+            max_size=8,
+        )
+    )
+    def test_prefixes_are_one_fold_of_accumulate(self, steps):
+        deltas = tuple(
+            WeightedDataset(SCHEMA_234, [row for row, _ in entries], [w for _, w in entries])
+            for entries in steps
+        )
+        stream = DatasetStream(SCHEMA_234, deltas)
+        prefixes = list(stream.prefixes())
+        assert len(prefixes) == len(deltas)
+        assert list(DatasetStream(SCHEMA_234, ()).prefixes()) == []
+        empty = WeightedDataset.empty(SCHEMA_234)
+        assert len(stream.prefix(0)) == 0 and stream.prefix(0).points.shape == (0, 3)
+        for t in range(1, len(deltas) + 1):
+            oracle = functools.reduce(accumulate, deltas[:t], empty)
+            for got in (prefixes[t - 1], stream.prefix(t)):
+                assert got.points.tobytes() == oracle.points.tobytes()
+                assert got.weights.tobytes() == oracle.weights.tobytes()
 
     @pytest.mark.parametrize("schema", [SCHEMA_234, SCHEMA_HUGE], ids=["keys", "rows"])
     def test_step_datasets_match_the_checking_constructor_per_step(self, schema):

@@ -22,6 +22,7 @@ from dpstream import (
     RunConfig,
     StreamSpec,
     WeightedDataset,
+    Workload,
     build_stream,
     enumerate_workloads,
     ingest_csv,
@@ -29,7 +30,7 @@ from dpstream import (
     make_counter,
 )
 from dpstream.cli import main as cli_main
-from dpstream import harness
+from dpstream import domain, harness
 from dpstream.harness import (
     STREAM_VARIANTS, IngestError, load_stream, run_experiment, run_triple, validate_config
 )
@@ -475,6 +476,51 @@ class TestRunExperiment:
         assert all(not r["ok"] for r in results)
         assert all("error" in r for r in results)
 
+    @pytest.mark.parametrize("failing", [0, 3, 5])
+    def test_triple_failing_mid_stream_leaves_the_others_intact(
+        self, tmp_path, data_file, schema_file, monkeypatch, failing
+    ):
+        # the triples of a jobs=1 grid share one pass over the true prefixes; a triple that stops
+        # at step 3 must leave every other triple's files as a clean grid writes them
+        def grid(out):
+            return experiment_config(
+                tmp_path, data_file, schema_file, output_dir=str(tmp_path / out), seeds=(0, 1, 2),
+                noise="laplace",
+            )
+
+        clean = run_experiment(grid("clean"))
+        assert len(clean) == 6 and all(r["ok"] for r in clean)
+        algorithm, _, seed = grid("clean").triples()[failing]
+        original = harness.make_synthesizer
+
+        def make(name, settings):
+            synthesizer = original(name, settings)
+            if (name, settings.seed) == (algorithm, seed):
+                step, seen = synthesizer.step, []
+
+                def breaking(delta):
+                    seen.append(delta)
+                    if len(seen) == 3:
+                        raise RuntimeError("synthesizer broke at step 3")
+                    return step(delta)
+
+                synthesizer.step = breaking
+            return synthesizer
+
+        monkeypatch.setattr(harness, "make_synthesizer", make)
+        results = run_experiment(grid("broken"))
+        assert [r["ok"] for r in results] == [i != failing for i in range(6)]
+        assert results[failing]["error"] == "RuntimeError: synthesizer broke at step 3"
+        for got, want in zip(results, clean):
+            if not got["ok"]:
+                continue
+            run_dir = Path(want["dir"]).relative_to(tmp_path / "clean")
+            for name in ("metrics.csv", "summary.json", "meta.json"):
+                texts = [(tmp_path / out / run_dir / name).read_text() for out in ("broken", "clean")]
+                if name == "meta.json":
+                    texts = [re.sub(r'\n  "runtime_sec": [^\n]*', "", text) for text in texts]
+                assert texts[0] == texts[1], (run_dir, name)
+
     def test_unknown_fitter_rejected(self, tmp_path, data_file, schema_file):
         mw = experiment_config(
             tmp_path, data_file, schema_file, fitter={"name": "mw", "seed_support_size": 4, "passes": 2}
@@ -497,11 +543,31 @@ class TestRunExperiment:
             calls.append(args)
             return ingest_csv(*args, **kwargs)
 
+        # the grid also builds each true prefix once, and counts each of its workload vectors once
+        sums, computed = [], []  # computed holds each dataset whose workload cells were counted
+        accumulate, cell_indices = domain.accumulate, Workload.cell_indices
+
+        def summed(prefix, delta):
+            sums.append(accumulate(prefix, delta))
+            return sums[-1]
+
+        def cells(workload, dataset):
+            computed.append((dataset, workload))
+            return cell_indices(workload, dataset)
+
         monkeypatch.setattr(harness, "ingest_csv", counted)
-        config = experiment_config(tmp_path, data_file, schema_file, seeds=(0, 1, 2))
+        for module in (domain, harness):
+            if getattr(module, "accumulate", None) is accumulate:
+                monkeypatch.setattr(module, "accumulate", summed)
+        monkeypatch.setattr(Workload, "cell_indices", cells)
+        config = experiment_config(tmp_path, data_file, schema_file, seeds=(0, 1, 2), k_way=1)
         results = run_experiment(config, jobs=1)
         assert len(results) == 6 and all(r["ok"] for r in results)
         assert len(calls) == 1
+        steps, workloads = load_stream(config).num_steps, 2
+        assert steps == 5 and len(sums) == steps
+        on_sums = [(id(d), w) for d, w in computed if any(d is s for s in sums)]
+        assert len(on_sums) == workloads * steps == len(set(on_sums))
 
     def test_ingest_failure_reported_per_triple(self, tmp_path, schema_file):
         bad = write_csv(tmp_path / "bad.csv", [["red", "small"], ["purple", "large"]])

@@ -20,7 +20,11 @@ Every grid config is also passed to `validate_config` before it runs; since
 each of them runs, any problem it reports is a false rejection and exits 1.
 
 Each grid runs through `run_experiment(jobs=1)` in a temporary directory
-(or in `--work DIR`, which is kept).
+(or in `--work DIR`, which is kept). The census13 laplace runs also run
+through `run_experiment(jobs=2)`, whose triples each fold their own true
+prefixes in a worker process, while the `jobs=1` triples share one fold; the
+checkout exits 1 if any of those digests differs from its `jobs=1` run's, and
+prints nothing more when all match.
 `runtime_sec` is dropped from every `meta.json` before hashing, because it is
 wall time. Both grids run eps 0.5 and 2, seeds 0 and 1, and k = 3 over the
 2-way workloads: `baseline` once (with the `simple` counter setting, which it
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -59,6 +64,7 @@ RUNS = [("baseline", "simple", 1)] + [("main", counter, 1) for counter in COUNTE
 ROWS = 4_000
 FILES = ("metrics.csv", "summary.json", "meta.json")
 TOLERANCE = 1e-9  # relative difference reported as the first step that differs
+PARALLEL = ("census13", "laplace")  # the grid and noise mode whose runs also run with jobs=2
 
 
 def write_inputs(surrogate, work: Path, name: str, columns: int | None) -> tuple[Path, Path]:
@@ -185,9 +191,29 @@ def main(argv: list[str] | None = None) -> int:
         return run_grids(harness, surrogate, Path(tmp))
 
 
+def parallel_differences(harness, config, label: str) -> int:
+    """Run ``config`` again with ``jobs=2`` into a sibling ``out-jobs2`` directory and print a
+    FAIL line to stderr for each failed run and each output file whose digest differs from the
+    ``jobs=1`` run's (a file one run lacks differs too); returns how many there were."""
+    out = Path(config.output_dir)
+    other = out.parent.parent / "out-jobs2" / out.name
+    failed = 0
+    for result in harness.run_experiment(dataclasses.replace(config, output_dir=str(other)), jobs=2):
+        if not result["ok"]:
+            failed += 1
+            print(f"FAIL {label} jobs=2: {result}", file=sys.stderr)
+    files = {path.relative_to(root) for root in (out, other) for path in root.rglob("*") if path.name in FILES}
+    for file in sorted(files):
+        digests = [file_digest(root / file) if (root / file).exists() else None for root in (out, other)]
+        if digests[0] != digests[1]:
+            failed += 1
+            print(f"FAIL {label}/{file.as_posix()}: jobs=2 and jobs=1 digests differ", file=sys.stderr)
+    return failed
+
+
 def run_grids(harness, surrogate, work: Path) -> int:
     """Run every grid under ``work``, print one digest line per output file, then the
-    printout's sha256 to stderr."""
+    printout's sha256 to stderr. The runs of ``PARALLEL`` are checked with ``jobs=2`` too."""
     failed, printout = 0, hashlib.sha256()
     for name, grid in GRIDS.items():
         dataset, schema = write_inputs(surrogate, work, name, grid["columns"])
@@ -223,6 +249,8 @@ def run_grids(harness, surrogate, work: Path) -> int:
                         line = f"{file_digest(path)}  {label}/{path.relative_to(out).as_posix()}"
                         print(line)
                         printout.update(f"{line}\n".encode())
+                if (name, noise) == PARALLEL:
+                    failed += parallel_differences(harness, config, label)
     print(f"sha256 of this printout: {printout.hexdigest()}", file=sys.stderr)
     return 1 if failed else 0
 
