@@ -30,6 +30,7 @@ from .queries import WorkloadSet, enumerate_workloads
 
 METRIC_COLUMNS = ("t", *METRIC_NAMES)
 SUMMARY_WINDOW = 10  # summary.json averages the last 10 steps, or every step of a shorter stream
+SHARED_TRUTH_BYTES = 64 << 20  # the most a jobs=1 grid may hold of true prefixes to share them
 
 STREAM_VARIANTS = ("timestamp_bucketed", "randomized_batch", "ordered_batch")
 
@@ -327,18 +328,16 @@ def run_config(
 
 def run_triple(
     config: ExperimentConfig, algorithm: str, epsilon: Fraction, seed: int, stream: DatasetStream,
-    workloads: WorkloadSet | None = None, prefixes: Iterable[WeightedDataset] | None = None,
+    workloads: WorkloadSet, prefixes: Iterable[WeightedDataset] | None = None,
 ) -> dict[str, Any]:
-    """Run one (algorithm, epsilon, seed) cell of the grid on ``load_stream(config)`` and write its files.
+    """Run one (algorithm, epsilon, seed) cell of the grid on ``load_stream(config)`` and its
+    ``enumerate_workloads``, and write its files.
 
-    ``workloads`` defaults to the config's ``enumerate_workloads``, and ``prefixes``, the true
-    dataset after each step, to ``stream.prefixes()``. ``run_experiment(jobs=1)`` hands every
-    triple the same ones, so each prefix is accumulated once and its true workload vectors
-    are counted once.
+    ``prefixes``, the true dataset after each step, defaults to ``stream.prefixes()``;
+    ``run_experiment`` hands the triples of a small ``jobs=1`` grid one tuple of them, so each
+    prefix is accumulated once and its true workload vectors are counted once.
     """
     started = time.monotonic()
-    if workloads is None:
-        workloads = enumerate_workloads(stream.schema, config.k_way)
     settings = run_config(config, workloads, epsilon, seed, stream.num_steps)
     synthesizer = make_synthesizer(algorithm, settings)
 
@@ -427,28 +426,42 @@ def _failure(algorithm: str, epsilon: Fraction, seed: int, exc: Exception) -> di
 
 
 def _run_triple_guarded(
-    config: ExperimentConfig, algorithm: str, epsilon: Fraction, seed: int, *data: Any
+    config: ExperimentConfig, algorithm: str, epsilon: Fraction, seed: int, stream: DatasetStream,
+    workloads: WorkloadSet, prefixes: tuple[WeightedDataset, ...] | None = None,
 ) -> dict[str, Any]:
     try:
-        return run_triple(config, algorithm, epsilon, seed, *data)
+        return run_triple(config, algorithm, epsilon, seed, stream, workloads, prefixes)
     except Exception as exc:  # an aborted triple must not sink the others
         return _failure(algorithm, epsilon, seed, exc)
+
+
+def truth_bytes(stream: DatasetStream, workloads: WorkloadSet) -> int:
+    """An upper bound on the bytes that every true prefix of ``stream`` and its workload
+    vectors take: prefix t has at most min(rows of the first t differentials, domain size)
+    points of p int64 coordinates, a float64 weight and an int64 key, and one float64 per
+    workload cell. The sum grows as T**2 while the prefixes keep growing."""
+    schema = stream.schema
+    points = sum(min(rows, schema.size) for rows in itertools.accumulate(map(len, stream.differentials)))
+    cells = sum(w.size for w in workloads)
+    return 8 * (points * (len(schema.attributes) + 2) + stream.num_steps * cells)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict[str, Any]]:
     """Run the whole grid; each triple writes its own files and reports status.
 
-    The stream is loaded and the workloads are enumerated once for the grid. If
-    either fails, every triple reports that failure. With ``jobs=1`` the triples
-    share one pass of ``stream.prefixes()``, whose true workload vectors the first
-    triple memoizes for the others, so a grid of two or more holds every prefix and
-    its vectors until the last triple has read it. One triple, and each task of
-    ``jobs > 1``, folds its own prefixes and holds only the latest.
+    The stream is loaded and the workloads are enumerated once for the grid. With
+    ``jobs=1``, two or more triples and a ``truth_bytes`` of at most
+    ``SHARED_TRUTH_BYTES``, the true prefixes are folded once too, and the triples read
+    the same tuple of them, whose true workload vectors the first triple memoizes for
+    the others. If any of this fails, every triple reports that failure. Otherwise each
+    triple, as each task of ``jobs > 1``, folds its own prefixes and holds only the latest.
     """
     triples = config.triples()
     try:
         stream = load_stream(config)
         workloads = enumerate_workloads(stream.schema, config.k_way)
+        shared = jobs == 1 and len(triples) > 1 and truth_bytes(stream, workloads) <= SHARED_TRUTH_BYTES
+        truth = tuple(stream.prefixes()) if shared else None
     except Exception as exc:  # reported per triple, as each triple would have failed on it
         return [_failure(alg, eps, seed, exc) for alg, eps, seed in triples]
     if jobs > 1:
@@ -458,11 +471,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict[str, An
                 for alg, eps, seed in triples
             ]
             return [f.result() for f in futures]
-    # tee buffers every prefix its slowest copy has not read; one triple needs no copy
-    shared = itertools.tee(stream.prefixes(), len(triples)) if len(triples) > 1 else [None]
     return [
-        _run_triple_guarded(config, alg, eps, seed, stream, workloads, prefixes)
-        for (alg, eps, seed), prefixes in zip(triples, shared)
+        _run_triple_guarded(config, alg, eps, seed, stream, workloads, truth) for alg, eps, seed in triples
     ]
 
 

@@ -1,11 +1,10 @@
-import functools
 import math
 import pickle
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpstream import (
@@ -627,52 +626,29 @@ class TestStream:
         assert stream.prefix(1).total_mass() == 0.0
 
     @pytest.mark.parametrize("schema", [SCHEMA_234, SCHEMA_HUGE], ids=["keys", "generic"])
-    def test_prefix_equals_fold_of_accumulate_bit_for_bit(self, schema):
-        # fractional weights on overlapping points, so the order of the sums shows in the bits
-        rng = np.random.default_rng(4)
+    @settings(max_examples=30, deadline=None)
+    @given(steps=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    @example(steps=12, seed=4)
+    @example(steps=0, seed=0)
+    def test_prefix_equals_fold_of_accumulate_bit_for_bit(self, schema, steps, seed):
+        # fractional weights on overlapping points, so the order of the sums shows in the bits;
+        # every fifth step from the third is empty, and 0 steps yield no prefix
+        rng = np.random.default_rng(seed)
         deltas = []
-        for t in range(12):
+        for t in range(steps):
             n = 0 if t % 5 == 2 else int(rng.integers(1, 20))
             rows = random_rows(schema, n, rng)
             deltas.append(WeightedDataset(schema, rows, rng.random(n) * 10.0 ** rng.integers(-3, 4)))
         stream = DatasetStream(schema, tuple(deltas))
-        folded = WeightedDataset.empty(schema)
-        for t in range(len(deltas) + 1):
-            got = stream.prefix(t)
-            assert np.array_equal(got.points, folded.points)
-            assert got.weights.tobytes() == folded.weights.tobytes()
-            if t < len(deltas):
-                folded = accumulate(folded, deltas[t])
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.lists(  # one step: (row, weight) entries; rows repeat within and across steps
-                st.tuples(
-                    st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 3)),
-                    st.floats(min_value=0.01, max_value=100.0),
-                ),
-                max_size=6,
-            ),
-            max_size=8,
-        )
-    )
-    def test_prefixes_are_one_fold_of_accumulate(self, steps):
-        deltas = tuple(
-            WeightedDataset(SCHEMA_234, [row for row, _ in entries], [w for _, w in entries])
-            for entries in steps
-        )
-        stream = DatasetStream(SCHEMA_234, deltas)
         prefixes = list(stream.prefixes())
-        assert len(prefixes) == len(deltas)
-        assert list(DatasetStream(SCHEMA_234, ()).prefixes()) == []
-        empty = WeightedDataset.empty(SCHEMA_234)
-        assert len(stream.prefix(0)) == 0 and stream.prefix(0).points.shape == (0, 3)
-        for t in range(1, len(deltas) + 1):
-            oracle = functools.reduce(accumulate, deltas[:t], empty)
-            for got in (prefixes[t - 1], stream.prefix(t)):
-                assert got.points.tobytes() == oracle.points.tobytes()
-                assert got.weights.tobytes() == oracle.weights.tobytes()
+        assert len(prefixes) == steps
+        folded = WeightedDataset.empty(schema)
+        for t in range(steps + 1):
+            for got in [stream.prefix(t), *prefixes[t - 1 : t]]:  # no item of prefixes() at t = 0
+                assert got.points.tobytes() == folded.points.tobytes()
+                assert got.weights.tobytes() == folded.weights.tobytes()
+            if t < steps:
+                folded = accumulate(folded, deltas[t])
 
     @pytest.mark.parametrize("schema", [SCHEMA_234, SCHEMA_HUGE], ids=["keys", "rows"])
     def test_step_datasets_match_the_checking_constructor_per_step(self, schema):

@@ -25,6 +25,7 @@ from dpstream import (
     Workload,
     build_stream,
     enumerate_workloads,
+    eval_workload,
     ingest_csv,
     load_schema,
     make_counter,
@@ -397,6 +398,22 @@ class TestBuildStreamOracle:
             assert not a.points.flags.writeable and not a.weights.flags.writeable
 
 
+def triple_inputs(config):
+    """The stream and workload set that ``run_experiment`` hands each triple of ``config``."""
+    stream = load_stream(config)
+    return stream, enumerate_workloads(stream.schema, config.k_way)
+
+
+def run_files(root):
+    """The text of every ``metrics.csv``, ``summary.json`` and ``meta.json`` under ``root`` by
+    relative path, without ``meta.json``'s wall-time ``runtime_sec``."""
+    return {
+        path.relative_to(root): re.sub(r'\n  "runtime_sec": [^\n]*', "", path.read_text())
+        for name in ("metrics.csv", "summary.json", "meta.json")
+        for path in root.rglob(name)
+    }
+
+
 def experiment_config(tmp_path, data_file, schema_file, **overrides):
     base = dict(
         dataset=str(data_file),
@@ -449,7 +466,7 @@ class TestRunExperiment:
         long_file = write_csv(tmp_path / "long.csv", data_rows + data_rows[:2])
         stream = StreamSpec(variant="ordered_batch", batch_size=batch_size)
         config = experiment_config(tmp_path, long_file, schema_file, stream=stream)
-        run_triple(config, "main", Fraction(1), 0, load_stream(config))
+        run_triple(config, "main", Fraction(1), 0, *triple_inputs(config))
         run_dir = config.run_dir(Path(config.output_dir), "main", Fraction(1), 0)
         with open(run_dir / "metrics.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -461,7 +478,7 @@ class TestRunExperiment:
 
     def test_meta_reports_full_budget_spend(self, tmp_path, data_file, schema_file):
         config = experiment_config(tmp_path, data_file, schema_file, epsilons=(Fraction(1, 2),))
-        run_triple(config, "main", Fraction(1, 2), 0, load_stream(config))
+        run_triple(config, "main", Fraction(1, 2), 0, *triple_inputs(config))
         run_dir = config.run_dir(Path(config.output_dir), "main", Fraction(1, 2), 0)
         meta = json.loads((run_dir / "meta.json").read_text())
         assert meta["ledger"]["per_step_totals"] == ["1/2"]
@@ -511,15 +528,11 @@ class TestRunExperiment:
         results = run_experiment(grid("broken"))
         assert [r["ok"] for r in results] == [i != failing for i in range(6)]
         assert results[failing]["error"] == "RuntimeError: synthesizer broke at step 3"
-        for got, want in zip(results, clean):
-            if not got["ok"]:
-                continue
-            run_dir = Path(want["dir"]).relative_to(tmp_path / "clean")
-            for name in ("metrics.csv", "summary.json", "meta.json"):
-                texts = [(tmp_path / out / run_dir / name).read_text() for out in ("broken", "clean")]
-                if name == "meta.json":
-                    texts = [re.sub(r'\n  "runtime_sec": [^\n]*', "", text) for text in texts]
-                assert texts[0] == texts[1], (run_dir, name)
+        broken_dir = Path(clean[failing]["dir"]).relative_to(tmp_path / "clean")
+        written = run_files(tmp_path / "clean")
+        assert run_files(tmp_path / "broken") == {
+            name: text for name, text in written.items() if not name.is_relative_to(broken_dir)
+        }
 
     def test_unknown_fitter_rejected(self, tmp_path, data_file, schema_file):
         mw = experiment_config(
@@ -568,6 +581,51 @@ class TestRunExperiment:
         assert steps == 5 and len(sums) == steps
         on_sums = [(id(d), w) for d, w in computed if any(d is s for s in sums)]
         assert len(on_sums) == workloads * steps == len(set(on_sums))
+
+    def test_grid_shares_the_truth_only_within_its_byte_bound(
+        self, tmp_path, data_file, schema_file, monkeypatch
+    ):
+        # truth_bytes bounds the prefixes and true vectors a shared grid holds; over
+        # SHARED_TRUTH_BYTES each triple folds its own prefixes, into the same files
+        def grid(out):
+            return experiment_config(
+                tmp_path, data_file, schema_file, output_dir=str(tmp_path / out), seeds=(0, 1, 2),
+                noise="laplace",
+            )
+
+        stream, workloads = triple_inputs(grid("shared"))
+        bound, held = harness.truth_bytes(stream, workloads), 0
+        for prefix in stream.prefixes():
+            for workload in workloads:
+                eval_workload(workload, prefix)
+            memo = [v for v in prefix.memo.values() if isinstance(v, np.ndarray)]  # keys and vectors
+            held += sum(a.nbytes for a in (prefix.points, prefix.weights, *memo))
+        assert 0 < held <= bound
+
+        folds, accumulate = [], domain.accumulate
+
+        def counted(prefix, delta):
+            folds.append(delta)
+            return accumulate(prefix, delta)
+
+        monkeypatch.setattr(domain, "accumulate", counted)
+        for out, cap, triples_folding in (("shared", bound, 1), ("per-triple", bound - 1, 6)):
+            monkeypatch.setattr(harness, "SHARED_TRUTH_BYTES", cap)
+            folds.clear()
+            results = run_experiment(grid(out))
+            assert len(results) == 6 and all(r["ok"] for r in results)
+            assert len(folds) == triples_folding * stream.num_steps
+        assert run_files(tmp_path / "shared") == run_files(tmp_path / "per-triple")
+
+    @pytest.mark.parametrize("cap", [harness.SHARED_TRUTH_BYTES, 0], ids=["shared", "per-triple"])
+    def test_fold_failure_reported_per_triple(self, tmp_path, data_file, schema_file, monkeypatch, cap):
+        def broken(prefix, delta):
+            raise RuntimeError("fold broke")
+
+        monkeypatch.setattr(domain, "accumulate", broken)
+        monkeypatch.setattr(harness, "SHARED_TRUTH_BYTES", cap)
+        results = run_experiment(experiment_config(tmp_path, data_file, schema_file, seeds=(0, 1)))
+        assert [r["error"] for r in results] == ["RuntimeError: fold broke"] * 4
 
     def test_ingest_failure_reported_per_triple(self, tmp_path, schema_file):
         bad = write_csv(tmp_path / "bad.csv", [["red", "small"], ["purple", "large"]])
@@ -814,7 +872,7 @@ class TestConfigFile:
     def test_negative_run_seed_rejected_before_any_output(self, tmp_path, data_file, schema_file):
         config = experiment_config(tmp_path, data_file, schema_file)
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
-            run_triple(config, "main", Fraction(1), -1, load_stream(config))
+            run_triple(config, "main", Fraction(1), -1, *triple_inputs(config))
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field", ["algorithms", "epsilons", "seeds"])
