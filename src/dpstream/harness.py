@@ -30,7 +30,7 @@ from .queries import WorkloadSet, enumerate_workloads
 
 METRIC_COLUMNS = ("t", *METRIC_NAMES)
 SUMMARY_WINDOW = 10  # summary.json averages the last 10 steps, or every step of a shorter stream
-SHARED_TRUTH_BYTES = 64 << 20  # the most a jobs=1 grid may hold of true prefixes to share them
+SHARED_TRUTH_BYTES = 64 << 20  # the largest truth_bytes at which a jobs=1 grid shares its true prefixes
 
 STREAM_VARIANTS = ("timestamp_bucketed", "randomized_batch", "ordered_batch")
 
@@ -453,8 +453,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[dict[str, An
     ``jobs=1``, two or more triples and a ``truth_bytes`` of at most
     ``SHARED_TRUTH_BYTES``, the true prefixes are folded once too, and the triples read
     the same tuple of them, whose true workload vectors the first triple memoizes for
-    the others. If any of this fails, every triple reports that failure. Otherwise each
-    triple, as each task of ``jobs > 1``, folds its own prefixes and holds only the latest.
+    the others. If any of this fails, every triple reports that failure. A triple that
+    does not share, as each task of ``jobs > 1``, folds its own prefixes and holds only
+    the latest.
     """
     triples = config.triples()
     try:
